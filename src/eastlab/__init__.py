@@ -18,7 +18,7 @@ from .lattice import (  # noqa: F401
     sample_initial,
     spin_at_site,
 )
-from .sim import EventLog, RingRecord, simulate  # noqa: F401
+from .sim import BatchLog, EventLog, RingRecord, simulate, simulate_batch  # noqa: F401
 from .exact import (  # noqa: F401
     Generator,
     SpectrumResult,
@@ -36,6 +36,7 @@ from .estimators import (  # noqa: F401
     estimate_relaxation,
     fit_exponential,
     occupation_statistics,
+    replica_batches,
 )
 from .theory import (  # noqa: F401
     ConstantsReport,

@@ -14,16 +14,16 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .estimators import (
-    DecaySeries,
     Observable,
     default_fit_floor,
     estimate_persistence,
     estimate_relaxation,
     fit_exponential,
+    replica_batches,
 )
 from .exact import east1d_gap
 from .lattice import (
@@ -34,25 +34,15 @@ from .lattice import (
     ProductBernoulli,
     Site,
     Window,
+    sample_initial,
 )
 from .sim import simulate
-from .streams import derive_seed, derived_generator
+from .streams import STREAM_VERSION, derive_seed, derived_generator
 from .theory import (
     compute_constants,
     fk_cascade_probe,
     validate_path,
     verify_oriented_path_lemma,
-)
-from .lattice import sample_initial
-
-KINDS = (
-    "simulate",
-    "persistence",
-    "relaxation",
-    "gap",
-    "constants",
-    "verify-lemma",
-    "fk-probe",
 )
 
 
@@ -79,7 +69,6 @@ class ExperimentConfig:
     n_outer: int = 200
     n_inner: int = 100
     seed: int = 0
-    threads: int = field(default_factory=lambda: os.cpu_count() or 1)
     out_dir: str = "out"
     horizon: float = 0.0
     site: Optional[Site] = None
@@ -139,6 +128,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("kind", "missing (required)")
     if kind not in KINDS:
         raise ConfigError("kind", f"unknown kind {kind!r}; valid kinds: {', '.join(KINDS)}")
+    spec = KINDS[kind]
+    for key in raw:
+        if key not in spec.keys and key not in _COMMON_KEYS:
+            valid = ", ".join(sorted(spec.keys | _COMMON_KEYS))
+            raise ConfigError(key, f"not read by kind {kind!r}; valid keys: {valid}")
     config = ExperimentConfig(kind=kind, raw=dict(raw))
 
     if kind != "constants" or "d" in raw or "p" in raw:
@@ -179,7 +173,6 @@ def parse_config(text: str) -> ExperimentConfig:
         ("n_outer", "n_outer", int),
         ("n_inner", "n_inner", int),
         ("seed", "seed", int),
-        ("threads", "threads", int),
         ("horizon", "horizon", float),
         ("alpha", "alpha", float),
         ("t", "t", float),
@@ -202,26 +195,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("site", f"expected {config.params.d} coordinates")
         config.site = coords
 
-    # kind-specific validation
-    need = {
-        "simulate": ("window", "measure"),
-        "persistence": ("window", "measure", "site"),
-        "relaxation": ("window", "measure", "site"),
-        "gap": (),
-        "constants": (),
-        "verify-lemma": ("window", "measure", "site"),
-        "fk-probe": ("window", "measure", "site"),
-    }[kind]
-    for attr in need:
-        if getattr(config, attr) is None:
-            raise ConfigError(attr, f"missing (required for kind {kind!r})")
-    if kind in ("persistence", "relaxation") and not config.times:
-        raise ConfigError("times", "time grid must be non-empty")
-    if kind == "gap" and not config.n_values:
-        raise ConfigError("N", "missing (required for kind 'gap')")
-    if kind in ("persistence", "relaxation", "verify-lemma", "fk-probe") and config.site is not None:
-        if config.window is not None and config.site not in config.window:
-            raise ConfigError("site", f"site {config.site} outside window")
+    for name in spec.required:
+        present, problem = _REQUIRED[name]
+        if not present(config):
+            raise ConfigError(name, f"{problem} (required for kind {kind!r})")
+    if config.site is not None and config.window is not None and config.site not in config.window:
+        raise ConfigError("site", f"site {config.site} outside window")
     if config.n <= 0 or config.n_outer <= 0 or config.n_inner <= 0:
         raise ConfigError("n", "sample counts must be positive")
     return config
@@ -241,15 +220,34 @@ class RunManifest:
     checksums: dict[str, str]
     duration_s: float
     status: str
+    notes: dict[str, str] = field(default_factory=dict)
 
     def to_text(self) -> str:
-        lines = [f"version = {self.version}", f"status = {self.status}"]
+        lines = [
+            f"version = {self.version}",
+            f"stream_version = {STREAM_VERSION}",
+            f"status = {self.status}",
+        ]
         for k in sorted(self.config_echo):
             lines.append(f"config.{k} = {self.config_echo[k]}")
+        for k in sorted(self.notes):
+            lines.append(f"{k} = {self.notes[k]}")
         for name in sorted(self.checksums):
             lines.append(f"sha256.{name} = {self.checksums[name]}")
         lines.append(f"duration_s = {self.duration_s:.3f}")
         return "\n".join(lines) + "\n"
+
+
+class RunOutputs:
+    """Files a run has written so far, and notes for its manifest."""
+
+    def __init__(self, out_dir: str):
+        self.out_dir = out_dir
+        self.written: list[str] = []
+        self.notes: dict[str, str] = {}
+
+    def write(self, name: str, text: str) -> None:
+        self.written.append(_write(self.out_dir, name, text))
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
@@ -270,96 +268,145 @@ def _series_manifest(config: ExperimentConfig) -> dict:
     }
 
 
-def _run_outputs(config: ExperimentConfig) -> list[str]:
-    """Execute the experiment; returns the list of files written."""
-    out = config.out_dir
-    written: list[str] = []
-    kind = config.kind
+def _write_fit(out: RunOutputs, name: str, series) -> None:
+    try:
+        fit = fit_exponential(series, default_fit_floor(series))
+        out.write(name, fit.summary_line() + "\n")
+    except ValueError:
+        out.write(name, "fit_failed=too_few_points\n")
 
-    if kind == "simulate":
-        rng = derived_generator(config.seed, "simulate-init")
-        init = sample_initial(config.measure, config.window, rng)
-        log = simulate(config.params, init, config.horizon, derive_seed(config.seed, "simulate"))
-        written.append(_write(out, "events.csv", log.to_csv()))
 
-    elif kind == "persistence":
-        series = estimate_persistence(
-            config.params, config.measure, config.site, config.times, config.n,
-            config.window, config.seed,
-        )
-        written.append(_write(out, "persistence.csv", series.to_csv(_series_manifest(config))))
-        try:
-            fit = fit_exponential(series, default_fit_floor(series))
-            written.append(_write(out, "persistence_fit.txt", fit.summary_line() + "\n"))
-        except ValueError:
-            written.append(_write(out, "persistence_fit.txt", "fit_failed=too_few_points\n"))
+def _run_simulate(config: ExperimentConfig, out: RunOutputs) -> None:
+    rng = derived_generator(config.seed, "simulate-init")
+    init = sample_initial(config.measure, config.window, rng)
+    log = simulate(config.params, init, config.horizon, derive_seed(config.seed, "simulate"))
+    out.write("events.csv", log.to_csv())
 
-    elif kind == "relaxation":
-        series = estimate_relaxation(
-            config.params, config.measure, Observable.spin(config.site), config.times,
-            config.n_outer, config.n_inner, config.window, config.seed, config.gamma,
-        )
-        written.append(_write(out, "relaxation.csv", series.to_csv(_series_manifest(config))))
-        try:
-            fit = fit_exponential(series, default_fit_floor(series))
-            written.append(_write(out, "relaxation_fit.txt", fit.summary_line() + "\n"))
-        except ValueError:
-            written.append(_write(out, "relaxation_fit.txt", "fit_failed=too_few_points\n"))
 
-    elif kind == "gap":
-        lines = ["N,gap"]
-        for N in config.n_values:
-            lines.append(f"{N},{east1d_gap(config.params.p, N):.17g}")
-        written.append(_write(out, "gap.csv", "\n".join(lines) + "\n"))
+def _run_persistence(config: ExperimentConfig, out: RunOutputs) -> None:
+    series = estimate_persistence(
+        config.params, config.measure, config.site, config.times, config.n,
+        config.window, config.seed,
+    )
+    out.write("persistence.csv", series.to_csv(_series_manifest(config)))
+    _write_fit(out, "persistence_fit.txt", series)
 
-    elif kind == "constants":
-        p = config.params.p if config.params else 0.5
-        d = config.params.d if config.params else 1
-        lam = east1d_gap(p, config.lambda_n)
-        lam_prev = east1d_gap(p, config.lambda_n - 1) if config.lambda_n > 1 else lam
-        report = compute_constants(p, d, config.delta_const, config.c_const, lam)
-        text = report.to_text() + f"lambda_pp_cauchy_increment = {abs(lam - lam_prev)!r}\n"
-        written.append(_write(out, "constants.txt", text))
 
-    elif kind == "verify-lemma":
-        rows = ["seed,t,alpha,hypothesis_held,found,path_length"]
-        counterexample = False
-        for r in range(config.n):
-            rng = derived_generator(config.seed, "lemma-init", r)
-            init = sample_initial(config.measure, config.window, rng)
-            run_seed = derive_seed(config.seed, "lemma-sim", r)
-            log = simulate(config.params, init, config.t, run_seed)
-            res = verify_oriented_path_lemma(log, config.t, config.alpha, config.site)
+def _run_relaxation(config: ExperimentConfig, out: RunOutputs) -> None:
+    series = estimate_relaxation(
+        config.params, config.measure, Observable.spin(config.site), config.times,
+        config.n_outer, config.n_inner, config.window, config.seed, config.gamma,
+    )
+    out.write("relaxation.csv", series.to_csv(_series_manifest(config)))
+    _write_fit(out, "relaxation_fit.txt", series)
+
+
+def _run_gap(config: ExperimentConfig, out: RunOutputs) -> None:
+    lines = ["N,gap"]
+    for N in config.n_values:
+        lines.append(f"{N},{east1d_gap(config.params.p, N):.17g}")
+    out.write("gap.csv", "\n".join(lines) + "\n")
+
+
+def _run_constants(config: ExperimentConfig, out: RunOutputs) -> None:
+    p = config.params.p if config.params else 0.5
+    d = config.params.d if config.params else 1
+    lam = east1d_gap(p, config.lambda_n)
+    lam_prev = east1d_gap(p, config.lambda_n - 1) if config.lambda_n > 1 else lam
+    report = compute_constants(p, d, config.delta_const, config.c_const, lam)
+    text = report.to_text() + f"lambda_pp_cauchy_increment = {abs(lam - lam_prev)!r}\n"
+    out.write("constants.txt", text)
+
+
+def _run_verify_lemma(config: ExperimentConfig, out: RunOutputs) -> None:
+    """One row per replica; a replica whose start site is not at zero
+    initially does not meet the lemma's premise and is counted as not
+    applicable."""
+    rows = ["seed,t,alpha,hypothesis_held,found,path_length,applicable"]
+    counterexample = False
+    not_applicable = 0
+    t, alpha, x = config.t, config.alpha, config.site
+    batches = replica_batches(
+        config.params, config.measure, config.window, t, config.seed, "lemma", config.n
+    )
+    for _, batch in batches:
+        for r in range(len(batch)):
+            log = batch.log(r)
+            if log.initial.spin_at(x) != 0:
+                not_applicable += 1
+                rows.append(f"{log.seed},{t:.17g},{alpha:.17g},0,0,0,0")
+                continue
+            res = verify_oriented_path_lemma(log, t, alpha, x)
             if res.hypothesis_held and not res.found:
                 counterexample = True
-            if res.found and not validate_path(res, log, config.t, config.alpha, config.site):
+            if res.found and not validate_path(res, log, t, alpha, x):
                 counterexample = True
             rows.append(
-                f"{run_seed},{config.t:.17g},{config.alpha:.17g},"
-                f"{int(res.hypothesis_held)},{int(res.found)},{len(res.path)}"
+                f"{log.seed},{t:.17g},{alpha:.17g},"
+                f"{int(res.hypothesis_held)},{int(res.found)},{len(res.path)},1"
             )
-        written.append(_write(out, "lemma.csv", "\n".join(rows) + "\n"))
-        if counterexample:
-            raise LemmaCounterexampleError(
-                "oriented-path search failed on a hypothesis-holding log; "
-                "this contradicts a proven statement (implementation bug)"
-            )
-
-    elif kind == "fk-probe":
-        res = fk_cascade_probe(
-            config.params, config.measure, config.site, config.delta_const,
-            config.t, config.n, config.window, config.seed,
+    out.notes["lemma.not_applicable"] = str(not_applicable)
+    out.write("lemma.csv", "\n".join(rows) + "\n")
+    if counterexample:
+        raise LemmaCounterexampleError(
+            "oriented-path search failed on a hypothesis-holding log; "
+            "this contradicts a proven statement (implementation bug)"
         )
-        rows = ["step,site_from,site_to,probability,halfwidth"]
-        for i in range(config.params.d):
-            rows.append(
-                f"{i + 1},{';'.join(map(str, res.sites[i]))},"
-                f"{';'.join(map(str, res.sites[i + 1]))},"
-                f"{res.probabilities[i]:.17g},{res.halfwidths[i]:.17g}"
-            )
-        written.append(_write(out, "fk_probe.csv", "\n".join(rows) + "\n"))
 
-    return written
+
+def _run_fk_probe(config: ExperimentConfig, out: RunOutputs) -> None:
+    res = fk_cascade_probe(
+        config.params, config.measure, config.site, config.delta_const,
+        config.t, config.n, config.window, config.seed,
+    )
+    rows = ["step,site_from,site_to,probability,halfwidth"]
+    for i in range(config.params.d):
+        rows.append(
+            f"{i + 1},{';'.join(map(str, res.sites[i]))},"
+            f"{';'.join(map(str, res.sites[i + 1]))},"
+            f"{res.probabilities[i]:.17g},{res.halfwidths[i]:.17g}"
+        )
+    out.write("fk_probe.csv", "\n".join(rows) + "\n")
+
+
+class Kind(NamedTuple):
+    """What a kind reads from a config, what it needs, and how it runs."""
+
+    keys: frozenset[str]  # besides the common keys
+    required: tuple[str, ...]  # names in _REQUIRED
+    run: Callable[[ExperimentConfig, RunOutputs], None]
+
+
+_COMMON_KEYS = frozenset({"kind", "seed", "out"})
+_MODEL = frozenset({"d", "p"})
+_SPACE = _MODEL | {"window_lower", "window_upper", "exterior", "measure"}
+_REQUIRED = {
+    "window": (lambda c: c.window is not None, "missing"),
+    "measure": (lambda c: c.measure is not None, "missing"),
+    "site": (lambda c: c.site is not None, "missing"),
+    "times": (lambda c: bool(c.times), "time grid must be non-empty"),
+    "horizon": (lambda c: c.horizon > 0, "must be positive"),
+    "N": (lambda c: bool(c.n_values), "missing"),
+}
+KINDS = {
+    "simulate": Kind(_SPACE | {"horizon"}, ("window", "measure", "horizon"), _run_simulate),
+    "persistence": Kind(
+        _SPACE | {"site", "times", "n"}, ("window", "measure", "site", "times"), _run_persistence
+    ),
+    "relaxation": Kind(
+        _SPACE | {"site", "times", "n_outer", "n_inner", "gamma"},
+        ("window", "measure", "site", "times"),
+        _run_relaxation,
+    ),
+    "gap": Kind(frozenset({"p", "N"}), ("N",), _run_gap),
+    "constants": Kind(_MODEL | {"delta", "c", "lambda_N"}, (), _run_constants),
+    "verify-lemma": Kind(
+        _SPACE | {"site", "t", "alpha", "n"}, ("window", "measure", "site"), _run_verify_lemma
+    ),
+    "fk-probe": Kind(
+        _SPACE | {"site", "delta", "t", "n"}, ("window", "measure", "site"), _run_fk_probe
+    ),
+}
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
@@ -367,10 +414,10 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     os.makedirs(config.out_dir, exist_ok=True)
     start = time.monotonic()
     status = "ok"
-    written: list[str] = []
+    out = RunOutputs(config.out_dir)
     err: Optional[BaseException] = None
     try:
-        written = _run_outputs(config)
+        KINDS[config.kind].run(config, out)
     except LemmaCounterexampleError as e:
         status = "lemma-counterexample"
         err = e
@@ -380,9 +427,10 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     manifest = RunManifest(
         config_echo=dict(config.raw),
         version=__version__,
-        checksums={os.path.basename(p): _sha256(p) for p in written},
+        checksums={os.path.basename(p): _sha256(p) for p in out.written},
         duration_s=time.monotonic() - start,
         status=status,
+        notes=out.notes,
     )
     _write(config.out_dir, "manifest.txt", manifest.to_text())
     if err is not None:
@@ -397,7 +445,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("config", help="path to a flat key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the output directory")
-    parser.add_argument("--threads", type=int, default=None, help="override the thread count")
     args = parser.parse_args(argv)
 
     try:
@@ -419,8 +466,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.out is not None:
         config.out_dir = args.out
         config.raw["out"] = args.out
-    if args.threads is not None:
-        config.threads = args.threads
 
     try:
         run_experiment(config)

@@ -11,13 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .exact import mu_expectation
 from .lattice import (
-    Configuration,
     MeasureSpec,
     ModelParams,
     Region,
@@ -25,10 +23,11 @@ from .lattice import (
     Window,
     sample_initial,
 )
-from .sim import simulate
+from .sim import BatchLog, ring_block, simulate_batch
 from .streams import derived_generator, derive_seed
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+RING_SLOT_BUDGET = 1 << 16  # ring slots simulated at once; bounds a chunk's memory
 
 
 class EstimatorError(ValueError):
@@ -132,6 +131,42 @@ def observable_mu_and_norm(f: Observable, p: float) -> tuple[float, float]:
     return mu_f, norm
 
 
+def replica_batches(
+    params: ModelParams,
+    spec: MeasureSpec,
+    window: Window,
+    horizon: float,
+    seed: int,
+    tag: str,
+    n: int,
+    n_inner: Optional[int] = None,
+) -> Iterator[tuple[np.ndarray, BatchLog]]:
+    """The replica driver: simulate runs in chunks of at most RING_SLOT_BUDGET
+    ring slots, yielding (draw index of each replica, batch) per chunk.
+
+    Draw o's initial configuration comes from ``derived_generator(seed,
+    f"{tag}-init", o)``.  With ``n_inner`` None, each of the n draws is run
+    once, seeded ``derive_seed(seed, f"{tag}-sim", o)``; otherwise each is run
+    ``n_inner`` times, seeded ``derive_seed(seed, f"{tag}-sim", o, i)``.  Runs
+    come in (o, i) order, so a draw's runs are consecutive.  Replica
+    randomness is counter-based, so no output depends on the chunking.
+    """
+    per_chunk = max(1, RING_SLOT_BUDGET // (window.site_count() * ring_block(horizon)))
+    total = n * (n_inner or 1)
+    init, last = None, -1
+    for start in range(0, total, per_chunk):
+        draws, runs = np.divmod(np.arange(start, min(total, start + per_chunk)), n_inner or 1)
+        inits, seeds = [], []
+        for o, i in zip(draws.tolist(), runs.tolist()):
+            if o != last:
+                rng = derived_generator(seed, f"{tag}-init", o)
+                init, last = sample_initial(spec, window, rng), o
+            inits.append(init)
+            ids = (o,) if n_inner is None else (o, i)
+            seeds.append(derive_seed(seed, f"{tag}-sim", *ids))
+        yield draws, simulate_batch(params, inits, horizon, seeds)
+
+
 def estimate_persistence(
     params: ModelParams,
     spec: MeasureSpec,
@@ -147,13 +182,9 @@ def estimate_persistence(
     ts = tuple(sorted(float(t) for t in times))
     horizon = ts[-1]
     counts = np.zeros(len(ts), dtype=np.int64)
-    for r in range(n):
-        rng = derived_generator(seed, "persist-init", r)
-        init = sample_initial(spec, window, rng)
-        log = simulate(params, init, horizon, derive_seed(seed, "persist-sim", r))
-        tau = log.first_update_time(x)
-        tau = math.inf if tau is None else tau
-        counts += np.asarray([tau > t for t in ts], dtype=np.int64)
+    for _, batch in replica_batches(params, spec, window, horizon, seed, "persist", n):
+        tau = batch.first_update_time(x)
+        counts += (tau[:, None] > np.asarray(ts)).sum(axis=0)
     values = tuple(float(k) / n for k in counts)
     halfwidths = tuple(wilson_halfwidth(int(k), n) for k in counts)
     return DecaySeries(ts, values, halfwidths, n_outer=n, n_inner=1)
@@ -179,18 +210,26 @@ def estimate_relaxation(
     mu_f, norm = observable_mu_and_norm(f, params.p)
     if norm == 0.0:
         raise EstimatorError("constant observable: normalization undefined")
+    # f on every support state; state index = spins read as binary digits
+    table = np.array([f.eval_spins(s) for s in product((0, 1), repeat=len(f.sites))])
+    weights = 1 << np.arange(len(f.sites))[::-1]
     outer_vals = np.zeros((n_outer, len(ts)))
-    for o in range(n_outer):
-        rng = derived_generator(seed, "relax-init", o)
-        init = sample_initial(spec, window, rng)
-        inner_sum = np.zeros(len(ts))
-        for i in range(n_inner):
-            log = simulate(params, init, horizon, derive_seed(seed, "relax-sim", o, i))
-            for j, t in enumerate(ts):
-                spins = [log.spin_at_time(x, t) for x in f.sites]
-                inner_sum[j] += f.eval_spins(spins)
-        inner_mean = inner_sum / n_inner
-        outer_vals[o] = (np.abs(inner_mean - mu_f) / norm) ** gamma
+    inner = np.empty((n_inner, len(ts)))  # one draw's runs, reduced once complete
+    filled = 0
+    batches = replica_batches(params, spec, window, horizon, seed, "relax", n_outer, n_inner)
+    for draws, batch in batches:
+        values = np.empty((len(batch), len(ts)))
+        for j, t in enumerate(ts):
+            state = sum(w * batch.spin_at_time(x, t) for w, x in zip(weights, f.sites))
+            values[:, j] = table[state]
+        start = 0
+        for o, count in zip(*np.unique(draws, return_counts=True)):
+            inner[filled:filled + count] = values[start:start + count]
+            filled += count
+            start += count
+            if filled == n_inner:
+                outer_vals[o] = (np.abs(inner.mean(axis=0) - mu_f) / norm) ** gamma
+                filled = 0
     values = outer_vals.mean(axis=0)
     if n_outer > 1:
         rngb = derived_generator(seed, "relax-boot")
@@ -264,12 +303,9 @@ def occupation_statistics(
         raise EstimatorError("region must lie inside the window")
     threshold = (1.0 - params.p) * t / 4.0
     occ = np.zeros((n, len(sites)))
-    for r in range(n):
-        rng = derived_generator(seed, "occ-init", r)
-        init = sample_initial(spec, window, rng)
-        log = simulate(params, init, t, derive_seed(seed, "occ-sim", r))
+    for draws, batch in replica_batches(params, spec, window, t, seed, "occ", n):
         for j, x in enumerate(sites):
-            occ[r, j] = log.occupation_time(x, t)
+            occ[draws, j] = batch.occupation_time(x, t)
     g_freq = float((occ.max(axis=1) >= threshold).mean()) if sites else 0.0
     return OccupationSummary(
         sites=sites,

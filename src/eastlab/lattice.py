@@ -76,13 +76,6 @@ def build_lambda_region(r: float, d: int) -> Region:
     return Region(sites, f"LambdaBox({r})")
 
 
-def box_region(lower: Site, upper: Site, exclude_origin: bool = False) -> Region:
-    sites = set(product(*(range(lo, hi + 1) for lo, hi in zip(lower, upper))))
-    if exclude_origin:
-        sites.discard((0,) * len(lower))
-    return Region(frozenset(sites), f"GeneralBox({lower},{upper},excl={exclude_origin})")
-
-
 @dataclass(frozen=True)
 class Window:
     """Finite product box {lower_1..upper_1} x ... x {lower_d..upper_d}."""

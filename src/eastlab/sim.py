@@ -1,9 +1,15 @@
-"""Event-driven realization of the East dynamics from per-site clocks and bits.
+"""Graphical construction of the East dynamics, swept hyperplane by hyperplane.
 
 Each window site rings at rate 1; every ring draws an independent Bernoulli(p)
 bit.  The spin is replaced by the bit iff some neighbor x - e_i carries spin 0
-at that instant (frozen exterior spins where neighbors leave the window).  The
-full ring history (legal and illegal) is kept in an EventLog.
+at that instant (frozen exterior spins where neighbors leave the window).
+
+The constraint at x reads only the sites x - e_i, which lie on the diagonal
+hyperplane just before x's.  The trajectories on hyperplane H_k are therefore
+a function of those on H_{k-1} and of H_k's own rings, and the simulation runs
+as one vectorized pass per hyperplane over every replica and every site of
+H_k at once.  The full ring history (legal and illegal) is kept per site in
+CSR form; the time-sorted view is derived only for ``records`` and CSV.
 """
 
 from __future__ import annotations
@@ -11,20 +17,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from functools import lru_cache
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .lattice import (
-    Configuration,
-    LatticeError,
-    ModelParams,
-    Region,
-    Site,
-    Window,
-    site_sub_e,
-)
-from .streams import site_generator
+from .lattice import Configuration, ModelParams, Region, Site, Window, site_sub_e
+from .streams import STREAM_VERSION, ring_draws, site_key
 
 MAX_HORIZON = 1e9
 
@@ -42,128 +41,365 @@ class RingRecord:
     spin_after: int
 
 
-def _poisson_times(rng: np.random.Generator, horizon: float) -> np.ndarray:
-    """Ring times of a rate-1 Poisson process on (0, horizon]."""
-    if horizon <= 0:
-        return np.empty(0)
-    chunk = max(8, int(horizon + 4.0 * math.sqrt(horizon) + 8))
-    gaps = rng.standard_exponential(chunk)
-    total = gaps.sum()
-    parts = [gaps]
-    while total <= horizon:
-        more = rng.standard_exponential(chunk)
-        parts.append(more)
-        total += more.sum()
-    times = np.cumsum(np.concatenate(parts) if len(parts) > 1 else parts[0])
-    return times[times <= horizon]
+def ring_block(horizon: float) -> int:
+    """Rings drawn per site in a pass; the few sites that need more draw
+    another pass."""
+    return int(horizon + math.sqrt(horizon)) + 2
 
 
-class EventLog:
-    """Immutable record of one realized trajectory up to a horizon.
+class _Geometry(NamedTuple):
+    """Window facts shared by every batch on that window."""
 
-    Ring data is held in parallel numpy arrays sorted by time; ``records``
-    materializes them as RingRecord objects.
+    keys: np.ndarray  # unsalted stream key per site
+    coords: np.ndarray  # (d, n) offsets from the window's lower corner
+    strides: tuple[int, ...]  # row distance to x - e_i
+    plane: np.ndarray  # hyperplane index (coordinate-sum offset) per site, smallest uint
+    edge: tuple[tuple[int, Site], ...]  # (site index, neighbor outside the window)
+
+
+@lru_cache(maxsize=8)
+def _geometry(window: Window) -> _Geometry:
+    extent = [hi - lo + 1 for lo, hi in zip(window.lower, window.upper)]
+    coords = np.indices(extent).reshape(window.d, -1)
+    edge = tuple(
+        (i, site_sub_e(x, k))
+        for i, x in enumerate(window.sites)
+        for k in range(window.d)
+        if x[k] == window.lower[k]
+    )
+    return _Geometry(
+        keys=np.array([site_key(x) for x in window.sites], dtype=np.uint64),
+        coords=coords,
+        strides=tuple(math.prod(extent[i + 1:]) for i in range(window.d)),
+        plane=coords.sum(axis=0).astype(np.min_scalar_type(sum(extent))),
+        edge=edge,
+    )
+
+
+def _ring_times(seeds: np.ndarray, keys: np.ndarray, horizon: float, p: float):
+    """CSR offsets, times and bits of each stream's rings on (0, horizon].
+
+    Times are sequential cumulative sums of the gaps, so ring k's time does not
+    depend on how many rings a pass draws.  A stream enters pass j only if all
+    its earlier rings fell inside the horizon, so pass j's rings start at its
+    offset + j * width.
+    """
+    width = ring_block(horizon)
+    passes = []
+    rows = np.arange(seeds.size)
+    last = np.zeros(seeds.size)
+    while rows.size:
+        gaps, bit_u = ring_draws(seeds[rows], keys[rows], len(passes) * width, width)
+        gaps[:, 0] += last
+        times = np.cumsum(gaps, axis=1)
+        passes.append((rows, times, bit_u))
+        full = times[:, -1] <= horizon
+        rows, last = rows[full], times[full, -1]
+    counts = np.zeros(seeds.size, dtype=np.int64)
+    for rows, times, _ in passes:
+        counts[rows] += (times <= horizon).sum(axis=1)
+    offsets = np.zeros(seeds.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    out_t = np.empty(offsets[-1])
+    out_b = np.empty(offsets[-1], dtype=np.int8)
+    for j, (rows, times, bit_u) in enumerate(passes):
+        r, c = np.nonzero(times <= horizon)
+        dest = offsets[rows[r]] + j * width + c
+        out_t[dest] = times[r, c]
+        out_b[dest] = bit_u[r, c] < p
+    return offsets, out_t, out_b
+
+
+def _frozen_zero(initials: Sequence[Configuration], edge) -> np.ndarray:
+    """Per (replica, site) row: some neighbor outside the window is frozen at 0."""
+    n = initials[0].window.site_count()
+    by_exterior: dict = {}
+    parts = []
+    for c in initials:
+        tag = (c.exterior, tuple(sorted(c.exterior_overrides.items())))
+        row = by_exterior.get(tag)
+        if row is None:
+            row = np.zeros(n, dtype=bool)
+            for i, y in edge:
+                row[i] |= c.spin_at(y) == 0
+            by_exterior[tag] = row
+        parts.append(row)
+    return np.concatenate(parts)
+
+
+def _sweep(geo: _Geometry, init, free, offsets, times, bits):
+    """Legality and spin after each ring, one hyperplane at a time.
+
+    A ring's neighbor spin is the spin after the neighbor's last ring at or
+    before it.  Rings are located by exact integer keys row * m + rank, where
+    rank orders all m ring times of the batch (ties: lower row first, as in a
+    time-ordered event loop that breaks ties by site order).
+    """
+    n = geo.plane.size
+    m = times.size
+    row = np.repeat(np.arange(init.size), np.diff(offsets))
+    site = row % n
+    order = np.argsort(times)
+    ordered = times[order]
+    if (ordered[1:] == ordered[:-1]).any():  # only ties need the slower stable sort
+        order = np.argsort(times, kind="stable")
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = np.arange(m)
+    key = row * m + rank
+
+    legal = free[row]
+    spin_after = np.empty(m, dtype=np.int8)
+    ring_plane = geo.plane[site]
+    by_plane = np.argsort(ring_plane, kind="stable")  # row order kept within a plane
+    bounds = np.searchsorted(ring_plane[by_plane], np.arange(geo.plane.max() + 2))
+    for k in range(geo.plane.max() + 1):
+        sel = by_plane[bounds[k]:bounds[k + 1]]
+        if sel.size == 0:
+            continue
+        rs = row[sel]
+        ss = site[sel]
+        ok = legal[sel]
+        for i, stride in enumerate(geo.strides):
+            inner = geo.coords[i][ss] > 0
+            nb = rs[inner] - stride
+            pos = np.searchsorted(key, nb * m + rank[sel[inner]], side="right")
+            nb_spin = np.where(pos > offsets[nb], spin_after[pos - 1], init[nb])
+            ok[inner] |= nb_spin == 0
+        legal[sel] = ok
+        # spin after a ring = bit of the row's last legal ring so far
+        idx = np.arange(sel.size)
+        last = np.where(ok, idx, -1)
+        np.maximum.accumulate(last, out=last)
+        first = idx - (sel - offsets[rs])
+        spin_after[sel] = np.where(last >= first, bits[sel][last], init[rs])
+    return legal, spin_after
+
+
+class BatchLog:
+    """Ring histories of R replicas on one window, stored per (replica, site) row.
+
+    Row r*n + i holds site i of replica r.  Its rings are
+    ``times[offsets[row]:offsets[row + 1]]`` in increasing order, with the drawn
+    bit, the legality and the spin after each ring.  Per ring, ``zero_time`` is
+    the time the site spent at 0 on [0, ring time]; per row, ``first_legal`` is
+    the first legal ring time and ``first_change`` the first time the spin
+    leaves its initial value (inf if none).  Queries on one replica go through
+    ``log(r)``; the methods here answer them for all replicas at once.
     """
 
     def __init__(
         self,
         params: ModelParams,
-        initial: Configuration,
+        initials: Sequence[Configuration],
         horizon: float,
-        seed: int,
-        site_idx: np.ndarray,
+        seeds: Sequence[int],
+        offsets: np.ndarray,
         times: np.ndarray,
         bits: np.ndarray,
         legal: np.ndarray,
         spin_after: np.ndarray,
     ):
         self.params = params
-        self.window = initial.window
-        self.initial = initial
+        self.initials = list(initials)
+        self.window = self.initials[0].window
         self.horizon = float(horizon)
-        self.seed = int(seed)
-        self._site_idx = site_idx
-        self._times = times
-        self._bits = bits
-        self._legal = legal
-        self._spin_after = spin_after
+        self.seeds = [int(s) for s in seeds]
+        self.n_sites = self.window.site_count()
+        self.offsets = offsets
+        self.times = times
+        self.bits = bits
+        self.legal = legal
+        self.spin_after = spin_after
+        self.init = np.array([c.spins for c in self.initials], dtype=np.int8).reshape(-1)
+        self._summarize()
+
+    def __len__(self) -> int:
+        return len(self.initials)
+
+    def _summarize(self) -> None:
+        rows, m = self.init.size, self.times.size
+        counts = np.diff(self.offsets)
+        row = np.repeat(np.arange(rows), counts)
+        col = np.arange(m) - self.offsets[row]
+        head = col == 0
+        prev_t = np.where(head, 0.0, self.times[np.maximum(np.arange(m) - 1, 0)])
+        prev_s = np.where(head, self.init[row], self.spin_after[np.arange(m) - 1])
+        # per-row sequential cumulative sum, so a row's value ignores its batch
+        padded = np.zeros((rows, int(counts.max(initial=0))))
+        padded[row, col] = np.where(prev_s == 0, self.times - prev_t, 0.0)
+        np.cumsum(padded, axis=1, out=padded)
+        self.zero_time = padded[row, col]
+        self.first_legal = self._first_time(row, self.legal)
+        self.first_change = self._first_time(row, self.spin_after != self.init[row])
+
+    def _first_time(self, row: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        out = np.full(self.init.size, np.inf)
+        idx = np.flatnonzero(mask)
+        r = row[idx]
+        lead = np.ones(idx.size, dtype=bool)
+        lead[1:] = r[1:] != r[:-1]
+        out[r[lead]] = self.times[idx[lead]]
+        return out
+
+    def log(self, r: int) -> "EventLog":
+        return EventLog(self, r)
+
+    def _rows(self, x: Site) -> np.ndarray:
+        if x not in self.window:
+            raise SimulationError(f"site {x} outside window")
+        return np.arange(len(self)) * self.n_sites + self.window.index(x)
+
+    def _last_ring(self, rows: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Index of each row's last ring at or before t, and whether one exists."""
+        lo = self.offsets[rows]
+        lens = self.offsets[rows + 1] - lo
+        seg = np.repeat(np.arange(rows.size), lens)
+        ring = lo[seg] + np.arange(seg.size) - np.repeat(np.cumsum(lens) - lens, lens)
+        count = np.bincount(seg[self.times[ring] <= t], minlength=rows.size)
+        return lo + count - 1, count > 0
+
+    def spin_at_time(self, x: Site, s: float) -> np.ndarray:
+        """Spin of x at time s in every replica."""
+        if not (0 <= s <= self.horizon):
+            raise SimulationError(f"time {s} outside [0, horizon]")
+        rows = self._rows(x)
+        return self._spins(rows, *self._last_ring(rows, s))
+
+    def occupation_time(self, x: Site, t: float) -> np.ndarray:
+        """Lebesgue time in [0, t] during which x has spin 0, per replica."""
+        if t > self.horizon:
+            raise SimulationError(f"time {t} beyond horizon")
+        rows = self._rows(x)
+        last, any_ring = self._last_ring(rows, t)
+        occ = t * (self.init[rows] == 0)
+        j = last[any_ring]
+        occ[any_ring] = self.zero_time[j] + (t - self.times[j]) * (self.spin_after[j] == 0)
+        return occ
+
+    def first_update_time(self, x: Site) -> np.ndarray:
+        """Time of the first legal ring at x per replica, inf if none."""
+        return self.first_legal[self._rows(x)]
+
+    def updated_set(self, sites: Sequence[Site], deadline: float) -> np.ndarray:
+        """(replicas, len(sites)) mask: site had a legal ring by the deadline."""
+        if deadline > self.horizon:
+            raise SimulationError("deadline beyond horizon")
+        rows = np.stack([self._rows(x) for x in sites], axis=1)
+        return self.first_legal[rows] <= deadline
+
+    def _spins(self, rows: np.ndarray, last: np.ndarray, any_ring: np.ndarray) -> np.ndarray:
+        """Spin after ring ``last`` of each row, or its initial spin if it has none."""
+        spins = self.init[rows]
+        spins[any_ring] = self.spin_after[last[any_ring]]
+        return spins
+
+    def _final(self, rows: np.ndarray) -> np.ndarray:
+        ends = self.offsets[rows + 1]
+        return self._spins(rows, ends - 1, ends > self.offsets[rows])
+
+    def final_spins(self) -> np.ndarray:
+        """(replicas, sites) spins at the horizon."""
+        return self._final(np.arange(self.init.size)).reshape(len(self), self.n_sites)
+
+
+class EventLog:
+    """Immutable record of one realized trajectory up to a horizon: replica r
+    of a BatchLog.  Per-site queries cost O(log m_x) in the site's ring count."""
+
+    def __init__(self, batch: BatchLog, r: int):
+        self._batch = batch
+        self._base = r * batch.n_sites
+        self.params = batch.params
+        self.initial = batch.initials[r]
+        self.window = batch.window
+        self.horizon = batch.horizon
+        self.seed = batch.seeds[r]
+
+    def _row(self, x: Site) -> int:
+        if x not in self.window:
+            raise SimulationError(f"site {x} outside window")
+        return self._base + self.window.index(x)
+
+    def _span(self) -> slice:
+        off = self._batch.offsets
+        return slice(off[self._base], off[self._base + self.window.site_count()])
+
+    def rings(self, x: Site) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Ring times, bits, legality and spin after each ring at x, in time order."""
+        row = self._row(x)
+        b = self._batch
+        s = slice(b.offsets[row], b.offsets[row + 1])
+        return b.times[s], b.bits[s], b.legal[s], b.spin_after[s]
+
+    def _time_order(self):
+        """Time-sorted (site index, time, bit, legal, spin after) arrays."""
+        b, s = self._batch, self._span()
+        n = self.window.site_count()
+        site = np.repeat(np.arange(n), np.diff(b.offsets[self._base:self._base + n + 1]))
+        order = np.argsort(b.times[s], kind="stable")  # ties break by site order
+        return (site[order], b.times[s][order], b.bits[s][order], b.legal[s][order],
+                b.spin_after[s][order])
 
     @property
     def records(self) -> list[RingRecord]:
         sites = self.window.sites
         return [
             RingRecord(sites[s], float(t), int(b), bool(l), int(a))
-            for s, t, b, l, a in zip(
-                self._site_idx, self._times, self._bits, self._legal, self._spin_after
-            )
+            for s, t, b, l, a in zip(*self._time_order())
         ]
 
     def __len__(self) -> int:
-        return self._times.size
+        s = self._span()
+        return int(s.stop - s.start)
 
     def n_legal(self) -> int:
-        return int(self._legal.sum())
+        return int(self._batch.legal[self._span()].sum())
 
-    def _events_at(self, x: Site) -> np.ndarray:
-        return np.nonzero(self._site_idx == self.window.index(x))[0]
+    def _last_ring(self, row: int, t: float) -> Optional[int]:
+        b = self._batch
+        lo = b.offsets[row]
+        j = lo + int(np.searchsorted(b.times[lo:b.offsets[row + 1]], t, side="right"))
+        return j - 1 if j > lo else None
 
     def spin_at_time(self, x: Site, s: float) -> int:
         """Spin of x at time s: initial spin modified by legal rings up to s."""
-        if x not in self.window:
-            raise SimulationError(f"site {x} outside window")
+        row = self._row(x)
         if not (0 <= s <= self.horizon):
             raise SimulationError(f"time {s} outside [0, horizon]")
-        idx = self._events_at(x)
-        idx = idx[self._legal[idx] & (self._times[idx] <= s)]
-        if idx.size == 0:
-            return self.initial.spin_at(x)
-        return int(self._spin_after[idx[-1]])
+        j = self._last_ring(row, s)
+        return int(self._batch.init[row] if j is None else self._batch.spin_after[j])
 
     def occupation_time(self, x: Site, t: float) -> float:
         """Lebesgue time in [0, t] during which x has spin 0."""
         if t > self.horizon:
             raise SimulationError(f"time {t} beyond horizon")
-        if x not in self.window:
-            raise SimulationError(f"site {x} outside window")
-        idx = self._events_at(x)
-        idx = idx[self._legal[idx] & (self._times[idx] <= t)]
-        acc = 0.0
-        last = 0.0
-        cur = self.initial.spin_at(x)
-        for k in idx:
-            tm = float(self._times[k])
-            if cur == 0:
-                acc += tm - last
-            cur = int(self._spin_after[k])
-            last = tm
-        if cur == 0:
-            acc += t - last
-        return acc
+        row = self._row(x)
+        b = self._batch
+        j = self._last_ring(row, t)
+        if j is None:
+            return float(t * (b.init[row] == 0))
+        return float(b.zero_time[j] + (t - b.times[j]) * (b.spin_after[j] == 0))
 
     def first_update_time(self, x: Site) -> Optional[float]:
         """Time of the first legal ring at x, or None."""
-        if x not in self.window:
-            raise SimulationError(f"site {x} outside window")
-        idx = self._events_at(x)
-        idx = idx[self._legal[idx]]
-        if idx.size == 0:
-            return None
-        return float(self._times[idx[0]])
+        tau = self._batch.first_legal[self._row(x)]
+        return None if tau == np.inf else float(tau)
+
+    def stays_at(self, x: Site, spin: int, until: float) -> bool:
+        """Spin of x equal to ``spin`` on all of [0, until]."""
+        row = self._row(x)
+        return bool(self._batch.init[row] == spin and self._batch.first_change[row] > until)
 
     def updated_set(self, region: Region, deadline: float) -> set[Site]:
         """Region sites with at least one legal ring at time <= deadline."""
         if deadline > self.horizon:
             raise SimulationError("deadline beyond horizon")
-        mask = self._legal & (self._times <= deadline)
-        hit = set(np.unique(self._site_idx[mask]).tolist())
-        sites = self.window.sites
-        return {x for x in region.sites if x in self.window and self.window.index(x) in hit}
+        first = self._batch.first_legal
+        return {x for x in region.sites if x in self.window and first[self._row(x)] <= deadline}
 
     def final_spins(self) -> tuple[int, ...]:
-        spins = list(self.initial.spins)
-        for k in np.nonzero(self._legal)[0]:
-            spins[self._site_idx[k]] = int(self._spin_after[k])
-        return tuple(spins)
+        rows = self._base + np.arange(self.window.site_count())
+        return tuple(int(v) for v in self._batch._final(rows))
 
     # --- serialization ----------------------------------------------------
 
@@ -173,6 +409,7 @@ class EventLog:
             "p": self.params.p,
             "seed": self.seed,
             "horizon": self.horizon,
+            "stream_version": STREAM_VERSION,
             "window_lower": list(self.window.lower),
             "window_upper": list(self.window.upper),
             "exterior": self.initial.exterior,
@@ -184,9 +421,7 @@ class EventLog:
         lines = ["# " + json.dumps(manifest, sort_keys=True)]
         lines.append("site_coords,time,bit,legal,spin_after")
         sites = self.window.sites
-        for s, t, b, l, a in zip(
-            self._site_idx, self._times, self._bits, self._legal, self._spin_after
-        ):
+        for s, t, b, l, a in zip(*self._time_order()):
             coords = ";".join(str(c) for c in sites[s])
             lines.append(f"{coords},{t:.17g},{int(b)},{int(l)},{int(a)}")
         return "\n".join(lines) + "\n"
@@ -204,28 +439,70 @@ class EventLog:
             manifest["exterior"],
             overrides,
         )
-        site_idx, times, bits, legal, after = [], [], [], [], []
-        for ln in lines[2:]:
-            if not ln.strip():
-                continue
-            coords, t, b, l, a = ln.split(",")
-            x = tuple(int(c) for c in coords.split(";"))
-            site_idx.append(window.index(x))
-            times.append(float(t))
-            bits.append(int(b))
-            legal.append(bool(int(l)))
-            after.append(int(a))
-        return EventLog(
-            params,
-            initial,
-            manifest["horizon"],
-            manifest["seed"],
-            np.asarray(site_idx, dtype=np.int64),
-            np.asarray(times, dtype=np.float64),
-            np.asarray(bits, dtype=np.int8),
-            np.asarray(legal, dtype=bool),
-            np.asarray(after, dtype=np.int8),
+        rows = [ln.split(",") for ln in lines[2:] if ln.strip()]
+        site_idx = np.asarray(
+            [window.index(tuple(int(c) for c in r[0].split(";"))) for r in rows], dtype=np.int64
         )
+        cols = [np.asarray([r[k] for r in rows]) for k in range(1, 5)]
+        order = np.argsort(site_idx, kind="stable")  # per site, still in time order
+        offsets = np.zeros(window.site_count() + 1, dtype=np.int64)
+        np.cumsum(np.bincount(site_idx, minlength=window.site_count()), out=offsets[1:])
+        batch = BatchLog(
+            params,
+            [initial],
+            manifest["horizon"],
+            [manifest["seed"]],
+            offsets,
+            cols[0].astype(np.float64)[order],
+            cols[1].astype(np.int8)[order],
+            cols[2].astype(np.int8)[order].astype(bool),
+            cols[3].astype(np.int8)[order],
+        )
+        return batch.log(0)
+
+
+def simulate_batch(
+    params: ModelParams,
+    initials: Sequence[Configuration],
+    horizon: float,
+    seeds: Sequence[int],
+    stream_salts: Optional[Mapping[Site, int]] = None,
+) -> BatchLog:
+    """Run the graphical construction for replica r = (initials[r], seeds[r]).
+
+    Deterministic per replica: replica r's history depends on its own
+    (params, initial, horizon, seed) only, never on the rest of the batch.
+    ``stream_salts`` re-keys the clock/bit streams of selected sites in every
+    replica (used by the dependence-cone diagnostics); unlisted sites are
+    unaffected.
+    """
+    if horizon < 0:
+        raise SimulationError("horizon must be >= 0")
+    if horizon > MAX_HORIZON:
+        raise SimulationError(f"horizon capped at {MAX_HORIZON:g}")
+    initials = list(initials)
+    if not initials or len(seeds) != len(initials):
+        raise SimulationError("need one seed per initial configuration, at least one")
+    window = initials[0].window
+    if window.d != params.d:
+        raise SimulationError("window dimension does not match params.d")
+    if any(c.window != window for c in initials):
+        raise SimulationError("all replicas of a batch must share one window")
+    geo = _geometry(window)
+    keys = geo.keys
+    if stream_salts:
+        keys = keys.copy()
+        for x, salt in stream_salts.items():
+            if x in window:
+                keys[window.index(x)] = site_key(x, salt)
+    replicas = len(initials)
+    seed_words = np.array([int(s) & ((1 << 64) - 1) for s in seeds], dtype=np.uint64)
+    offsets, times, bits = _ring_times(
+        np.repeat(seed_words, keys.size), np.tile(keys, replicas), horizon, params.p
+    )
+    init = np.array([c.spins for c in initials], dtype=np.int8).reshape(-1)
+    legal, spin_after = _sweep(geo, init, _frozen_zero(initials, geo.edge), offsets, times, bits)
+    return BatchLog(params, initials, horizon, seeds, offsets, times, bits, legal, spin_after)
 
 
 def simulate(
@@ -237,101 +514,6 @@ def simulate(
 ) -> EventLog:
     """Run the graphical construction; deterministic in (params, initial, horizon, seed).
 
-    ``stream_salts`` re-keys the clock/bit streams of selected sites (used by
-    the dependence-cone diagnostics); unlisted sites are unaffected.
+    The batch-of-one view of ``simulate_batch``.
     """
-    if horizon < 0:
-        raise SimulationError("horizon must be >= 0")
-    if horizon > MAX_HORIZON:
-        raise SimulationError(f"horizon capped at {MAX_HORIZON:g}")
-    window = initial.window
-    if window.d != params.d:
-        raise SimulationError("window dimension does not match params.d")
-    sites = window.sites
-    n = len(sites)
-    index = {x: i for i, x in enumerate(sites)}
-
-    # neighbor slot table; slot n holds the frozen exterior spin, slots beyond
-    # it hold exterior override spins
-    extra_spins: list[int] = []
-    override_slot: dict[Site, int] = {}
-    nbrs: list[tuple[int, ...]] = []
-    for x in sites:
-        row = []
-        for i in range(params.d):
-            y = site_sub_e(x, i)
-            j = index.get(y)
-            if j is None:
-                if y in initial.exterior_overrides:
-                    if y not in override_slot:
-                        override_slot[y] = n + 1 + len(extra_spins)
-                        extra_spins.append(initial.exterior_overrides[y])
-                    j = override_slot[y]
-                else:
-                    j = n
-            row.append(j)
-        nbrs.append(tuple(row))
-
-    times_parts, site_parts, bit_parts = [], [], []
-    p = params.p
-    for i, x in enumerate(sites):
-        salt = stream_salts.get(x, 0) if stream_salts else 0
-        rng = site_generator(seed, x, salt)
-        t_i = _poisson_times(rng, horizon)
-        b_i = (rng.random(t_i.size) < p).astype(np.int8)
-        times_parts.append(t_i)
-        site_parts.append(np.full(t_i.size, i, dtype=np.int64))
-        bit_parts.append(b_i)
-
-    times = np.concatenate(times_parts) if times_parts else np.empty(0)
-    order = np.argsort(times, kind="stable")  # ties (never seen) break by site order
-    times = times[order]
-    ev_site = np.concatenate(site_parts)[order]
-    ev_bit = np.concatenate(bit_parts)[order]
-
-    m = times.size
-    spins = list(initial.spins) + [initial.exterior] + extra_spins
-    legal_l: list[bool] = []
-    after_l: list[int] = []
-    site_l = ev_site.tolist()
-    bit_l = ev_bit.tolist()
-    for k in range(m):
-        si = site_l[k]
-        ok = False
-        for j in nbrs[si]:
-            if spins[j] == 0:
-                ok = True
-                break
-        if ok:
-            spins[si] = bit_l[k]
-        legal_l.append(ok)
-        after_l.append(spins[si])
-
-    return EventLog(
-        params,
-        initial,
-        horizon,
-        seed,
-        ev_site,
-        times,
-        ev_bit,
-        np.asarray(legal_l, dtype=bool),
-        np.asarray(after_l, dtype=np.int8),
-    )
-
-
-# thin functional aliases matching the operation names
-def spin_at_time(log: EventLog, x: Site, s: float) -> int:
-    return log.spin_at_time(x, s)
-
-
-def occupation_time(log: EventLog, x: Site, t: float) -> float:
-    return log.occupation_time(x, t)
-
-
-def first_update_time(log: EventLog, x: Site) -> Optional[float]:
-    return log.first_update_time(x)
-
-
-def updated_set(log: EventLog, region: Region, deadline: float) -> set[Site]:
-    return log.updated_set(region, deadline)
+    return simulate_batch(params, [initial], horizon, [seed], stream_salts).log(0)

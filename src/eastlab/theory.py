@@ -17,18 +17,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import wilson_halfwidth
+from .estimators import replica_batches, wilson_halfwidth
 from .lattice import (
     MeasureSpec,
     ModelParams,
     Region,
     Site,
     Window,
-    sample_initial,
     site_sub_e,
 )
-from .sim import EventLog, simulate
-from .streams import derived_generator, derive_seed
+from .sim import EventLog
 
 
 class TheoryCheckError(ValueError):
@@ -88,15 +86,6 @@ class PathResult:
     hypothesis_held: bool
 
 
-def _stays_at_zero(log: EventLog, x: Site, half: float) -> bool:
-    """Spin of x equal to 0 on all of [0, half]."""
-    if log.initial.spin_at(x) != 0:
-        return False
-    idx = log._events_at(x)
-    mask = log._legal[idx] & (log._times[idx] <= half)
-    return bool((log._spin_after[idx[mask]] == 0).all())
-
-
 def verify_oriented_path_lemma(log: EventLog, t: float, alpha: float, x: Site) -> PathResult:
     """If no site of D stayed at zero on [0, t/2], an oriented path in E must
     join x to the outer layer of D; absence of one is a counterexample."""
@@ -112,7 +101,7 @@ def verify_oriented_path_lemma(log: EventLog, t: float, alpha: float, x: Site) -
         raise TheoryCheckError("D does not fit inside the log's window")
 
     half = t / 2.0
-    if any(_stays_at_zero(log, y, half) for y in geom.D.sites):
+    if any(log.stays_at(y, 0, half) for y in geom.D.sites):
         return PathResult(found=False, path=(), hypothesis_held=False)
 
     E = log.updated_set(geom.D, half)
@@ -263,14 +252,10 @@ def fk_cascade_probe(
     if any(s not in window for s in sites):
         raise TheoryCheckError("cascade sites must lie inside the window")
     counts = np.zeros(params.d, dtype=np.int64)
-    for r in range(n):
-        rng = derived_generator(seed, "fk-init", r)
-        init = sample_initial(spec, window, rng)
-        log = simulate(params, init, t, derive_seed(seed, "fk-sim", r))
-        occ = [log.occupation_time(s, t) for s in sites]
+    for _, batch in replica_batches(params, spec, window, t, seed, "fk", n):
+        occ = [batch.occupation_time(s, t) for s in sites]
         for i in range(1, params.d + 1):
-            if occ[i] <= delta * occ[i - 1]:
-                counts[i - 1] += 1
+            counts[i - 1] += int((occ[i] <= delta * occ[i - 1]).sum())
     probs = tuple(float(k) / n for k in counts)
     halfwidths = tuple(wilson_halfwidth(int(k), n) for k in counts)
     return CascadeProbeResult(sites, probs, halfwidths, delta, t, n)

@@ -27,7 +27,7 @@ from eastlab.lattice import (
     Region,
     Window,
 )
-from eastlab.sim import simulate
+from eastlab.sim import simulate, simulate_batch
 from eastlab.streams import derive_seed, derived_generator
 from eastlab.theory import (
     compute_constants,
@@ -58,12 +58,8 @@ def test_a2_monte_carlo_vs_uniformization():
     init = Configuration.all_ones(w, exterior=0)
     times = (0.5, 1.0, 2.0)
     n = 20_000
-    sums = np.zeros(len(times))
-    for r in range(n):
-        log = simulate(params, init, times[-1], derive_seed(202, r))
-        for j, t in enumerate(times):
-            sums[j] += log.spin_at_time((3,), t)
-    means = sums / n
+    batch = simulate_batch(params, [init] * n, times[-1], [derive_seed(202, r) for r in range(n)])
+    means = np.array([batch.spin_at_time((3,), t).sum() for t in times]) / n
 
     gen = build_generator(Region(frozenset({(1,), (2,), (3,)})), {(0,): 0}, p)
     fvec = np.array([float((s >> 2) & 1) for s in range(8)])  # spin of site 3
@@ -85,12 +81,14 @@ def test_a3_stationarity():
     n = 10_000
     n_sites = w.site_count()
     counts = np.zeros(n_sites)
-    for r in range(n):
-        rng = derived_generator(303, r)
-        spins = tuple(int(v) for v in (rng.random(n_sites) < p))
-        init = Configuration(w, spins, exterior=1, exterior_overrides=overrides)
-        log = simulate(params, init, t, derive_seed(303, "sim", r))
-        counts += np.asarray(log.final_spins())
+    for start in range(0, n, 1000):
+        inits, seeds = [], []
+        for r in range(start, start + 1000):
+            rng = derived_generator(303, r)
+            spins = tuple(int(v) for v in (rng.random(n_sites) < p))
+            inits.append(Configuration(w, spins, exterior=1, exterior_overrides=overrides))
+            seeds.append(derive_seed(303, "sim", r))
+        counts += simulate_batch(params, inits, t, seeds).final_spins().sum(axis=0)
     freqs = counts / n
     sigma = math.sqrt(p * (1 - p) / n)
     within = np.abs(freqs - p) < 3 * sigma
@@ -258,12 +256,9 @@ def test_a11_persistence_identity():
     gen = build_generator(Region(frozenset({(1,), (2,)})), {(0,): 0}, p)
     fvec = np.array([float((s >> 1) & 1) for s in range(4)])
     n = 20_000
-    survived = np.zeros(len(times))
-    for r in range(n):
-        log = simulate(params, init, times[-1], derive_seed(1111, r))
-        tau = log.first_update_time(x)
-        tau = math.inf if tau is None else tau
-        survived += np.asarray([tau > t for t in times])
+    batch = simulate_batch(params, [init] * n, times[-1], [derive_seed(1111, r) for r in range(n)])
+    tau = batch.first_update_time(x)  # inf where x never updates
+    survived = np.array([(tau > t).sum() for t in times])
     ok = True
     for j, t in enumerate(times):
         lhs = abs(evolve_expectation(gen, 0b11, fvec, t, tol=1e-12) - p)

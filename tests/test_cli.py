@@ -3,6 +3,7 @@ import os
 import pytest
 
 from eastlab.cli import (
+    KINDS,
     ConfigError,
     main,
     parse_config,
@@ -100,6 +101,48 @@ class TestParse:
         assert cfg.measure.config.spin_at((-1, 0)) == 1
         assert cfg.measure.config.exterior == 0
 
+    def test_unknown_key_rejected(self):
+        # a typo must not run silently with the default
+        with pytest.raises(ConfigError) as exc:
+            parse_config(PERSIST_CFG + "n_outter = 7\n")
+        assert exc.value.field_name == "n_outter"
+
+    def test_key_of_other_kind_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("kind = gap\np = 0.5\nN = 1 2\nhorizon = 3\n")
+        assert exc.value.field_name == "horizon"
+
+    def test_threads_key_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(PERSIST_CFG + "threads = 2\n")
+        assert exc.value.field_name == "threads"
+
+    @pytest.mark.parametrize("horizon", ["", "horizon = 0\n", "horizon = -1\n"])
+    def test_simulate_requires_positive_horizon(self, horizon):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(
+                "kind = simulate\nd = 1\nwindow_lower = 0\nwindow_upper = 1\n"
+                "measure = bernoulli 0.5\n" + horizon
+            )
+        assert exc.value.field_name == "horizon"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "kind = persistence\nd = 2\np = 0.5\nwindow_lower = -10 -10\nwindow_upper = 1 1\n"
+            "measure = bernoulli 0.5\nsite = 1 1\ntimes = 1 2 3 4 5 6 7 8 9 10\nn = 100\n",
+            "kind = relaxation\nd = 2\np = 0.5\nwindow_lower = 0 0\nwindow_upper = 1 1\n"
+            "exterior = 1\nmeasure = delta-zeros 0 0\nsite = 1 1\ntimes = 1 2 3 4 5 6 7 8\n"
+            "n_outer = 6\nn_inner = 500\n",
+            "kind = verify-lemma\nd = 2\np = 0.5\nalpha = 0.1\nt = 10\nwindow_lower = -4 -4\n"
+            "window_upper = 0 0\nexterior = 0\nmeasure = delta-zeros 0 0\nsite = 0 0\nn = 300\n",
+            "kind = gap\np = 0.5\nN = 11 12 13\n",
+        ],
+    )
+    def test_every_key_read_by_its_kind_parses(self, text):
+        cfg = parse_config(text + "seed = 1\nout = x\n")
+        assert set(cfg.raw) <= KINDS[cfg.kind].keys | {"kind", "seed", "out"}
+
     def test_comments_and_echo(self):
         cfg = parse_config(PERSIST_CFG)
         assert cfg.kind == "persistence"
@@ -158,8 +201,36 @@ class TestRuns:
         manifest = run_experiment(cfg)
         assert manifest.status == "ok"
         lines = (tmp_path / "lemma.csv").read_text().splitlines()
-        assert lines[0] == "seed,t,alpha,hypothesis_held,found,path_length"
+        assert lines[0] == "seed,t,alpha,hypothesis_held,found,path_length,applicable"
         assert len(lines) == 21
+
+    def test_verify_lemma_counts_inapplicable_replicas(self, tmp_path):
+        # under a product measure the start site is often 1 initially; such
+        # replicas do not meet the lemma's premise and are reported, not fatal
+        path = write_config(
+            tmp_path,
+            "kind = verify-lemma\nd = 2\np = 0.5\n"
+            "window_lower = -2 -2\nwindow_upper = 0 0\n"
+            "measure = bernoulli 0.5\nsite = 0 0\nt = 8.0\nalpha = 0.08\nn = 20\nseed = 3\n",
+        )
+        out = tmp_path / "out"
+        assert main([path, "--out", str(out)]) == 0
+        lines = (out / "lemma.csv").read_text().splitlines()
+        assert lines[0].split(",")[:6] == "seed,t,alpha,hypothesis_held,found,path_length".split(",")
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert len(rows) == 20 and all(len(r) == 7 for r in rows)
+        skipped = [r for r in rows if r[6] == "0"]
+        assert 0 < len(skipped) < 20
+        assert all(r[3:6] == ["0", "0", "0"] for r in skipped)
+        manifest = (out / "manifest.txt").read_text()
+        assert f"lemma.not_applicable = {len(skipped)}" in manifest
+        assert "status = ok" in manifest
+
+    def test_manifest_records_stream_version(self, tmp_path):
+        cfg = parse_config(PERSIST_CFG)
+        cfg.out_dir = str(tmp_path)
+        run_experiment(cfg)
+        assert "stream_version = 2" in (tmp_path / "manifest.txt").read_text().splitlines()
 
     def test_manifest_written_on_runtime_error(self, tmp_path):
         # horizon above the simulator cap triggers a runtime failure after
@@ -192,6 +263,11 @@ class TestMain:
         path = write_config(tmp_path, "kind = nope\n")
         assert main([path]) == 1
         assert "validation error" in capsys.readouterr().err
+
+    def test_threads_flag_removed(self, tmp_path):
+        path = write_config(tmp_path, PERSIST_CFG)
+        with pytest.raises(SystemExit):
+            main([path, "--out", str(tmp_path / "out"), "--threads", "2"])
 
     def test_exit_one_on_missing_file(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent.cfg")]) == 1

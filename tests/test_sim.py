@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from scipy.stats import chisquare, poisson
 
 from eastlab.lattice import Configuration, ModelParams, Region, Window
-from eastlab.sim import EventLog, SimulationError, simulate
-from eastlab.streams import derive_seed, mix64, site_generator
+from eastlab.sim import EventLog, SimulationError, simulate, simulate_batch
+from eastlab.streams import derive_seed, mix64, ring_draws, site_key
 
 
 def single_site_log(p=0.3, horizon=100.0, seed=1, exterior=0):
@@ -22,13 +23,17 @@ class TestStreams:
         assert mix64(1, 2) != mix64(2, 1)
         assert mix64(-5) != mix64(5)
 
-    def test_site_generator_window_independent(self):
-        # the same site's stream does not depend on which window encloses it
-        a = site_generator(9, (2, 3)).random(4)
-        b = site_generator(9, (2, 3)).random(4)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, site_generator(9, (3, 2)).random(4))
-        assert not np.array_equal(a, site_generator(9, (2, 3), salt=1).random(4))
+    def test_site_stream_window_independent(self):
+        # a site's stream is named by (seed, coordinates, salt) alone
+        def draws(seed, x, salt=0):
+            seeds = np.array([seed], dtype=np.uint64)
+            return ring_draws(seeds, np.array([site_key(x, salt)], dtype=np.uint64), 0, 4)[0]
+
+        a = draws(9, (2, 3))
+        assert np.array_equal(a, draws(9, (2, 3)))
+        assert not np.array_equal(a, draws(9, (3, 2)))
+        assert not np.array_equal(a, draws(9, (2, 3), salt=1))
+        assert not np.array_equal(a, draws(10, (2, 3)))
 
 
 class TestSimulate:
@@ -178,13 +183,11 @@ class TestQueries:
         # single unconstrained site: P(some ring by deadline) = 1 - e^{-deadline}
         deadline = 2.0
         n = 10_000
-        hits = 0
         params = ModelParams(1, 0.3)
         init = Configuration(Window((1,), (1,)), (1,), exterior=0)
-        region = Region(frozenset({(1,)}))
-        for r in range(n):
-            log = simulate(params, init, deadline, derive_seed(99, r))
-            hits += bool(log.updated_set(region, deadline))
+        seeds = [derive_seed(99, r) for r in range(n)]
+        batch = simulate_batch(params, [init] * n, deadline, seeds)
+        hits = int(batch.updated_set([(1,)], deadline).sum())
         target = 1 - math.exp(-deadline)
         sigma = math.sqrt(target * (1 - target) / n)
         assert abs(hits / n - target) < 3 * sigma
@@ -197,9 +200,8 @@ class TestStatisticalContracts:
         n = 10_000
         params = ModelParams(1, 0.5)
         init = Configuration(Window((0,), (0,)), (1,), exterior=1)
-        counts = np.array(
-            [len(simulate(params, init, T, derive_seed(5, r))) for r in range(n)]
-        )
+        batch = simulate_batch(params, [init] * n, T, [derive_seed(5, r) for r in range(n)])
+        counts = np.diff(batch.offsets)
         kmax = 9
         observed = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)
         probs = poisson.pmf(np.arange(kmax), T)
@@ -252,4 +254,5 @@ class TestCsv:
         log = single_site_log(horizon=1.0)
         lines = log.to_csv().splitlines()
         assert lines[0].startswith("# ")
+        assert json.loads(lines[0][2:])["stream_version"] == 2
         assert lines[1] == "site_coords,time,bit,legal,spin_after"
