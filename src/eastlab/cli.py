@@ -25,7 +25,7 @@ from .estimators import (
     fit_exponential,
     replica_batches,
 )
-from .exact import east1d_gap
+from .exact import MAX_GAP_SITES, east1d_gap
 from .lattice import (
     Configuration,
     Delta,
@@ -188,6 +188,10 @@ def parse_config(text: str) -> ExperimentConfig:
                 setattr(config, attr, conv(raw[key]))
             except ValueError as e:
                 raise ConfigError(key, str(e))
+
+    for key, lengths in (("N", config.n_values), ("lambda_N", (config.lambda_n,))):
+        if not all(1 <= n <= MAX_GAP_SITES for n in lengths):
+            raise ConfigError(key, f"chain lengths must lie in 1..{MAX_GAP_SITES}, got {raw[key]}")
 
     if "site" in raw:
         coords = _parse_ints(raw["site"])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -21,6 +20,7 @@ from .lattice import (
     Region,
     Site,
     Window,
+    bernoulli_weights,
     sample_initial,
 )
 from .sim import BatchLog, ring_block, simulate_batch
@@ -97,22 +97,13 @@ class Observable:
     sites: tuple[Site, ...]
     fn: Callable[[tuple[int, ...]], float]
 
-    def support_region(self) -> Region:
-        return Region(frozenset(self.sites), "ObservableSupport")
-
     def eval_spins(self, spins: Sequence[int]) -> float:
         return float(self.fn(tuple(spins)))
 
-    def state_function(self) -> Callable[[int], float]:
-        """Bitmask adapter: bit i = spin of the i-th support site in lex order."""
-        order = sorted(range(len(self.sites)), key=lambda i: self.sites[i])
-        inv = {self.sites[i]: pos for pos, i in enumerate(order)}
-
-        def f(state: int) -> float:
-            spins = tuple((state >> inv[x]) & 1 for x in self.sites)
-            return float(self.fn(spins))
-
-        return f
+    def table(self) -> np.ndarray:
+        """f on every support state; bit i of the state = spin of sites[i]."""
+        k = len(self.sites)
+        return np.array([self.eval_spins([(s >> i) & 1 for i in range(k)]) for s in range(1 << k)])
 
     @staticmethod
     def spin(site: Site) -> "Observable":
@@ -121,14 +112,9 @@ class Observable:
 
 def observable_mu_and_norm(f: Observable, p: float) -> tuple[float, float]:
     """(mu(f), ||f - mu(f)||_inf) by enumeration over the support."""
-    k = len(f.sites)
-    vals = [f.eval_spins(s) for s in product((0, 1), repeat=k)]
-    weights = [
-        math.prod(p if b == 1 else 1 - p for b in s) for s in product((0, 1), repeat=k)
-    ]
-    mu_f = sum(w * v for w, v in zip(weights, vals))
-    norm = max(abs(v - mu_f) for v in vals)
-    return mu_f, norm
+    vals = f.table()
+    mu_f = float(bernoulli_weights(len(f.sites), p) @ vals)
+    return mu_f, float(np.max(np.abs(vals - mu_f)))
 
 
 def replica_batches(
@@ -210,9 +196,8 @@ def estimate_relaxation(
     mu_f, norm = observable_mu_and_norm(f, params.p)
     if norm == 0.0:
         raise EstimatorError("constant observable: normalization undefined")
-    # f on every support state; state index = spins read as binary digits
-    table = np.array([f.eval_spins(s) for s in product((0, 1), repeat=len(f.sites))])
-    weights = 1 << np.arange(len(f.sites))[::-1]
+    table = f.table()
+    weights = 1 << np.arange(len(f.sites))
     outer_vals = np.zeros((n_outer, len(ts)))
     inner = np.empty((n_inner, len(ts)))  # one draw's runs, reduced once complete
     filled = 0

@@ -204,6 +204,15 @@ class Delta:
 MeasureSpec = Union[ProductBernoulli, Delta]
 
 
+def bernoulli_weights(n: int, p: float) -> np.ndarray:
+    """Product Bernoulli(p) weights of the 2^n bitmask states (bit i = spin of site i)."""
+    states = np.arange(1 << n, dtype=np.int64)
+    pop = np.zeros(states.size, dtype=np.int64)
+    for i in range(n):
+        pop += (states >> i) & 1
+    return p**pop * (1.0 - p) ** (n - pop)
+
+
 def sample_initial(spec: MeasureSpec, window: Window, rng: np.random.Generator) -> Configuration:
     """Draw an initial configuration on the window from the given measure."""
     if isinstance(spec, ProductBernoulli):

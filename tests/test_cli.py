@@ -46,6 +46,26 @@ class TestParse:
         for k in ("persistence", "relaxation", "gap", "constants", "verify-lemma"):
             assert k in msg
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("kind = gap\np = 0.5\nN = 12 21\n", "N"),
+            ("kind = gap\np = 0.5\nN = 0 3\n", "N"),
+            ("kind = constants\nlambda_N = 21\n", "lambda_N"),
+            ("kind = constants\nlambda_N = 0\n", "lambda_N"),
+        ],
+    )
+    def test_chain_length_outside_cap_rejected(self, text, key):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.field_name == key
+
+    def test_chain_length_outside_cap_writes_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "kind = gap\np = 0.5\nN = 99\n")
+        assert main([path, "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_p_out_of_range(self):
         with pytest.raises(ConfigError) as exc:
             parse_config("kind = gap\np = 1.5\nN = 1 2\n")

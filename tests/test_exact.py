@@ -4,16 +4,19 @@ from itertools import product
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from eastlab.exact import (
     ExactEngineError,
+    _symmetrized,
     build_generator,
     east1d_gap,
     evolve_expectation,
+    half_space_operator,
     mu_expectation,
     spectral_gap,
 )
-from eastlab.lattice import Region
+from eastlab.lattice import Region, bernoulli_weights
 
 
 def region_1d(sites):
@@ -115,6 +118,23 @@ class TestEvolveExpectation:
             assert got == pytest.approx(want, abs=1e-10)
 
 
+class TestUniformizationCrossCheck:
+    @pytest.mark.parametrize("t", [0.5, 2.0, 8.0])
+    def test_matches_expm_multiply_on_2d_box(self, t):
+        # 3x3 box with a mixed frozen boundary: zeros facilitate part of the
+        # bottom row and left column, ones block the rest
+        sites = [(i, j) for i in range(3) for j in range(3)]
+        boundary = {(-1, j): j % 2 for j in range(3)}
+        boundary.update({(i, -1): 1 - i % 2 for i in range(3)})
+        gen = build_generator(Region(frozenset(sites)), boundary, 0.35)
+        states = np.arange(gen.dim)
+        f = ((states >> 8) & 1) + 0.5 * ((states >> 4) & 1)  # spins at (2,2) and (1,1)
+        want = expm_multiply(gen.rates * t, f)
+        for initial in (gen.dim - 1, 0b101010101):
+            got = evolve_expectation(gen, initial, f, t, tol=1e-12)
+            assert got == pytest.approx(want[initial], abs=1e-9)
+
+
 class TestSpectralGap:
     def test_single_unconstrained_site(self):
         for p in (0.1, 0.5, 0.9):
@@ -170,6 +190,58 @@ class TestSpectralGap:
             east1d_gap(0.5, 0)
         with pytest.raises(ExactEngineError):
             east1d_gap(0.5, 21)
+
+
+def chain_spectrum(p, N):
+    """Sorted spectrum of -S_N on the chain {1..N}; the empty chain has spectrum {0}."""
+    if N == 0:
+        return np.zeros(1)
+    gen = build_generator(region_1d(range(1, N + 1)), {(0,): 0}, p)
+    return np.linalg.eigvalsh(-_symmetrized(gen).toarray())
+
+
+class TestHalfSpaceGap:
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_spectrum_union(self, p, N):
+        half = np.linalg.eigvalsh(half_space_operator(p, N - 1).toarray()) if N > 1 else np.ones(1)
+        union = np.sort(np.concatenate([chain_spectrum(p, N - 1), half]))
+        assert np.allclose(chain_spectrum(p, N), union, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_half_space_minimum_strictly_decreasing(self, p):
+        # lambda_min(B_m) < lambda_min(B_{m-1}), which makes gap(N) = lambda_min(B_{N-1})
+        lows = [1.0] + [np.linalg.eigvalsh(half_space_operator(p, m).toarray())[0] for m in range(1, 9)]
+        assert all(b < a for a, b in zip(lows, lows[1:]))
+
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
+    def test_matches_dense_spectral_gap(self, p):
+        for N in range(1, 11):
+            dense = spectral_gap(build_generator(region_1d(range(1, N + 1)), {(0,): 0}, p)).gap
+            assert east1d_gap(p, N) == pytest.approx(dense, rel=1e-9)
+
+    def test_committed_reference_values(self):
+        # dense (N <= 12) and shift-invert (N = 13) solves of the full chain, p = 0.5
+        reference = {11: 0.044470024056328078, 12: 0.04279452219894378, 13: 0.041446762143797083}
+        for N, want in reference.items():
+            assert east1d_gap(0.5, N) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("N", [6, 12])
+    def test_repeat_calls_bit_identical(self, N):
+        assert east1d_gap(0.3, N).hex() == east1d_gap(0.3, N).hex()
+
+    def test_rejects_p_outside_unit_interval(self):
+        for p in (0.0, 1.0):
+            with pytest.raises(ExactEngineError):
+                east1d_gap(p, 1)
+
+
+class TestBernoulliWeights:
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_matches_product_of_site_factors(self, n):
+        p = 0.3
+        want = [math.prod(p if (s >> i) & 1 else 1 - p for i in range(n)) for s in range(1 << n)]
+        assert np.allclose(bernoulli_weights(n, p), want, rtol=1e-14, atol=0)
 
 
 class TestMuExpectation:
