@@ -90,25 +90,26 @@ def _parse_floats(value: str) -> tuple[float, ...]:
 
 
 def _parse_measure(value: str, config: ExperimentConfig) -> MeasureSpec:
-    parts = value.split()
-    if parts[0] == "bernoulli":
-        if len(parts) != 2:
-            raise ConfigError("measure", "expected 'bernoulli <q>'")
-        q = float(parts[1])
+    """Raises ValueError (LatticeError included) on a value it cannot honour."""
+    name, *args = value.split() or [""]
+    if name == "bernoulli":
+        if len(args) != 1:
+            raise ValueError("expected 'bernoulli <q>'")
+        q = float(args[0])
         if not (0.0 <= q < 1.0):
-            raise ConfigError("measure", f"bernoulli parameter must lie in [0,1), got {q}")
+            raise ValueError(f"bernoulli parameter must lie in [0,1), got {q}")
         return ProductBernoulli(q)
-    if parts[0] == "delta-zeros":
+    if name == "delta-zeros":
         if config.window is None:
-            raise ConfigError("measure", "delta-zeros requires window_lower/window_upper")
+            raise ValueError("delta-zeros requires window_lower/window_upper")
         d = config.window.d
-        coords = [int(v) for v in parts[1:]]
+        coords = [int(v) for v in args]
         if len(coords) % d != 0:
-            raise ConfigError("measure", f"zero sites must come in groups of {d} coordinates")
+            raise ValueError(f"zero sites must come in groups of {d} coordinates")
         zeros = [tuple(coords[i : i + d]) for i in range(0, len(coords), d)]
         cfg = Configuration.with_zeros(config.window, zeros, exterior=config.exterior)
         return Delta(cfg)
-    raise ConfigError("measure", f"unknown measure '{parts[0]}' (use bernoulli | delta-zeros)")
+    raise ValueError(f"unknown measure {name!r} (use bernoulli | delta-zeros)")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -165,7 +166,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("window", "window dimension does not match d")
 
     if "measure" in raw:
-        config.measure = _parse_measure(raw["measure"], config)
+        try:
+            config.measure = _parse_measure(raw["measure"], config)
+        except ValueError as e:
+            raise ConfigError("measure", str(e))
 
     for key, attr, conv in (
         ("times", "times", _parse_floats),
@@ -181,6 +185,7 @@ def parse_config(text: str) -> ExperimentConfig:
         ("c", "c_const", float),
         ("lambda_N", "lambda_n", int),
         ("N", "n_values", _parse_ints),
+        ("site", "site", _parse_ints),
         ("out", "out_dir", str),
     ):
         if key in raw:
@@ -193,11 +198,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if not all(1 <= n <= MAX_GAP_SITES for n in lengths):
             raise ConfigError(key, f"chain lengths must lie in 1..{MAX_GAP_SITES}, got {raw[key]}")
 
-    if "site" in raw:
-        coords = _parse_ints(raw["site"])
-        if config.params and len(coords) != config.params.d:
-            raise ConfigError("site", f"expected {config.params.d} coordinates")
-        config.site = coords
+    if config.site is not None and config.params and len(config.site) != config.params.d:
+        raise ConfigError("site", f"expected {config.params.d} coordinates")
 
     for name in spec.required:
         present, problem = _REQUIRED[name]

@@ -158,9 +158,6 @@ class Configuration:
             return self.spins[self.window.index(x)]
         return self.exterior_overrides.get(x, self.exterior)
 
-    def with_spins(self, spins: tuple[int, ...]) -> "Configuration":
-        return Configuration(self.window, spins, self.exterior, dict(self.exterior_overrides))
-
     @staticmethod
     def all_ones(window: Window, exterior: int = 1, overrides=None) -> "Configuration":
         return Configuration(window, (1,) * window.site_count(), exterior, overrides or {})

@@ -9,7 +9,8 @@ hyperplane just before x's.  The trajectories on hyperplane H_k are therefore
 a function of those on H_{k-1} and of H_k's own rings, and the simulation runs
 as one vectorized pass per hyperplane over every replica and every site of
 H_k at once.  The full ring history (legal and illegal) is kept per site in
-CSR form; the time-sorted view is derived only for ``records`` and CSV.
+CSR form, indexed once per batch by exact time-rank keys that answer the
+sweep's neighbor lookups, every log query, ``records`` and CSV.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -127,28 +129,34 @@ def _frozen_zero(initials: Sequence[Configuration], edge) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _sweep(geo: _Geometry, init, free, offsets, times, bits):
-    """Legality and spin after each ring, one hyperplane at a time.
-
-    A ring's neighbor spin is the spin after the neighbor's last ring at or
-    before it.  Rings are located by exact integer keys row * m + rank, where
-    rank orders all m ring times of the batch (ties: lower row first, as in a
-    time-ordered event loop that breaks ties by site order).
-    """
-    n = geo.plane.size
+def _rank_keys(offsets: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Increasing integer keys row * m + rank of the m rings, and their sorted
+    times; rank orders all ring times of the batch (ties: lower row first, as
+    in a time-ordered event loop that breaks ties by site order)."""
     m = times.size
-    row = np.repeat(np.arange(init.size), np.diff(offsets))
-    site = row % n
     order = np.argsort(times)
     ordered = times[order]
     if (ordered[1:] == ordered[:-1]).any():  # only ties need the slower stable sort
         order = np.argsort(times, kind="stable")
     rank = np.empty(m, dtype=np.int64)
     rank[order] = np.arange(m)
-    key = row * m + rank
+    return np.repeat(np.arange(offsets.size - 1) * m, np.diff(offsets)) + rank, ordered
 
+
+def _last_ring(key: np.ndarray, offsets: np.ndarray, rows: np.ndarray, rank) -> tuple:
+    """Index of each row's last ring ranked below ``rank``, and whether one
+    exists; rings at or before t rank below searchsorted(ordered, t, "right")."""
+    pos = key.searchsorted(rows * key.size + rank)
+    return pos - 1, pos > offsets[rows]
+
+
+def _sweep(geo: _Geometry, init, free, offsets, bits, key):
+    """Legality and spin after each ring, one hyperplane at a time.  A ring's
+    neighbor spin is the spin after the neighbor's last ring ranked below it."""
+    row, rank = np.divmod(key, key.size)
+    site = row % geo.plane.size
     legal = free[row]
-    spin_after = np.empty(m, dtype=np.int8)
+    spin_after = np.empty(key.size, dtype=np.int8)
     ring_plane = geo.plane[site]
     by_plane = np.argsort(ring_plane, kind="stable")  # row order kept within a plane
     bounds = np.searchsorted(ring_plane[by_plane], np.arange(geo.plane.max() + 2))
@@ -162,9 +170,8 @@ def _sweep(geo: _Geometry, init, free, offsets, times, bits):
         for i, stride in enumerate(geo.strides):
             inner = geo.coords[i][ss] > 0
             nb = rs[inner] - stride
-            pos = np.searchsorted(key, nb * m + rank[sel[inner]], side="right")
-            nb_spin = np.where(pos > offsets[nb], spin_after[pos - 1], init[nb])
-            ok[inner] |= nb_spin == 0
+            last, hit = _last_ring(key, offsets, nb, rank[sel[inner]])
+            ok[inner] |= np.where(hit, spin_after[last], init[nb]) == 0
         legal[sel] = ok
         # spin after a ring = bit of the row's last legal ring so far
         idx = np.arange(sel.size)
@@ -183,8 +190,9 @@ class BatchLog:
     bit, the legality and the spin after each ring.  Per ring, ``zero_time`` is
     the time the site spent at 0 on [0, ring time]; per row, ``first_legal`` is
     the first legal ring time and ``first_change`` the first time the spin
-    leaves its initial value (inf if none).  Queries on one replica go through
-    ``log(r)``; the methods here answer them for all replicas at once.
+    leaves its initial value (inf if none).  ``key`` and the sorted ``ordered``
+    times (see ``_rank_keys``) are the one ring index: a query costs O(log M)
+    per row.  ``log(r)`` views one replica; the methods here answer for all.
     """
 
     def __init__(
@@ -198,6 +206,7 @@ class BatchLog:
         bits: np.ndarray,
         legal: np.ndarray,
         spin_after: np.ndarray,
+        index: tuple[np.ndarray, np.ndarray],
     ):
         self.params = params
         self.initials = list(initials)
@@ -210,6 +219,7 @@ class BatchLog:
         self.bits = bits
         self.legal = legal
         self.spin_after = spin_after
+        self.key, self.ordered = index
         self.init = np.array([c.spins for c in self.initials], dtype=np.int8).reshape(-1)
         self._summarize()
 
@@ -219,7 +229,7 @@ class BatchLog:
     def _summarize(self) -> None:
         rows, m = self.init.size, self.times.size
         counts = np.diff(self.offsets)
-        row = np.repeat(np.arange(rows), counts)
+        row = self.key // m
         col = np.arange(m) - self.offsets[row]
         head = col == 0
         prev_t = np.where(head, 0.0, self.times[np.maximum(np.arange(m) - 1, 0)])
@@ -249,32 +259,35 @@ class BatchLog:
             raise SimulationError(f"site {x} outside window")
         return np.arange(len(self)) * self.n_sites + self.window.index(x)
 
-    def _last_ring(self, rows: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Index of each row's last ring at or before t, and whether one exists."""
-        lo = self.offsets[rows]
-        lens = self.offsets[rows + 1] - lo
-        seg = np.repeat(np.arange(rows.size), lens)
-        ring = lo[seg] + np.arange(seg.size) - np.repeat(np.cumsum(lens) - lens, lens)
-        count = np.bincount(seg[self.times[ring] <= t], minlength=rows.size)
-        return lo + count - 1, count > 0
+    def _spin(self, rows: np.ndarray, s: float) -> np.ndarray:
+        if not (0 <= s <= self.horizon):
+            raise SimulationError(f"time {s} outside [0, horizon]")
+        last, hit = _last_ring(self.key, self.offsets, rows, self.ordered.searchsorted(s, "right"))
+        spins = self.init[rows]
+        spins[hit] = self.spin_after[last[hit]]
+        return spins
+
+    def _occupation(self, rows: np.ndarray, t: float) -> np.ndarray:
+        if t > self.horizon:
+            raise SimulationError(f"time {t} beyond horizon")
+        last, hit = _last_ring(self.key, self.offsets, rows, self.ordered.searchsorted(t, "right"))
+        occ = t * (self.init[rows] == 0)
+        j = last[hit]
+        occ[hit] = self.zero_time[j] + (t - self.times[j]) * (self.spin_after[j] == 0)
+        return occ
+
+    def _updated(self, rows: np.ndarray, deadline: float) -> np.ndarray:
+        if deadline > self.horizon:
+            raise SimulationError("deadline beyond horizon")
+        return self.first_legal[rows] <= deadline
 
     def spin_at_time(self, x: Site, s: float) -> np.ndarray:
         """Spin of x at time s in every replica."""
-        if not (0 <= s <= self.horizon):
-            raise SimulationError(f"time {s} outside [0, horizon]")
-        rows = self._rows(x)
-        return self._spins(rows, *self._last_ring(rows, s))
+        return self._spin(self._rows(x), s)
 
     def occupation_time(self, x: Site, t: float) -> np.ndarray:
         """Lebesgue time in [0, t] during which x has spin 0, per replica."""
-        if t > self.horizon:
-            raise SimulationError(f"time {t} beyond horizon")
-        rows = self._rows(x)
-        last, any_ring = self._last_ring(rows, t)
-        occ = t * (self.init[rows] == 0)
-        j = last[any_ring]
-        occ[any_ring] = self.zero_time[j] + (t - self.times[j]) * (self.spin_after[j] == 0)
-        return occ
+        return self._occupation(self._rows(x), t)
 
     def first_update_time(self, x: Site) -> np.ndarray:
         """Time of the first legal ring at x per replica, inf if none."""
@@ -282,29 +295,16 @@ class BatchLog:
 
     def updated_set(self, sites: Sequence[Site], deadline: float) -> np.ndarray:
         """(replicas, len(sites)) mask: site had a legal ring by the deadline."""
-        if deadline > self.horizon:
-            raise SimulationError("deadline beyond horizon")
-        rows = np.stack([self._rows(x) for x in sites], axis=1)
-        return self.first_legal[rows] <= deadline
-
-    def _spins(self, rows: np.ndarray, last: np.ndarray, any_ring: np.ndarray) -> np.ndarray:
-        """Spin after ring ``last`` of each row, or its initial spin if it has none."""
-        spins = self.init[rows]
-        spins[any_ring] = self.spin_after[last[any_ring]]
-        return spins
-
-    def _final(self, rows: np.ndarray) -> np.ndarray:
-        ends = self.offsets[rows + 1]
-        return self._spins(rows, ends - 1, ends > self.offsets[rows])
+        return self._updated(np.stack([self._rows(x) for x in sites], axis=1), deadline)
 
     def final_spins(self) -> np.ndarray:
         """(replicas, sites) spins at the horizon."""
-        return self._final(np.arange(self.init.size)).reshape(len(self), self.n_sites)
+        return self._spin(np.arange(self.init.size), self.horizon).reshape(len(self), self.n_sites)
 
 
 class EventLog:
     """Immutable record of one realized trajectory up to a horizon: replica r
-    of a BatchLog.  Per-site queries cost O(log m_x) in the site's ring count."""
+    of a BatchLog, whose row-level queries answer for it."""
 
     def __init__(self, batch: BatchLog, r: int):
         self._batch = batch
@@ -332,13 +332,15 @@ class EventLog:
         return b.times[s], b.bits[s], b.legal[s], b.spin_after[s]
 
     def _time_order(self):
-        """Time-sorted (site index, time, bit, legal, spin after) arrays."""
+        """Time-sorted (site index, time, bit, legal, spin after) arrays, read
+        off the batch's time ranks in O(M)."""
         b, s = self._batch, self._span()
-        n = self.window.site_count()
-        site = np.repeat(np.arange(n), np.diff(b.offsets[self._base:self._base + n + 1]))
-        order = np.argsort(b.times[s], kind="stable")  # ties break by site order
-        return (site[order], b.times[s][order], b.bits[s][order], b.legal[s][order],
-                b.spin_after[s][order])
+        m = b.times.size
+        slot = np.full(m, -1)
+        slot[b.key[s] % m] = np.arange(s.start, s.stop)
+        order = slot[slot >= 0]
+        return (b.key[order] // m - self._base, b.times[order], b.bits[order], b.legal[order],
+                b.spin_after[order])
 
     @property
     def records(self) -> list[RingRecord]:
@@ -355,35 +357,18 @@ class EventLog:
     def n_legal(self) -> int:
         return int(self._batch.legal[self._span()].sum())
 
-    def _last_ring(self, row: int, t: float) -> Optional[int]:
-        b = self._batch
-        lo = b.offsets[row]
-        j = lo + int(np.searchsorted(b.times[lo:b.offsets[row + 1]], t, side="right"))
-        return j - 1 if j > lo else None
-
     def spin_at_time(self, x: Site, s: float) -> int:
         """Spin of x at time s: initial spin modified by legal rings up to s."""
-        row = self._row(x)
-        if not (0 <= s <= self.horizon):
-            raise SimulationError(f"time {s} outside [0, horizon]")
-        j = self._last_ring(row, s)
-        return int(self._batch.init[row] if j is None else self._batch.spin_after[j])
+        return int(self._batch._spin(np.array([self._row(x)]), s)[0])
 
     def occupation_time(self, x: Site, t: float) -> float:
         """Lebesgue time in [0, t] during which x has spin 0."""
-        if t > self.horizon:
-            raise SimulationError(f"time {t} beyond horizon")
-        row = self._row(x)
-        b = self._batch
-        j = self._last_ring(row, t)
-        if j is None:
-            return float(t * (b.init[row] == 0))
-        return float(b.zero_time[j] + (t - b.times[j]) * (b.spin_after[j] == 0))
+        return float(self._batch._occupation(np.array([self._row(x)]), t)[0])
 
     def first_update_time(self, x: Site) -> Optional[float]:
         """Time of the first legal ring at x, or None."""
-        tau = self._batch.first_legal[self._row(x)]
-        return None if tau == np.inf else float(tau)
+        tau = float(self._batch.first_legal[self._row(x)])
+        return None if tau == math.inf else tau
 
     def stays_at(self, x: Site, spin: int, until: float) -> bool:
         """Spin of x equal to ``spin`` on all of [0, until]."""
@@ -392,14 +377,13 @@ class EventLog:
 
     def updated_set(self, region: Region, deadline: float) -> set[Site]:
         """Region sites with at least one legal ring at time <= deadline."""
-        if deadline > self.horizon:
-            raise SimulationError("deadline beyond horizon")
-        first = self._batch.first_legal
-        return {x for x in region.sites if x in self.window and first[self._row(x)] <= deadline}
+        sites = [x for x in region.sites if x in self.window]
+        rows = np.array([self._base + self.window.index(x) for x in sites], dtype=np.int64)
+        return set(compress(sites, self._batch._updated(rows, deadline)))
 
     def final_spins(self) -> tuple[int, ...]:
         rows = self._base + np.arange(self.window.site_count())
-        return tuple(int(v) for v in self._batch._final(rows))
+        return tuple(int(v) for v in self._batch._spin(rows, self.horizon))
 
     # --- serialization ----------------------------------------------------
 
@@ -428,8 +412,13 @@ class EventLog:
 
     @staticmethod
     def from_csv(text: str) -> "EventLog":
+        """Read a ``to_csv`` log.  Raises SimulationError on a wrong column
+        header, a site outside the window, or a site whose ring times do not
+        strictly increase within (0, horizon]."""
         lines = text.splitlines()
         manifest = json.loads(lines[0].lstrip("# "))
+        if lines[1:2] != ["site_coords,time,bit,legal,spin_after"]:
+            raise SimulationError(f"unexpected event header {lines[1:2]}")
         params = ModelParams(manifest["d"], manifest["p"])
         window = Window(tuple(manifest["window_lower"]), tuple(manifest["window_upper"]))
         overrides = {tuple(x): s for x, s in manifest["exterior_overrides"]}
@@ -440,11 +429,17 @@ class EventLog:
             overrides,
         )
         rows = [ln.split(",") for ln in lines[2:] if ln.strip()]
-        site_idx = np.asarray(
-            [window.index(tuple(int(c) for c in r[0].split(";"))) for r in rows], dtype=np.int64
-        )
+        sites = [tuple(int(c) for c in r[0].split(";")) for r in rows]
+        for x in sites:
+            if x not in window:
+                raise SimulationError(f"ring at site {x} outside window")
+        site_idx = np.asarray([window.index(x) for x in sites], dtype=np.int64)
         cols = [np.asarray([r[k] for r in rows]) for k in range(1, 5)]
-        order = np.argsort(site_idx, kind="stable")  # per site, still in time order
+        order = np.argsort(site_idx, kind="stable")  # per site, in file order
+        times = cols[0].astype(np.float64)[order]
+        rising = (times[1:] > times[:-1]) | (site_idx[order][1:] != site_idx[order][:-1])
+        if not (rising.all() and ((times > 0) & (times <= manifest["horizon"])).all()):
+            raise SimulationError("a site's ring times must strictly increase within (0, horizon]")
         offsets = np.zeros(window.site_count() + 1, dtype=np.int64)
         np.cumsum(np.bincount(site_idx, minlength=window.site_count()), out=offsets[1:])
         batch = BatchLog(
@@ -453,10 +448,11 @@ class EventLog:
             manifest["horizon"],
             [manifest["seed"]],
             offsets,
-            cols[0].astype(np.float64)[order],
+            times,
             cols[1].astype(np.int8)[order],
             cols[2].astype(np.int8)[order].astype(bool),
             cols[3].astype(np.int8)[order],
+            _rank_keys(offsets, times),
         )
         return batch.log(0)
 
@@ -501,8 +497,9 @@ def simulate_batch(
         np.repeat(seed_words, keys.size), np.tile(keys, replicas), horizon, params.p
     )
     init = np.array([c.spins for c in initials], dtype=np.int8).reshape(-1)
-    legal, spin_after = _sweep(geo, init, _frozen_zero(initials, geo.edge), offsets, times, bits)
-    return BatchLog(params, initials, horizon, seeds, offsets, times, bits, legal, spin_after)
+    index = _rank_keys(offsets, times)
+    legal, spin_after = _sweep(geo, init, _frozen_zero(initials, geo.edge), offsets, bits, index[0])
+    return BatchLog(params, initials, horizon, seeds, offsets, times, bits, legal, spin_after, index)
 
 
 def simulate(

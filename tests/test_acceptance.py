@@ -143,9 +143,10 @@ def test_a6_oriented_path_lemma():
     radius = math.floor(2 * d * alpha * t)
     w = Window((-radius,) * d, (0,) * d)
     counterexamples = 0
+    init = Configuration.with_zeros(w, [(0, 0)], exterior=1)
+    batch = simulate_batch(params, [init] * 1000, t, [derive_seed(606, r) for r in range(1000)])
     for r in range(1000):
-        init = Configuration.with_zeros(w, [(0, 0)], exterior=1)
-        log = simulate(params, init, t, derive_seed(606, r))
+        log = batch.log(r)
         res = verify_oriented_path_lemma(log, t, alpha, (0, 0))
         if res.hypothesis_held and not res.found:
             counterexamples += 1
@@ -157,9 +158,10 @@ def test_a6_oriented_path_lemma():
     rad_s = math.floor(2 * d * alpha_s * t)
     ws = Window((-rad_s,) * d, (0,) * d)
     held = found = 0
+    init = Configuration.with_zeros(ws, [(0, 0)], exterior=0)
+    batch = simulate_batch(params, [init] * 200, t, [derive_seed(607, r) for r in range(200)])
     for r in range(200):
-        init = Configuration.with_zeros(ws, [(0, 0)], exterior=0)
-        log = simulate(params, init, t, derive_seed(607, r))
+        log = batch.log(r)
         res = verify_oriented_path_lemma(log, t, alpha_s, (0, 0))
         held += res.hypothesis_held
         if res.hypothesis_held and not res.found:

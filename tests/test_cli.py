@@ -112,6 +112,28 @@ class TestParse:
             )
         assert exc.value.field_name == "measure"
 
+    @pytest.mark.parametrize(
+        "line,key",
+        [
+            ("measure =", "measure"),
+            ("measure = bernoulli x", "measure"),
+            ("measure = delta-zeros 0 x", "measure"),
+            ("measure = delta-zeros 5 5", "measure"),  # outside the 0..1 window
+            ("site = 1 x", "site"),
+        ],
+    )
+    def test_malformed_measure_or_site_names_key(self, tmp_path, capsys, line, key):
+        # the later line overrides the well-formed one
+        text = (
+            "kind = relaxation\nd = 2\nwindow_lower = 0 0\nwindow_upper = 1 1\n"
+            "measure = delta-zeros 0 0\nsite = 1 1\ntimes = 1\n" + line + "\n"
+        )
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.field_name == key
+        assert main([write_config(tmp_path, text)]) == 1
+        assert f"validation error: config field '{key}'" in capsys.readouterr().err
+
     def test_delta_zeros_measure(self):
         cfg = parse_config(
             "kind = simulate\nd = 2\nwindow_lower = -1 -1\nwindow_upper = 0 0\n"

@@ -3,8 +3,9 @@
 Coupling properties: the sweep equals the time-ordered event loop given
 identical rings, histories are consistent under horizon extension, a site's
 rings ignore the enclosing window, a site's trajectory is measurable with
-respect to its backward cone, and estimator outputs ignore the replica
-chunking.  Philox4x32-10 is checked against the Random123 known answers.
+respect to its backward cone, estimator outputs ignore the replica chunking,
+and each replica's EventLog answers as its BatchLog does.  Philox4x32-10 is
+checked against the Random123 known answers.
 """
 
 import numpy as np
@@ -130,6 +131,28 @@ def test_batch_replicas_match_single_runs(group, data):
     batch = simulate_batch(params, inits, horizon, seeds)
     for r, (init, seed) in enumerate(zip(inits, seeds)):
         assert batch.log(r).to_csv() == simulate(params, init, horizon, seed).to_csv()
+
+
+@PROPERTY
+@given(scenarios(), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3), st.booleans())
+def test_event_log_views_match_batch_queries(scenario, seeds, no_rings):
+    params, initial, horizon, seed = scenario
+    horizon = 0.0 if no_rings else horizon  # a batch with zero rings
+    batch = simulate_batch(params, [initial] * (len(seeds) + 1), horizon, [seed, *seeds])
+    final = batch.final_spins()
+    for r in range(len(batch)):
+        log = batch.log(r)
+        assert log.final_spins() == tuple(final[r])
+        for x in initial.window.sites:
+            tau = batch.first_update_time(x)[r]
+            assert log.first_update_time(x) == (None if tau == np.inf else tau)
+            times, _, _, after = log.rings(x)
+            for k, t in enumerate([*times, 0.0, horizon]):
+                spin = log.spin_at_time(x, t)
+                assert spin == batch.spin_at_time(x, t)[r]
+                assert log.occupation_time(x, t) == batch.occupation_time(x, t)[r]
+                if k < times.size:  # right-continuous: the ring's own outcome
+                    assert spin == after[k]
 
 
 @pytest.mark.parametrize("budget", [1, 300, 5000])

@@ -256,3 +256,26 @@ class TestCsv:
         assert lines[0].startswith("# ")
         assert json.loads(lines[0][2:])["stream_version"] == 2
         assert lines[1] == "site_coords,time,bit,legal,spin_after"
+
+    def test_swapped_rings_rejected(self):
+        lines = single_site_log(horizon=10.0, seed=9).to_csv().splitlines()
+        assert len(lines) >= 4
+        lines[2], lines[3] = lines[3], lines[2]
+        with pytest.raises(SimulationError):
+            EventLog.from_csv("\n".join(lines))
+
+    def test_wrong_header_rejected(self):
+        lines = single_site_log(horizon=10.0, seed=9).to_csv().splitlines()
+        lines[1] = "site_coords,bit,time,legal,spin_after"
+        with pytest.raises(SimulationError):
+            EventLog.from_csv("\n".join(lines))
+
+    @pytest.mark.parametrize("site, time", [("2", None), (None, "0"), (None, "10.5")])
+    def test_ring_outside_window_or_horizon_rejected(self, site, time):
+        lines = single_site_log(horizon=10.0, seed=9).to_csv().splitlines()
+        fields = lines[2].split(",")
+        fields[0] = site or fields[0]
+        fields[1] = time or fields[1]
+        lines[2] = ",".join(fields)
+        with pytest.raises(SimulationError):
+            EventLog.from_csv("\n".join(lines))
