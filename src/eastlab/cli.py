@@ -136,17 +136,16 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(key, f"not read by kind {kind!r}; valid keys: {valid}")
     config = ExperimentConfig(kind=kind, raw=dict(raw))
 
-    if kind != "constants" or "d" in raw or "p" in raw:
-        try:
-            d = int(raw.get("d", "1"))
-            p = float(raw.get("p", "0.5"))
-        except ValueError as e:
-            raise ConfigError("d/p", str(e))
-        if not (0.0 < p < 1.0):
-            raise ConfigError("p", f"must lie in (0,1), got {p}")
-        if d < 1:
-            raise ConfigError("d", f"must be >= 1, got {d}")
-        config.params = ModelParams(d, p)
+    try:
+        d = int(raw.get("d", "1"))
+        p = float(raw.get("p", "0.5"))
+    except ValueError as e:
+        raise ConfigError("d/p", str(e))
+    if not (0.0 < p < 1.0):
+        raise ConfigError("p", f"must lie in (0,1), got {p}")
+    if d < 1:
+        raise ConfigError("d", f"must be >= 1, got {d}")
+    config.params = ModelParams(d, p)
 
     if "exterior" in raw:
         if raw["exterior"] not in ("0", "1"):
@@ -162,7 +161,7 @@ def parse_config(text: str) -> ExperimentConfig:
             config.window = Window(lower, upper)
         except ValueError as e:
             raise ConfigError("window", str(e))
-        if config.params and config.window.d != config.params.d:
+        if config.window.d != config.params.d:
             raise ConfigError("window", "window dimension does not match d")
 
     if "measure" in raw:
@@ -198,7 +197,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if not all(1 <= n <= MAX_GAP_SITES for n in lengths):
             raise ConfigError(key, f"chain lengths must lie in 1..{MAX_GAP_SITES}, got {raw[key]}")
 
-    if config.site is not None and config.params and len(config.site) != config.params.d:
+    if config.site is not None and len(config.site) != config.params.d:
         raise ConfigError("site", f"expected {config.params.d} coordinates")
 
     for name in spec.required:
@@ -315,8 +314,7 @@ def _run_gap(config: ExperimentConfig, out: RunOutputs) -> None:
 
 
 def _run_constants(config: ExperimentConfig, out: RunOutputs) -> None:
-    p = config.params.p if config.params else 0.5
-    d = config.params.d if config.params else 1
+    p, d = config.params.p, config.params.d
     lam = east1d_gap(p, config.lambda_n)
     lam_prev = east1d_gap(p, config.lambda_n - 1) if config.lambda_n > 1 else lam
     report = compute_constants(p, d, config.delta_const, config.c_const, lam)

@@ -28,16 +28,18 @@ from .streams import derived_generator, derive_seed
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 RING_SLOT_BUDGET = 1 << 16  # ring slots simulated at once; bounds a chunk's memory
+N_BOOT = 1000  # bootstrap resamples of the relaxation draws
 
 
 class EstimatorError(ValueError):
     pass
 
 
-def wilson_interval(k: int, n: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """Wilson score 95% interval for a binomial proportion."""
     if n <= 0:
         raise EstimatorError("n must be positive")
+    z = Z95
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -133,24 +135,23 @@ def replica_batches(
     Draw o's initial configuration comes from ``derived_generator(seed,
     f"{tag}-init", o)``.  With ``n_inner`` None, each of the n draws is run
     once, seeded ``derive_seed(seed, f"{tag}-sim", o)``; otherwise each is run
-    ``n_inner`` times, seeded ``derive_seed(seed, f"{tag}-sim", o, i)``.  Runs
-    come in (o, i) order, so a draw's runs are consecutive.  Replica
-    randomness is counter-based, so no output depends on the chunking.
+    ``n_inner`` times, seeded ``derive_seed(seed, f"{tag}-sim", o, i)``.  A
+    chunk is a range of runs in (o, i) order: it hashes all its seeds in one
+    array call and draws each of its initial configurations once.  Nothing
+    carries from one chunk to the next, and replica randomness is
+    counter-based, so no output depends on the chunking.
     """
     per_chunk = max(1, RING_SLOT_BUDGET // (window.site_count() * ring_block(horizon)))
     total = n * (n_inner or 1)
-    init, last = None, -1
     for start in range(0, total, per_chunk):
         draws, runs = np.divmod(np.arange(start, min(total, start + per_chunk)), n_inner or 1)
-        inits, seeds = [], []
-        for o, i in zip(draws.tolist(), runs.tolist()):
-            if o != last:
-                rng = derived_generator(seed, f"{tag}-init", o)
-                init, last = sample_initial(spec, window, rng), o
-            inits.append(init)
-            ids = (o,) if n_inner is None else (o, i)
-            seeds.append(derive_seed(seed, f"{tag}-sim", *ids))
-        yield draws, simulate_batch(params, inits, horizon, seeds)
+        first = draws[0]
+        inits = np.array([
+            sample_initial(spec, window, derived_generator(seed, f"{tag}-init", o))
+            for o in range(first, draws[-1] + 1)
+        ], dtype=object)
+        seeds = derive_seed(seed, f"{tag}-sim", *((draws,) if n_inner is None else (draws, runs)))
+        yield draws, simulate_batch(params, inits[draws - first], horizon, seeds)
 
 
 def estimate_persistence(
@@ -186,7 +187,6 @@ def estimate_relaxation(
     window: Window,
     seed: int,
     gamma: float = 1.0,
-    n_boot: int = 1000,
 ) -> DecaySeries:
     """Average of (|inner estimate of E_eta[f] - mu(f)| / ||f - mu(f)||_inf)^gamma."""
     if any(x not in window for x in f.sites):
@@ -198,28 +198,20 @@ def estimate_relaxation(
         raise EstimatorError("constant observable: normalization undefined")
     table = f.table()
     weights = 1 << np.arange(len(f.sites))
-    outer_vals = np.zeros((n_outer, len(ts)))
-    inner = np.empty((n_inner, len(ts)))  # one draw's runs, reduced once complete
-    filled = 0
+    sums = np.zeros((n_outer, len(ts)))  # per draw, in run order: bit for bit a mean's sum
     batches = replica_batches(params, spec, window, horizon, seed, "relax", n_outer, n_inner)
     for draws, batch in batches:
         values = np.empty((len(batch), len(ts)))
         for j, t in enumerate(ts):
             state = sum(w * batch.spin_at_time(x, t) for w, x in zip(weights, f.sites))
             values[:, j] = table[state]
-        start = 0
-        for o, count in zip(*np.unique(draws, return_counts=True)):
-            inner[filled:filled + count] = values[start:start + count]
-            filled += count
-            start += count
-            if filled == n_inner:
-                outer_vals[o] = (np.abs(inner.mean(axis=0) - mu_f) / norm) ** gamma
-                filled = 0
+        np.add.at(sums, draws, values)
+    outer_vals = (np.abs(sums / n_inner - mu_f) / norm) ** gamma
     values = outer_vals.mean(axis=0)
     if n_outer > 1:
         rngb = derived_generator(seed, "relax-boot")
-        boot = np.empty((n_boot, len(ts)))
-        for b in range(n_boot):
+        boot = np.empty((N_BOOT, len(ts)))
+        for b in range(N_BOOT):
             idx = rngb.integers(0, n_outer, n_outer)
             boot[b] = outer_vals[idx].mean(axis=0)
         lo = np.percentile(boot, 2.5, axis=0)

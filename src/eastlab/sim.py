@@ -412,14 +412,15 @@ class EventLog:
 
     @staticmethod
     def from_csv(text: str) -> "EventLog":
-        """Read a ``to_csv`` log.  Raises SimulationError on a wrong column
-        header, a site outside the window, or a site whose ring times do not
-        strictly increase within (0, horizon]."""
+        """Read a ``to_csv`` log and replay its ring times and bits.  Raises
+        SimulationError on a wrong column header, a site outside the window,
+        ring times of a site not strictly increasing within (0, horizon], a
+        bit not 0/1, or ``legal``/``spin_after`` columns unlike the replay."""
         lines = text.splitlines()
         manifest = json.loads(lines[0].lstrip("# "))
         if lines[1:2] != ["site_coords,time,bit,legal,spin_after"]:
             raise SimulationError(f"unexpected event header {lines[1:2]}")
-        params = ModelParams(manifest["d"], manifest["p"])
+        params, horizon = ModelParams(manifest["d"], manifest["p"]), manifest["horizon"]
         window = Window(tuple(manifest["window_lower"]), tuple(manifest["window_upper"]))
         overrides = {tuple(x): s for x, s in manifest["exterior_overrides"]}
         initial = Configuration(
@@ -438,23 +439,26 @@ class EventLog:
         order = np.argsort(site_idx, kind="stable")  # per site, in file order
         times = cols[0].astype(np.float64)[order]
         rising = (times[1:] > times[:-1]) | (site_idx[order][1:] != site_idx[order][:-1])
-        if not (rising.all() and ((times > 0) & (times <= manifest["horizon"])).all()):
+        if not (rising.all() and ((times > 0) & (times <= horizon)).all()):
             raise SimulationError("a site's ring times must strictly increase within (0, horizon]")
+        bits, legal, spin_after = (c.astype(np.int8)[order] for c in cols[1:])
+        if not np.isin(bits, (0, 1)).all():
+            raise SimulationError("ring bits must be 0 or 1")
         offsets = np.zeros(window.site_count() + 1, dtype=np.int64)
         np.cumsum(np.bincount(site_idx, minlength=window.site_count()), out=offsets[1:])
-        batch = BatchLog(
-            params,
-            [initial],
-            manifest["horizon"],
-            [manifest["seed"]],
-            offsets,
-            times,
-            cols[1].astype(np.int8)[order],
-            cols[2].astype(np.int8)[order].astype(bool),
-            cols[3].astype(np.int8)[order],
-            _rank_keys(offsets, times),
-        )
+        batch = _replay(params, [initial], horizon, [manifest["seed"]], offsets, times, bits)
+        if (legal != batch.legal).any() or (spin_after != batch.spin_after).any():
+            raise SimulationError("legal or spin_after column differs from the replayed rings")
         return batch.log(0)
+
+
+def _replay(params, initials, horizon, seeds, offsets, times, bits) -> BatchLog:
+    """Index the rings, sweep them for legality and spins, and keep the result."""
+    geo = _geometry(initials[0].window)
+    init = np.array([c.spins for c in initials], dtype=np.int8).reshape(-1)
+    index = _rank_keys(offsets, times)
+    legal, spin_after = _sweep(geo, init, _frozen_zero(initials, geo.edge), offsets, bits, index[0])
+    return BatchLog(params, initials, horizon, seeds, offsets, times, bits, legal, spin_after, index)
 
 
 def simulate_batch(
@@ -484,8 +488,7 @@ def simulate_batch(
         raise SimulationError("window dimension does not match params.d")
     if any(c.window != window for c in initials):
         raise SimulationError("all replicas of a batch must share one window")
-    geo = _geometry(window)
-    keys = geo.keys
+    keys = _geometry(window).keys
     if stream_salts:
         keys = keys.copy()
         for x, salt in stream_salts.items():
@@ -496,10 +499,7 @@ def simulate_batch(
     offsets, times, bits = _ring_times(
         np.repeat(seed_words, keys.size), np.tile(keys, replicas), horizon, params.p
     )
-    init = np.array([c.spins for c in initials], dtype=np.int8).reshape(-1)
-    index = _rank_keys(offsets, times)
-    legal, spin_after = _sweep(geo, init, _frozen_zero(initials, geo.edge), offsets, bits, index[0])
-    return BatchLog(params, initials, horizon, seeds, offsets, times, bits, legal, spin_after, index)
+    return _replay(params, initials, horizon, seeds, offsets, times, bits)
 
 
 def simulate(

@@ -34,18 +34,20 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix64(*parts) -> int:
-    """Deterministically hash a sequence of ints (or short str tags) to 64 bits."""
+def mix64(*parts) -> int | np.ndarray:
+    """Deterministically hash a sequence of ints (or short str tags) to 64 bits;
+    with integer ndarray parts, elementwise to a uint64 array."""
     z = 0x243F6A8885A308D3
     for v in parts:
         if isinstance(v, str):
             v = int.from_bytes(v.encode(), "little")
-        z = _mix(((z ^ (int(v) & _MASK)) + _GOLDEN) & _MASK)
+        v = v.astype(np.uint64) if isinstance(v, np.ndarray) else int(v) & _MASK
+        z = _mix(((z ^ v) + _GOLDEN) & _MASK)
     return z
 
 
-def derive_seed(seed: int, *parts: int) -> int:
-    """A 64-bit child seed for a named sub-stream (replica index etc.)."""
+def derive_seed(seed: int, *parts) -> int | np.ndarray:
+    """A 64-bit child seed (array for array parts) for a named sub-stream."""
     return mix64(seed, *parts)
 
 

@@ -63,6 +63,11 @@ class GeometrySet:
             f"D'(t={self.t},alpha={self.alpha})",
         )
 
+    def D_fits(self, window: Window) -> bool:
+        """D = {-radius..0}^d lies in a window box iff it is empty or both its corners do."""
+        r = self.radius
+        return r < 0 or ((-r,) * self.d in window and (0,) * self.d in window)
+
     @property
     def k_max(self) -> int:
         return self.d * self.radius
@@ -97,7 +102,7 @@ def verify_oriented_path_lemma(log: EventLog, t: float, alpha: float, x: Site) -
         raise TheoryCheckError(f"start site {x} must have initial spin 0")
     if t > log.horizon:
         raise TheoryCheckError("t beyond log horizon")
-    if any(y not in log.window for y in geom.D.sites):
+    if not geom.D_fits(log.window):
         raise TheoryCheckError("D does not fit inside the log's window")
 
     half = t / 2.0
@@ -158,7 +163,7 @@ class HyperplaneProfile:
 
 
 def hyperplane_hit_profile(log: EventLog, geom: GeometrySet) -> HyperplaneProfile:
-    if any(y not in log.window for y in geom.D.sites):
+    if not geom.D_fits(log.window):
         raise TheoryCheckError("D does not fit inside the log's window")
     E = log.updated_set(geom.D, geom.t / 2.0)
     threshold = (1.0 - log.params.p) * geom.t / 4.0

@@ -9,6 +9,7 @@ from eastlab.cli import (
     parse_config,
     run_experiment,
 )
+from eastlab.lattice import ModelParams
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -231,6 +232,14 @@ class TestRuns:
         text = (tmp_path / "constants.txt").read_text()
         assert "c3_prime" in text
         assert "lambda_pp_cauchy_increment" in text
+
+    def test_constants_defaults_d_and_p(self, tmp_path):
+        cfg = parse_config("kind = constants\nlambda_N = 4\n")
+        assert cfg.params == ModelParams(1, 0.5)
+        cfg.out_dir = str(tmp_path)
+        run_experiment(cfg)
+        lines = (tmp_path / "constants.txt").read_text().splitlines()
+        assert "p = 0.5" in lines and "d = 1" in lines
 
     def test_verify_lemma_run(self, tmp_path):
         cfg = parse_config(

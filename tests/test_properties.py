@@ -4,8 +4,9 @@ Coupling properties: the sweep equals the time-ordered event loop given
 identical rings, histories are consistent under horizon extension, a site's
 rings ignore the enclosing window, a site's trajectory is measurable with
 respect to its backward cone, estimator outputs ignore the replica chunking,
-and each replica's EventLog answers as its BatchLog does.  Philox4x32-10 is
-checked against the Random123 known answers.
+relaxation equals its per-run reference, and each replica's EventLog answers
+as its BatchLog does.  Philox4x32-10 is checked against the Random123 known
+answers.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from eastlab.estimators import (
     Observable,
     estimate_persistence,
     estimate_relaxation,
+    observable_mu_and_norm,
     occupation_statistics,
 )
 from eastlab.lattice import (
@@ -27,9 +29,11 @@ from eastlab.lattice import (
     ProductBernoulli,
     Region,
     Window,
+    sample_initial,
     site_sub_e,
 )
 from eastlab.sim import simulate, simulate_batch
+from eastlab.streams import derive_seed, derived_generator
 from eastlab.theory import fk_cascade_probe
 from oracle import event_loop
 
@@ -174,6 +178,25 @@ def test_estimators_ignore_chunking(monkeypatch, budget):
     reference = outputs()
     monkeypatch.setattr(estimators, "RING_SLOT_BUDGET", budget)
     assert outputs() == reference
+
+
+def test_relaxation_matches_per_run_reference():
+    # one simulate() per run, seeded by the scalar hash, and each draw's mean
+    # over its runs: the driver's array-hashed seeds and per-draw sums agree
+    params, w, spec = ModelParams(2, 0.35), Window((-1, -1), (0, 0)), ProductBernoulli(0.4)
+    f = Observable(((0, 0), (-1, 0)), lambda s: 0.3 * s[0] + 1.7 * s[1] * (1 - s[0]))
+    times, n_outer, n_inner, gamma = (0.5, 2.0), 3, 5, 1.3
+    mu_f, norm = observable_mu_and_norm(f, params.p)
+    outer = []
+    for o in range(n_outer):
+        init = sample_initial(spec, w, derived_generator(5, "relax-init", o))
+        logs = [simulate(params, init, times[-1], derive_seed(5, "relax-sim", o, i))
+                for i in range(n_inner)]
+        inner = np.array([[f.eval_spins([log.spin_at_time(x, t) for x in f.sites])
+                           for t in times] for log in logs])
+        outer.append((np.abs(inner.mean(axis=0) - mu_f) / norm) ** gamma)
+    series = estimate_relaxation(params, spec, f, times, n_outer, n_inner, w, 5, gamma)
+    assert series.values == tuple(float(v) for v in np.mean(outer, axis=0))
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,18 @@ class TestStreams:
         assert mix64(1, 2) != mix64(2, 1)
         assert mix64(-5) != mix64(5)
 
+    @pytest.mark.parametrize("seed", [0, 2024, (1 << 64) - 1])
+    def test_derive_seed_elementwise_on_arrays(self, seed):
+        draws = np.array([0, 1, 7, 1 << 40, (1 << 64) - 1], dtype=np.uint64)
+        runs = np.array([0, 19_999, 3, 0, 1 << 63], dtype=np.uint64)
+        one = derive_seed(seed, "relax-sim", draws)
+        two = derive_seed(seed, "relax-sim", draws, runs)
+        assert one.dtype == two.dtype == np.uint64
+        assert one.tolist() == [derive_seed(seed, "relax-sim", int(o)) for o in draws]
+        assert two.tolist() == [
+            derive_seed(seed, "relax-sim", int(o), int(i)) for o, i in zip(draws, runs)
+        ]
+
     def test_site_stream_window_independent(self):
         # a site's stream is named by (seed, coordinates, salt) alone
         def draws(seed, x, salt=0):
@@ -276,6 +288,18 @@ class TestCsv:
         fields = lines[2].split(",")
         fields[0] = site or fields[0]
         fields[1] = time or fields[1]
+        lines[2] = ",".join(fields)
+        with pytest.raises(SimulationError):
+            EventLog.from_csv("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "edits", [{3: "flip", 4: "7"}, {3: "flip"}, {2: "5"}], ids=["spin_after", "legal", "bit"]
+    )
+    def test_columns_disagreeing_with_replay_rejected(self, edits):
+        lines = single_site_log(horizon=10.0, seed=9).to_csv().splitlines()
+        fields = lines[2].split(",")
+        for k, value in edits.items():
+            fields[k] = str(1 - int(fields[k])) if value == "flip" else value
         lines[2] = ",".join(fields)
         with pytest.raises(SimulationError):
             EventLog.from_csv("\n".join(lines))

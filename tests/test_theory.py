@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -51,6 +52,15 @@ class TestGeometry:
         layer = geom.outer_layer()
         assert layer == geom.D.sites - geom.D_prime.sites
         assert all(min(x) == -geom.radius for x in layer)
+
+    @pytest.mark.parametrize("t, alpha", [(10.0, 0.2), (2.0, 0.1), (1.0, 0.0), (1.0, -0.3)])
+    def test_d_fits_matches_site_scan(self, t, alpha):
+        geom = GeometrySet(t, alpha, 2)
+        r = geom.radius
+        for lower, upper in product((-r - 1, -r, -r + 1), (-1, 0, 1)):
+            if lower <= upper:
+                w = Window((lower, -r - 1), (upper, 2))
+                assert geom.D_fits(w) == all(y in w for y in geom.D.sites)
 
 
 def active_log(seed, t=8.0, alpha=0.25, d=2, p=0.5):
