@@ -6,6 +6,7 @@ from .lattice import (  # noqa: F401
     BlockedMeasureError,
     Configuration,
     Delta,
+    Exterior,
     MeasureSpec,
     ModelParams,
     ProductBernoulli,
@@ -15,6 +16,7 @@ from .lattice import (  # noqa: F401
     build_lambda_region,
     condition_C_params,
     east_constraint,
+    initial_rows,
     sample_initial,
     spin_at_site,
 )

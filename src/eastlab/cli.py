@@ -212,10 +212,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _sha256(path: str) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 @dataclass
@@ -334,17 +332,16 @@ def _run_verify_lemma(config: ExperimentConfig, out: RunOutputs) -> None:
         config.params, config.measure, config.window, t, config.seed, "lemma", config.n
     )
     for _, batch in batches:
+        applicable = batch.initial_spin(x) == 0
+        not_applicable += int((~applicable).sum())
         for r in range(len(batch)):
-            log = batch.log(r)
-            if log.initial.spin_at(x) != 0:
-                not_applicable += 1
-                rows.append(f"{log.seed},{t:.17g},{alpha:.17g},0,0,0,0")
+            if not applicable[r]:
+                rows.append(f"{batch.seeds[r]},{t:.17g},{alpha:.17g},0,0,0,0")
                 continue
+            log = batch.log(r)
             res = verify_oriented_path_lemma(log, t, alpha, x)
-            if res.hypothesis_held and not res.found:
-                counterexample = True
-            if res.found and not validate_path(res, log, t, alpha, x):
-                counterexample = True
+            invalid = res.found and not validate_path(res, log, t, alpha, x)
+            counterexample |= invalid or (res.hypothesis_held and not res.found)
             rows.append(
                 f"{log.seed},{t:.17g},{alpha:.17g},"
                 f"{int(res.hypothesis_held)},{int(res.found)},{len(res.path)},1"

@@ -8,6 +8,7 @@ intervals over the outer draws).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -21,7 +22,7 @@ from .lattice import (
     Site,
     Window,
     bernoulli_weights,
-    sample_initial,
+    initial_rows,
 )
 from .sim import BatchLog, ring_block, simulate_batch
 from .streams import derived_generator, derive_seed
@@ -69,8 +70,6 @@ class DecaySeries:
     def to_csv(self, manifest: dict | None = None) -> str:
         lines = []
         if manifest is not None:
-            import json
-
             lines.append("# " + json.dumps(manifest, sort_keys=True))
         lines.append("t,value,halfwidth")
         for t, v, h in zip(self.times, self.values, self.halfwidths):
@@ -132,12 +131,12 @@ def replica_batches(
     """The replica driver: simulate runs in chunks of at most RING_SLOT_BUDGET
     ring slots, yielding (draw index of each replica, batch) per chunk.
 
-    Draw o's initial configuration comes from ``derived_generator(seed,
-    f"{tag}-init", o)``.  With ``n_inner`` None, each of the n draws is run
-    once, seeded ``derive_seed(seed, f"{tag}-sim", o)``; otherwise each is run
-    ``n_inner`` times, seeded ``derive_seed(seed, f"{tag}-sim", o, i)``.  A
+    Draw o's initial spins come from ``derived_generator(seed, f"{tag}-init",
+    o)`` (see ``initial_rows``).  With ``n_inner`` None, each of the n draws is
+    run once, seeded ``derive_seed(seed, f"{tag}-sim", o)``; otherwise each is
+    run ``n_inner`` times, seeded ``derive_seed(seed, f"{tag}-sim", o, i)``.  A
     chunk is a range of runs in (o, i) order: it hashes all its seeds in one
-    array call and draws each of its initial configurations once.  Nothing
+    array call and draws the spin row of each of its draws once.  Nothing
     carries from one chunk to the next, and replica randomness is
     counter-based, so no output depends on the chunking.
     """
@@ -145,13 +144,13 @@ def replica_batches(
     total = n * (n_inner or 1)
     for start in range(0, total, per_chunk):
         draws, runs = np.divmod(np.arange(start, min(total, start + per_chunk)), n_inner or 1)
-        first = draws[0]
-        inits = np.array([
-            sample_initial(spec, window, derived_generator(seed, f"{tag}-init", o))
-            for o in range(first, draws[-1] + 1)
-        ], dtype=object)
+        first = int(draws[0])
+        rule, rows = initial_rows(
+            spec, window, int(draws[-1]) - first + 1,
+            lambda j: derived_generator(seed, f"{tag}-init", first + j),
+        )
         seeds = derive_seed(seed, f"{tag}-sim", *((draws,) if n_inner is None else (draws, runs)))
-        yield draws, simulate_batch(params, inits[draws - first], horizon, seeds)
+        yield draws, simulate_batch(params, rule, rows[draws - first], horizon, seeds)
 
 
 def estimate_persistence(

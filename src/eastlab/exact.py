@@ -19,7 +19,7 @@ from scipy.stats import poisson
 from .lattice import Region, Site, bernoulli_weights, site_sub_e
 
 MAX_REGION_SITES = 20
-DENSE_EIG_SITES = 12  # spectral_gap: 4096x4096 dense solves; sparse shift-invert beyond
+MAX_SPECTRAL_SITES = 12  # spectral_gap: largest region, a 4096x4096 dense solve
 MAX_GAP_SITES = 17  # east1d_gap: largest chain that met the budget in its docstring at p = 0.9
 DENSE_GAP_STATES = 256  # east1d_gap: dense eigvalsh up to this many states, Lanczos beyond
 LANCZOS_NCV = 40  # Lanczos basis size; the ARPACK default 20 restarts too often at small gaps
@@ -153,27 +153,16 @@ def _symmetrized(gen: Generator) -> sp.csr_matrix:
 
 
 def spectral_gap(gen: Generator) -> SpectrumResult:
-    """Gap and zero-eigenvalue multiplicity of the symmetrized generator."""
-    S = _symmetrized(gen)
-    scale = float(np.max(np.abs(gen.rates.diagonal()))) if gen.dim > 1 else 0.0
-    zero_tol = max(scale, 1.0) * 1e-10
-    if gen.n <= DENSE_EIG_SITES:
-        rates = -np.linalg.eigvalsh(S.toarray())  # >= 0 up to rounding
-        nonzero = rates[rates > zero_tol]
-        gap = float(nonzero.min()) if nonzero.size else 0.0
-        count0 = int((rates <= zero_tol).sum())
-        return SpectrumResult(gap, count0)
-    A = (-S).tocsc()
-    k = 8
-    while True:
-        w = spla.eigsh(A, k=k, sigma=-zero_tol, which="LM", return_eigenvectors=False)
-        w = np.sort(w)
-        nonzero = w[w > zero_tol]
-        count0 = int((w <= zero_tol).sum())
-        if nonzero.size or k >= min(64, gen.dim - 1):
-            gap = float(nonzero.min()) if nonzero.size else 0.0
-            return SpectrumResult(gap, count0)
-        k = min(2 * k, gen.dim - 1)
+    """Gap and zero-eigenvalue multiplicity of the symmetrized generator, by a
+    dense solve; the test oracle for `east1d_gap`.  Regions above
+    `MAX_SPECTRAL_SITES` sites are refused before anything is densified."""
+    if gen.n > MAX_SPECTRAL_SITES:
+        raise ExactEngineError(f"spectral_gap is capped at {MAX_SPECTRAL_SITES} sites")
+    rates = -np.linalg.eigvalsh(_symmetrized(gen).toarray())  # >= 0 up to rounding
+    zero_tol = max(float(np.max(np.abs(gen.rates.diagonal()))), 1.0) * 1e-10
+    nonzero = rates[rates > zero_tol]
+    gap = float(nonzero.min()) if nonzero.size else 0.0
+    return SpectrumResult(gap, int((rates <= zero_tol).sum()))
 
 
 def half_space_operator(p: float, m: int) -> sp.csr_matrix:

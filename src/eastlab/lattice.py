@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -96,10 +96,7 @@ class Window:
         return len(self.lower)
 
     def site_count(self) -> int:
-        n = 1
-        for lo, hi in zip(self.lower, self.upper):
-            n *= hi - lo + 1
-        return n
+        return math.prod(hi - lo + 1 for lo, hi in zip(self.lower, self.upper))
 
     @cached_property
     def sites(self) -> tuple[Site, ...]:
@@ -127,6 +124,30 @@ class Window:
 
 
 @dataclass(frozen=True)
+class Exterior:
+    """The frozen-exterior rule of a window, shared by a whole replica batch: every
+    site outside the window holds ``spin``, except the finitely many ``overrides``."""
+
+    window: Window
+    spin: int
+    overrides: Mapping[Site, int]
+
+    def __post_init__(self):
+        if self.spin not in (0, 1):
+            raise LatticeError("exterior spin must be 0 or 1")
+        for x, s in self.overrides.items():
+            if x in self.window:
+                raise LatticeError(f"override site {x} lies inside the window")
+            if s not in (0, 1):
+                raise LatticeError("override spins must be 0 or 1")
+
+    def configuration(self, spins) -> "Configuration":
+        """The configuration with these window spins (window site order)."""
+        spins = tuple(np.asarray(spins).tolist())
+        return Configuration(self.window, spins, self.spin, self.overrides)
+
+
+@dataclass(frozen=True)
 class Configuration:
     """Spins on a window plus a frozen-exterior rule.
 
@@ -143,15 +164,13 @@ class Configuration:
     def __post_init__(self):
         if len(self.spins) != self.window.site_count():
             raise LatticeError("spins length must equal window site count")
-        if self.exterior not in (0, 1):
-            raise LatticeError("exterior spin must be 0 or 1")
         if any(s not in (0, 1) for s in self.spins):
             raise LatticeError("spins must be 0 or 1")
-        for x, s in self.exterior_overrides.items():
-            if x in self.window:
-                raise LatticeError(f"override site {x} lies inside the window")
-            if s not in (0, 1):
-                raise LatticeError("override spins must be 0 or 1")
+        self.rule  # validates the exterior
+
+    @property
+    def rule(self) -> Exterior:
+        return Exterior(self.window, self.exterior, self.exterior_overrides)
 
     def spin_at(self, x: Site) -> int:
         if x in self.window:
@@ -210,27 +229,34 @@ def bernoulli_weights(n: int, p: float) -> np.ndarray:
     return p**pop * (1.0 - p) ** (n - pop)
 
 
-def sample_initial(spec: MeasureSpec, window: Window, rng: np.random.Generator) -> Configuration:
-    """Draw an initial configuration on the window from the given measure."""
+def initial_rows(
+    spec: MeasureSpec, window: Window, draws: int, rng: Callable[[int], np.random.Generator]
+) -> tuple[Exterior, np.ndarray]:
+    """The exterior rule and the (draws, sites) int8 spins of ``draws`` initial
+    configurations on the window.  Bernoulli draw j reads ``rng(j)``; a Delta
+    measure reads no generator and broadcasts its one restricted row."""
+    n = window.site_count()
     if isinstance(spec, ProductBernoulli):
-        u = rng.random(window.site_count())
-        spins = tuple(int(v) for v in (u < spec.q))
-        return Configuration(window, spins, exterior=1)
+        rows = np.array([rng(j).random(n) for j in range(draws)]).reshape(draws, n) < spec.q
+        return Exterior(window, 1, {}), rows.astype(np.int8)
     if isinstance(spec, Delta):
         stored = spec.config
         if not stored.window.contains_window(window):
             raise LatticeError("Delta configuration window does not contain the requested window")
-        spins = tuple(stored.spin_at(x) for x in window.sites)
-        overrides = {
-            x: s for x, s in stored.exterior_overrides.items() if x not in window
-        }
+        row = np.array([stored.spin_at(x) for x in window.sites], dtype=np.int8)
         # stored window sites that fall outside the restricted window keep
         # their spins through overrides, so the restriction is exact
-        for x in stored.window.sites:
-            if x not in window and stored.spin_at(x) != stored.exterior:
-                overrides[x] = stored.spin_at(x)
-        return Configuration(window, spins, stored.exterior, overrides)
+        overrides = dict(stored.exterior_overrides)
+        overrides.update((x, s) for x, s in zip(stored.window.sites, stored.spins)
+                         if s != stored.exterior and x not in window)
+        return Exterior(window, stored.exterior, overrides), np.broadcast_to(row, (draws, n))
     raise LatticeError(f"unknown measure spec {spec!r}")
+
+
+def sample_initial(spec: MeasureSpec, window: Window, rng: np.random.Generator) -> Configuration:
+    """Draw one initial configuration on the window from the given measure."""
+    rule, rows = initial_rows(spec, window, 1, lambda _: rng)
+    return rule.configuration(rows[0])
 
 
 def _delta_zero_scale(config: Configuration) -> int | None:

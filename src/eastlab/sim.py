@@ -18,13 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .lattice import Configuration, ModelParams, Region, Site, Window, site_sub_e
+from .lattice import Configuration, Exterior, ModelParams, Region, Site, Window, site_sub_e
 from .streams import STREAM_VERSION, ring_draws, site_key
 
 MAX_HORIZON = 1e9
@@ -112,21 +112,12 @@ def _ring_times(seeds: np.ndarray, keys: np.ndarray, horizon: float, p: float):
     return offsets, out_t, out_b
 
 
-def _frozen_zero(initials: Sequence[Configuration], edge) -> np.ndarray:
-    """Per (replica, site) row: some neighbor outside the window is frozen at 0."""
-    n = initials[0].window.site_count()
-    by_exterior: dict = {}
-    parts = []
-    for c in initials:
-        tag = (c.exterior, tuple(sorted(c.exterior_overrides.items())))
-        row = by_exterior.get(tag)
-        if row is None:
-            row = np.zeros(n, dtype=bool)
-            for i, y in edge:
-                row[i] |= c.spin_at(y) == 0
-            by_exterior[tag] = row
-        parts.append(row)
-    return np.concatenate(parts)
+def _frozen_zero(rule: Exterior, edge) -> np.ndarray:
+    """Per window site: some neighbor outside the window is frozen at 0."""
+    row = np.zeros(rule.window.site_count(), dtype=bool)
+    for i, y in edge:
+        row[i] |= rule.overrides.get(y, rule.spin) == 0
+    return row
 
 
 def _rank_keys(offsets: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +146,7 @@ def _sweep(geo: _Geometry, init, free, offsets, bits, key):
     neighbor spin is the spin after the neighbor's last ring ranked below it."""
     row, rank = np.divmod(key, key.size)
     site = row % geo.plane.size
-    legal = free[row]
+    legal = free[site]
     spin_after = np.empty(key.size, dtype=np.int8)
     ring_plane = geo.plane[site]
     by_plane = np.argsort(ring_plane, kind="stable")  # row order kept within a plane
@@ -185,69 +176,66 @@ def _sweep(geo: _Geometry, init, free, offsets, bits, key):
 class BatchLog:
     """Ring histories of R replicas on one window, stored per (replica, site) row.
 
-    Row r*n + i holds site i of replica r.  Its rings are
+    Row r*n + i holds site i of replica r, which starts at spin ``init[row]``;
+    every replica shares the exterior ``rule``.  A row's rings are
     ``times[offsets[row]:offsets[row + 1]]`` in increasing order, with the drawn
-    bit, the legality and the spin after each ring.  Per ring, ``zero_time`` is
-    the time the site spent at 0 on [0, ring time]; per row, ``first_legal`` is
-    the first legal ring time and ``first_change`` the first time the spin
-    leaves its initial value (inf if none).  ``key`` and the sorted ``ordered``
-    times (see ``_rank_keys``) are the one ring index: a query costs O(log M)
-    per row.  ``log(r)`` views one replica; the methods here answer for all.
+    bit, the legality and the spin after each ring.  Per row, ``first_legal``
+    is the first legal ring time (inf if none).  Built on first use: per ring,
+    ``zero_time``, the time the site spent at 0 on [0, ring time]; per row,
+    ``first_change``, the first time the spin leaves its initial value.
+    ``key`` and the sorted ``ordered`` times (see ``_rank_keys``) are the one
+    ring index: a query costs O(log M) per row.  ``log(r)`` views one replica;
+    the methods here answer for all.
+
+    The constructor sweeps the given rings (``offsets``, ``times``, ``bits``)
+    for legality and spins, from ``spins``: one row per seed, or one for all.
     """
 
-    def __init__(
-        self,
-        params: ModelParams,
-        initials: Sequence[Configuration],
-        horizon: float,
-        seeds: Sequence[int],
-        offsets: np.ndarray,
-        times: np.ndarray,
-        bits: np.ndarray,
-        legal: np.ndarray,
-        spin_after: np.ndarray,
-        index: tuple[np.ndarray, np.ndarray],
-    ):
-        self.params = params
-        self.initials = list(initials)
-        self.window = self.initials[0].window
-        self.horizon = float(horizon)
-        self.seeds = [int(s) for s in seeds]
-        self.n_sites = self.window.site_count()
-        self.offsets = offsets
-        self.times = times
-        self.bits = bits
-        self.legal = legal
-        self.spin_after = spin_after
-        self.key, self.ordered = index
-        self.init = np.array([c.spins for c in self.initials], dtype=np.int8).reshape(-1)
-        self._summarize()
+    def __init__(self, params: ModelParams, rule: Exterior, spins, horizon: float,
+                 seeds: np.ndarray, offsets: np.ndarray, times: np.ndarray, bits: np.ndarray):
+        self.params, self.rule, self.window = params, rule, rule.window
+        self.horizon, self.seeds = float(horizon), seeds
+        self.offsets, self.times, self.bits = offsets, times, bits
+        geo = _geometry(self.window)
+        self.n_sites = geo.plane.size
+        shape = (seeds.size, self.n_sites)
+        try:
+            self.init = np.broadcast_to(np.asarray(spins, dtype=np.int8), shape).flatten()
+        except ValueError:
+            raise SimulationError("need one row of window spins per seed, or one row for all")
+        if ((self.init != 0) & (self.init != 1)).any():
+            raise SimulationError("spins must be 0 or 1")
+        self.key, self.ordered = _rank_keys(offsets, times)
+        free = _frozen_zero(rule, geo.edge)
+        self.legal, self.spin_after = _sweep(geo, self.init, free, offsets, bits, self.key)
+        self.first_legal = self._first_time(self.legal)
 
     def __len__(self) -> int:
-        return len(self.initials)
+        return self.seeds.size
 
-    def _summarize(self) -> None:
-        rows, m = self.init.size, self.times.size
-        counts = np.diff(self.offsets)
+    @cached_property
+    def zero_time(self) -> np.ndarray:
+        m = self.times.size
         row = self.key // m
         col = np.arange(m) - self.offsets[row]
         head = col == 0
         prev_t = np.where(head, 0.0, self.times[np.maximum(np.arange(m) - 1, 0)])
         prev_s = np.where(head, self.init[row], self.spin_after[np.arange(m) - 1])
         # per-row sequential cumulative sum, so a row's value ignores its batch
-        padded = np.zeros((rows, int(counts.max(initial=0))))
+        padded = np.zeros((self.init.size, int(np.diff(self.offsets).max(initial=0))))
         padded[row, col] = np.where(prev_s == 0, self.times - prev_t, 0.0)
         np.cumsum(padded, axis=1, out=padded)
-        self.zero_time = padded[row, col]
-        self.first_legal = self._first_time(row, self.legal)
-        self.first_change = self._first_time(row, self.spin_after != self.init[row])
+        return padded[row, col]
 
-    def _first_time(self, row: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    @cached_property
+    def first_change(self) -> np.ndarray:
+        return self._first_time(self.spin_after != self.init[self.key // self.key.size])
+
+    def _first_time(self, mask: np.ndarray) -> np.ndarray:
         out = np.full(self.init.size, np.inf)
         idx = np.flatnonzero(mask)
-        r = row[idx]
-        lead = np.ones(idx.size, dtype=bool)
-        lead[1:] = r[1:] != r[:-1]
+        r = self.key[idx] // self.key.size
+        lead = np.diff(r, prepend=-1) != 0  # first masked ring of its row
         out[r[lead]] = self.times[idx[lead]]
         return out
 
@@ -281,6 +269,10 @@ class BatchLog:
             raise SimulationError("deadline beyond horizon")
         return self.first_legal[rows] <= deadline
 
+    def initial_spin(self, x: Site) -> np.ndarray:
+        """Spin of x at time 0 in every replica."""
+        return self.init[self._rows(x)]
+
     def spin_at_time(self, x: Site, s: float) -> np.ndarray:
         """Spin of x at time s in every replica."""
         return self._spin(self._rows(x), s)
@@ -307,22 +299,27 @@ class EventLog:
     of a BatchLog, whose row-level queries answer for it."""
 
     def __init__(self, batch: BatchLog, r: int):
-        self._batch = batch
-        self._base = r * batch.n_sites
-        self.params = batch.params
-        self.initial = batch.initials[r]
-        self.window = batch.window
-        self.horizon = batch.horizon
-        self.seed = batch.seeds[r]
+        self._batch, self._base = batch, r * batch.n_sites
+        self.params, self.window, self.horizon = batch.params, batch.window, batch.horizon
+        self.seed = int(batch.seeds[r])
+
+    @property
+    def initial(self) -> Configuration:
+        """The initial configuration: the batch's exterior rule and this replica's row."""
+        b = self._batch
+        return b.rule.configuration(b.init[self._base:self._base + b.n_sites])
 
     def _row(self, x: Site) -> int:
         if x not in self.window:
             raise SimulationError(f"site {x} outside window")
         return self._base + self.window.index(x)
 
+    def _rows(self, sites: Sequence[Site]) -> np.ndarray:
+        return np.array([self._row(x) for x in sites], dtype=np.int64)
+
     def _span(self) -> slice:
         off = self._batch.offsets
-        return slice(off[self._base], off[self._base + self.window.site_count()])
+        return slice(off[self._base], off[self._base + self._batch.n_sites])
 
     def rings(self, x: Site) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Ring times, bits, legality and spin after each ring at x, in time order."""
@@ -357,13 +354,21 @@ class EventLog:
     def n_legal(self) -> int:
         return int(self._batch.legal[self._span()].sum())
 
+    def initial_spin(self, x: Site) -> int:
+        """Spin of x at time 0."""
+        return int(self._batch.init[self._row(x)])
+
     def spin_at_time(self, x: Site, s: float) -> int:
         """Spin of x at time s: initial spin modified by legal rings up to s."""
-        return int(self._batch._spin(np.array([self._row(x)]), s)[0])
+        return int(self._batch._spin(self._rows([x]), s)[0])
 
     def occupation_time(self, x: Site, t: float) -> float:
         """Lebesgue time in [0, t] during which x has spin 0."""
-        return float(self._batch._occupation(np.array([self._row(x)]), t)[0])
+        return float(self.occupation_times([x], t)[0])
+
+    def occupation_times(self, sites: Sequence[Site], t: float) -> np.ndarray:
+        """Occupation time of each site, in one row-level query."""
+        return self._batch._occupation(self._rows(sites), t)
 
     def first_update_time(self, x: Site) -> Optional[float]:
         """Time of the first legal ring at x, or None."""
@@ -378,16 +383,16 @@ class EventLog:
     def updated_set(self, region: Region, deadline: float) -> set[Site]:
         """Region sites with at least one legal ring at time <= deadline."""
         sites = [x for x in region.sites if x in self.window]
-        rows = np.array([self._base + self.window.index(x) for x in sites], dtype=np.int64)
-        return set(compress(sites, self._batch._updated(rows, deadline)))
+        return set(compress(sites, self._batch._updated(self._rows(sites), deadline)))
 
     def final_spins(self) -> tuple[int, ...]:
-        rows = self._base + np.arange(self.window.site_count())
+        rows = self._base + np.arange(self._batch.n_sites)
         return tuple(int(v) for v in self._batch._spin(rows, self.horizon))
 
     # --- serialization ----------------------------------------------------
 
     def to_csv(self) -> str:
+        initial = self.initial
         manifest = {
             "d": self.params.d,
             "p": self.params.p,
@@ -396,10 +401,10 @@ class EventLog:
             "stream_version": STREAM_VERSION,
             "window_lower": list(self.window.lower),
             "window_upper": list(self.window.upper),
-            "exterior": self.initial.exterior,
-            "initial_spins": "".join(str(s) for s in self.initial.spins),
+            "exterior": initial.exterior,
+            "initial_spins": "".join(str(s) for s in initial.spins),
             "exterior_overrides": [
-                [list(x), s] for x, s in sorted(self.initial.exterior_overrides.items())
+                [list(x), s] for x, s in sorted(initial.exterior_overrides.items())
             ],
         }
         lines = ["# " + json.dumps(manifest, sort_keys=True)]
@@ -422,12 +427,8 @@ class EventLog:
             raise SimulationError(f"unexpected event header {lines[1:2]}")
         params, horizon = ModelParams(manifest["d"], manifest["p"]), manifest["horizon"]
         window = Window(tuple(manifest["window_lower"]), tuple(manifest["window_upper"]))
-        overrides = {tuple(x): s for x, s in manifest["exterior_overrides"]}
-        initial = Configuration(
-            window,
-            tuple(int(c) for c in manifest["initial_spins"]),
-            manifest["exterior"],
-            overrides,
+        rule = Exterior(
+            window, manifest["exterior"], {tuple(x): s for x, s in manifest["exterior_overrides"]}
         )
         rows = [ln.split(",") for ln in lines[2:] if ln.strip()]
         sites = [tuple(int(c) for c in r[0].split(";")) for r in rows]
@@ -446,60 +447,48 @@ class EventLog:
             raise SimulationError("ring bits must be 0 or 1")
         offsets = np.zeros(window.site_count() + 1, dtype=np.int64)
         np.cumsum(np.bincount(site_idx, minlength=window.site_count()), out=offsets[1:])
-        batch = _replay(params, [initial], horizon, [manifest["seed"]], offsets, times, bits)
+        spins = [int(c) for c in manifest["initial_spins"]]
+        seeds = np.array([manifest["seed"]], dtype=np.uint64)
+        batch = BatchLog(params, rule, spins, horizon, seeds, offsets, times, bits)
         if (legal != batch.legal).any() or (spin_after != batch.spin_after).any():
             raise SimulationError("legal or spin_after column differs from the replayed rings")
         return batch.log(0)
 
 
-def _replay(params, initials, horizon, seeds, offsets, times, bits) -> BatchLog:
-    """Index the rings, sweep them for legality and spins, and keep the result."""
-    geo = _geometry(initials[0].window)
-    init = np.array([c.spins for c in initials], dtype=np.int8).reshape(-1)
-    index = _rank_keys(offsets, times)
-    legal, spin_after = _sweep(geo, init, _frozen_zero(initials, geo.edge), offsets, bits, index[0])
-    return BatchLog(params, initials, horizon, seeds, offsets, times, bits, legal, spin_after, index)
-
-
 def simulate_batch(
-    params: ModelParams,
-    initials: Sequence[Configuration],
-    horizon: float,
-    seeds: Sequence[int],
+    params: ModelParams, rule: Exterior, spins, horizon: float, seeds: Sequence[int],
     stream_salts: Optional[Mapping[Site, int]] = None,
 ) -> BatchLog:
-    """Run the graphical construction for replica r = (initials[r], seeds[r]).
+    """Run the graphical construction for replica r = (spins[r], seeds[r])
+    under one exterior rule.
 
-    Deterministic per replica: replica r's history depends on its own
-    (params, initial, horizon, seed) only, never on the rest of the batch.
-    ``stream_salts`` re-keys the clock/bit streams of selected sites in every
-    replica (used by the dependence-cone diagnostics); unlisted sites are
-    unaffected.
+    ``spins`` holds 0/1 window spins in ``rule.window.sites`` order: one row
+    per seed, or a single row that every replica starts from.  Deterministic
+    per replica: replica r's history depends on its own (params, rule, spins,
+    horizon, seed) only, never on the rest of the batch.  ``stream_salts``
+    re-keys the clock/bit streams of selected sites in every replica (used by
+    the dependence-cone diagnostics); unlisted sites are unaffected.
     """
     if horizon < 0:
         raise SimulationError("horizon must be >= 0")
     if horizon > MAX_HORIZON:
         raise SimulationError(f"horizon capped at {MAX_HORIZON:g}")
-    initials = list(initials)
-    if not initials or len(seeds) != len(initials):
-        raise SimulationError("need one seed per initial configuration, at least one")
-    window = initials[0].window
+    window = rule.window
     if window.d != params.d:
         raise SimulationError("window dimension does not match params.d")
-    if any(c.window != window for c in initials):
-        raise SimulationError("all replicas of a batch must share one window")
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    if seeds.size == 0:
+        raise SimulationError("need at least one seed")
     keys = _geometry(window).keys
     if stream_salts:
         keys = keys.copy()
         for x, salt in stream_salts.items():
             if x in window:
                 keys[window.index(x)] = site_key(x, salt)
-    replicas = len(initials)
-    seed_words = np.array([int(s) & ((1 << 64) - 1) for s in seeds], dtype=np.uint64)
     offsets, times, bits = _ring_times(
-        np.repeat(seed_words, keys.size), np.tile(keys, replicas), horizon, params.p
+        np.repeat(seeds, keys.size), np.tile(keys, seeds.size), horizon, params.p
     )
-    return _replay(params, initials, horizon, seeds, offsets, times, bits)
+    return BatchLog(params, rule, spins, horizon, seeds, offsets, times, bits)
 
 
 def simulate(
@@ -513,4 +502,4 @@ def simulate(
 
     The batch-of-one view of ``simulate_batch``.
     """
-    return simulate_batch(params, [initial], horizon, [seed], stream_salts).log(0)
+    return simulate_batch(params, initial.rule, initial.spins, horizon, [seed], stream_salts).log(0)

@@ -98,12 +98,12 @@ def verify_oriented_path_lemma(log: EventLog, t: float, alpha: float, x: Site) -
     small = math.floor(alpha * t)
     if not all(-small <= c <= 0 for c in x):
         raise TheoryCheckError(f"start site {x} outside {{-{small}..0}}^d")
-    if log.initial.spin_at(x) != 0:
-        raise TheoryCheckError(f"start site {x} must have initial spin 0")
     if t > log.horizon:
         raise TheoryCheckError("t beyond log horizon")
     if not geom.D_fits(log.window):
         raise TheoryCheckError("D does not fit inside the log's window")
+    if log.initial_spin(x) != 0:  # x lies in D, so in the window
+        raise TheoryCheckError(f"start site {x} must have initial spin 0")
 
     half = t / 2.0
     if any(log.stays_at(y, 0, half) for y in geom.D.sites):
@@ -165,14 +165,13 @@ class HyperplaneProfile:
 def hyperplane_hit_profile(log: EventLog, geom: GeometrySet) -> HyperplaneProfile:
     if not geom.D_fits(log.window):
         raise TheoryCheckError("D does not fit inside the log's window")
+    sites = geom.D.sorted_sites()
     E = log.updated_set(geom.D, geom.t / 2.0)
     threshold = (1.0 - log.params.p) * geom.t / 4.0
-    u, g = [], []
-    for k in range(geom.k_max + 1):
-        hk = geom.hyperplane(k)
-        u.append(any(y in E for y in hk))
-        g.append(any(log.occupation_time(y, geom.t) >= threshold for y in hk))
-    return HyperplaneProfile(tuple(u), tuple(g))
+    hits = ([y in E for y in sites], log.occupation_times(sites, geom.t) >= threshold)
+    plane = -np.sum(sites, axis=1)  # y lies on H_{-sum(y)}
+    u, g = (np.bincount(plane, weights=h, minlength=geom.k_max + 1) > 0 for h in hits)
+    return HyperplaneProfile(tuple(u.tolist()), tuple(g.tolist()))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from eastlab.estimators import (
 from eastlab.lattice import (
     Configuration,
     Delta,
+    Exterior,
     ModelParams,
     ProductBernoulli,
     Region,
@@ -58,7 +59,8 @@ def test_a2_monte_carlo_vs_uniformization():
     init = Configuration.all_ones(w, exterior=0)
     times = (0.5, 1.0, 2.0)
     n = 20_000
-    batch = simulate_batch(params, [init] * n, times[-1], [derive_seed(202, r) for r in range(n)])
+    seeds = [derive_seed(202, r) for r in range(n)]
+    batch = simulate_batch(params, init.rule, init.spins, times[-1], seeds)
     means = np.array([batch.spin_at_time((3,), t).sum() for t in times]) / n
 
     gen = build_generator(Region(frozenset({(1,), (2,), (3,)})), {(0,): 0}, p)
@@ -81,14 +83,14 @@ def test_a3_stationarity():
     n = 10_000
     n_sites = w.site_count()
     counts = np.zeros(n_sites)
+    rule = Exterior(w, 1, overrides)
     for start in range(0, n, 1000):
-        inits, seeds = [], []
+        rows, seeds = [], []
         for r in range(start, start + 1000):
             rng = derived_generator(303, r)
-            spins = tuple(int(v) for v in (rng.random(n_sites) < p))
-            inits.append(Configuration(w, spins, exterior=1, exterior_overrides=overrides))
+            rows.append(rng.random(n_sites) < p)
             seeds.append(derive_seed(303, "sim", r))
-        counts += simulate_batch(params, inits, t, seeds).final_spins().sum(axis=0)
+        counts += simulate_batch(params, rule, rows, t, seeds).final_spins().sum(axis=0)
     freqs = counts / n
     sigma = math.sqrt(p * (1 - p) / n)
     within = np.abs(freqs - p) < 3 * sigma
@@ -144,7 +146,8 @@ def test_a6_oriented_path_lemma():
     w = Window((-radius,) * d, (0,) * d)
     counterexamples = 0
     init = Configuration.with_zeros(w, [(0, 0)], exterior=1)
-    batch = simulate_batch(params, [init] * 1000, t, [derive_seed(606, r) for r in range(1000)])
+    seeds = [derive_seed(606, r) for r in range(1000)]
+    batch = simulate_batch(params, init.rule, init.spins, t, seeds)
     for r in range(1000):
         log = batch.log(r)
         res = verify_oriented_path_lemma(log, t, alpha, (0, 0))
@@ -159,7 +162,8 @@ def test_a6_oriented_path_lemma():
     ws = Window((-rad_s,) * d, (0,) * d)
     held = found = 0
     init = Configuration.with_zeros(ws, [(0, 0)], exterior=0)
-    batch = simulate_batch(params, [init] * 200, t, [derive_seed(607, r) for r in range(200)])
+    seeds = [derive_seed(607, r) for r in range(200)]
+    batch = simulate_batch(params, init.rule, init.spins, t, seeds)
     for r in range(200):
         log = batch.log(r)
         res = verify_oriented_path_lemma(log, t, alpha_s, (0, 0))
@@ -258,7 +262,8 @@ def test_a11_persistence_identity():
     gen = build_generator(Region(frozenset({(1,), (2,)})), {(0,): 0}, p)
     fvec = np.array([float((s >> 1) & 1) for s in range(4)])
     n = 20_000
-    batch = simulate_batch(params, [init] * n, times[-1], [derive_seed(1111, r) for r in range(n)])
+    seeds = [derive_seed(1111, r) for r in range(n)]
+    batch = simulate_batch(params, init.rule, init.spins, times[-1], seeds)
     tau = batch.first_update_time(x)  # inf where x never updates
     survived = np.array([(tau > t).sum() for t in times])
     ok = True

@@ -1,7 +1,9 @@
+import hashlib
 import os
 
 import pytest
 
+from eastlab import lattice
 from eastlab.cli import (
     KINDS,
     ConfigError,
@@ -9,6 +11,7 @@ from eastlab.cli import (
     parse_config,
     run_experiment,
 )
+from eastlab.estimators import estimate_persistence
 from eastlab.lattice import ModelParams
 
 
@@ -295,6 +298,84 @@ class TestRuns:
             run_experiment(cfg)
         text = (tmp_path / "manifest.txt").read_text()
         assert "status = error" in text
+
+
+# Sampled output bytes at seed 7.  They may change only together with
+# STREAM_VERSION: a change of random streams or of output formatting has to
+# bump it and record the new digests here.
+GOLDEN = {
+    "persistence.csv": (
+        "kind = persistence\nd = 2\np = 0.5\nwindow_lower = -3 -3\nwindow_upper = 1 1\n"
+        "measure = bernoulli 0.5\nsite = 1 1\ntimes = 1 2 3\nn = 60\n",
+        "243e65e17811e3c82a29e4c6c2469531e03740395e6c0e5b081438a77390f8c2",
+    ),
+    "relaxation.csv": (
+        "kind = relaxation\nd = 2\np = 0.5\nwindow_lower = 0 0\nwindow_upper = 1 1\n"
+        "measure = delta-zeros 0 0\nsite = 1 1\ntimes = 1 2 3\nn_outer = 3\nn_inner = 40\n",
+        "c4f834b6feea184e54f6a3646ab70de74913868f029ef81ddbf3b65180621f12",
+    ),
+    "lemma.csv": (
+        "kind = verify-lemma\nd = 2\np = 0.5\nalpha = 0.1\nt = 10\nwindow_lower = -4 -4\n"
+        "window_upper = 0 0\nexterior = 0\nmeasure = bernoulli 0.4\nsite = 0 0\nn = 40\n",
+        "427a36eeb0eb8aaa5c91050f1bb3f1a4af288f0bb5c5c9a456fcc8e48f43bd9e",
+    ),
+    "events.csv": (
+        "kind = simulate\nd = 2\np = 0.5\nwindow_lower = 0 0\nwindow_upper = 3 3\n"
+        "measure = bernoulli 0.5\nhorizon = 5\n",
+        "2f82621ec687f1fe45ae0f620fb3733dd412359cbf153ee59e654ba17b80b54d",
+    ),
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_output_bytes_pinned(self, tmp_path, name):
+        text, digest = GOLDEN[name]
+        cfg = parse_config(text + "seed = 7\n")
+        cfg.out_dir = str(tmp_path)
+        run_experiment(cfg)
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def count_configurations(monkeypatch):
+    """Count Configuration constructions from here on."""
+    calls = []
+    check = lattice.Configuration.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        check(self)
+
+    monkeypatch.setattr(lattice.Configuration, "__post_init__", counted)
+    return calls
+
+
+class TestNoConfigurationPerDraw:
+    def test_persistence(self, monkeypatch):
+        calls = count_configurations(monkeypatch)
+        counts = []
+        for n in (20, 200):
+            cfg = parse_config(PERSIST_CFG.replace("n = 200", f"n = {n}"))
+            del calls[:]
+            estimate_persistence(cfg.params, cfg.measure, cfg.site, cfg.times, cfg.n,
+                                 cfg.window, cfg.seed)
+            counts.append(len(calls))
+        assert counts == [0, 0]
+
+    def test_delta_verify_lemma(self, tmp_path, monkeypatch):
+        calls = count_configurations(monkeypatch)
+        counts = []
+        for n in (30, 300):
+            cfg = parse_config(
+                "kind = verify-lemma\nd = 2\np = 0.5\nalpha = 0.1\nt = 10\n"
+                "window_lower = -4 -4\nwindow_upper = 0 0\nexterior = 0\n"
+                f"measure = delta-zeros 0 0\nsite = 0 0\nn = {n}\n"
+            )
+            cfg.out_dir = str(tmp_path / str(n))
+            del calls[:]
+            assert run_experiment(cfg).status == "ok"
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 0
 
 
 class TestMain:

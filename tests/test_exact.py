@@ -170,20 +170,11 @@ class TestSpectralGap:
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
         assert all(g > 0 for g in gaps)
 
-    def test_sparse_path_matches_dense(self):
-        # force the iterative eigensolver and compare with the dense answer
-        import eastlab.exact as ex
-
-        gen = build_generator(region_1d(range(1, 8)), {(0,): 0}, 0.4)
-        dense = spectral_gap(gen)
-        old = ex.DENSE_EIG_SITES
-        ex.DENSE_EIG_SITES = 3
-        try:
-            sparse = spectral_gap(gen)
-        finally:
-            ex.DENSE_EIG_SITES = old
-        assert sparse.gap == pytest.approx(dense.gap, abs=1e-8)
-        assert sparse.eigenvalue_count_at_zero == dense.eigenvalue_count_at_zero
+    def test_region_above_dense_cap_rejected(self):
+        # 13 sites: 8192 states, refused before the dense solve
+        gen = build_generator(region_1d(range(1, 14)), {(0,): 0}, 0.4)
+        with pytest.raises(ExactEngineError):
+            spectral_gap(gen)
 
     def test_east1d_gap_range(self):
         with pytest.raises(ExactEngineError):

@@ -18,6 +18,7 @@ from eastlab.lattice import (
     config_from_text,
     config_to_text,
     east_constraint,
+    initial_rows,
     sample_initial,
     spin_at_site,
 )
@@ -125,6 +126,29 @@ class TestSampleInitial:
         assert cfg.spin_at((1, 1)) == 1
         # restriction is exact: the out-of-window zero survives as an override
         assert cfg.spin_at((-2, -2)) == 0
+
+    def test_delta_rows_read_no_generator(self):
+        big = Window((-2, -2), (2, 2))
+        stored = Configuration.with_zeros(big, [(0, 0), (-2, -2)], overrides={(-3, 0): 0})
+        small = Window((0, 0), (1, 1))
+
+        def no_generator(j):
+            raise AssertionError("a Delta measure draws nothing")
+
+        rule, rows = initial_rows(Delta(stored), small, 5, no_generator)
+        want = sample_initial(Delta(stored), small, np.random.default_rng(0))
+        assert rows.shape == (5, 4)
+        assert all(tuple(row) == want.spins for row in rows.tolist())
+        assert rule == want.rule
+        assert rule.overrides == {(-3, 0): 0, (-2, -2): 0}
+
+    def test_bernoulli_rows_are_per_draw_samples(self):
+        w = Window((0, 0), (2, 3))
+        rule, rows = initial_rows(ProductBernoulli(0.4), w, 6, lambda j: np.random.default_rng(j))
+        assert rule.spin == 1 and rule.overrides == {}
+        for j in range(6):
+            assert tuple(rows[j]) == sample_initial(ProductBernoulli(0.4), w,
+                                                    np.random.default_rng(j)).spins
 
     def test_delta_incompatible_window(self):
         stored = Configuration.all_ones(Window((0,), (1,)))

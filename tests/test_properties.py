@@ -122,18 +122,18 @@ def test_cone_measurability(scenario, data):
 @PROPERTY
 @given(st.lists(scenarios(), min_size=2, max_size=4), st.data())
 def test_batch_replicas_match_single_runs(group, data):
-    # replicas of one batch share the first window but keep their own spins,
-    # exterior and seed
+    # replicas of one batch share the first scenario's exterior rule but keep
+    # their own spins and seed
     params, first, horizon, _ = group[0]
-    inits = [
-        Configuration(first.window, first.spins if i == 0 else tuple(
-            data.draw(st.lists(st.integers(0, 1), min_size=len(first.spins),
-                               max_size=len(first.spins)))), s[1].exterior)
-        for i, s in enumerate(group)
+    rows = [first.spins] + [
+        tuple(data.draw(st.lists(st.integers(0, 1), min_size=len(first.spins),
+                                 max_size=len(first.spins))))
+        for _ in group[1:]
     ]
     seeds = [s[3] for s in group]
-    batch = simulate_batch(params, inits, horizon, seeds)
-    for r, (init, seed) in enumerate(zip(inits, seeds)):
+    batch = simulate_batch(params, first.rule, rows, horizon, seeds)
+    for r, (spins, seed) in enumerate(zip(rows, seeds)):
+        init = first.rule.configuration(spins)
         assert batch.log(r).to_csv() == simulate(params, init, horizon, seed).to_csv()
 
 
@@ -142,7 +142,7 @@ def test_batch_replicas_match_single_runs(group, data):
 def test_event_log_views_match_batch_queries(scenario, seeds, no_rings):
     params, initial, horizon, seed = scenario
     horizon = 0.0 if no_rings else horizon  # a batch with zero rings
-    batch = simulate_batch(params, [initial] * (len(seeds) + 1), horizon, [seed, *seeds])
+    batch = simulate_batch(params, initial.rule, initial.spins, horizon, [seed, *seeds])
     final = batch.final_spins()
     for r in range(len(batch)):
         log = batch.log(r)

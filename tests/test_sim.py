@@ -198,11 +198,40 @@ class TestQueries:
         params = ModelParams(1, 0.3)
         init = Configuration(Window((1,), (1,)), (1,), exterior=0)
         seeds = [derive_seed(99, r) for r in range(n)]
-        batch = simulate_batch(params, [init] * n, deadline, seeds)
+        batch = simulate_batch(params, init.rule, init.spins, deadline, seeds)
         hits = int(batch.updated_set([(1,)], deadline).sum())
         target = 1 - math.exp(-deadline)
         sigma = math.sqrt(target * (1 - target) / n)
         assert abs(hits / n - target) < 3 * sigma
+
+
+class TestBatchInput:
+    def test_single_row_broadcasts(self):
+        params = ModelParams(2, 0.4)
+        init = Configuration.with_zeros(Window((0, 0), (2, 1)), [(1, 0)], exterior=0)
+        seeds = [3, 4, 5]
+        one = simulate_batch(params, init.rule, init.spins, 6.0, seeds)
+        every = simulate_batch(params, init.rule, [init.spins] * 3, 6.0, seeds)
+        for r in range(3):
+            assert one.log(r).to_csv() == every.log(r).to_csv()
+            assert one.log(r).initial == init
+
+    @pytest.mark.parametrize("spins", [[(1, 0)] * 2, [(1, 0, 1)], [(1, 2)]],
+                             ids=["rows", "sites", "value"])
+    def test_bad_spins_rejected(self, spins):
+        init = Configuration.all_ones(Window((0,), (1,)))
+        with pytest.raises(SimulationError):
+            simulate_batch(ModelParams(1, 0.5), init.rule, spins, 1.0, [1, 2, 3])
+
+    def test_summaries_built_on_first_use(self):
+        init = Configuration.with_zeros(Window((0, 0), (2, 2)), [(0, 0)], exterior=0)
+        batch = simulate_batch(ModelParams(2, 0.5), init.rule, init.spins, 5.0, [1, 2])
+        batch.first_update_time((1, 1))
+        assert "zero_time" not in vars(batch) and "first_change" not in vars(batch)
+        batch.occupation_time((1, 1), 5.0)
+        assert "zero_time" in vars(batch) and "first_change" not in vars(batch)
+        batch.log(0).stays_at((1, 1), 1, 2.0)
+        assert "first_change" in vars(batch)
 
 
 class TestStatisticalContracts:
@@ -212,7 +241,8 @@ class TestStatisticalContracts:
         n = 10_000
         params = ModelParams(1, 0.5)
         init = Configuration(Window((0,), (0,)), (1,), exterior=1)
-        batch = simulate_batch(params, [init] * n, T, [derive_seed(5, r) for r in range(n)])
+        seeds = [derive_seed(5, r) for r in range(n)]
+        batch = simulate_batch(params, init.rule, init.spins, T, seeds)
         counts = np.diff(batch.offsets)
         kmax = 9
         observed = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)

@@ -153,6 +153,22 @@ class TestHyperplaneProfile:
         assert not any(profile.u_k)
         assert not any(profile.g_k)
 
+    def test_matches_per_site_definition(self):
+        # u_k: H_k meets E; g_k: some site of H_k spends >= (1-p)t/4 at zero
+        seen = set()
+        for seed in range(12):
+            log, geom = active_log(derive_seed(1200, seed))
+            E = log.updated_set(geom.D, geom.t / 2)
+            threshold = (1 - log.params.p) * geom.t / 4
+            planes = [geom.hyperplane(k) for k in range(geom.k_max + 1)]
+            profile = hyperplane_hit_profile(log, geom)
+            assert profile.u_k == tuple(any(y in E for y in hk) for hk in planes)
+            assert profile.g_k == tuple(
+                any(log.occupation_time(y, geom.t) >= threshold for y in hk) for hk in planes
+            )
+            seen |= {(name, v) for name in ("u", "g") for v in getattr(profile, f"{name}_k")}
+        assert seen == {("u", True), ("u", False), ("g", True), ("g", False)}
+
     def test_origin_update_sets_u0(self):
         log, geom = active_log(31)
         e = log.updated_set(geom.D, geom.t / 2)
