@@ -43,9 +43,10 @@ from .estimators import (  # noqa: F401
 from .theory import (  # noqa: F401
     ConstantsReport,
     GeometrySet,
-    PathResult,
+    PathCheck,
+    certify_paths,
     compute_constants,
     fk_cascade_probe,
     hyperplane_hit_profile,
-    verify_oriented_path_lemma,
+    oriented_path_check,
 )

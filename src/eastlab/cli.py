@@ -38,12 +38,7 @@ from .lattice import (
 )
 from .sim import simulate
 from .streams import STREAM_VERSION, derive_seed, derived_generator
-from .theory import (
-    compute_constants,
-    fk_cascade_probe,
-    validate_path,
-    verify_oriented_path_lemma,
-)
+from .theory import certify_paths, compute_constants, fk_cascade_probe, oriented_path_check
 
 
 class ConfigError(ValueError):
@@ -197,6 +192,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if not all(1 <= n <= MAX_GAP_SITES for n in lengths):
             raise ConfigError(key, f"chain lengths must lie in 1..{MAX_GAP_SITES}, got {raw[key]}")
 
+    for key, values in (("times", config.times), ("t", (config.t,)), ("alpha", (config.alpha,))):
+        if min(values, default=0.0) < 0:
+            raise ConfigError(key, f"must be >= 0, got {raw[key]}")
+
     if config.site is not None and len(config.site) != config.params.d:
         raise ConfigError("site", f"expected {config.params.d} coordinates")
 
@@ -332,20 +331,14 @@ def _run_verify_lemma(config: ExperimentConfig, out: RunOutputs) -> None:
         config.params, config.measure, config.window, t, config.seed, "lemma", config.n
     )
     for _, batch in batches:
-        applicable = batch.initial_spin(x) == 0
-        not_applicable += int((~applicable).sum())
-        for r in range(len(batch)):
-            if not applicable[r]:
-                rows.append(f"{batch.seeds[r]},{t:.17g},{alpha:.17g},0,0,0,0")
-                continue
-            log = batch.log(r)
-            res = verify_oriented_path_lemma(log, t, alpha, x)
-            invalid = res.found and not validate_path(res, log, t, alpha, x)
-            counterexample |= invalid or (res.hypothesis_held and not res.found)
-            rows.append(
-                f"{log.seed},{t:.17g},{alpha:.17g},"
-                f"{int(res.hypothesis_held)},{int(res.found)},{len(res.path)},1"
-            )
+        check = oriented_path_check(batch, t, alpha, x)
+        found, held = check.found, check.hypothesis_held
+        wrong = (found & ~certify_paths(batch, t, alpha, x, check)) | (held & ~found)
+        counterexample |= bool(wrong.any())
+        not_applicable += int((~check.applicable).sum())
+        columns = (batch.seeds, held, found, check.length, check.applicable)
+        rows += [f"{s},{t:.17g},{alpha:.17g},{h:d},{f:d},{n},{a:d}"
+                 for s, h, f, n, a in zip(*(c.tolist() for c in columns))]
     out.notes["lemma.not_applicable"] = str(not_applicable)
     out.write("lemma.csv", "\n".join(rows) + "\n")
     if counterexample:
@@ -423,7 +416,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         status = "lemma-counterexample"
         err = e
     except Exception as e:  # noqa: BLE001 - manifest must record handled errors
-        status = f"error: {e}"
+        status = "error: " + str(e).encode("unicode_escape").decode("ascii")  # one line
         err = e
     manifest = RunManifest(
         config_echo=dict(config.raw),

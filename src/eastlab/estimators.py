@@ -28,7 +28,7 @@ from .sim import BatchLog, ring_block, simulate_batch
 from .streams import derived_generator, derive_seed
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-RING_SLOT_BUDGET = 1 << 16  # ring slots simulated at once; bounds a chunk's memory
+RING_SLOT_BUDGET = 1 << 16  # ring slots simulated, or bootstrap indices drawn, at once
 N_BOOT = 1000  # bootstrap resamples of the relaxation draws
 
 
@@ -209,10 +209,11 @@ def estimate_relaxation(
     values = outer_vals.mean(axis=0)
     if n_outer > 1:
         rngb = derived_generator(seed, "relax-boot")
-        boot = np.empty((N_BOOT, len(ts)))
-        for b in range(N_BOOT):
-            idx = rngb.integers(0, n_outer, n_outer)
-            boot[b] = outer_vals[idx].mean(axis=0)
+        block = max(1, RING_SLOT_BUDGET // n_outer)  # resamples drawn at once
+        boot = np.concatenate([
+            outer_vals[rngb.integers(0, n_outer, (min(block, N_BOOT - b), n_outer))].mean(axis=1)
+            for b in range(0, N_BOOT, block)
+        ])
         lo = np.percentile(boot, 2.5, axis=0)
         hi = np.percentile(boot, 97.5, axis=0)
         halfwidths = (hi - lo) / 2

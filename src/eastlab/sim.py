@@ -45,7 +45,11 @@ class RingRecord:
 
 def ring_block(horizon: float) -> int:
     """Rings drawn per site in a pass; the few sites that need more draw
-    another pass."""
+    another pass.  Raises SimulationError on a horizon outside [0, MAX_HORIZON]."""
+    if horizon < 0:
+        raise SimulationError("horizon must be >= 0")
+    if horizon > MAX_HORIZON:
+        raise SimulationError(f"horizon capped at {MAX_HORIZON:g}")
     return int(horizon + math.sqrt(horizon)) + 2
 
 
@@ -269,10 +273,6 @@ class BatchLog:
             raise SimulationError("deadline beyond horizon")
         return self.first_legal[rows] <= deadline
 
-    def initial_spin(self, x: Site) -> np.ndarray:
-        """Spin of x at time 0 in every replica."""
-        return self.init[self._rows(x)]
-
     def spin_at_time(self, x: Site, s: float) -> np.ndarray:
         """Spin of x at time s in every replica."""
         return self._spin(self._rows(x), s)
@@ -354,31 +354,18 @@ class EventLog:
     def n_legal(self) -> int:
         return int(self._batch.legal[self._span()].sum())
 
-    def initial_spin(self, x: Site) -> int:
-        """Spin of x at time 0."""
-        return int(self._batch.init[self._row(x)])
-
     def spin_at_time(self, x: Site, s: float) -> int:
         """Spin of x at time s: initial spin modified by legal rings up to s."""
         return int(self._batch._spin(self._rows([x]), s)[0])
 
     def occupation_time(self, x: Site, t: float) -> float:
         """Lebesgue time in [0, t] during which x has spin 0."""
-        return float(self.occupation_times([x], t)[0])
-
-    def occupation_times(self, sites: Sequence[Site], t: float) -> np.ndarray:
-        """Occupation time of each site, in one row-level query."""
-        return self._batch._occupation(self._rows(sites), t)
+        return float(self._batch._occupation(self._rows([x]), t)[0])
 
     def first_update_time(self, x: Site) -> Optional[float]:
         """Time of the first legal ring at x, or None."""
         tau = float(self._batch.first_legal[self._row(x)])
         return None if tau == math.inf else tau
-
-    def stays_at(self, x: Site, spin: int, until: float) -> bool:
-        """Spin of x equal to ``spin`` on all of [0, until]."""
-        row = self._row(x)
-        return bool(self._batch.init[row] == spin and self._batch.first_change[row] > until)
 
     def updated_set(self, region: Region, deadline: float) -> set[Site]:
         """Region sites with at least one legal ring at time <= deadline."""
@@ -469,10 +456,6 @@ def simulate_batch(
     re-keys the clock/bit streams of selected sites in every replica (used by
     the dependence-cone diagnostics); unlisted sites are unaffected.
     """
-    if horizon < 0:
-        raise SimulationError("horizon must be >= 0")
-    if horizon > MAX_HORIZON:
-        raise SimulationError(f"horizon capped at {MAX_HORIZON:g}")
     window = rule.window
     if window.d != params.d:
         raise SimulationError("window dimension does not match params.d")

@@ -1,10 +1,11 @@
 """Mechanical checks of the combinatorial machinery on simulated histories.
 
-The oriented-path check takes a realized event log, computes the set E of
-sites updated before t/2 inside the box D, and (when no site of D stayed at
-zero throughout [0, t/2]) searches for an oriented path of -e_i steps inside E
-from the starting zero down to the outer layer of D.  Failure to find one
-would contradict a proven statement and is surfaced as a counterexample.
+The oriented-path check takes a batch of realized histories, computes per
+replica the set E of sites updated before t/2 inside the box D, and (when no
+site of D stayed at zero throughout [0, t/2]) searches for an oriented path of
+-e_i steps inside E from the starting zero down to the outer layer of D, as
+one reach sweep over D's box for the whole batch.  Failure to find one would
+contradict a proven statement and is surfaced as a counterexample.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +25,8 @@ from .lattice import (
     Region,
     Site,
     Window,
-    site_sub_e,
 )
-from .sim import EventLog
+from .sim import BatchLog
 
 
 class TheoryCheckError(ValueError):
@@ -84,94 +84,108 @@ class GeometrySet:
         return frozenset(x for x in self.D.sites if min(x) == -r)
 
 
-@dataclass(frozen=True)
-class PathResult:
-    found: bool
-    path: tuple[Site, ...]
-    hypothesis_held: bool
+def _box_rows(batch: BatchLog, geom: GeometrySet) -> tuple[np.ndarray, np.ndarray]:
+    """D's batch rows (r * n_sites + window index), shaped (R, r+1, ..., r+1) in D's
+    lexicographic (C) order, and each site's offset from D's lower corner."""
+    w = batch.window
+    if not geom.D_fits(w):
+        raise TheoryCheckError("D does not fit inside the log's window")
+    corner = np.indices((geom.radius + 1,) * geom.d)
+    extent = [hi - lo + 1 for lo, hi in zip(w.lower, w.upper)]
+    index = np.ravel_multi_index([c - geom.radius - lo for c, lo in zip(corner, w.lower)], extent)
+    return np.arange(len(batch)).reshape((-1,) + (1,) * geom.d) * batch.n_sites + index, corner
 
 
-def verify_oriented_path_lemma(log: EventLog, t: float, alpha: float, x: Site) -> PathResult:
-    """If no site of D stayed at zero on [0, t/2], an oriented path in E must
-    join x to the outer layer of D; absence of one is a counterexample."""
-    geom = GeometrySet(t, alpha, log.params.d)
+def _lemma_box(batch: BatchLog, t: float, alpha: float, x: Site):
+    """Check the lemma's premises; return D's rows, x's index into them, and per
+    site y of D, |x - y|_1 and whether y lies on D's outer layer."""
+    geom = GeometrySet(t, alpha, batch.params.d)
     small = math.floor(alpha * t)
     if not all(-small <= c <= 0 for c in x):
         raise TheoryCheckError(f"start site {x} outside {{-{small}..0}}^d")
-    if t > log.horizon:
+    if t > batch.horizon:
         raise TheoryCheckError("t beyond log horizon")
-    if not geom.D_fits(log.window):
-        raise TheoryCheckError("D does not fit inside the log's window")
-    if log.initial_spin(x) != 0:  # x lies in D, so in the window
-        raise TheoryCheckError(f"start site {x} must have initial spin 0")
+    rows, corner = _box_rows(batch, geom)
+    xc = [c + geom.radius for c in x]
+    dist = np.abs(corner - np.reshape(xc, (-1,) + (1,) * geom.d)).sum(axis=0)
+    return rows, (np.s_[:], *xc), dist, (corner == 0).any(axis=0)
 
+
+def _fed(a: np.ndarray) -> np.ndarray:
+    """Per site y of D's rows: some y + e_i in D is set in ``a``."""
+    out = np.zeros_like(a)
+    for i in range(1, a.ndim):
+        out[(np.s_[:],) * i + (np.s_[:-1],)] |= a[(np.s_[:],) * i + (np.s_[1:],)]
+    return out
+
+
+class PathCheck(NamedTuple):
+    """The oriented-path lemma on each replica of a batch."""
+
+    applicable: np.ndarray  # x has spin 0 initially
+    hypothesis_held: np.ndarray  # applicable, and no site of D stayed at 0 on [0, t/2]
+    length: np.ndarray  # nodes of a shortest -e_i path in E from x to D's outer layer; 0: none
+    reach: np.ndarray  # (R, r+1, ..., r+1): sites of D joined to x by a -e_i path in E
+
+    @property
+    def found(self) -> np.ndarray:
+        return self.length > 0
+
+
+def oriented_path_check(batch: BatchLog, t: float, alpha: float, x: Site) -> PathCheck:
+    """If no site of D stayed at zero on [0, t/2], an oriented path in E (the
+    sites of D with a legal ring by t/2) must join x to the outer layer of D;
+    absence of one is a counterexample.
+
+    Pass k of the sweep reach |= E & fed(reach) reaches the sites k steps from
+    x.  Every -e_i path from x to y has |x - y|_1 + 1 nodes, so a shortest path
+    ends at the nearest reached outer-layer site."""
+    rows, start, dist, outer = _lemma_box(batch, t, alpha, x)
     half = t / 2.0
-    if any(log.stays_at(y, 0, half) for y in geom.D.sites):
-        return PathResult(found=False, path=(), hypothesis_held=False)
-
-    E = log.updated_set(geom.D, half)
-    targets = geom.outer_layer()
-    if x not in E:
-        return PathResult(found=False, path=(), hypothesis_held=True)
-    # BFS over -e_i steps inside E
-    parent: dict[Site, Optional[Site]] = {x: None}
-    queue = [x]
-    hit: Optional[Site] = x if x in targets else None
-    while queue and hit is None:
-        cur = queue.pop(0)
-        for i in range(log.params.d):
-            nxt = site_sub_e(cur, i)
-            if nxt in E and nxt not in parent:
-                parent[nxt] = cur
-                if nxt in targets:
-                    hit = nxt
-                    break
-                queue.append(nxt)
-    if hit is None:
-        return PathResult(found=False, path=(), hypothesis_held=True)
-    path = []
-    node: Optional[Site] = hit
-    while node is not None:
-        path.append(node)
-        node = parent[node]
-    path.reverse()
-    return PathResult(found=True, path=tuple(path), hypothesis_held=True)
+    init, E = batch.init[rows], batch.first_legal[rows] <= half
+    stayed = (init == 0) & (batch.first_change[rows] > half)
+    applicable = init[start] == 0
+    held = applicable & ~stayed.reshape(len(batch), -1).any(axis=1)
+    reach = np.zeros_like(E)
+    reach[start] = E[start] & held
+    far = dist.max() + 1  # more steps than any path from x has
+    for _ in range(far - 1):
+        reach |= E & _fed(reach)
+    near = np.where(reach & outer, dist, far).reshape(len(batch), -1).min(axis=1)
+    return PathCheck(applicable, held, np.where(near < far, near + 1, 0), reach)
 
 
-def validate_path(result: PathResult, log: EventLog, t: float, alpha: float, x: Site) -> bool:
-    """Re-check the path invariants independently of the search."""
-    if not result.found:
-        return False
-    geom = GeometrySet(t, alpha, log.params.d)
-    path = result.path
-    if path[0] != x or path[-1] not in geom.outer_layer():
-        return False
-    E = log.updated_set(geom.D, t / 2.0)
-    if any(y not in E for y in path):
-        return False
-    for a, b in zip(path, path[1:]):
-        diffs = [ai - bi for ai, bi in zip(a, b)]
-        if sorted(diffs) != [0] * (len(a) - 1) + [1]:
-            return False
-    return True
+def certify_paths(
+    batch: BatchLog, t: float, alpha: float, x: Site, check: PathCheck
+) -> np.ndarray:
+    """Per replica: ``check.reach`` proves a -e_i path in E of ``check.length``
+    nodes from x to D's outer layer.  Every reached site lies in E (read afresh,
+    not from the sweep), every reached site but x has a reached y + e_i in D, and
+    a reached outer-layer site y lies at distance length - 1 from x: climbing
+    reached sites up from y then ends at x, after |x - y|_1 steps."""
+    rows, start, dist, outer = _lemma_box(batch, t, alpha, x)
+    reach, length = check.reach, check.length.reshape((-1,) + (1,) * dist.ndim)
+    fed = _fed(reach)
+    fed[start] = True
+    sound = ~reach | (fed & (batch.first_legal[rows] <= t / 2.0))
+    ends = reach & outer & (dist == length - 1)
+    flat = len(batch), -1
+    return check.found & sound.reshape(flat).all(axis=1) & ends.reshape(flat).any(axis=1)
 
 
-@dataclass(frozen=True)
-class HyperplaneProfile:
-    u_k: tuple[bool, ...]  # H_k meets the updated set E
-    g_k: tuple[bool, ...]  # some site of H_k spends >= (1-p)t/4 at zero
+class HyperplaneProfile(NamedTuple):
+    u_k: np.ndarray  # (R, k_max + 1): H_k meets the updated set E
+    g_k: np.ndarray  # (R, k_max + 1): some site of H_k spends >= (1-p)t/4 at zero
 
 
-def hyperplane_hit_profile(log: EventLog, geom: GeometrySet) -> HyperplaneProfile:
-    if not geom.D_fits(log.window):
-        raise TheoryCheckError("D does not fit inside the log's window")
-    sites = geom.D.sorted_sites()
-    E = log.updated_set(geom.D, geom.t / 2.0)
-    threshold = (1.0 - log.params.p) * geom.t / 4.0
-    hits = ([y in E for y in sites], log.occupation_times(sites, geom.t) >= threshold)
-    plane = -np.sum(sites, axis=1)  # y lies on H_{-sum(y)}
-    u, g = (np.bincount(plane, weights=h, minlength=geom.k_max + 1) > 0 for h in hits)
-    return HyperplaneProfile(tuple(u.tolist()), tuple(g.tolist()))
+def hyperplane_hit_profile(batch: BatchLog, geom: GeometrySet) -> HyperplaneProfile:
+    rows, corner = _box_rows(batch, geom)
+    rows = rows.reshape(len(batch), -1)
+    threshold = (1.0 - batch.params.p) * geom.t / 4.0
+    plane = geom.k_max - corner.reshape(geom.d, -1).sum(axis=0)  # y lies on H_{-sum(y)}
+    on_plane = plane[:, None] == np.arange(geom.k_max + 1)
+    hits = (batch._updated(rows, geom.t / 2.0), batch._occupation(rows, geom.t) >= threshold)
+    return HyperplaneProfile(*(h @ on_plane for h in hits))
 
 
 @dataclass(frozen=True)
@@ -257,9 +271,8 @@ def fk_cascade_probe(
         raise TheoryCheckError("cascade sites must lie inside the window")
     counts = np.zeros(params.d, dtype=np.int64)
     for _, batch in replica_batches(params, spec, window, t, seed, "fk", n):
-        occ = [batch.occupation_time(s, t) for s in sites]
-        for i in range(1, params.d + 1):
-            counts[i - 1] += int((occ[i] <= delta * occ[i - 1]).sum())
+        occ = np.array([batch.occupation_time(s, t) for s in sites])  # (d + 1, R)
+        counts += (occ[1:] <= delta * occ[:-1]).sum(axis=1)
     probs = tuple(float(k) / n for k in counts)
     halfwidths = tuple(wilson_halfwidth(int(k), n) for k in counts)
     return CascadeProbeResult(sites, probs, halfwidths, delta, t, n)

@@ -1,9 +1,13 @@
-"""Reference event loop for the legality pass, used only as a test oracle.
+"""Per-log references, used only as test oracles.
 
-Given a log's rings, it replays them in global time order with one spin table
+``event_loop`` replays a log's rings in global time order with one spin table
 and returns what legality and spin-after each ring must have.  Ties in time
-break by site order, as in the simulator.
+break by site order, as in the simulator.  ``oriented_path`` answers the
+oriented-path lemma on one log, site by site.
 """
+
+import math
+from itertools import product
 
 import numpy as np
 
@@ -56,3 +60,30 @@ def event_loop(log):
         legal[si][ev_pos[k]] = ok
         after[si][ev_pos[k]] = spins[si]
     return legal, after
+
+
+def oriented_path(log, t, alpha, x):
+    """(applicable, hypothesis held, found, path length) of the oriented-path
+    lemma on one log.  From x, grow the sites reachable by -e_i steps inside E
+    one step at a time; the first step that meets D's outer layer gives the
+    length of a shortest path."""
+    d = log.params.d
+    r = math.floor(2 * d * alpha * t)
+    half = t / 2
+    box = list(product(range(-r, 1), repeat=d))
+    spin0 = dict(zip(log.window.sites, log.initial.spins))
+
+    def stayed_at_zero(y):
+        times, _, _, after = log.rings(y)
+        return spin0[y] == 0 and not after[times <= half].any()
+
+    taus = {y: log.first_update_time(y) for y in box}
+    E = {y for y, tau in taus.items() if tau is not None and tau <= half}
+    applicable = spin0[x] == 0
+    held = applicable and not any(stayed_at_zero(y) for y in box)
+    reached = {x} & E if held else set()
+    for steps in range(d * r + 1):
+        if any(min(y) == -r for y in reached):
+            return applicable, held, True, steps + 1
+        reached = {site_sub_e(y, i) for y in reached for i in range(d)} & E
+    return applicable, held, False, 0

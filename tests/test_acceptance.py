@@ -30,11 +30,7 @@ from eastlab.lattice import (
 )
 from eastlab.sim import simulate, simulate_batch
 from eastlab.streams import derive_seed, derived_generator
-from eastlab.theory import (
-    compute_constants,
-    validate_path,
-    verify_oriented_path_lemma,
-)
+from eastlab.theory import certify_paths, compute_constants, oriented_path_check
 
 
 def verdict(tag: str, label: str, ok: bool) -> bool:
@@ -144,37 +140,27 @@ def test_a6_oriented_path_lemma():
     params = ModelParams(d, p)
     radius = math.floor(2 * d * alpha * t)
     w = Window((-radius,) * d, (0,) * d)
-    counterexamples = 0
+
+    def counterexamples(batch, alpha):
+        check = oriented_path_check(batch, t, alpha, (0, 0))
+        certified = certify_paths(batch, t, alpha, (0, 0), check)
+        failed = (check.hypothesis_held & ~check.found).sum() + (check.found & ~certified).sum()
+        return int(failed), int(check.hypothesis_held.sum()), int(check.found.sum())
+
     init = Configuration.with_zeros(w, [(0, 0)], exterior=1)
     seeds = [derive_seed(606, r) for r in range(1000)]
     batch = simulate_batch(params, init.rule, init.spins, t, seeds)
-    for r in range(1000):
-        log = batch.log(r)
-        res = verify_oriented_path_lemma(log, t, alpha, (0, 0))
-        if res.hypothesis_held and not res.found:
-            counterexamples += 1
-        if res.found and not validate_path(res, log, t, alpha, (0, 0)):
-            counterexamples += 1
+    failed, _, _ = counterexamples(batch, alpha)
     # supplementary batch with open boundary and a tight box, so the
     # hypothesis-holding branch and the path search are actually exercised
     alpha_s = 0.05
     rad_s = math.floor(2 * d * alpha_s * t)
     ws = Window((-rad_s,) * d, (0,) * d)
-    held = found = 0
     init = Configuration.with_zeros(ws, [(0, 0)], exterior=0)
     seeds = [derive_seed(607, r) for r in range(200)]
     batch = simulate_batch(params, init.rule, init.spins, t, seeds)
-    for r in range(200):
-        log = batch.log(r)
-        res = verify_oriented_path_lemma(log, t, alpha_s, (0, 0))
-        held += res.hypothesis_held
-        if res.hypothesis_held and not res.found:
-            counterexamples += 1
-        if res.found:
-            found += 1
-            if not validate_path(res, log, t, alpha_s, (0, 0)):
-                counterexamples += 1
-    ok = counterexamples == 0 and held > 0 and found > 0
+    failed_s, held, found = counterexamples(batch, alpha_s)
+    ok = failed + failed_s == 0 and held > 0 and found > 0
     assert verdict(
         "A6",
         f"oriented-path lemma: 0 counterexamples in 1200 logs ({found} paths re-validated)",

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import pytest
 
@@ -33,6 +34,15 @@ site = 2
 times = 0.5 1.0 2.0
 n = 200
 seed = 7
+"""
+
+LEMMA_CFG = """
+kind = verify-lemma
+d = 2
+window_lower = -4 -4
+window_upper = 0 0
+measure = delta-zeros 0 0
+site = 0 0
 """
 
 
@@ -189,6 +199,22 @@ class TestParse:
         cfg = parse_config(text + "seed = 1\nout = x\n")
         assert set(cfg.raw) <= KINDS[cfg.kind].keys | {"kind", "seed", "out"}
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            (PERSIST_CFG + "times = 1 -1 2\n", "times"),
+            (LEMMA_CFG + "t = -0.5\n", "t"),
+            (LEMMA_CFG + "alpha = -0.1\n", "alpha"),
+        ],
+        ids=["times", "t", "alpha"],
+    )
+    def test_negative_time_or_alpha_rejected(self, tmp_path, capsys, text, key):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.field_name == key
+        assert main([write_config(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
     def test_comments_and_echo(self):
         cfg = parse_config(PERSIST_CFG)
         assert cfg.kind == "persistence"
@@ -299,30 +325,53 @@ class TestRuns:
         text = (tmp_path / "manifest.txt").read_text()
         assert "status = error" in text
 
+    def test_manifest_error_status_stays_one_line(self, tmp_path, monkeypatch):
+        def fail(config, out):
+            raise ValueError("first\nsecond")
 
-# Sampled output bytes at seed 7.  They may change only together with
+        monkeypatch.setitem(KINDS, "gap", KINDS["gap"]._replace(run=fail))
+        cfg = parse_config("kind = gap\nN = 3\n")
+        cfg.out_dir = str(tmp_path)
+        with pytest.raises(ValueError):
+            run_experiment(cfg)
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert all(re.fullmatch(r"[\w.]+ = .*", ln) for ln in lines), lines
+        assert "status = error: first\\nsecond" in lines
+
+
+# Sampled output bytes at seed 7, keyed by case: (output file, config, sha256).  They may change only together with
 # STREAM_VERSION: a change of random streams or of output formatting has to
 # bump it and record the new digests here.
 GOLDEN = {
     "persistence.csv": (
+        "persistence.csv",
         "kind = persistence\nd = 2\np = 0.5\nwindow_lower = -3 -3\nwindow_upper = 1 1\n"
         "measure = bernoulli 0.5\nsite = 1 1\ntimes = 1 2 3\nn = 60\n",
         "243e65e17811e3c82a29e4c6c2469531e03740395e6c0e5b081438a77390f8c2",
     ),
     "relaxation.csv": (
+        "relaxation.csv",
         "kind = relaxation\nd = 2\np = 0.5\nwindow_lower = 0 0\nwindow_upper = 1 1\n"
         "measure = delta-zeros 0 0\nsite = 1 1\ntimes = 1 2 3\nn_outer = 3\nn_inner = 40\n",
         "c4f834b6feea184e54f6a3646ab70de74913868f029ef81ddbf3b65180621f12",
     ),
     "lemma.csv": (
+        "lemma.csv",
         "kind = verify-lemma\nd = 2\np = 0.5\nalpha = 0.1\nt = 10\nwindow_lower = -4 -4\n"
         "window_upper = 0 0\nexterior = 0\nmeasure = bernoulli 0.4\nsite = 0 0\nn = 40\n",
         "427a36eeb0eb8aaa5c91050f1bb3f1a4af288f0bb5c5c9a456fcc8e48f43bd9e",
     ),
     "events.csv": (
+        "events.csv",
         "kind = simulate\nd = 2\np = 0.5\nwindow_lower = 0 0\nwindow_upper = 3 3\n"
         "measure = bernoulli 0.5\nhorizon = 5\n",
         "2f82621ec687f1fe45ae0f620fb3733dd412359cbf153ee59e654ba17b80b54d",
+    ),
+    "lemma.csv-d3": (
+        "lemma.csv",
+        "kind = verify-lemma\nd = 3\np = 0.5\nalpha = 0.03\nt = 12\nwindow_lower = -3 -3 -3\n"
+        "window_upper = 0 0 0\nexterior = 0\nmeasure = delta-zeros 0 0 0\nsite = 0 0 0\nn = 40\n",
+        "0f69856d1abcab45704f0dd6ff79f407c934decf2aead5a3f34d3173b5883f4b",
     ),
 }
 
@@ -330,11 +379,11 @@ GOLDEN = {
 class TestGoldenOutputs:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_output_bytes_pinned(self, tmp_path, name):
-        text, digest = GOLDEN[name]
+        output, text, digest = GOLDEN[name]
         cfg = parse_config(text + "seed = 7\n")
         cfg.out_dir = str(tmp_path)
         run_experiment(cfg)
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+        assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == digest
 
 
 def count_configurations(monkeypatch):

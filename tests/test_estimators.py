@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from eastlab import estimators
 from eastlab.estimators import (
     DecaySeries,
     EstimatorError,
@@ -13,6 +14,7 @@ from eastlab.estimators import (
     fit_exponential,
     observable_mu_and_norm,
     occupation_statistics,
+    replica_batches,
     wilson_halfwidth,
     wilson_interval,
 )
@@ -27,7 +29,16 @@ from eastlab.lattice import (
     condition_C_params,
     sample_initial,
 )
+from eastlab.sim import SimulationError
 from eastlab.streams import derived_generator
+
+
+class TestReplicaBatches:
+    def test_negative_horizon_named(self):
+        # checked before a chunk is sized from the horizon
+        with pytest.raises(SimulationError, match="horizon must be >= 0"):
+            next(replica_batches(ModelParams(1, 0.5), ProductBernoulli(0.5), Window((0,), (2,)),
+                                 -1.0, 0, "x", 3))
 
 
 class TestWilson:
@@ -119,6 +130,16 @@ class TestRelaxation:
         )
         want = (1 - p) / max(p, 1 - p)
         assert all(v == pytest.approx(want) for v in series.values)
+
+    def test_bootstrap_blocks_match_single_resamples(self, monkeypatch):
+        # the resamples are drawn RING_SLOT_BUDGET // n_outer at a time; a
+        # budget of n_outer draws them one by one, and changes no number
+        args = (ModelParams(1, 0.5), ProductBernoulli(0.5), Observable.spin((1,)), [0.5, 1.0],
+                33, 2, Window((0,), (2,)), 4)
+        blocked = estimate_relaxation(*args)
+        monkeypatch.setattr(estimators, "RING_SLOT_BUDGET", 33)
+        assert estimate_relaxation(*args) == blocked
+        assert all(h > 0 for h in blocked.halfwidths)
 
     def test_constant_observable_rejected(self):
         w = Window((0,), (2,))

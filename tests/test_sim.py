@@ -8,6 +8,7 @@ from scipy.stats import chisquare, poisson
 from eastlab.lattice import Configuration, ModelParams, Region, Window
 from eastlab.sim import EventLog, SimulationError, simulate, simulate_batch
 from eastlab.streams import derive_seed, mix64, ring_draws, site_key
+from eastlab.theory import oriented_path_check
 
 
 def single_site_log(p=0.3, horizon=100.0, seed=1, exterior=0):
@@ -230,7 +231,7 @@ class TestBatchInput:
         assert "zero_time" not in vars(batch) and "first_change" not in vars(batch)
         batch.occupation_time((1, 1), 5.0)
         assert "zero_time" in vars(batch) and "first_change" not in vars(batch)
-        batch.log(0).stays_at((1, 1), 1, 2.0)
+        oriented_path_check(batch, 2.0, 0.1, (0, 0))  # reads which sites stayed at 0
         assert "first_change" in vars(batch)
 
 

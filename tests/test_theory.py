@@ -3,28 +3,32 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eastlab.lattice import (
     Configuration,
     Delta,
+    Exterior,
     ModelParams,
     ProductBernoulli,
     Window,
-    sample_initial,
 )
-from eastlab.sim import simulate
-from eastlab.streams import derive_seed, derived_generator
+from eastlab.sim import simulate_batch
+from eastlab.streams import derive_seed
 from eastlab.theory import (
-    CascadeProbeResult,
     GeometrySet,
     TheoryCheckError,
     cascade_sites,
+    certify_paths,
     compute_constants,
     fk_cascade_probe,
     hyperplane_hit_profile,
-    validate_path,
-    verify_oriented_path_lemma,
+    oriented_path_check,
 )
+from oracle import oriented_path
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 class TestGeometry:
@@ -63,34 +67,57 @@ class TestGeometry:
                 assert geom.D_fits(w) == all(y in w for y in geom.D.sites)
 
 
-def active_log(seed, t=8.0, alpha=0.25, d=2, p=0.5):
-    """Log on a window covering D with frozen zeros outside: ergodic dynamics."""
+def active_batch(seeds, t=8.0, alpha=0.25, d=2, p=0.5):
+    """Batch on a window covering D with frozen zeros outside: ergodic dynamics."""
     geom = GeometrySet(t, alpha, d)
     r = geom.radius
     w = Window((-r,) * d, (0,) * d)
     init = Configuration.with_zeros(w, [(0,) * d], exterior=0)
-    return simulate(ModelParams(d, p), init, t, seed), geom
+    return simulate_batch(ModelParams(d, p), init.rule, init.spins, t, seeds), geom
+
+
+@st.composite
+def lemma_cases(draw):
+    """(batch, t, alpha, x): random d = 1..3, window around D, exterior 0 or 1,
+    and per-replica Bernoulli spins or one Delta row with x at zero."""
+    d = draw(st.integers(1, 3))
+    t = draw(st.floats(2.0, 10.0))
+    alpha = draw(st.floats(0.0, {1: 0.3, 2: 0.12, 3: 0.06}[d]))
+    r, small = GeometrySet(t, alpha, d).radius, math.floor(alpha * t)
+    x = tuple(draw(st.integers(-small, 0)) for _ in range(d))
+    lower = tuple(-r - draw(st.integers(0, 1)) for _ in range(d))
+    w = Window(lower, tuple(draw(st.integers(0, 1)) for _ in range(d)))
+    rule = Exterior(w, draw(st.integers(0, 1)), {})
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    if draw(st.booleans()):  # zeros at rate q, and x at zero in every other replica
+        spins = np.random.default_rng(seeds[0]).random((len(seeds), w.site_count()))
+        spins = spins >= draw(st.floats(0.0, 0.5))
+        spins[::2, w.index(x)] = 0
+    else:
+        zeros = {x, *draw(st.lists(st.sampled_from(w.sites), max_size=3))}
+        spins = [int(y not in zeros) for y in w.sites]
+    return simulate_batch(ModelParams(d, draw(st.floats(0.3, 0.9))), rule, spins, t, seeds), t, alpha, x
 
 
 class TestOrientedPathLemma:
     def test_precondition_spin(self):
-        log, geom = active_log(1)
-        # start site must carry spin zero initially
-        with pytest.raises(TheoryCheckError):
-            verify_oriented_path_lemma(log, geom.t, geom.alpha, (-1, 0))
+        # a start site at spin 1 initially does not meet the lemma's premise
+        batch, geom = active_batch([1])
+        check = oriented_path_check(batch, geom.t, geom.alpha, (-1, 0))
+        assert check.applicable.tolist() == [False]
+        assert check.hypothesis_held.tolist() == check.found.tolist() == [False]
 
     def test_precondition_box(self):
-        log, geom = active_log(2)
+        batch, geom = active_batch([2])
         with pytest.raises(TheoryCheckError):
-            verify_oriented_path_lemma(log, geom.t, geom.alpha, (-geom.radius, 0))
+            oriented_path_check(batch, geom.t, geom.alpha, (-geom.radius, 0))
 
     def test_window_too_small(self):
         params = ModelParams(2, 0.5)
-        w = Window((-1, -1), (0, 0))
-        init = Configuration.with_zeros(w, [(0, 0)], exterior=0)
-        log = simulate(params, init, 8.0, 3)
+        init = Configuration.with_zeros(Window((-1, -1), (0, 0)), [(0, 0)], exterior=0)
+        batch = simulate_batch(params, init.rule, init.spins, 8.0, [3])
         with pytest.raises(TheoryCheckError):
-            verify_oriented_path_lemma(log, 8.0, 0.25, (0, 0))
+            oriented_path_check(batch, 8.0, 0.25, (0, 0))
 
     def test_frozen_zero_voids_hypothesis(self):
         # single zero with all-ones exterior can never be updated, so some
@@ -100,45 +127,73 @@ class TestOrientedPathLemma:
         r = geom.radius
         w = Window((-r - 1,) * d, (1,) * d)
         init = Configuration.with_zeros(w, [(-1, -1)], exterior=1)
-        log = simulate(ModelParams(d, 0.5), init, t, 5)
-        res = verify_oriented_path_lemma(log, t, alpha, (-1, -1))
-        assert not res.hypothesis_held
-        assert not res.found
-        assert res.path == ()
+        batch = simulate_batch(ModelParams(d, 0.5), init.rule, init.spins, t, [5])
+        check = oriented_path_check(batch, t, alpha, (-1, -1))
+        assert check.applicable.all()
+        assert not check.hypothesis_held.any()
+        assert not check.found.any() and not check.reach.any()
 
     @pytest.mark.parametrize("seed", range(60))
     def test_no_counterexamples_on_active_logs(self, seed):
-        # ergodic setting: whenever the hypothesis holds a path must exist
-        log, geom = active_log(derive_seed(400, seed), alpha=0.08)
-        res = verify_oriented_path_lemma(log, geom.t, geom.alpha, (0, 0))
-        if res.hypothesis_held:
-            assert res.found, "counterexample to a proven statement"
-            assert validate_path(res, log, geom.t, geom.alpha, (0, 0))
+        # ergodic setting: whenever the hypothesis holds a path must exist;
+        # a one-replica check is a batch of one
+        batch, geom = active_batch([derive_seed(400, seed)], alpha=0.08)
+        check = oriented_path_check(batch, geom.t, geom.alpha, (0, 0))
+        if check.hypothesis_held[0]:
+            assert check.found[0], "counterexample to a proven statement"
+            assert certify_paths(batch, geom.t, geom.alpha, (0, 0), check)[0]
 
     def test_some_active_logs_hold_hypothesis(self):
         # small alpha keeps D close to the origin so the zero front can
         # clear it before t/2, exercising the hypothesis-holding branch
-        held = 0
-        for seed in range(40):
-            log, geom = active_log(derive_seed(700, seed), alpha=0.08)
-            res = verify_oriented_path_lemma(log, geom.t, geom.alpha, (0, 0))
-            held += res.hypothesis_held
-        assert held > 0
+        batch, geom = active_batch([derive_seed(700, seed) for seed in range(40)], alpha=0.08)
+        assert oriented_path_check(batch, geom.t, geom.alpha, (0, 0)).hypothesis_held.any()
 
     def test_path_consistency_with_hyperplanes(self):
         # a found path forces E to meet every H_k between d*floor(alpha t)
         # and floor(beta t)
-        found = 0
-        for seed in range(40):
-            log, geom = active_log(derive_seed(900, seed), alpha=0.08)
-            res = verify_oriented_path_lemma(log, geom.t, geom.alpha, (0, 0))
-            if res.found:
-                found += 1
-                profile = hyperplane_hit_profile(log, geom)
-                lo = geom.d * math.floor(geom.alpha * geom.t)
-                hi = math.floor(geom.beta * geom.t)
-                assert all(profile.u_k[k] for k in range(lo, hi + 1))
-        assert found > 0
+        batch, geom = active_batch([derive_seed(900, seed) for seed in range(40)], alpha=0.08)
+        found = oriented_path_check(batch, geom.t, geom.alpha, (0, 0)).found
+        lo = geom.d * math.floor(geom.alpha * geom.t)
+        hi = math.floor(geom.beta * geom.t)
+        assert found.any()
+        assert hyperplane_hit_profile(batch, geom).u_k[found, lo:hi + 1].all()
+
+    @PROPERTY
+    @given(lemma_cases())
+    def test_matches_per_log_reference(self, case):
+        batch, t, alpha, x = case
+        check = oriented_path_check(batch, t, alpha, x)
+        got = zip(check.applicable, check.hypothesis_held, check.found, check.length)
+        assert [tuple(map(int, g)) for g in got] == [
+            tuple(map(int, oriented_path(batch.log(r), t, alpha, x))) for r in range(len(batch))
+        ]
+        assert (certify_paths(batch, t, alpha, x, check) == check.found).all()
+
+    def test_certificate_rejects_broken_reach(self):
+        batch, geom = active_batch([derive_seed(901, seed) for seed in range(200)], alpha=0.08)
+        t, alpha, x = geom.t, geom.alpha, (0, 0)
+        check = oriented_path_check(batch, t, alpha, x)
+        found = check.found
+        assert found.sum() >= 10 and certify_paths(batch, t, alpha, x, check)[found].all()
+        start = (slice(None),) + tuple(c + geom.radius for c in x)
+        # x feeds every endpoint: without it no reached site climbs back to x
+        reach = check.reach.copy()
+        reach[start] = False
+        assert not certify_paths(batch, t, alpha, x, check._replace(reach=reach)).any()
+        # no reached outer-layer site lies one step nearer than the nearest
+        short = check._replace(length=np.where(found, check.length - 1, 0))
+        assert (short.length[found] > 0).all()
+        assert not certify_paths(batch, t, alpha, x, short).any()
+        # one reached site outside E
+        outside = ~batch.updated_set(geom.D.sorted_sites(), t / 2).reshape(check.reach.shape)
+        bad = found & outside.reshape(len(batch), -1).any(axis=1)
+        reach = check.reach.copy()
+        for r in np.flatnonzero(bad):
+            reach[r][np.unravel_index(np.argmax(outside[r]), outside[r].shape)] = True
+        certified = certify_paths(batch, t, alpha, x, check._replace(reach=reach))
+        assert bad.sum() >= 10 and not certified[bad].any()
+        assert certified[found & ~bad].all()
 
 
 class TestHyperplaneProfile:
@@ -148,32 +203,33 @@ class TestHyperplaneProfile:
         r = geom.radius
         w = Window((-r,) * d, (0,) * d)
         init = Configuration.all_ones(w, exterior=1)
-        log = simulate(ModelParams(d, 0.5), init, t, 8)
-        profile = hyperplane_hit_profile(log, geom)
-        assert not any(profile.u_k)
-        assert not any(profile.g_k)
+        batch = simulate_batch(ModelParams(d, 0.5), init.rule, init.spins, t, [8])
+        profile = hyperplane_hit_profile(batch, geom)
+        assert not profile.u_k.any()
+        assert not profile.g_k.any()
 
     def test_matches_per_site_definition(self):
         # u_k: H_k meets E; g_k: some site of H_k spends >= (1-p)t/4 at zero
-        seen = set()
-        for seed in range(12):
-            log, geom = active_log(derive_seed(1200, seed))
+        batch, geom = active_batch([derive_seed(1200, seed) for seed in range(12)])
+        profile = hyperplane_hit_profile(batch, geom)
+        assert profile.u_k.shape == profile.g_k.shape == (12, geom.k_max + 1)
+        threshold = (1 - batch.params.p) * geom.t / 4
+        planes = [geom.hyperplane(k) for k in range(geom.k_max + 1)]
+        for r in range(12):
+            log = batch.log(r)
             E = log.updated_set(geom.D, geom.t / 2)
-            threshold = (1 - log.params.p) * geom.t / 4
-            planes = [geom.hyperplane(k) for k in range(geom.k_max + 1)]
-            profile = hyperplane_hit_profile(log, geom)
-            assert profile.u_k == tuple(any(y in E for y in hk) for hk in planes)
-            assert profile.g_k == tuple(
+            assert profile.u_k[r].tolist() == [any(y in E for y in hk) for hk in planes]
+            assert profile.g_k[r].tolist() == [
                 any(log.occupation_time(y, geom.t) >= threshold for y in hk) for hk in planes
-            )
-            seen |= {(name, v) for name in ("u", "g") for v in getattr(profile, f"{name}_k")}
-        assert seen == {("u", True), ("u", False), ("g", True), ("g", False)}
+            ]
+        for values in (profile.u_k, profile.g_k):
+            assert values.any() and not values.all()
 
     def test_origin_update_sets_u0(self):
-        log, geom = active_log(31)
-        e = log.updated_set(geom.D, geom.t / 2)
-        profile = hyperplane_hit_profile(log, geom)
-        assert profile.u_k[0] == ((0, 0) in e)
+        batch, geom = active_batch([31])
+        e = batch.log(0).updated_set(geom.D, geom.t / 2)
+        profile = hyperplane_hit_profile(batch, geom)
+        assert profile.u_k[0, 0] == ((0, 0) in e)
 
 
 class TestConstants:
