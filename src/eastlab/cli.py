@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -34,10 +35,8 @@ from .lattice import (
     ProductBernoulli,
     Site,
     Window,
-    sample_initial,
 )
-from .sim import simulate
-from .streams import STREAM_VERSION, derive_seed, derived_generator
+from .streams import STREAM_VERSION
 from .theory import certify_paths, compute_constants, fk_cascade_probe, oriented_path_check
 
 
@@ -93,7 +92,7 @@ def _parse_measure(value: str, config: ExperimentConfig) -> MeasureSpec:
         q = float(args[0])
         if not (0.0 <= q < 1.0):
             raise ValueError(f"bernoulli parameter must lie in [0,1), got {q}")
-        return ProductBernoulli(q)
+        return ProductBernoulli(q, config.exterior)
     if name == "delta-zeros":
         if config.window is None:
             raise ValueError("delta-zeros requires window_lower/window_upper")
@@ -192,6 +191,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if not all(1 <= n <= MAX_GAP_SITES for n in lengths):
             raise ConfigError(key, f"chain lengths must lie in 1..{MAX_GAP_SITES}, got {raw[key]}")
 
+    for key in ("times", "t", "alpha", "horizon", "gamma", "delta", "c"):
+        if key in raw and not all(math.isfinite(v) for v in _parse_floats(raw[key])):
+            raise ConfigError(key, f"must be finite, got {raw[key]}")
     for key, values in (("times", config.times), ("t", (config.t,)), ("alpha", (config.alpha,))):
         if min(values, default=0.0) < 0:
             raise ConfigError(key, f"must be >= 0, got {raw[key]}")
@@ -279,10 +281,9 @@ def _write_fit(out: RunOutputs, name: str, series) -> None:
 
 
 def _run_simulate(config: ExperimentConfig, out: RunOutputs) -> None:
-    rng = derived_generator(config.seed, "simulate-init")
-    init = sample_initial(config.measure, config.window, rng)
-    log = simulate(config.params, init, config.horizon, derive_seed(config.seed, "simulate"))
-    out.write("events.csv", log.to_csv())
+    batches = replica_batches(config.params, config.measure, config.window, config.horizon,
+                              config.seed, "simulate", 1)
+    out.write("events.csv", next(batches)[1].log(0).to_csv())
 
 
 def _run_persistence(config: ExperimentConfig, out: RunOutputs) -> None:

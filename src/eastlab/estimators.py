@@ -24,7 +24,7 @@ from .lattice import (
     bernoulli_weights,
     initial_rows,
 )
-from .sim import BatchLog, ring_block, simulate_batch
+from .sim import BatchLog, replica_ring_slots, simulate_batch
 from .streams import derived_generator, derive_seed
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -131,24 +131,21 @@ def replica_batches(
     """The replica driver: simulate runs in chunks of at most RING_SLOT_BUDGET
     ring slots, yielding (draw index of each replica, batch) per chunk.
 
-    Draw o's initial spins come from ``derived_generator(seed, f"{tag}-init",
-    o)`` (see ``initial_rows``).  With ``n_inner`` None, each of the n draws is
-    run once, seeded ``derive_seed(seed, f"{tag}-sim", o)``; otherwise each is
-    run ``n_inner`` times, seeded ``derive_seed(seed, f"{tag}-sim", o, i)``.  A
-    chunk is a range of runs in (o, i) order: it hashes all its seeds in one
-    array call and draws the spin row of each of its draws once.  Nothing
-    carries from one chunk to the next, and replica randomness is
-    counter-based, so no output depends on the chunking.
+    Draw o is draw o of ``initial_rows`` under ``derive_seed(seed, f"{tag}-init")``.
+    With ``n_inner`` None, each of the n draws is run once, seeded
+    ``derive_seed(seed, f"{tag}-sim", o)``; otherwise each is run ``n_inner``
+    times, seeded ``derive_seed(seed, f"{tag}-sim", o, i)``.  A chunk is a
+    range of runs in (o, i) order: it hashes its seeds and draws its spin rows
+    in one array call each.  Nothing carries from one chunk to the next, and
+    replica randomness is counter-based, so no output depends on the chunking.
     """
-    per_chunk = max(1, RING_SLOT_BUDGET // (window.site_count() * ring_block(horizon)))
+    per_chunk = max(1, RING_SLOT_BUDGET // replica_ring_slots(window, horizon))
     total = n * (n_inner or 1)
+    init_key = derive_seed(seed, f"{tag}-init")
     for start in range(0, total, per_chunk):
         draws, runs = np.divmod(np.arange(start, min(total, start + per_chunk)), n_inner or 1)
         first = int(draws[0])
-        rule, rows = initial_rows(
-            spec, window, int(draws[-1]) - first + 1,
-            lambda j: derived_generator(seed, f"{tag}-init", first + j),
-        )
+        rule, rows = initial_rows(spec, window, init_key, range(first, int(draws[-1]) + 1))
         seeds = derive_seed(seed, f"{tag}-sim", *((draws,) if n_inner is None else (draws, runs)))
         yield draws, simulate_batch(params, rule, rows[draws - first], horizon, seeds)
 

@@ -12,9 +12,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
+
+from .streams import ring_draws, site_key
 
 Site = tuple[int, ...]
 
@@ -102,6 +104,11 @@ class Window:
     def sites(self) -> tuple[Site, ...]:
         """All window sites in lexicographic order."""
         return tuple(product(*(range(lo, hi + 1) for lo, hi in zip(self.lower, self.upper))))
+
+    @cached_property
+    def site_keys(self) -> np.ndarray:
+        """Unsalted stream key (``streams.site_key``) of each site, in site order."""
+        return site_key(np.array(self.sites).T)
 
     def __contains__(self, x: Site) -> bool:
         return len(x) == self.d and all(
@@ -201,9 +208,10 @@ def east_constraint(config: Configuration, x: Site) -> bool:
 
 @dataclass(frozen=True)
 class ProductBernoulli:
-    """I.i.d. Bernoulli(q) spins on the window, exterior frozen at 1."""
+    """I.i.d. Bernoulli(q) spins on the window, exterior frozen at ``exterior``."""
 
     q: float
+    exterior: int = 1
 
     def __post_init__(self):
         if not (0.0 <= self.q < 1.0):
@@ -229,16 +237,16 @@ def bernoulli_weights(n: int, p: float) -> np.ndarray:
     return p**pop * (1.0 - p) ** (n - pop)
 
 
-def initial_rows(
-    spec: MeasureSpec, window: Window, draws: int, rng: Callable[[int], np.random.Generator]
-) -> tuple[Exterior, np.ndarray]:
-    """The exterior rule and the (draws, sites) int8 spins of ``draws`` initial
-    configurations on the window.  Bernoulli draw j reads ``rng(j)``; a Delta
-    measure reads no generator and broadcasts its one restricted row."""
+def initial_rows(spec: MeasureSpec, window: Window, key: int,
+                 draws: range) -> tuple[Exterior, np.ndarray]:
+    """The exterior rule and the (len(draws), sites) int8 spins of these draws
+    on the window.  Under Bernoulli(q), site x of draw j is 1 iff the bit
+    uniform of block j of x's stream under ``key`` (``ring_draws``) is below q,
+    whatever the other sites and draws.  A Delta measure broadcasts one row."""
     n = window.site_count()
     if isinstance(spec, ProductBernoulli):
-        rows = np.array([rng(j).random(n) for j in range(draws)]).reshape(draws, n) < spec.q
-        return Exterior(window, 1, {}), rows.astype(np.int8)
+        _, bit_u = ring_draws(np.full(n, np.uint64(key)), window.site_keys, draws.start, len(draws))
+        return Exterior(window, spec.exterior, {}), (bit_u.T < spec.q).astype(np.int8)
     if isinstance(spec, Delta):
         stored = spec.config
         if not stored.window.contains_window(window):
@@ -249,13 +257,13 @@ def initial_rows(
         overrides = dict(stored.exterior_overrides)
         overrides.update((x, s) for x, s in zip(stored.window.sites, stored.spins)
                          if s != stored.exterior and x not in window)
-        return Exterior(window, stored.exterior, overrides), np.broadcast_to(row, (draws, n))
+        return Exterior(window, stored.exterior, overrides), np.broadcast_to(row, (len(draws), n))
     raise LatticeError(f"unknown measure spec {spec!r}")
 
 
-def sample_initial(spec: MeasureSpec, window: Window, rng: np.random.Generator) -> Configuration:
-    """Draw one initial configuration on the window from the given measure."""
-    rule, rows = initial_rows(spec, window, 1, lambda _: rng)
+def sample_initial(spec: MeasureSpec, window: Window, key: int) -> Configuration:
+    """Draw 0 of ``initial_rows`` under ``key``, as a configuration."""
+    rule, rows = initial_rows(spec, window, key, range(1))
     return rule.configuration(rows[0])
 
 

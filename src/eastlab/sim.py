@@ -28,6 +28,10 @@ from .lattice import Configuration, Exterior, ModelParams, Region, Site, Window,
 from .streams import STREAM_VERSION, ring_draws, site_key
 
 MAX_HORIZON = 1e9
+# One replica's peak RSS grew by 65-82 bytes per ring slot (1-d and 2-d
+# windows of 1e6-2e6 slots, every summary built; numpy 2.4, x86-64), so a
+# replica at the cap needs about 1.4 GB.
+MAX_REPLICA_RING_SLOTS = 1 << 24
 
 
 class SimulationError(ValueError):
@@ -53,10 +57,21 @@ def ring_block(horizon: float) -> int:
     return int(horizon + math.sqrt(horizon)) + 2
 
 
+def replica_ring_slots(window: Window, horizon: float) -> int:
+    """Ring slots one replica draws in its first pass: window sites x
+    ring_block(horizon).  Raises SimulationError above MAX_REPLICA_RING_SLOTS."""
+    sites, block = window.site_count(), ring_block(horizon)
+    if sites * block > MAX_REPLICA_RING_SLOTS:
+        raise SimulationError(
+            f"{sites} window sites x {block} ring slots per site exceed the "
+            f"{MAX_REPLICA_RING_SLOTS} ring slots one replica may use"
+        )
+    return sites * block
+
+
 class _Geometry(NamedTuple):
     """Window facts shared by every batch on that window."""
 
-    keys: np.ndarray  # unsalted stream key per site
     coords: np.ndarray  # (d, n) offsets from the window's lower corner
     strides: tuple[int, ...]  # row distance to x - e_i
     plane: np.ndarray  # hyperplane index (coordinate-sum offset) per site, smallest uint
@@ -74,7 +89,6 @@ def _geometry(window: Window) -> _Geometry:
         if x[k] == window.lower[k]
     )
     return _Geometry(
-        keys=np.array([site_key(x) for x in window.sites], dtype=np.uint64),
         coords=coords,
         strides=tuple(math.prod(extent[i + 1:]) for i in range(window.d)),
         plane=coords.sum(axis=0).astype(np.min_scalar_type(sum(extent))),
@@ -454,7 +468,8 @@ def simulate_batch(
     per replica: replica r's history depends on its own (params, rule, spins,
     horizon, seed) only, never on the rest of the batch.  ``stream_salts``
     re-keys the clock/bit streams of selected sites in every replica (used by
-    the dependence-cone diagnostics); unlisted sites are unaffected.
+    the dependence-cone diagnostics); unlisted sites are unaffected.  A
+    replica over MAX_REPLICA_RING_SLOTS raises before any per-site array.
     """
     window = rule.window
     if window.d != params.d:
@@ -462,7 +477,8 @@ def simulate_batch(
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     if seeds.size == 0:
         raise SimulationError("need at least one seed")
-    keys = _geometry(window).keys
+    replica_ring_slots(window, horizon)
+    keys = window.site_keys
     if stream_salts:
         keys = keys.copy()
         for x, salt in stream_salts.items():

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-STREAM_VERSION = 2  # bump whenever sampled outputs change for a fixed seed
+STREAM_VERSION = 3  # bump whenever sampled outputs change for a fixed seed
 PHILOX_CHUNK = 1 << 14  # elements per vectorized Philox evaluation
 
 _MASK = (1 << 64) - 1
@@ -55,8 +55,9 @@ def derived_generator(seed: int, *parts: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_seed(seed, *parts)))
 
 
-def site_key(coords: tuple[int, ...], salt: int = 0) -> int:
-    """The 64-bit counter half that names a site's stream."""
+def site_key(coords, salt: int = 0) -> int | np.ndarray:
+    """The 64-bit counter half that names a site's stream; a uint64 array for
+    one integer coordinate array per axis (negative values wrap alike)."""
     return mix64(*coords, salt)
 
 

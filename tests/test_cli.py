@@ -2,6 +2,7 @@ import hashlib
 import os
 import re
 
+import numpy as np
 import pytest
 
 from eastlab import lattice
@@ -13,7 +14,7 @@ from eastlab.cli import (
     run_experiment,
 )
 from eastlab.estimators import estimate_persistence
-from eastlab.lattice import ModelParams
+from eastlab.lattice import ModelParams, initial_rows
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -215,6 +216,28 @@ class TestParse:
         assert main([write_config(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            (PERSIST_CFG + "times = 1 nan 2\n", "times"),
+            (LEMMA_CFG + "t = nan\n", "t"),
+            (LEMMA_CFG + "alpha = inf\n", "alpha"),
+            ("kind = simulate\nd = 1\nwindow_lower = 0\nwindow_upper = 1\n"
+             "measure = bernoulli 0.5\nhorizon = inf\n", "horizon"),
+            ("kind = relaxation\nd = 1\nwindow_lower = 0\nwindow_upper = 1\n"
+             "measure = bernoulli 0.5\nsite = 1\ntimes = 1 2\ngamma = nan\n", "gamma"),
+            ("kind = constants\ndelta = -inf\n", "delta"),
+            ("kind = constants\nc = nan\n", "c"),
+        ],
+        ids=["times", "t", "alpha", "horizon", "gamma", "delta", "c"],
+    )
+    def test_non_finite_float_rejected(self, tmp_path, capsys, text, key):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.field_name == key
+        assert main([write_config(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
     def test_comments_and_echo(self):
         cfg = parse_config(PERSIST_CFG)
         assert cfg.kind == "persistence"
@@ -306,11 +329,28 @@ class TestRuns:
         assert f"lemma.not_applicable = {len(skipped)}" in manifest
         assert "status = ok" in manifest
 
+    def test_bernoulli_honours_exterior(self):
+        # the corner's outside neighbours are the exterior: frozen at 0 they
+        # leave it unconstrained, frozen at 1 they block it for good
+        values, spins = [], []
+        for exterior in (0, 1):
+            cfg = parse_config(
+                "kind = persistence\nd = 2\np = 0.5\nwindow_lower = -3 -3\nwindow_upper = 0 0\n"
+                f"exterior = {exterior}\nmeasure = bernoulli 0.5\nsite = -3 -3\n"
+                "times = 1 2 3\nn = 200\nseed = 5\n"
+            )
+            spins.append(initial_rows(cfg.measure, cfg.window, 0, range(1))[0].spin)
+            values.append(estimate_persistence(cfg.params, cfg.measure, cfg.site, cfg.times,
+                                               cfg.n, cfg.window, cfg.seed).values)
+        assert spins == [0, 1]
+        assert values[1] == (1.0, 1.0, 1.0)
+        assert values[0] != values[1]
+
     def test_manifest_records_stream_version(self, tmp_path):
         cfg = parse_config(PERSIST_CFG)
         cfg.out_dir = str(tmp_path)
         run_experiment(cfg)
-        assert "stream_version = 2" in (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "stream_version = 3" in (tmp_path / "manifest.txt").read_text().splitlines()
 
     def test_manifest_written_on_runtime_error(self, tmp_path):
         # horizon above the simulator cap triggers a runtime failure after
@@ -347,7 +387,7 @@ GOLDEN = {
         "persistence.csv",
         "kind = persistence\nd = 2\np = 0.5\nwindow_lower = -3 -3\nwindow_upper = 1 1\n"
         "measure = bernoulli 0.5\nsite = 1 1\ntimes = 1 2 3\nn = 60\n",
-        "243e65e17811e3c82a29e4c6c2469531e03740395e6c0e5b081438a77390f8c2",
+        "dd682244721c887b4916d8145eaa3747382e85bea1e1101f872098c526942b22",
     ),
     "relaxation.csv": (
         "relaxation.csv",
@@ -359,13 +399,13 @@ GOLDEN = {
         "lemma.csv",
         "kind = verify-lemma\nd = 2\np = 0.5\nalpha = 0.1\nt = 10\nwindow_lower = -4 -4\n"
         "window_upper = 0 0\nexterior = 0\nmeasure = bernoulli 0.4\nsite = 0 0\nn = 40\n",
-        "427a36eeb0eb8aaa5c91050f1bb3f1a4af288f0bb5c5c9a456fcc8e48f43bd9e",
+        "c584043e97f319d3992801698a72de9a3186badd41f62cc4d32056b323e81d05",
     ),
     "events.csv": (
         "events.csv",
         "kind = simulate\nd = 2\np = 0.5\nwindow_lower = 0 0\nwindow_upper = 3 3\n"
         "measure = bernoulli 0.5\nhorizon = 5\n",
-        "2f82621ec687f1fe45ae0f620fb3733dd412359cbf153ee59e654ba17b80b54d",
+        "71593f4a64b4b1cd7ea6db84d9f18f664a835a333cb9d51e80c9fdcba95c1741",
     ),
     "lemma.csv-d3": (
         "lemma.csv",
@@ -399,7 +439,30 @@ def count_configurations(monkeypatch):
     return calls
 
 
+def count_numpy_generators(monkeypatch):
+    """Count numpy Generator and Philox constructions from here on, by class."""
+    calls = {"Generator": 0, "Philox": 0}
+    for name in calls:
+        def counted(*args, _name=name, _cls=getattr(np.random, name), **kwargs):
+            calls[_name] += 1
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counted)
+    return calls
+
+
 class TestNoConfigurationPerDraw:
+    def test_persistence_builds_no_numpy_generator(self, monkeypatch):
+        calls = count_numpy_generators(monkeypatch)
+        counts = []
+        for n in (20, 200):
+            cfg = parse_config(PERSIST_CFG.replace("n = 200", f"n = {n}"))
+            calls.update(Generator=0, Philox=0)
+            estimate_persistence(cfg.params, cfg.measure, cfg.site, cfg.times, cfg.n,
+                                 cfg.window, cfg.seed)
+            counts.append(dict(calls))
+        assert counts == [{"Generator": 0, "Philox": 0}] * 2
+
     def test_persistence(self, monkeypatch):
         calls = count_configurations(monkeypatch)
         counts = []

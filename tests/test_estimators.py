@@ -22,15 +22,23 @@ from eastlab.exact import build_generator, evolve_expectation
 from eastlab.lattice import (
     Configuration,
     Delta,
+    Exterior,
     ModelParams,
     ProductBernoulli,
     Region,
     Window,
     condition_C_params,
+    initial_rows,
     sample_initial,
 )
-from eastlab.sim import SimulationError
-from eastlab.streams import derived_generator
+from eastlab.sim import (
+    MAX_REPLICA_RING_SLOTS,
+    SimulationError,
+    replica_ring_slots,
+    ring_block,
+    simulate_batch,
+)
+from eastlab.streams import derive_seed
 
 
 class TestReplicaBatches:
@@ -39,6 +47,22 @@ class TestReplicaBatches:
         with pytest.raises(SimulationError, match="horizon must be >= 0"):
             next(replica_batches(ModelParams(1, 0.5), ProductBernoulli(0.5), Window((0,), (2,)),
                                  -1.0, 0, "x", 3))
+
+    def test_replica_over_ring_slot_cap_named(self):
+        # windows at the cap and one site wider, sized by arithmetic: the
+        # check must fire before any per-site array exists
+        horizon = 11.0
+        block = ring_block(horizon)
+        sites = MAX_REPLICA_RING_SLOTS // block + 1
+        at_cap = Window((0,), (sites - 2,))
+        assert replica_ring_slots(at_cap, horizon) == (sites - 1) * block <= MAX_REPLICA_RING_SLOTS
+        w = Window((0,), (sites - 1,))
+        message = f"{sites} window sites x {block} ring slots per site"
+        with pytest.raises(SimulationError, match=message):
+            next(replica_batches(ModelParams(1, 0.5), ProductBernoulli(0.5), w, horizon, 0, "x", 3))
+        with pytest.raises(SimulationError, match=message):
+            simulate_batch(ModelParams(1, 0.5), Exterior(w, 1, {}), [1], horizon, [0])
+        assert "sites" not in vars(w) and "site_keys" not in vars(w)
 
 
 class TestWilson:
@@ -168,10 +192,9 @@ class TestRelaxation:
         mu_f = 0.5
         norm = 0.5
         exact_vals = np.zeros(len(times))
-        for o in range(n_outer):
-            rng = derived_generator(14, "relax-init", o)
-            init = sample_initial(spec, w, rng)
-            state = init.spin_at((1,)) | (init.spin_at((2,)) << 1)
+        _, rows = initial_rows(spec, w, derive_seed(14, "relax-init"), range(n_outer))
+        for init in rows.tolist():
+            state = init[0] | (init[1] << 1)
             for j, t in enumerate(times):
                 e = evolve_expectation(gen, state, fvec, t, tol=1e-10)
                 exact_vals[j] += abs(e - mu_f) / norm
@@ -279,7 +302,7 @@ class TestZeroWithinBox:
         n = 2000
         hits = 0
         for r in range(n):
-            cfg = sample_initial(spec, w, derived_generator(11, r))
+            cfg = sample_initial(spec, w, derive_seed(11, r))
             hits += any(cfg.spin_at(x) == 0 for x in w.sites)
         bound = 1 - A * math.exp(-a * alpha * t)
         sigma = math.sqrt(max(bound * (1 - bound), 1e-6) / n)

@@ -121,7 +121,7 @@ class TestSampleInitial:
         big = Window((-2, -2), (2, 2))
         stored = Configuration.with_zeros(big, [(0, 0), (-2, -2)])
         small = Window((0, 0), (1, 1))
-        cfg = sample_initial(Delta(stored), small, np.random.default_rng(0))
+        cfg = sample_initial(Delta(stored), small, 0)
         assert cfg.spin_at((0, 0)) == 0
         assert cfg.spin_at((1, 1)) == 1
         # restriction is exact: the out-of-window zero survives as an override
@@ -131,39 +131,37 @@ class TestSampleInitial:
         big = Window((-2, -2), (2, 2))
         stored = Configuration.with_zeros(big, [(0, 0), (-2, -2)], overrides={(-3, 0): 0})
         small = Window((0, 0), (1, 1))
-
-        def no_generator(j):
-            raise AssertionError("a Delta measure draws nothing")
-
-        rule, rows = initial_rows(Delta(stored), small, 5, no_generator)
-        want = sample_initial(Delta(stored), small, np.random.default_rng(0))
+        rule, rows = initial_rows(Delta(stored), small, 0, range(3, 8))
+        want = sample_initial(Delta(stored), small, 1)
         assert rows.shape == (5, 4)
         assert all(tuple(row) == want.spins for row in rows.tolist())
         assert rule == want.rule
         assert rule.overrides == {(-3, 0): 0, (-2, -2): 0}
 
     def test_bernoulli_rows_are_per_draw_samples(self):
+        # draw j's row is the same whatever draw range it is drawn in
         w = Window((0, 0), (2, 3))
-        rule, rows = initial_rows(ProductBernoulli(0.4), w, 6, lambda j: np.random.default_rng(j))
+        rule, rows = initial_rows(ProductBernoulli(0.4), w, 9, range(6))
         assert rule.spin == 1 and rule.overrides == {}
-        for j in range(6):
-            assert tuple(rows[j]) == sample_initial(ProductBernoulli(0.4), w,
-                                                    np.random.default_rng(j)).spins
+        assert tuple(rows[0]) == sample_initial(ProductBernoulli(0.4), w, 9).spins
+        for a, b in ((0, 6), (2, 5), (5, 6)):
+            assert (initial_rows(ProductBernoulli(0.4), w, 9, range(a, b))[1] == rows[a:b]).all()
+        assert len({row.tobytes() for row in rows}) == 6
 
     def test_delta_incompatible_window(self):
         stored = Configuration.all_ones(Window((0,), (1,)))
         with pytest.raises(LatticeError):
-            sample_initial(Delta(stored), Window((0,), (5,)), np.random.default_rng(0))
+            sample_initial(Delta(stored), Window((0,), (5,)), 0)
 
     def test_bernoulli_extremes(self):
         w = Window((0,), (9,))
-        cfg = sample_initial(ProductBernoulli(0.0), w, np.random.default_rng(1))
+        cfg = sample_initial(ProductBernoulli(0.0), w, 1)
         assert all(s == 0 for s in cfg.spins)
         assert cfg.exterior == 1
 
     def test_bernoulli_mean(self):
         w = Window((0, 0), (99, 99))  # 10^4 sites
-        cfg = sample_initial(ProductBernoulli(0.5), w, np.random.default_rng(2))
+        cfg = sample_initial(ProductBernoulli(0.5), w, 2)
         mean = sum(cfg.spins) / len(cfg.spins)
         sigma = 0.5 / math.sqrt(len(cfg.spins))
         assert abs(mean - 0.5) < 3 * sigma

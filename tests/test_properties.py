@@ -29,11 +29,11 @@ from eastlab.lattice import (
     ProductBernoulli,
     Region,
     Window,
-    sample_initial,
+    initial_rows,
     site_sub_e,
 )
 from eastlab.sim import simulate, simulate_batch
-from eastlab.streams import derive_seed, derived_generator
+from eastlab.streams import derive_seed
 from eastlab.theory import fk_cascade_probe
 from oracle import event_loop
 
@@ -188,8 +188,9 @@ def test_relaxation_matches_per_run_reference():
     times, n_outer, n_inner, gamma = (0.5, 2.0), 3, 5, 1.3
     mu_f, norm = observable_mu_and_norm(f, params.p)
     outer = []
+    rule, rows = initial_rows(spec, w, derive_seed(5, "relax-init"), range(n_outer))
     for o in range(n_outer):
-        init = sample_initial(spec, w, derived_generator(5, "relax-init", o))
+        init = rule.configuration(rows[o])
         logs = [simulate(params, init, times[-1], derive_seed(5, "relax-sim", o, i))
                 for i in range(n_inner)]
         inner = np.array([[f.eval_spins([log.spin_at_time(x, t) for x in f.sites])
@@ -210,6 +211,39 @@ def test_philox_known_answers(word, expected):
     w = np.full(3, word, dtype=np.uint32)
     out = streams.philox4x32((w, w, w, w), (w, w))
     assert [tuple(int(v) for v in col) for col in zip(*out)] == [expected] * 3
+
+
+@pytest.mark.parametrize(
+    "key, draw, site, top53",
+    [
+        (0, 0, (0,), 0x1306A2D32EE57B),
+        (0x0123456789ABCDEF, 5, (-3, 2), 0x972BC8A82248E),
+        ((1 << 64) - 1, (1 << 32) + 7, (1, -1, 4), 0x73558C2E21972),
+    ],
+)
+def test_initial_spin_known_answers(key, draw, site, top53):
+    # by hand: Philox4x32-10 with counter (draw, site key) and the two key
+    # words; output words 2-3 give the top 53 bits of a uniform u, and the
+    # spin under Bernoulli(q) is 1 exactly when u < q
+    def words(v):
+        return np.array([v & 0xFFFFFFFF], dtype=np.uint32), np.array([v >> 32], dtype=np.uint32)
+
+    out = streams.philox4x32((*words(draw), *words(streams.site_key(site))), words(key))
+    assert (int(out[2][0]) << 32 | int(out[3][0])) >> 11 == top53
+    u = top53 * 2.0**-53
+    w = Window(tuple(c - 1 for c in site), tuple(c + 1 for c in site))
+    for q, spin in ((u, 0), (np.nextafter(u, 1.0), 1), (0.5, int(u < 0.5))):
+        rows = initial_rows(ProductBernoulli(float(q)), w, key, range(draw, draw + 1))[1]
+        assert rows[0, w.index(site)] == spin
+
+
+def test_persistence_window_independent():
+    # x = (1, 1) is the upper corner of w; growing w upward leaves x's cone,
+    # and with it every ring and initial spin that x reads, unchanged
+    params, spec, x = ModelParams(2, 0.5), ProductBernoulli(0.5), (1, 1)
+    w, grown = Window((-3, -3), (1, 1)), Window((-3, -3), (4, 3))
+    a, b = (estimate_persistence(params, spec, x, [1, 2, 3], 200, v, 3) for v in (w, grown))
+    assert a.to_csv() == b.to_csv()
 
 
 def test_ring_draws_ignore_philox_chunk(monkeypatch):

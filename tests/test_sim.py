@@ -297,7 +297,7 @@ class TestCsv:
         log = single_site_log(horizon=1.0)
         lines = log.to_csv().splitlines()
         assert lines[0].startswith("# ")
-        assert json.loads(lines[0][2:])["stream_version"] == 2
+        assert json.loads(lines[0][2:])["stream_version"] == 3
         assert lines[1] == "site_coords,time,bit,legal,spin_after"
 
     def test_swapped_rings_rejected(self):
