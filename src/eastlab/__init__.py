@@ -21,15 +21,6 @@ from .lattice import (  # noqa: F401
     spin_at_site,
 )
 from .sim import BatchLog, EventLog, RingRecord, simulate, simulate_batch  # noqa: F401
-from .exact import (  # noqa: F401
-    Generator,
-    SpectrumResult,
-    build_generator,
-    east1d_gap,
-    evolve_expectation,
-    mu_expectation,
-    spectral_gap,
-)
 from .estimators import (  # noqa: F401
     DecaySeries,
     FitResult,
@@ -50,3 +41,22 @@ from .theory import (  # noqa: F401
     hyperplane_hit_profile,
     oriented_path_check,
 )
+
+# The exact engine, and scipy with it, loads when one of its names is first read.
+_EXACT_NAMES = frozenset({
+    "Generator",
+    "SpectrumResult",
+    "build_generator",
+    "east1d_gap",
+    "evolve_expectation",
+    "mu_expectation",
+    "spectral_gap",
+})
+
+
+def __getattr__(name: str):
+    if name in _EXACT_NAMES:
+        from . import exact
+
+        return getattr(exact, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,7 +26,6 @@ from .estimators import (
     fit_exponential,
     replica_batches,
 )
-from .exact import MAX_GAP_SITES, east1d_gap
 from .lattice import (
     Configuration,
     Delta,
@@ -188,8 +187,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(key, str(e))
 
     for key, lengths in (("N", config.n_values), ("lambda_N", (config.lambda_n,))):
-        if not all(1 <= n <= MAX_GAP_SITES for n in lengths):
-            raise ConfigError(key, f"chain lengths must lie in 1..{MAX_GAP_SITES}, got {raw[key]}")
+        if key in raw:  # only the kinds that solve read these keys, and load the exact engine
+            from .exact import MAX_GAP_SITES
+
+            if not all(1 <= n <= MAX_GAP_SITES for n in lengths):
+                raise ConfigError(key, f"chain lengths must lie in 1..{MAX_GAP_SITES}, got {raw[key]}")
 
     for key in ("times", "t", "alpha", "horizon", "gamma", "delta", "c"):
         if key in raw and not all(math.isfinite(v) for v in _parse_floats(raw[key])):
@@ -305,6 +307,8 @@ def _run_relaxation(config: ExperimentConfig, out: RunOutputs) -> None:
 
 
 def _run_gap(config: ExperimentConfig, out: RunOutputs) -> None:
+    from .exact import east1d_gap
+
     lines = ["N,gap"]
     for N in config.n_values:
         lines.append(f"{N},{east1d_gap(config.params.p, N):.17g}")
@@ -312,6 +316,8 @@ def _run_gap(config: ExperimentConfig, out: RunOutputs) -> None:
 
 
 def _run_constants(config: ExperimentConfig, out: RunOutputs) -> None:
+    from .exact import east1d_gap
+
     p, d = config.params.p, config.params.d
     lam = east1d_gap(p, config.lambda_n)
     lam_prev = east1d_gap(p, config.lambda_n - 1) if config.lambda_n > 1 else lam

@@ -4,17 +4,22 @@ States are bitmasks over the region's sites in lexicographic coordinate order
 (bit i = spin of the i-th site).  Rates follow detailed balance with respect to
 the product Bernoulli(p) measure: a constrained site flips to 1 at rate p and
 to 0 at rate 1-p.
+
+Uniformization takes its Poisson weights and truncation from ``scipy.special``
+(``xlogy``, ``gammaln``, ``pdtrc``), the formulas ``scipy.stats.poisson``
+evaluates for ``pmf`` and ``isf``, without importing ``scipy.stats``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .lattice import Region, Site, bernoulli_weights, site_sub_e
 
@@ -134,8 +139,7 @@ def evolve_expectation(
     lam = float(gen.n)  # uniformization rate: each of n sites rings at rate 1
     mu_poiss = lam * t
     fnorm = float(np.max(np.abs(fvec))) or 1.0
-    K = int(poisson.isf(min(1.0, tol / fnorm), mu_poiss)) + 1
-    weights = poisson.pmf(np.arange(K + 1), mu_poiss)
+    K, weights = poisson_truncation(mu_poiss, min(1.0, tol / fnorm))
     P = sp.identity(gen.dim, format="csr") + gen.rates / lam
     acc = 0.0
     v = dist
@@ -144,6 +148,24 @@ def evolve_expectation(
         if k < K:
             v = v @ P
     return acc
+
+
+def poisson_truncation(mu: float, q: float) -> tuple[int, np.ndarray]:
+    """Truncation K and the Poisson(mu) weights of k = 0..K, where K - 1 is
+    the least k with P(X > k) <= q for q < 1 (``scipy.stats.poisson.isf``),
+    and K = 0 at q = 1 (isf gives -1 there).
+
+    The search stops at the Bernstein bound P(X >= mu + x) <= exp(-x^2 / (2
+    (mu + x / 3))), which is q at x = L/3 + sqrt(L^2/9 + 2 mu L), L = -log q,
+    so the least such k lies in the searched range.
+    """
+    K = 0
+    if q < 1.0:
+        L = -math.log(q)
+        top = math.ceil(mu + L / 3 + math.sqrt(L * L / 9 + 2 * mu * L))
+        K = int(np.argmax(pdtrc(np.arange(top + 1), mu) <= q)) + 1
+    k = np.arange(K + 1)
+    return K, np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
 
 
 def _symmetrized(gen: Generator) -> sp.csr_matrix:

@@ -108,7 +108,9 @@ class Window:
     @cached_property
     def site_keys(self) -> np.ndarray:
         """Unsalted stream key (``streams.site_key``) of each site, in site order."""
-        return site_key(np.array(self.sites).T)
+        extent = [hi - lo + 1 for lo, hi in zip(self.lower, self.upper)]
+        offsets = np.indices(extent).reshape(self.d, -1)
+        return site_key(offsets + np.array(self.lower, dtype=np.int64)[:, None])
 
     def __contains__(self, x: Site) -> bool:
         return len(x) == self.d and all(

@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .lattice import Configuration, Exterior, ModelParams, Region, Site, Window, site_sub_e
+from .lattice import Configuration, Exterior, ModelParams, Region, Site, Window
 from .streams import STREAM_VERSION, ring_draws, site_key
 
 MAX_HORIZON = 1e9
@@ -75,24 +75,18 @@ class _Geometry(NamedTuple):
     coords: np.ndarray  # (d, n) offsets from the window's lower corner
     strides: tuple[int, ...]  # row distance to x - e_i
     plane: np.ndarray  # hyperplane index (coordinate-sum offset) per site, smallest uint
-    edge: tuple[tuple[int, Site], ...]  # (site index, neighbor outside the window)
+    boundary: tuple[np.ndarray, ...]  # per axis i, the sites whose x - e_i leaves the window
 
 
 @lru_cache(maxsize=8)
 def _geometry(window: Window) -> _Geometry:
     extent = [hi - lo + 1 for lo, hi in zip(window.lower, window.upper)]
     coords = np.indices(extent).reshape(window.d, -1)
-    edge = tuple(
-        (i, site_sub_e(x, k))
-        for i, x in enumerate(window.sites)
-        for k in range(window.d)
-        if x[k] == window.lower[k]
-    )
     return _Geometry(
         coords=coords,
         strides=tuple(math.prod(extent[i + 1:]) for i in range(window.d)),
         plane=coords.sum(axis=0).astype(np.min_scalar_type(sum(extent))),
-        edge=edge,
+        boundary=tuple(np.flatnonzero(c == 0) for c in coords),
     )
 
 
@@ -130,11 +124,17 @@ def _ring_times(seeds: np.ndarray, keys: np.ndarray, horizon: float, p: float):
     return offsets, out_t, out_b
 
 
-def _frozen_zero(rule: Exterior, edge) -> np.ndarray:
+def _frozen_zero(rule: Exterior, boundary: tuple[np.ndarray, ...]) -> np.ndarray:
     """Per window site: some neighbor outside the window is frozen at 0."""
-    row = np.zeros(rule.window.site_count(), dtype=bool)
-    for i, y in edge:
-        row[i] |= rule.overrides.get(y, rule.spin) == 0
+    window = rule.window
+    row = np.zeros(window.site_count(), dtype=bool)
+    for i, sites in enumerate(boundary):
+        zero = np.full(sites.size, rule.spin == 0)
+        for y, s in rule.overrides.items():
+            x = tuple(c + (k == i) for k, c in enumerate(y))  # y = x - e_i
+            if x in window:
+                zero[sites.searchsorted(window.index(x))] = s == 0
+        row[sites] |= zero
     return row
 
 
@@ -161,11 +161,18 @@ def _last_ring(key: np.ndarray, offsets: np.ndarray, rows: np.ndarray, rank) -> 
 
 def _sweep(geo: _Geometry, init, free, offsets, bits, key):
     """Legality and spin after each ring, one hyperplane at a time.  A ring's
-    neighbor spin is the spin after the neighbor's last ring ranked below it."""
-    row, rank = np.divmod(key, key.size)
+    neighbor spin is the spin after the neighbor's last ring ranked below it.
+
+    ``buf`` holds, per row, the initial spin and then the spin after each
+    ring.  The neighbor row's rings ranked below a ring end just before the
+    searchsorted position of key - stride * m, so that position plus the
+    neighbor row is its entry in ``buf``: the initial spin if there is none."""
+    m, n_rows = key.size, init.size
+    row = key // m
     site = row % geo.plane.size
+    buf = np.empty(m + n_rows, dtype=np.int8)
+    buf[offsets[:-1] + np.arange(n_rows)] = init
     legal = free[site]
-    spin_after = np.empty(key.size, dtype=np.int8)
     ring_plane = geo.plane[site]
     by_plane = np.argsort(ring_plane, kind="stable")  # row order kept within a plane
     bounds = np.searchsorted(ring_plane[by_plane], np.arange(geo.plane.max() + 2))
@@ -178,17 +185,16 @@ def _sweep(geo: _Geometry, init, free, offsets, bits, key):
         ok = legal[sel]
         for i, stride in enumerate(geo.strides):
             inner = geo.coords[i][ss] > 0
-            nb = rs[inner] - stride
-            last, hit = _last_ring(key, offsets, nb, rank[sel[inner]])
-            ok[inner] |= np.where(hit, spin_after[last], init[nb]) == 0
+            nb = key.searchsorted(key[sel[inner]] - stride * m) + rs[inner] - stride
+            ok[inner] |= buf[nb] == 0
         legal[sel] = ok
         # spin after a ring = bit of the row's last legal ring so far
         idx = np.arange(sel.size)
         last = np.where(ok, idx, -1)
         np.maximum.accumulate(last, out=last)
         first = idx - (sel - offsets[rs])
-        spin_after[sel] = np.where(last >= first, bits[sel][last], init[rs])
-    return legal, spin_after
+        buf[sel + rs + 1] = np.where(last >= first, bits[sel][last], init[rs])
+    return legal, buf[np.arange(m) + row + 1]
 
 
 class BatchLog:
@@ -224,7 +230,7 @@ class BatchLog:
         if ((self.init != 0) & (self.init != 1)).any():
             raise SimulationError("spins must be 0 or 1")
         self.key, self.ordered = _rank_keys(offsets, times)
-        free = _frozen_zero(rule, geo.edge)
+        free = _frozen_zero(rule, geo.boundary)
         self.legal, self.spin_after = _sweep(geo, self.init, free, offsets, bits, self.key)
         self.first_legal = self._first_time(self.legal)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
+from scipy.stats import poisson
 
 from eastlab.exact import (
     ExactEngineError,
@@ -14,6 +15,7 @@ from eastlab.exact import (
     evolve_expectation,
     half_space_operator,
     mu_expectation,
+    poisson_truncation,
     spectral_gap,
 )
 from eastlab.lattice import Region, bernoulli_weights
@@ -116,6 +118,29 @@ class TestEvolveExpectation:
         for t in (0.1, 1.0, 10.0):
             got = evolve_expectation(gen, mu, f, t, tol=1e-12)
             assert got == pytest.approx(want, abs=1e-10)
+
+
+class TestPoissonTruncation:
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 3.7, 8.0, 20.0, 50.5, 200.0])
+    @pytest.mark.parametrize("q", [1.0, 0.5, 1e-3, 1e-8, 1e-12, 1e-14])
+    def test_bit_identical_to_scipy_stats(self, mu, q):
+        K, weights = poisson_truncation(mu, q)
+        assert K == int(poisson.isf(q, mu)) + 1
+        assert np.array_equal(weights, poisson.pmf(np.arange(K + 1), mu))
+
+    def test_q_one_keeps_only_the_first_term(self):
+        assert poisson.isf(1.0, 3.7) == -1
+        assert poisson_truncation(3.7, 1.0)[0] == 0
+
+    @pytest.mark.parametrize("mu", [50.5, 200.0, 5000.0])
+    @pytest.mark.parametrize("q", [0.5, 1e-8, 1e-14])
+    def test_search_range_holds_the_quantile(self, mu, q):
+        # the search stops at the Bernstein bound, where the tail is already <= q
+        L = -math.log(q)
+        top = math.ceil(mu + L / 3 + math.sqrt(L * L / 9 + 2 * mu * L))
+        assert poisson.sf(top, mu) <= q
+        K, _ = poisson_truncation(mu, q)
+        assert poisson.sf(K - 1, mu) <= q < poisson.sf(K - 2, mu)
 
 
 class TestUniformizationCrossCheck:

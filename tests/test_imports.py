@@ -1,0 +1,60 @@
+"""Start-up cost: the Monte Carlo kinds never load scipy; only the exact
+engine (kinds gap and constants, and the exact names of the package) does."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import eastlab
+from eastlab.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+SPACE = "d = 2\np = 0.5\nwindow_lower = 0 0\nwindow_upper = 2 2\nmeasure = bernoulli 0.5\n"
+MONTE_CARLO_CONFIGS = [
+    "kind = simulate\nhorizon = 2\n" + SPACE,
+    "kind = persistence\nsite = 1 1\ntimes = 1 2\nn = 10\n" + SPACE,
+    "kind = relaxation\nsite = 1 1\ntimes = 1 2\nn_outer = 2\nn_inner = 3\n" + SPACE,
+    "kind = verify-lemma\nsite = 1 1\nt = 2\nalpha = 0.2\nn = 5\n" + SPACE,
+    "kind = fk-probe\nsite = 1 1\ndelta = 0.5\nt = 2\nn = 5\n" + SPACE,
+]
+
+PROBE = """
+import sys
+from eastlab.cli import parse_config
+for text in sys.argv[1:]:
+    parse_config(text)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_monte_carlo_kinds_load_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", PROBE, *MONTE_CARLO_CONFIGS], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == ""
+
+
+def test_exact_names_resolve_from_the_package():
+    from eastlab import Generator, build_generator, east1d_gap, evolve_expectation, spectral_gap
+    from eastlab import exact
+
+    assert (Generator, build_generator, east1d_gap, evolve_expectation, spectral_gap) == (
+        exact.Generator, exact.build_generator, exact.east1d_gap, exact.evolve_expectation,
+        exact.spectral_gap,
+    )
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        eastlab.no_such_name
+
+
+def test_gap_chain_cap_still_checked_at_parse_time(tmp_path, capsys):
+    path = tmp_path / "gap.cfg"
+    path.write_text("kind = gap\np = 0.5\nN = 18\n")
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "config field 'N'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

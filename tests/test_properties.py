@@ -5,16 +5,19 @@ identical rings, histories are consistent under horizon extension, a site's
 rings ignore the enclosing window, a site's trajectory is measurable with
 respect to its backward cone, estimator outputs ignore the replica chunking,
 relaxation equals its per-run reference, and each replica's EventLog answers
-as its BatchLog does.  Philox4x32-10 is checked against the Random123 known
-answers.
+as its BatchLog does.  A window's array site keys and frozen-exterior rows
+match their per-site definitions.  Philox4x32-10 is checked against the
+Random123 known answers.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eastlab import estimators, streams
+from eastlab import estimators, sim, streams
 from eastlab.estimators import (
     Observable,
     estimate_persistence,
@@ -25,6 +28,7 @@ from eastlab.estimators import (
 from eastlab.lattice import (
     Configuration,
     Delta,
+    Exterior,
     ModelParams,
     ProductBernoulli,
     Region,
@@ -78,6 +82,28 @@ def test_sweep_matches_event_loop(scenario):
         _, _, got_legal, got_after = log.rings(x)
         assert np.array_equal(got_legal, legal[i])
         assert np.array_equal(got_after, after[i])
+
+
+@PROPERTY
+@given(windows())
+def test_site_keys_match_scalar_hash(window):
+    assert window.site_keys.tolist() == [streams.site_key(x) for x in window.sites]
+
+
+@PROPERTY
+@given(windows(), st.integers(0, 1), st.data())
+def test_frozen_zero_matches_per_site_rule(window, spin, data):
+    # overrides anywhere in a margin of 2 around the window, not only beside it
+    margin = [range(lo - 2, hi + 3) for lo, hi in zip(window.lower, window.upper)]
+    outside = [y for y in itertools.product(*margin) if y not in window]
+    overrides = data.draw(st.dictionaries(st.sampled_from(outside), st.integers(0, 1), max_size=6))
+    rule = Exterior(window, spin, overrides)
+    want = [
+        any(y not in window and overrides.get(y, spin) == 0
+            for y in (site_sub_e(x, i) for i in range(window.d)))
+        for x in window.sites
+    ]
+    assert sim._frozen_zero(rule, sim._geometry(window).boundary).tolist() == want
 
 
 @PROPERTY
