@@ -18,16 +18,16 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gammaln, pdtrc, xlogy
 
 from .lattice import Region, Site, bernoulli_weights, site_sub_e
 
 MAX_REGION_SITES = 20
 MAX_SPECTRAL_SITES = 12  # spectral_gap: largest region, a 4096x4096 dense solve
-MAX_GAP_SITES = 17  # east1d_gap: largest chain that met the budget in its docstring at p = 0.9
-DENSE_GAP_STATES = 256  # east1d_gap: dense eigvalsh up to this many states, Lanczos beyond
-LANCZOS_NCV = 40  # Lanczos basis size; the ARPACK default 20 restarts too often at small gaps
+MAX_GAP_SITES = 17  # east1d_gap: largest chain; set when its former ARPACK solver took 34 s at p = 0.9
+MAX_LANCZOS_STEPS = 20_000  # east1d_gap: 10x the 1980 steps of p = 0.95, N = 17
+LANCZOS_RTOL = 1e-12  # east1d_gap: relative stagnation of lambda_min(T_k), and breakdown
 
 
 class ExactEngineError(ValueError):
@@ -215,26 +215,36 @@ def east1d_gap(p: float, N: int) -> float:
     So the gap is exactly lambda_min(B_{N-1}), an operator on 2^(N-1) states
     with no zero mode to deflate.
 
-    It is solved densely up to `DENSE_GAP_STATES` states and by implicitly
-    restarted Lanczos (ARPACK, smallest algebraic, start vector all ones)
-    beyond; the start vector makes the result deterministic and has positive
-    overlap with the ground vector.  Shift-invert is avoided: at N = 14 the
-    sparse LU of B_13 alone took 3.0 s (9.8M nonzeros from 66k), the whole
-    Lanczos solve 0.17 s.
+    It is solved by one three-term Lanczos recurrence on B_{N-1}, started
+    from the normalized all-ones vector, which makes the result deterministic
+    and overlaps the positive ground vector.  Only the coefficients alpha_k,
+    beta_k of the tridiagonal T_k and three vectors are kept: no basis is
+    stored, nothing is reorthogonalized and nothing restarts.  In floating
+    point the vectors lose orthogonality, but by Paige's analysis (LAA 34,
+    1980) lambda_min(T_k) still decreases to lambda_min(B); lost
+    orthogonality only adds ghost copies of Ritz values that have converged.
+    Every 10 steps lambda_min(T_k) is read by bisection
+    (``eigvalsh_tridiagonal``), and the recurrence stops when it fell by at
+    most `LANCZOS_RTOL` relative over those 10 steps, or at breakdown
+    (beta_k <= `LANCZOS_RTOL` |B q_k|), where T_k's spectrum is exact.  A
+    residual bound is not used as the stop rule: once ghosts appear it stalls
+    at the precision floor (beta_k |y_k| <= 1e-12 theta_k took 12 220 steps,
+    10.9 s, at p = 0.98, N = 12; this rule 0.05 s).  More than
+    `MAX_LANCZOS_STEPS` steps raise `ExactEngineError`.
 
-    Cost of one call in a fresh process pinned to one core of a 2-core x86-64
-    host, one BLAS thread (Python 3.11, numpy 2.4, scipy 1.17), against a
-    budget of 60 s per N; peak RSS in MB in brackets:
+    Cost of one call in seconds, median of 3 fresh processes pinned to one
+    core of a 2-core x86-64 host, one BLAS thread (Python 3.11, numpy 2.4,
+    scipy 1.17), with peak RSS in MB in brackets and the Lanczos steps below:
 
-        N          14          15          16           17           18
-        p = 0.5    0.15 (105)  0.42 (113)  0.97 (124)   2.51 (151)   6.4 (205)
-        p = 0.9    1.34 (107)  4.06 (113)  12.2 (125)   33.6 (149)   > 60
+        N          14          15          16          17          18 (*)
+        p = 0.5    0.036 (67)  0.072 (70)  0.15 (80)   0.28 (101)  0.70 (142)
+          steps    110         120         130         130         140
+        p = 0.9    0.14 (67)   0.30 (70)   0.66 (80)   1.38 (102)  4.6 (142)
+          steps    670         760         930         1080        1220
 
-    p = 0.5 also took 13.4 s (306 MB) at N = 19 and 29.1 s (461 MB) at
-    N = 20.  Small gaps slow Lanczos down: at p = 0.9 the cost triples with
-    each site, so chains are capped at `MAX_GAP_SITES` = 17, the largest N
-    within budget at both p.  Larger p costs more: p = 0.95 took 3.5 s at
-    N = 14, against 1.1 s for p = 0.9 measured back to back.
+    p = 0.95 took 0.18 s (900 steps) at N = 14 and 2.9 s (1980 steps, the
+    most measured) at N = 17.  (*) N = 18 lies past `MAX_GAP_SITES` and was
+    timed with the cap raised in-process; it is informational.
     """
     if not (0.0 < p < 1.0):
         raise ExactEngineError(f"p must lie in (0,1), got {p}")
@@ -243,10 +253,30 @@ def east1d_gap(p: float, N: int) -> float:
     if N == 1:
         return 1.0
     B = half_space_operator(p, N - 1)
-    if B.shape[0] <= DENSE_GAP_STATES:
-        return float(np.linalg.eigvalsh(B.toarray())[0])
-    w = spla.eigsh(B, k=1, which="SA", v0=np.ones(B.shape[0]), ncv=LANCZOS_NCV, return_eigenvectors=False)
-    return float(w[0])
+    q = np.full(B.shape[0], B.shape[0] ** -0.5)
+    q_prev = np.zeros_like(q)
+    alpha, beta = [], []
+    b = 0.0
+    low = math.inf
+    for k in range(1, MAX_LANCZOS_STEPS + 1):
+        w = B @ q
+        w -= b * q_prev
+        a = float(q @ w)
+        w -= a * q
+        scale = math.hypot(a, b)  # |B q_k| up to the new beta
+        b = float(np.linalg.norm(w))
+        breakdown = b <= LANCZOS_RTOL * scale
+        alpha.append(a)
+        if breakdown or k % 10 == 0:
+            theta = float(eigvalsh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))[0])
+            if breakdown or low - theta <= LANCZOS_RTOL * theta:
+                return theta
+            low = theta
+        beta.append(b)
+        q_prev, q = q, w / b
+    raise ExactEngineError(
+        f"east1d_gap(p={p}, N={N}): Lanczos did not settle within MAX_LANCZOS_STEPS = {MAX_LANCZOS_STEPS} steps"
+    )
 
 
 def mu_expectation(f: Union[Callable[[int], float], np.ndarray], region: Region, p: float) -> float:

@@ -4,9 +4,10 @@ from itertools import product
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import eigsh, expm_multiply
 from scipy.stats import poisson
 
+import eastlab.exact
 from eastlab.exact import (
     ExactEngineError,
     _symmetrized,
@@ -242,7 +243,7 @@ class TestHalfSpaceGap:
         for N, want in reference.items():
             assert east1d_gap(0.5, N) == pytest.approx(want, rel=1e-8)
 
-    @pytest.mark.parametrize("N", [6, 12])
+    @pytest.mark.parametrize("N", [6, 12, 15])
     def test_repeat_calls_bit_identical(self, N):
         assert east1d_gap(0.3, N).hex() == east1d_gap(0.3, N).hex()
 
@@ -250,6 +251,27 @@ class TestHalfSpaceGap:
         for p in (0.0, 1.0):
             with pytest.raises(ExactEngineError):
                 east1d_gap(p, 1)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("N", range(11, 15))
+    def test_matches_arpack(self, p, N):
+        # an independent solver: implicitly restarted Lanczos (ARPACK) to machine precision
+        B = half_space_operator(p, N - 1)
+        want = eigsh(B, k=1, which="SA", v0=np.ones(B.shape[0]), tol=0, return_eigenvectors=False)[0]
+        assert east1d_gap(p, N) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_breakdown_gives_exact_minimum(self, p, N):
+        # the Krylov space of 2^(N-1) states is exhausted within 2^(N-1) steps
+        want = np.linalg.eigvalsh(half_space_operator(p, N - 1).toarray())[0]
+        assert east1d_gap(p, N) == pytest.approx(want, abs=1e-12)
+
+    def test_step_cap_named(self, monkeypatch):
+        # p = 0.9, N = 12 needs about 380 steps
+        monkeypatch.setattr(eastlab.exact, "MAX_LANCZOS_STEPS", 100)
+        with pytest.raises(ExactEngineError, match=r"p=0\.9, N=12.*MAX_LANCZOS_STEPS = 100"):
+            east1d_gap(0.9, 12)
 
 
 class TestBernoulliWeights:

@@ -30,11 +30,21 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
 
-def test_monte_carlo_kinds_load_no_scipy():
+def scipy_modules_loaded(probe: str, *args: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *MONTE_CARLO_CONFIGS], env=env,
+    proc = subprocess.run([sys.executable, "-c", probe, *args], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == ""
+    return proc.stdout.split()
+
+
+def test_monte_carlo_kinds_load_no_scipy():
+    assert scipy_modules_loaded(PROBE, *MONTE_CARLO_CONFIGS) == []
+
+
+def test_exact_engine_loads_no_arpack():
+    loaded = scipy_modules_loaded("import eastlab.exact" + PROBE)
+    assert "scipy.sparse" in loaded
+    assert "scipy.sparse.linalg" not in loaded
 
 
 def test_exact_names_resolve_from_the_package():
