@@ -90,38 +90,85 @@ def _geometry(window: Window) -> _Geometry:
     )
 
 
-def _ring_times(seeds: np.ndarray, keys: np.ndarray, horizon: float, p: float):
-    """CSR offsets, times and bits of each stream's rings on (0, horizon].
+class _Pass(NamedTuple):
+    """Rings drawn for some streams at once: ring k0[r] + c of stream rows[r]
+    is column c of ``times`` and ``bits`` (bit uniform < p)."""
+
+    rows: np.ndarray
+    times: np.ndarray  # (rows, width)
+    bits: np.ndarray  # (rows, width) bool
+    k0: np.ndarray
+
+
+def _ring_times(seeds: np.ndarray, keys: np.ndarray, p: float, start: float, horizon: float,
+                carried: Sequence[_Pass] = ()):
+    """CSR offsets, times and bits of each stream's rings on (start, horizon],
+    and every pass that drew them.
 
     Times are sequential cumulative sums of the gaps, so ring k's time does not
-    depend on how many rings a pass draws.  A stream enters pass j only if all
-    its earlier rings fell inside the horizon, so pass j's rings start at its
-    offset + j * width.
+    depend on how many rings a pass draws, nor on where an earlier batch
+    stopped.  ``carried`` holds, for each stream of a resumed batch, the pass
+    in which it drew past ``start``; its next pass starts at the ring after
+    that pass, from that pass's last time.  A stream in no carried pass starts
+    at ring 0 and time 0.  A stream enters another pass only if all its drawn
+    rings fell inside the horizon, so ring k lands at its offset + k - the
+    index of its first ring after ``start``.
     """
-    width = ring_block(horizon)
-    passes = []
-    rows = np.arange(seeds.size)
-    last = np.zeros(seeds.size)
+    n = seeds.size
+    k_next = np.zeros(n, dtype=np.int64)
+    first = np.zeros(n, dtype=np.int64)
+    last = np.zeros(n)
+    for c in carried:
+        k_next[c.rows] = c.k0 + c.times.shape[1]
+        first[c.rows] = c.k0 + (c.times <= start).sum(axis=1)
+        last[c.rows] = c.times[:, -1]
+    passes = list(carried)
+    rows = np.flatnonzero(last <= horizon)
+    # a resumed batch's streams go on from different times: its first pass is
+    # sized for the median stream, later ones for the earliest stream left
+    reach = _median(last[rows]) if carried and rows.size else start
     while rows.size:
-        gaps, bit_u = ring_draws(seeds[rows], keys[rows], len(passes) * width, width)
-        gaps[:, 0] += last
-        times = np.cumsum(gaps, axis=1)
-        passes.append((rows, times, bit_u))
-        full = times[:, -1] <= horizon
-        rows, last = rows[full], times[full, -1]
-    counts = np.zeros(seeds.size, dtype=np.int64)
-    for rows, times, _ in passes:
-        counts[rows] += (times <= horizon).sum(axis=1)
-    offsets = np.zeros(seeds.size + 1, dtype=np.int64)
+        width = ring_block(horizon - reach)
+        k0 = k_next[rows]
+        # a fresh batch's pass j starts every stream at ring j * width
+        gaps, bit_u = ring_draws(seeds[rows], keys[rows], k0 if carried else len(passes) * width,
+                                 width)
+        gaps[:, 0] += last[rows]
+        times = np.cumsum(gaps, axis=1, out=gaps)
+        passes.append(_Pass(rows, times, bit_u < p, k0))
+        k_next[rows] += width
+        last[rows] = times[:, -1]
+        rows = rows[times[:, -1] <= horizon]
+        reach = last[rows].min(initial=horizon) if carried else start
+    counts = np.zeros(n, dtype=np.int64)
+    inside = []
+    for i, d in enumerate(passes):
+        mask = d.times <= horizon
+        if i < len(carried):  # only carried rings can fall at or before start
+            mask &= d.times > start
+        per_row = mask.sum(axis=1)
+        counts[d.rows] += per_row
+        inside.append((mask, per_row))
+    offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     out_t = np.empty(offsets[-1])
     out_b = np.empty(offsets[-1], dtype=np.int8)
-    for j, (rows, times, bit_u) in enumerate(passes):
-        r, c = np.nonzero(times <= horizon)
-        dest = offsets[rows[r]] + j * width + c
-        out_t[dest] = times[r, c]
-        out_b[dest] = bit_u[r, c] < p
-    return offsets, out_t, out_b
+    for d, (mask, per_row) in zip(passes, inside):
+        # a row's rings in a pass are consecutive, from ring max(k0, first) on
+        dest = _ranges(offsets[d.rows] + np.maximum(d.k0 - first[d.rows], 0), per_row)
+        out_t[dest] = d.times[mask]
+        out_b[dest] = d.bits[mask]
+    return offsets, out_t, out_b, passes
+
+
+def _median(a: np.ndarray) -> float:
+    """Upper median; a first np.median imports numpy.ma (17 ms, 2 MB of RSS)."""
+    return float(np.partition(a, a.size // 2)[a.size // 2])
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + lengths[i] - 1, concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
 def _frozen_zero(rule: Exterior, boundary: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -205,21 +252,26 @@ class BatchLog:
     ``times[offsets[row]:offsets[row + 1]]`` in increasing order, with the drawn
     bit, the legality and the spin after each ring.  Per row, ``first_legal``
     is the first legal ring time (inf if none).  Built on first use: per ring,
-    ``zero_time``, the time the site spent at 0 on [0, ring time]; per row,
+    ``zero_time``, the time the site spent at 0 on [start, ring time]; per row,
     ``first_change``, the first time the spin leaves its initial value.
     ``key`` and the sorted ``ordered`` times (see ``_rank_keys``) are the one
     ring index: a query costs O(log M) per row.  ``log(r)`` views one replica;
     the methods here answer for all.
 
-    The constructor sweeps the given rings (``offsets``, ``times``, ``bits``)
-    for legality and spins, from ``spins``: one row per seed, or one for all.
+    The constructor sweeps the given rings (``offsets``, ``times``, ``bits``),
+    which fall on (start, horizon], for legality and spins, from ``spins`` at
+    ``start``: one row per seed, or one for all.  A resumable batch that
+    ``simulate_batch`` or ``resume`` made also keeps its streams' site keys and
+    ring passes (``streams``), so that ``resume`` can continue it.
     """
 
     def __init__(self, params: ModelParams, rule: Exterior, spins, horizon: float,
-                 seeds: np.ndarray, offsets: np.ndarray, times: np.ndarray, bits: np.ndarray):
+                 seeds: np.ndarray, offsets: np.ndarray, times: np.ndarray, bits: np.ndarray,
+                 start: float = 0.0, streams: Optional[tuple[np.ndarray, list[_Pass]]] = None):
         self.params, self.rule, self.window = params, rule, rule.window
-        self.horizon, self.seeds = float(horizon), seeds
+        self.start, self.horizon, self.seeds = float(start), float(horizon), seeds
         self.offsets, self.times, self.bits = offsets, times, bits
+        self.streams = streams
         geo = _geometry(self.window)
         self.n_sites = geo.plane.size
         shape = (seeds.size, self.n_sites)
@@ -243,7 +295,7 @@ class BatchLog:
         row = self.key // m
         col = np.arange(m) - self.offsets[row]
         head = col == 0
-        prev_t = np.where(head, 0.0, self.times[np.maximum(np.arange(m) - 1, 0)])
+        prev_t = np.where(head, self.start, self.times[np.maximum(np.arange(m) - 1, 0)])
         prev_s = np.where(head, self.init[row], self.spin_after[np.arange(m) - 1])
         # per-row sequential cumulative sum, so a row's value ignores its batch
         padded = np.zeros((self.init.size, int(np.diff(self.offsets).max(initial=0))))
@@ -266,24 +318,74 @@ class BatchLog:
     def log(self, r: int) -> "EventLog":
         return EventLog(self, r)
 
+    def resume(self, replicas, horizon: float, resumable: bool = False) -> "BatchLog":
+        """The given replicas continued from this batch's horizon to a later one.
+
+        The new batch starts at this horizon from its final spins.  Each stream
+        goes on from the ring after the last one it drew: rings this batch drew
+        past its horizon are carried over, and new ones continue the sum of
+        gaps from the last time drawn.  So the new batch's rings, legality and
+        spins on (start, horizon] are bit for bit those of one run of the same
+        replicas to ``horizon``; it is ``resumable`` as ``simulate_batch``
+        says.  Raises SimulationError on a batch that is not resumable,
+        replicas not distinct or not in the batch, or a horizon before this
+        one.
+        """
+        if self.streams is None:
+            raise SimulationError("only a resumable simulated batch can resume")
+        if not self.horizon <= horizon <= MAX_HORIZON:
+            raise SimulationError(f"resume horizon must lie in [{self.horizon}, {MAX_HORIZON:g}]")
+        replicas = np.asarray(replicas, dtype=np.int64).reshape(-1)
+        if not (replicas.size and ((0 <= replicas) & (replicas < len(self))).all()
+                and np.unique(replicas).size == replicas.size):
+            raise SimulationError("need distinct replica indices of the batch, at least one")
+        replica_ring_slots(self.window, horizon - self.horizon)
+        keys, passes = self.streams
+        rows = (replicas[:, None] * self.n_sites + np.arange(self.n_sites)).ravel()
+        renumber = np.full(self.init.size, -1)
+        renumber[rows] = np.arange(rows.size)
+        carried = []
+        for d in passes:  # each stream's last pass is the one that drew past the horizon
+            keep = np.flatnonzero((renumber[d.rows] >= 0) & (d.times[:, -1] > self.horizon))
+            # np.take copies whole rows about 10x faster than fancy indexing
+            carried.append(_Pass(renumber[d.rows[keep]], np.take(d.times, keep, axis=0),
+                                 np.take(d.bits, keep, axis=0), d.k0[keep]))
+        spins = self._final(rows).reshape(replicas.size, self.n_sites)
+        return _run(self.params, self.rule, spins, self.seeds[replicas], keys, self.horizon,
+                    horizon, carried, resumable)
+
+    def resume_ring_slots(self, replicas, horizon: float) -> int:
+        """Ring slots per replica that ``resume(replicas, horizon)`` draws in
+        its first pass: window sites x ring_block of the span left to the
+        median stream that still needs rings, as ``resume`` sizes that pass."""
+        if self.streams is None:
+            raise SimulationError("only a resumable simulated batch can resume")
+        until = np.empty(self.init.size)  # time of the last ring each stream drew
+        for d in self.streams[1]:  # a stream's last pass comes last
+            until[d.rows] = d.times[:, -1]
+        until = until.reshape(len(self), self.n_sites)[replicas].ravel()
+        short = until[until <= horizon]
+        reach = _median(short) if short.size else horizon
+        return replica_ring_slots(self.window, horizon - reach)
+
     def _rows(self, x: Site) -> np.ndarray:
         if x not in self.window:
             raise SimulationError(f"site {x} outside window")
         return np.arange(len(self)) * self.n_sites + self.window.index(x)
 
     def _spin(self, rows: np.ndarray, s: float) -> np.ndarray:
-        if not (0 <= s <= self.horizon):
-            raise SimulationError(f"time {s} outside [0, horizon]")
+        if not (self.start <= s <= self.horizon):
+            raise SimulationError(f"time {s} outside [start, horizon]")
         last, hit = _last_ring(self.key, self.offsets, rows, self.ordered.searchsorted(s, "right"))
         spins = self.init[rows]
         spins[hit] = self.spin_after[last[hit]]
         return spins
 
     def _occupation(self, rows: np.ndarray, t: float) -> np.ndarray:
-        if t > self.horizon:
-            raise SimulationError(f"time {t} beyond horizon")
+        if not (self.start <= t <= self.horizon):
+            raise SimulationError(f"time {t} outside [start, horizon]")
         last, hit = _last_ring(self.key, self.offsets, rows, self.ordered.searchsorted(t, "right"))
-        occ = t * (self.init[rows] == 0)
+        occ = (t - self.start) * (self.init[rows] == 0)
         j = last[hit]
         occ[hit] = self.zero_time[j] + (t - self.times[j]) * (self.spin_after[j] == 0)
         return occ
@@ -298,20 +400,28 @@ class BatchLog:
         return self._spin(self._rows(x), s)
 
     def occupation_time(self, x: Site, t: float) -> np.ndarray:
-        """Lebesgue time in [0, t] during which x has spin 0, per replica."""
+        """Lebesgue time in [start, t] during which x has spin 0, per replica."""
         return self._occupation(self._rows(x), t)
 
     def first_update_time(self, x: Site) -> np.ndarray:
-        """Time of the first legal ring at x per replica, inf if none."""
+        """Time of the first legal ring at x after start per replica, inf if none."""
         return self.first_legal[self._rows(x)]
 
     def updated_set(self, sites: Sequence[Site], deadline: float) -> np.ndarray:
         """(replicas, len(sites)) mask: site had a legal ring by the deadline."""
         return self._updated(np.stack([self._rows(x) for x in sites], axis=1), deadline)
 
+    def _final(self, rows: np.ndarray) -> np.ndarray:
+        """Spin after each row's last ring, or its initial spin."""
+        spins = self.init[rows]
+        end = self.offsets[rows + 1]
+        rung = end > self.offsets[rows]
+        spins[rung] = self.spin_after[end[rung] - 1]
+        return spins
+
     def final_spins(self) -> np.ndarray:
         """(replicas, sites) spins at the horizon."""
-        return self._spin(np.arange(self.init.size), self.horizon).reshape(len(self), self.n_sites)
+        return self._final(np.arange(self.init.size)).reshape(len(self), self.n_sites)
 
 
 class EventLog:
@@ -399,6 +509,8 @@ class EventLog:
     # --- serialization ----------------------------------------------------
 
     def to_csv(self) -> str:
+        if self._batch.start:
+            raise SimulationError("a resumed batch's replicas have no event CSV")
         initial = self.initial
         manifest = {
             "d": self.params.d,
@@ -465,6 +577,7 @@ class EventLog:
 def simulate_batch(
     params: ModelParams, rule: Exterior, spins, horizon: float, seeds: Sequence[int],
     stream_salts: Optional[Mapping[Site, int]] = None,
+    resumable: bool = False,
 ) -> BatchLog:
     """Run the graphical construction for replica r = (spins[r], seeds[r])
     under one exterior rule.
@@ -476,6 +589,8 @@ def simulate_batch(
     re-keys the clock/bit streams of selected sites in every replica (used by
     the dependence-cone diagnostics); unlisted sites are unaffected.  A
     replica over MAX_REPLICA_RING_SLOTS raises before any per-site array.
+    A ``resumable`` batch keeps its ring passes (9 bytes per drawn ring slot)
+    so that ``BatchLog.resume`` can continue it.
     """
     window = rule.window
     if window.d != params.d:
@@ -490,10 +605,18 @@ def simulate_batch(
         for x, salt in stream_salts.items():
             if x in window:
                 keys[window.index(x)] = site_key(x, salt)
-    offsets, times, bits = _ring_times(
-        np.repeat(seeds, keys.size), np.tile(keys, seeds.size), horizon, params.p
+    return _run(params, rule, spins, seeds, keys, 0.0, horizon, (), resumable)
+
+
+def _run(params: ModelParams, rule: Exterior, spins, seeds: np.ndarray, keys: np.ndarray,
+         start: float, horizon: float, carried: Sequence[_Pass], resumable: bool) -> BatchLog:
+    """Draw the rings of every (seed, site key) stream on (start, horizon] and sweep them."""
+    offsets, times, bits, passes = _ring_times(
+        np.repeat(seeds, keys.size), np.tile(keys, seeds.size), params.p, start, horizon, carried
     )
-    return BatchLog(params, rule, spins, horizon, seeds, offsets, times, bits)
+    streams = (keys, passes) if resumable else None
+    del passes  # a batch that will not resume frees its passes before the sweep
+    return BatchLog(params, rule, spins, horizon, seeds, offsets, times, bits, start, streams)
 
 
 def simulate(

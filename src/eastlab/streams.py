@@ -81,26 +81,38 @@ def _unit(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (x >> 11).astype(np.float64) * 2.0**-53
 
 
+def _words(k: np.ndarray) -> list[np.ndarray]:
+    """Low and high 32-bit words of uint64 ring indices (astype keeps the low 32 bits)."""
+    return [k.astype(np.uint32), (k >> 32).astype(np.uint32)]
+
+
 def ring_draws(
-    seeds: np.ndarray, site_keys: np.ndarray, k0: int, count: int
+    seeds: np.ndarray, site_keys: np.ndarray, k0, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exp(1) gaps and bit uniforms of rings k0 .. k0+count-1 of each stream.
 
     ``seeds`` and ``site_keys`` are uint64 arrays naming one stream per row;
-    returns two (rows, count) float64 arrays.  Words 0-1 of block k give gap
+    ``k0`` is one first ring index for every row, or an array of one per row.
+    Returns two (rows, count) float64 arrays.  Words 0-1 of block k give gap
     k, words 2-3 the uniform that decides bit k.
     """
     rows = seeds.size
     gaps = np.empty((rows, count))
     bits_u = np.empty((rows, count))
-    k = np.arange(k0, k0 + count, dtype=np.uint64)
-    # astype keeps the low 32 bits
-    k_words = [(k >> shift).astype(np.uint32) for shift in (0, 32)]
+    k = np.arange(count, dtype=np.uint64)
+    per_row = np.ndim(k0) > 0
+    if per_row:
+        k0 = np.asarray(k0, dtype=np.uint64)
+    else:
+        k_words = _words(k + np.uint64(k0))
     row_words = [(a >> shift).astype(np.uint32) for a in (site_keys, seeds) for shift in (0, 32)]
     step = max(1, PHILOX_CHUNK // count)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        counter = [np.tile(w, hi - lo) for w in k_words]
+        if per_row:  # built per chunk: a whole call's words cost more than the tile below
+            counter = _words((k0[lo:hi, None] + k).ravel())
+        else:
+            counter = [np.tile(w, hi - lo) for w in k_words]
         counter += [np.repeat(w[lo:hi], count) for w in row_words[:2]]
         key = [np.repeat(w[lo:hi], count) for w in row_words[2:]]
         w0, w1, w2, w3 = philox4x32(counter, key)

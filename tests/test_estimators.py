@@ -33,6 +33,7 @@ from eastlab.lattice import (
 )
 from eastlab.sim import (
     MAX_REPLICA_RING_SLOTS,
+    BatchLog,
     SimulationError,
     replica_ring_slots,
     ring_block,
@@ -129,6 +130,82 @@ class TestPersistence:
             estimate_persistence(
                 ModelParams(1, 0.5), ProductBernoulli(0.5), (9,), [1.0], 10, Window((0,), (1,)), 0
             )
+
+
+def one_shot_persistence(params, spec, x, times, n, window, seed) -> DecaySeries:
+    """Every run simulated to the last requested time at once: the reference
+    that the staged ``estimate_persistence`` must equal."""
+    ts = tuple(sorted(float(t) for t in times))
+    counts = np.zeros(len(ts), dtype=np.int64)
+    for _, batch in replica_batches(params, spec, window, ts[-1], seed, "persist", n):
+        counts += (batch.first_update_time(x)[:, None] > np.asarray(ts)).sum(axis=0)
+    return DecaySeries(ts, tuple(float(k) / n for k in counts),
+                       tuple(wilson_halfwidth(int(k), n) for k in counts), n_outer=n, n_inner=1)
+
+
+A4_WINDOW = Window((-10, -10), (1, 1))
+CHAIN = Window((1,), (2,))  # site 1 sits beside a frozen zero: F(t) = e^{-t}
+STAGED_SETUPS = {
+    "a4": (ModelParams(2, 0.5), ProductBernoulli(0.5), (1, 1), range(1, 11), 40, A4_WINDOW),
+    "slow": (ModelParams(2, 0.9), ProductBernoulli(0.9), (1, 1), range(1, 11), 40, A4_WINDOW),
+    "blocked": (ModelParams(2, 0.5), Delta(Configuration.all_ones(A4_WINDOW)), (1, 1),
+                range(1, 11), 20, A4_WINDOW),
+    "zero-and-duplicate-times": (ModelParams(2, 0.5), ProductBernoulli(0.5), (0, 0),
+                                 [3, 0, 0.5, 0.5, 0, 1.2], 60, Window((-2, -2), (0, 0))),
+    "every-end-a-stage": (ModelParams(1, 0.5), Delta(Configuration.all_ones(CHAIN, exterior=0)),
+                          (1,), [1, 1.5, 2, 3, 4, 8], 200, CHAIN),
+}
+
+
+class TestStagedPersistence:
+    @pytest.mark.parametrize("budget", [None, 1, 300, 5000])
+    @pytest.mark.parametrize("setup", sorted(STAGED_SETUPS))
+    def test_equals_one_shot(self, monkeypatch, setup, budget):
+        args = (*STAGED_SETUPS[setup], 11)
+        want = one_shot_persistence(*args)
+        if budget is not None:
+            monkeypatch.setattr(estimators, "RING_SLOT_BUDGET", budget)
+        assert estimate_persistence(*args) == want
+
+    @pytest.mark.parametrize("setup, resumes", [
+        # each stage retires more than half its runs: every end is reached in turn
+        ("every-end-a-stage", [(1.0, 2.0), (2.0, 4.0), (4.0, 8.0)]),
+        # no run ever updates: after stage 1 the rest run straight to the horizon
+        ("blocked", [(1.0, 10.0)]),
+    ])
+    def test_stage_ends_reached(self, monkeypatch, setup, resumes):
+        seen = set()
+        resume = BatchLog.resume
+
+        def spy(batch, replicas, horizon, **kwargs):
+            seen.add((batch.horizon, horizon))
+            return resume(batch, replicas, horizon, **kwargs)
+
+        monkeypatch.setattr(BatchLog, "resume", spy)
+        estimate_persistence(*STAGED_SETUPS[setup], 11)
+        assert sorted(seen) == resumes
+
+    @pytest.mark.parametrize("times, ends", [
+        ([1, 2, 3, 4, 5, 6, 7, 8, 9, 10], [1, 2, 4, 8, 10]),
+        ([0, 0, 0.5, 0.5, 0.7, 3], [0.5, 3]),
+        ([0, 0], [0]),
+        ([2], [2]),
+    ])
+    def test_stage_ends(self, times, ends):
+        assert estimators._stage_ends(sorted(float(t) for t in times)) == ends
+
+    def test_over_cap_horizon_fails_before_a_stage(self, monkeypatch):
+        # stage 1 ends at t = 1 and would fit the replica cap; the horizon does
+        # not, and the check must fire before any batch is simulated
+        horizon = 11.0
+        sites = MAX_REPLICA_RING_SLOTS // ring_block(horizon) + 1
+        w = Window((0,), (sites - 1,))
+        assert replica_ring_slots(w, 1.0) <= MAX_REPLICA_RING_SLOTS
+        monkeypatch.setattr(estimators, "simulate_batch", lambda *a, **k: pytest.fail("a stage ran"))
+        with pytest.raises(SimulationError, match="ring slots per site"):
+            estimate_persistence(ModelParams(1, 0.5), ProductBernoulli(0.5), (0,), [1.0, horizon],
+                                 3, w, 0)
+        assert "sites" not in vars(w) and "site_keys" not in vars(w)
 
 
 class TestRelaxation:

@@ -1,7 +1,8 @@
 """Property tests of the graphical construction on random windows (d = 1..3).
 
 Coupling properties: the sweep equals the time-ordered event loop given
-identical rings, histories are consistent under horizon extension, a site's
+identical rings, histories are consistent under horizon extension, a batch
+resumed from its horizon continues the one-shot run bit for bit, a site's
 rings ignore the enclosing window, a site's trajectory is measurable with
 respect to its backward cone, estimator outputs ignore the replica chunking,
 relaxation equals its per-run reference, and each replica's EventLog answers
@@ -114,6 +115,37 @@ def test_horizon_prefix_consistency(scenario, extra):
     long = simulate(params, initial, h + extra, seed)
     for x in initial.window.sites:
         assert site_records(long, x, until=h) == site_records(short, x)
+
+
+@PROPERTY
+@given(scenarios(), st.lists(st.integers(0, 2**64 - 1), max_size=3),
+       st.lists(st.one_of(st.just(0.0), st.floats(0.01, 8.0)), min_size=2, max_size=2),
+       st.data())
+def test_resume_matches_one_shot(scenario, more_seeds, extra, data):
+    # simulate to h, resume chosen replicas to mid, and some of those to H:
+    # rings on (mid, H] and the spins at H are the one-shot run's; a zero
+    # extension leaves rows with no rings
+    params, initial, h, seed = scenario
+    seeds = [seed, *more_seeds]
+    mid, horizon = h + extra[0], h + extra[0] + extra[1]
+    one = simulate_batch(params, initial.rule, initial.spins, horizon, seeds)
+    picks = data.draw(st.lists(st.sampled_from(range(len(seeds))), min_size=1, unique=True))
+    again = data.draw(st.lists(st.sampled_from(range(len(picks))), min_size=1, unique=True))
+    first = simulate_batch(params, initial.rule, initial.spins, h, seeds, resumable=True)
+    resumed = first.resume(picks, mid, resumable=True).resume(again, horizon)
+    chosen = [picks[i] for i in again]
+    assert (resumed.start, resumed.horizon) == (mid, horizon)
+    assert np.array_equal(resumed.final_spins(), one.final_spins()[chosen])
+    for i, r in enumerate(chosen):
+        for x in initial.window.sites:
+            want = one.log(r).rings(x)
+            late = want[0] > mid
+            for got, ref in zip(resumed.log(i).rings(x), want):
+                assert np.array_equal(got, ref[late])
+            legal_late = want[0][late & want[2]]
+            tau = legal_late[0] if legal_late.size else np.inf
+            assert resumed.first_update_time(x)[i] == tau
+            assert resumed.spin_at_time(x, mid)[i] == one.spin_at_time(x, mid)[r]
 
 
 @PROPERTY
@@ -270,6 +302,22 @@ def test_persistence_window_independent():
     w, grown = Window((-3, -3), (1, 1)), Window((-3, -3), (4, 3))
     a, b = (estimate_persistence(params, spec, x, [1, 2, 3], 200, v, 3) for v in (w, grown))
     assert a.to_csv() == b.to_csv()
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 2**40), min_size=1, max_size=12), st.integers(1, 9),
+       st.sampled_from([7, 50, 1 << 14]))
+def test_ring_draws_per_row_start_matches_scalar_calls(starts, count, chunk):
+    # a per-row first ring index equals one scalar call per row, however the
+    # Philox evaluation is chunked
+    seeds = (np.arange(len(starts), dtype=np.uint64) + 3) * np.uint64(0x9E3779B97F4A7C15)
+    keys = np.arange(len(starts), dtype=np.uint64) * np.uint64(0xBF58476D1CE4E5B9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(streams, "PHILOX_CHUNK", chunk)
+        got = streams.ring_draws(seeds, keys, np.array(starts), count)
+    for r, k0 in enumerate(starts):
+        want = streams.ring_draws(seeds[r:r + 1], keys[r:r + 1], k0, count)
+        assert np.array_equal(got[0][r], want[0][0]) and np.array_equal(got[1][r], want[1][0])
 
 
 def test_ring_draws_ignore_philox_chunk(monkeypatch):

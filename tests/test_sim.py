@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, poisson
 
-from eastlab.lattice import Configuration, ModelParams, Region, Window
+from eastlab.lattice import Configuration, Exterior, ModelParams, Region, Window
 from eastlab.sim import EventLog, SimulationError, simulate, simulate_batch
 from eastlab.streams import derive_seed, mix64, ring_draws, site_key
 from eastlab.theory import oriented_path_check
@@ -233,6 +233,44 @@ class TestBatchInput:
         assert "zero_time" in vars(batch) and "first_change" not in vars(batch)
         oriented_path_check(batch, 2.0, 0.1, (0, 0))  # reads which sites stayed at 0
         assert "first_change" in vars(batch)
+
+
+class TestResume:
+    def batch(self):
+        w = Window((0, 0), (1, 2))
+        return simulate_batch(ModelParams(2, 0.4), Exterior(w, 0, {(-1, 1): 1}), [1] * 6, 2.0,
+                              [3, 4, 5], resumable=True)
+
+    def test_queries_answer_from_start(self):
+        # occupation and updates count from the resumed batch's start; its
+        # spins at start are the first batch's spins there
+        batch = self.batch()
+        one = simulate_batch(batch.params, batch.rule, [1] * 6, 5.0, batch.seeds)
+        resumed = batch.resume([2, 0], 5.0)
+        for x in batch.window.sites:
+            occ = one.occupation_time(x, 5.0) - one.occupation_time(x, 2.0)
+            assert np.allclose(resumed.occupation_time(x, 5.0), occ[[2, 0]], rtol=0, atol=1e-12)
+            assert (resumed.spin_at_time(x, 2.0) == batch.spin_at_time(x, 2.0)[[2, 0]]).all()
+        with pytest.raises(SimulationError, match="outside"):
+            resumed.spin_at_time((0, 0), 1.0)
+        with pytest.raises(SimulationError, match="outside"):
+            resumed.occupation_time((0, 0), 1.0)
+
+    @pytest.mark.parametrize("replicas, horizon", [([0], 1.0), ([0, 0], 3.0), ([3], 3.0),
+                                                   ([-1], 3.0), ([], 3.0), ([0], 2e9)])
+    def test_bad_request_rejected(self, replicas, horizon):
+        with pytest.raises(SimulationError):
+            self.batch().resume(replicas, horizon)
+
+    def test_batch_without_streams_rejected(self):
+        batch = self.batch()
+        replay = EventLog.from_csv(batch.log(0).to_csv())._batch
+        plain = simulate_batch(batch.params, batch.rule, [1] * 6, 2.0, batch.seeds)
+        for other in (replay, plain, batch.resume([0], 3.0)):
+            with pytest.raises(SimulationError, match="only a resumable simulated batch"):
+                other.resume([0], 4.0)
+        with pytest.raises(SimulationError, match="no event CSV"):
+            batch.resume([1], 3.0).log(0).to_csv()
 
 
 class TestStatisticalContracts:
