@@ -49,6 +49,7 @@ _EXACT_NAMES = frozenset({
     "build_generator",
     "east1d_gap",
     "evolve_expectation",
+    "killed_operator",
     "mu_expectation",
     "spectral_gap",
 })

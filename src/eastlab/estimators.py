@@ -261,8 +261,8 @@ def estimate_relaxation(
             outer_vals[rngb.integers(0, n_outer, (min(block, N_BOOT - b), n_outer))].mean(axis=1)
             for b in range(0, N_BOOT, block)
         ])
-        lo = np.percentile(boot, 2.5, axis=0)
-        hi = np.percentile(boot, 97.5, axis=0)
+        lo = percentile(boot, 2.5)
+        hi = percentile(boot, 97.5)
         halfwidths = (hi - lo) / 2
     else:
         halfwidths = np.zeros(len(ts))
@@ -271,9 +271,33 @@ def estimate_relaxation(
     )
 
 
+def median(a: np.ndarray) -> float:
+    """``np.median(a)`` of a 1-d array, bit for bit: the mean of the two
+    middle values at even size.  Unlike numpy's, it does not import numpy.ma
+    (17.5 ms and 2 MB of RSS on a process's first call)."""
+    half = a.size // 2
+    if a.size % 2:
+        return float(np.partition(a, half)[half])
+    part = np.partition(a, (half - 1, half))
+    return float((part[half - 1] + part[half]) / 2)
+
+
+def percentile(a: np.ndarray, q: float) -> np.ndarray:
+    """``np.percentile(a, q, axis=0)`` under its default linear method, bit
+    for bit, without importing numpy.ma: the values at ranks floor(v) and
+    floor(v) + 1, v = (n - 1) q / 100, interpolated from the nearer one."""
+    at = (a.shape[0] - 1) * (q / 100)
+    lo = math.floor(at)
+    hi = min(lo + 1, a.shape[0] - 1)
+    part = np.partition(a, (lo, hi), axis=0)
+    t = at - lo
+    diff = part[hi] - part[lo]
+    return part[hi] - diff * (1 - t) if t >= 0.5 else part[lo] + diff * t
+
+
 def default_fit_floor(series: DecaySeries) -> float:
     """3x the median halfwidth, excluding noise-dominated tail points."""
-    return 3.0 * float(np.median(series.halfwidths))
+    return 3.0 * median(np.asarray(series.halfwidths))
 
 
 def fit_exponential(series: DecaySeries, floor: float) -> FitResult:
@@ -334,9 +358,9 @@ def occupation_statistics(
     return OccupationSummary(
         sites=sites,
         means=tuple(occ.mean(axis=0)),
-        q10=tuple(np.percentile(occ, 10, axis=0)),
-        q50=tuple(np.percentile(occ, 50, axis=0)),
-        q90=tuple(np.percentile(occ, 90, axis=0)),
+        q10=tuple(percentile(occ, 10)),
+        q50=tuple(percentile(occ, 50)),
+        q90=tuple(percentile(occ, 90)),
         g_frequency=g_freq,
         threshold=threshold,
         n=n,

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 from scipy.special import gammaln, pdtrc, xlogy
 
 from .lattice import Region, Site, bernoulli_weights, site_sub_e
@@ -40,23 +40,28 @@ class SpectrumResult:
     eigenvalue_count_at_zero: int
 
 
+def _checked_sites(region: Region, p: float) -> tuple[Site, ...]:
+    """The region's sites in bit order, once p and the region's size are checked."""
+    if not (0.0 < p < 1.0):
+        raise ExactEngineError(f"p must lie in (0,1), got {p}")
+    sites = tuple(sorted(region.sites))
+    if not sites:
+        raise ExactEngineError("region is empty")
+    if len(sites) > MAX_REGION_SITES:
+        raise ExactEngineError(f"region capped at {MAX_REGION_SITES} sites")
+    return sites
+
+
 class Generator:
     """Exact rate matrix of the East dynamics on a region with frozen boundary."""
 
     def __init__(self, region: Region, boundary: Mapping[Site, int], p: float):
-        if not (0.0 < p < 1.0):
-            raise ExactEngineError(f"p must lie in (0,1), got {p}")
-        sites = tuple(sorted(region.sites))
-        if not sites:
-            raise ExactEngineError("region is empty")
-        if len(sites) > MAX_REGION_SITES:
-            raise ExactEngineError(f"region capped at {MAX_REGION_SITES} sites")
+        self.sites = _checked_sites(region, p)
         self.region = region
-        self.sites = sites
         self.boundary = dict(boundary)
         self.p = p
-        self.d = len(sites[0])
-        self.n = len(sites)
+        self.d = len(self.sites[0])
+        self.n = len(self.sites)
         self.dim = 1 << self.n
         self.rates = self._build()
 
@@ -120,7 +125,9 @@ def evolve_expectation(
 ) -> float:
     """E_initial[f(state at time t)] by uniformization with truncation error < tol.
 
-    ``initial`` is a bitmask state or a distribution vector over states.
+    ``initial`` is a bitmask state or a distribution vector over states; a
+    state outside 0..dim-1, or a vector of the wrong length, raises
+    `ExactEngineError`.
     """
     if t < 0:
         raise ExactEngineError("t must be >= 0")
@@ -129,11 +136,19 @@ def evolve_expectation(
     fvec = np.asarray(
         f if isinstance(f, np.ndarray) else [f(s) for s in range(gen.dim)], dtype=float
     )
+    if fvec.shape != (gen.dim,):
+        raise ExactEngineError(f"f has shape {fvec.shape}, the region has {gen.dim} states")
     if isinstance(initial, (int, np.integer)):
+        if not 0 <= initial < gen.dim:
+            raise ExactEngineError(f"initial state {initial} lies outside 0..{gen.dim - 1}")
         dist = np.zeros(gen.dim)
         dist[initial] = 1.0
     else:
         dist = np.asarray(initial, dtype=float)
+        if dist.shape != (gen.dim,):
+            raise ExactEngineError(
+                f"initial distribution has shape {dist.shape}, the region has {gen.dim} states"
+            )
     if t == 0:
         return float(dist @ fvec)
     lam = float(gen.n)  # uniformization rate: each of n sites rings at rate 1
@@ -187,17 +202,75 @@ def spectral_gap(gen: Generator) -> SpectrumResult:
     return SpectrumResult(gap, int((rates <= zero_tol).sum()))
 
 
+def killed_operator(region: Region, boundary: Mapping[Site, int], p: float, z: Site) -> sp.csr_matrix:
+    """B = -S + diag(c_z) on the region, with S the symmetrized generator and
+    c_z(eta) = 1{some z - e_j is at zero}, the constraint of the killed site z
+    outside the region.
+
+    Its CSR arrays (int32 indices, sorted within each row) are written in one
+    vectorized pass over the region's sites: -sqrt(p(1-p)) at each legal flip
+    and the sum of the flip rates plus c_z on the diagonal, which
+    `build_generator` and `_symmetrized` reach by a longer route.
+    """
+    sites = _checked_sites(region, p)
+    if z in region:
+        raise ExactEngineError(f"killed site {z} lies inside the region")
+    n = len(sites)
+    index = {x: i for i, x in enumerate(sites)}
+    states = np.arange(1 << n, dtype=np.int32)
+
+    def constraint(x: Site) -> np.ndarray:
+        cons = np.zeros(states.size, dtype=bool)
+        for j in range(len(x)):
+            y = site_sub_e(x, j)
+            if y in index:
+                cons |= (states >> index[y]) & 1 == 0
+            elif y not in boundary:
+                raise ExactEngineError(f"missing boundary assignment for {y}")
+            elif boundary[y] == 0:
+                cons[:] = True
+        return cons
+
+    flips = 1 << np.arange(n, dtype=np.int32)  # flips[i] toggles site i
+    legal = np.zeros(states.size, dtype=np.int32)  # per state, the bits of the sites free to flip
+    for x, f in zip(sites, flips):
+        np.bitwise_or(legal, f, out=legal, where=constraint(x))
+    up, down = legal & ~states, legal & states  # legal flips to 1 (rate p) and to 0 (rate 1-p)
+    n_down = np.bitwise_count(down)
+    diag = p * np.bitwise_count(up) + (1.0 - p) * n_down + constraint(z)
+    # a row's columns ascend: eta - 2^i for i = n-1..0, eta, then eta + 2^i for i = 0..n-1
+    slots = np.concatenate([flips[::-1], np.zeros(1, np.int32), flips])
+    present = np.concatenate(
+        [down[:, None] & flips[::-1], np.ones((states.size, 1), np.int32), up[:, None] & flips], axis=1
+    ) != 0
+    indices = np.extract(present, states[:, None] ^ slots)
+    indptr = np.zeros(states.size + 1, dtype=np.int32)
+    np.cumsum(np.bitwise_count(legal) + 1, out=indptr[1:])
+    data = np.full(indices.size, -math.sqrt(p * (1.0 - p)))
+    data[indptr[:-1] + n_down] = diag
+    return sp.csr_matrix((data, indices, indptr), shape=(states.size, states.size))
+
+
 def half_space_operator(p: float, m: int) -> sp.csr_matrix:
     """B_m = -S_m + diag(1{eta_m = 0}) on the chain {1..m}, site 0 frozen at zero.
 
-    S_m is the symmetrized generator.  B_m is positive definite, and its
-    off-diagonal entries are -sqrt(p(1-p)) <= 0, so its ground vector is
-    positive.
+    B_m is positive definite, and its off-diagonal entries are
+    -sqrt(p(1-p)) <= 0, so its ground vector is positive.
     """
-    chain = Region(frozenset((i,) for i in range(1, m + 1)), f"East1D({m})")
-    gen = build_generator(chain, {(0,): 0}, p)
-    last_zero = (((np.arange(gen.dim) >> (m - 1)) & 1) == 0).astype(float)
-    return (sp.diags(last_zero) - _symmetrized(gen)).tocsr()
+    return killed_operator(Region(frozenset((i,) for i in range(1, m + 1))), {(0,): 0}, p, (m + 1,))
+
+
+def _lowest_tridiagonal(alpha: list[float], beta: list[float]) -> float:
+    """lambda_min of the symmetric tridiagonal matrix with diagonal alpha and
+    off-diagonal beta, by LAPACK's bisection: the call, and the 1x1 shortcut,
+    of ``eigvalsh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))``
+    without its argument checks."""
+    if len(alpha) == 1:
+        return alpha[0]
+    _, w, _, _, info = dstebz(alpha, beta, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    if info:
+        raise ExactEngineError(f"LAPACK dstebz failed with info = {info}")
+    return float(w[0])
 
 
 def east1d_gap(p: float, N: int) -> float:
@@ -213,7 +286,7 @@ def east1d_gap(p: float, N: int) -> float:
     e_1 the spin-1 state of site m, gives
     <B_m> = lambda_min(B_{m-1}) - p <v, diag(c_m) v> with <v, diag(c_m) v> > 0.
     So the gap is exactly lambda_min(B_{N-1}), an operator on 2^(N-1) states
-    with no zero mode to deflate.
+    with no zero mode to deflate, built directly by `killed_operator`.
 
     It is solved by one three-term Lanczos recurrence on B_{N-1}, started
     from the normalized all-ones vector, which makes the result deterministic
@@ -223,8 +296,8 @@ def east1d_gap(p: float, N: int) -> float:
     point the vectors lose orthogonality, but by Paige's analysis (LAA 34,
     1980) lambda_min(T_k) still decreases to lambda_min(B); lost
     orthogonality only adds ghost copies of Ritz values that have converged.
-    Every 10 steps lambda_min(T_k) is read by bisection
-    (``eigvalsh_tridiagonal``), and the recurrence stops when it fell by at
+    Every 10 steps lambda_min(T_k) is read by LAPACK's bisection ``dstebz``
+    (`_lowest_tridiagonal`), and the recurrence stops when it fell by at
     most `LANCZOS_RTOL` relative over those 10 steps, or at breakdown
     (beta_k <= `LANCZOS_RTOL` |B q_k|), where T_k's spectrum is exact.  A
     residual bound is not used as the stop rule: once ghosts appear it stalls
@@ -237,12 +310,12 @@ def east1d_gap(p: float, N: int) -> float:
     scipy 1.17), with peak RSS in MB in brackets and the Lanczos steps below:
 
         N          14          15          16          17          18 (*)
-        p = 0.5    0.036 (67)  0.072 (70)  0.15 (80)   0.28 (101)  0.70 (142)
+        p = 0.5    0.022 (65)  0.047 (67)  0.096 (72)  0.18 (82)   0.52 (102)
           steps    110         120         130         130         140
-        p = 0.9    0.14 (67)   0.30 (70)   0.66 (80)   1.38 (102)  4.6 (142)
-          steps    670         760         930         1080        1220
+        p = 0.9    0.11 (65)   0.27 (67)   0.56 (72)   1.34 (82)   4.1 (102)
+          steps    650         830         950         1080        1240
 
-    p = 0.95 took 0.18 s (900 steps) at N = 14 and 2.9 s (1980 steps, the
+    p = 0.95 took 0.16 s (950 steps) at N = 14 and 2.3 s (1980 steps, the
     most measured) at N = 17.  (*) N = 18 lies past `MAX_GAP_SITES` and was
     timed with the cap raised in-process; it is informational.
     """
@@ -268,7 +341,7 @@ def east1d_gap(p: float, N: int) -> float:
         breakdown = b <= LANCZOS_RTOL * scale
         alpha.append(a)
         if breakdown or k % 10 == 0:
-            theta = float(eigvalsh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))[0])
+            theta = _lowest_tridiagonal(alpha, beta)
             if breakdown or low - theta <= LANCZOS_RTOL * theta:
                 return theta
             low = theta

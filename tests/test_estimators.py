@@ -12,8 +12,10 @@ from eastlab.estimators import (
     estimate_persistence,
     estimate_relaxation,
     fit_exponential,
+    median,
     observable_mu_and_norm,
     occupation_statistics,
+    percentile,
     replica_batches,
     wilson_halfwidth,
     wilson_interval,
@@ -335,6 +337,22 @@ class TestFit:
         )
         fit = fit_exponential(series, floor=default_fit_floor(series))
         assert fit.fit_window == (0, 2)
+
+
+class TestOrderStatistics:
+    # the estimators' median and percentile stand in for numpy's, which import numpy.ma
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 31, 64, 1001])
+    def test_median_bit_identical_to_numpy(self, n):
+        a = np.random.default_rng(n).exponential(size=n)
+        assert median(a).hex() == float(np.median(a)).hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 31, 64, 1001])
+    @pytest.mark.parametrize("q", [0, 2.5, 10, 50, 90, 97.5, 100, 33.3])
+    def test_percentile_bit_identical_to_numpy(self, n, q):
+        a = np.random.default_rng(n).normal(size=(n, 3))
+        want = np.percentile(a, q, axis=0)
+        assert np.array_equal(percentile(a, q), want)
+        assert np.array_equal(percentile(a[:, 0], q), np.percentile(a[:, 0], q))
 
 
 class TestOccupation:

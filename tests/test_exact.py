@@ -3,18 +3,22 @@ from itertools import product
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+import scipy.sparse as sp
+from scipy.linalg import eigvalsh_tridiagonal, expm
 from scipy.sparse.linalg import eigsh, expm_multiply
 from scipy.stats import poisson
 
 import eastlab.exact
 from eastlab.exact import (
     ExactEngineError,
+    MAX_REGION_SITES,
+    _lowest_tridiagonal,
     _symmetrized,
     build_generator,
     east1d_gap,
     evolve_expectation,
     half_space_operator,
+    killed_operator,
     mu_expectation,
     poisson_truncation,
     spectral_gap,
@@ -24,6 +28,25 @@ from eastlab.lattice import Region, bernoulli_weights
 
 def region_1d(sites):
     return Region(frozenset((i,) for i in sites))
+
+
+def killed_reference(region, boundary, p, z):
+    """diag(c_z) - S from `build_generator` and `_symmetrized`, with z's
+    constraint read state by state."""
+    gen = build_generator(region, boundary, p)
+    index = {x: i for i, x in enumerate(gen.sites)}
+
+    def at_zero(s, y):
+        return (s >> index[y]) & 1 == 0 if y in index else boundary[y] == 0
+
+    lower = [z[:j] + (z[j] - 1,) + z[j + 1 :] for j in range(len(z))]
+    c = [float(any(at_zero(s, y) for y in lower)) for s in range(gen.dim)]
+    return (sp.diags(c) - _symmetrized(gen)).tocsr()
+
+
+def chain_reference(p, m):
+    """B_m of `half_space_operator`, built through the oracle route."""
+    return killed_reference(region_1d(range(1, m + 1)), {(0,): 0}, p, (m + 1,))
 
 
 class TestBuildGenerator:
@@ -119,6 +142,24 @@ class TestEvolveExpectation:
         for t in (0.1, 1.0, 10.0):
             got = evolve_expectation(gen, mu, f, t, tol=1e-12)
             assert got == pytest.approx(want, abs=1e-10)
+
+
+class TestEvolveExpectationInputs:
+    gen = build_generator(region_1d([1, 2, 3]), {(0,): 0}, 0.5)
+
+    @pytest.mark.parametrize("state", [-1, 8, 100])
+    def test_state_outside_range_named(self, state):
+        with pytest.raises(ExactEngineError, match=rf"initial state {state} lies outside 0\.\.7"):
+            evolve_expectation(self.gen, state, np.ones(8), 1.0)
+
+    def test_distribution_of_wrong_length_named(self):
+        with pytest.raises(ExactEngineError, match=r"initial distribution has shape \(4,\)"):
+            evolve_expectation(self.gen, np.full(4, 0.25), np.ones(8), 1.0)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_f_of_wrong_length_named(self, t):
+        with pytest.raises(ExactEngineError, match=r"f has shape \(7,\)"):
+            evolve_expectation(self.gen, 0, np.ones(7), t)
 
 
 class TestPoissonTruncation:
@@ -256,7 +297,7 @@ class TestHalfSpaceGap:
     @pytest.mark.parametrize("N", range(11, 15))
     def test_matches_arpack(self, p, N):
         # an independent solver: implicitly restarted Lanczos (ARPACK) to machine precision
-        B = half_space_operator(p, N - 1)
+        B = chain_reference(p, N - 1)
         want = eigsh(B, k=1, which="SA", v0=np.ones(B.shape[0]), tol=0, return_eigenvectors=False)[0]
         assert east1d_gap(p, N) == pytest.approx(want, rel=1e-9)
 
@@ -264,7 +305,7 @@ class TestHalfSpaceGap:
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_breakdown_gives_exact_minimum(self, p, N):
         # the Krylov space of 2^(N-1) states is exhausted within 2^(N-1) steps
-        want = np.linalg.eigvalsh(half_space_operator(p, N - 1).toarray())[0]
+        want = np.linalg.eigvalsh(chain_reference(p, N - 1).toarray())[0]
         assert east1d_gap(p, N) == pytest.approx(want, abs=1e-12)
 
     def test_step_cap_named(self, monkeypatch):
@@ -272,6 +313,60 @@ class TestHalfSpaceGap:
         monkeypatch.setattr(eastlab.exact, "MAX_LANCZOS_STEPS", 100)
         with pytest.raises(ExactEngineError, match=r"p=0\.9, N=12.*MAX_LANCZOS_STEPS = 100"):
             east1d_gap(0.9, 12)
+
+
+class TestKilledOperator:
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_chain_matches_oracle(self, p, m):
+        B = half_space_operator(p, m)
+        assert B.indices.dtype == np.int32 and B.has_sorted_indices
+        assert np.max(np.abs(B.toarray() - chain_reference(p, m).toarray())) <= 1e-14
+
+    @pytest.mark.parametrize("edge_spins", ["zeros", "ones", "mixed"])
+    @pytest.mark.parametrize("z_reads", ["region", "boundary at 0", "boundary at 1"])
+    def test_2d_box_matches_oracle(self, edge_spins, z_reads):
+        # the 3x3 box without its corner (2, 2): z = (2, 2) reads two region
+        # sites, z = (-1, -1) two frozen sites off the box's own boundary
+        region = Region(frozenset((i, j) for i in range(3) for j in range(3)) - {(2, 2)})
+        edge = [(-1, j) for j in range(3)] + [(i, -1) for i in range(3)]
+        spin = {"zeros": lambda k: 0, "ones": lambda k: 1, "mixed": lambda k: k % 2}[edge_spins]
+        boundary = {y: spin(k) for k, y in enumerate(edge)}
+        z = (2, 2)
+        if z_reads != "region":
+            z = (-1, -1)
+            boundary.update({(-2, -1): int(z_reads[-1]), (-1, -2): int(z_reads[-1])})
+        B = killed_operator(region, boundary, 0.35, z)
+        assert B.indices.dtype == np.int32 and B.has_sorted_indices
+        want = killed_reference(region, boundary, 0.35, z).toarray()
+        assert np.max(np.abs(B.toarray() - want)) <= 1e-14
+
+    def test_missing_boundary_site_named(self):
+        with pytest.raises(ExactEngineError, match=r"missing boundary assignment for \(0,\)"):
+            killed_operator(region_1d([1, 2]), {}, 0.5, (3,))
+        with pytest.raises(ExactEngineError, match=r"missing boundary assignment for \(4,\)"):
+            killed_operator(region_1d([1, 2]), {(0,): 0}, 0.5, (5,))
+
+    def test_region_above_cap_named(self):
+        region = region_1d(range(1, MAX_REGION_SITES + 2))
+        with pytest.raises(ExactEngineError, match=f"region capped at {MAX_REGION_SITES} sites"):
+            killed_operator(region, {(0,): 0}, 0.5, (MAX_REGION_SITES + 2,))
+
+    def test_killed_site_inside_region_named(self):
+        with pytest.raises(ExactEngineError, match=r"killed site \(2,\) lies inside the region"):
+            killed_operator(region_1d([1, 2]), {(0,): 0}, 0.5, (2,))
+
+
+class TestLowestTridiagonal:
+    def test_bit_identical_to_eigvalsh_tridiagonal(self):
+        # east1d_gap makes the LAPACK call of eigvalsh_tridiagonal itself, so a
+        # change of scipy's wrapper arguments shows here
+        rng = np.random.default_rng(12)
+        for k in range(1, 301):
+            alpha = rng.normal(size=k).tolist()
+            beta = (rng.uniform(0.0, 1.0, k - 1) * 10.0 ** rng.uniform(-6, 1)).tolist()
+            want = eigvalsh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))[0]
+            assert _lowest_tridiagonal(alpha, beta).hex() == float(want).hex()
 
 
 class TestBernoulliWeights:

@@ -30,7 +30,7 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
 
-def scipy_modules_loaded(probe: str, *args: str) -> list[str]:
+def probe_output(probe: str, *args: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", probe, *args], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
@@ -38,22 +38,42 @@ def scipy_modules_loaded(probe: str, *args: str) -> list[str]:
 
 
 def test_monte_carlo_kinds_load_no_scipy():
-    assert scipy_modules_loaded(PROBE, *MONTE_CARLO_CONFIGS) == []
+    assert probe_output(PROBE, *MONTE_CARLO_CONFIGS) == []
 
 
 def test_exact_engine_loads_no_arpack():
-    loaded = scipy_modules_loaded("import eastlab.exact" + PROBE)
+    loaded = probe_output("import eastlab.exact" + PROBE)
     assert "scipy.sparse" in loaded
     assert "scipy.sparse.linalg" not in loaded
 
 
+MA_PROBE = """
+import sys
+from eastlab.cli import main
+out, configs = sys.argv[1], sys.argv[2:]
+for i, path in enumerate(configs):
+    assert main([path, "--out", f"{out}/run{i}"]) == 0
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"])))
+"""
+
+
+def test_persistence_and_relaxation_runs_load_no_numpy_ma(tmp_path):
+    # a first np.median, np.percentile or np.unique imports numpy.ma
+    configs = [tmp_path / "persistence.cfg", tmp_path / "relaxation.cfg"]
+    for path, text in zip(configs, MONTE_CARLO_CONFIGS[1:3]):
+        path.write_text(text)
+    assert probe_output(MA_PROBE, str(tmp_path), *map(str, configs)) == []
+
+
 def test_exact_names_resolve_from_the_package():
-    from eastlab import Generator, build_generator, east1d_gap, evolve_expectation, spectral_gap
+    from eastlab import (
+        Generator, build_generator, east1d_gap, evolve_expectation, killed_operator, spectral_gap,
+    )
     from eastlab import exact
 
-    assert (Generator, build_generator, east1d_gap, evolve_expectation, spectral_gap) == (
+    assert (Generator, build_generator, east1d_gap, evolve_expectation, killed_operator, spectral_gap) == (
         exact.Generator, exact.build_generator, exact.east1d_gap, exact.evolve_expectation,
-        exact.spectral_gap,
+        exact.killed_operator, exact.spectral_gap,
     )
 
 
