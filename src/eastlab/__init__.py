@@ -18,7 +18,6 @@ from .lattice import (  # noqa: F401
     east_constraint,
     initial_rows,
     sample_initial,
-    spin_at_site,
 )
 from .sim import BatchLog, EventLog, RingRecord, simulate, simulate_batch  # noqa: F401
 from .estimators import (  # noqa: F401
@@ -50,7 +49,6 @@ _EXACT_NAMES = frozenset({
     "east1d_gap",
     "evolve_expectation",
     "killed_operator",
-    "mu_expectation",
     "spectral_gap",
 })
 

@@ -127,7 +127,6 @@ def replica_batches(
     tag: str,
     n: int,
     n_inner: Optional[int] = None,
-    resumable: bool = False,
 ) -> Iterator[tuple[np.ndarray, BatchLog]]:
     """The replica driver: simulate runs in chunks of at most RING_SLOT_BUDGET
     ring slots, yielding (draw index of each replica, batch) per chunk.
@@ -139,7 +138,6 @@ def replica_batches(
     range of runs in (o, i) order: it hashes its seeds and draws its spin rows
     in one array call each.  Nothing carries from one chunk to the next, and
     replica randomness is counter-based, so no output depends on the chunking.
-    ``resumable`` batches can be continued (``BatchLog.resume``).
     """
     per_chunk = max(1, RING_SLOT_BUDGET // replica_ring_slots(window, horizon))
     total = n * (n_inner or 1)
@@ -149,8 +147,7 @@ def replica_batches(
         first = int(draws[0])
         rule, rows = initial_rows(spec, window, init_key, range(first, int(draws[-1]) + 1))
         seeds = derive_seed(seed, f"{tag}-sim", *((draws,) if n_inner is None else (draws, runs)))
-        yield draws, simulate_batch(params, rule, rows[draws - first], horizon, seeds,
-                                    resumable=resumable)
+        yield draws, simulate_batch(params, rule, rows[draws - first], horizon, seeds)
 
 
 def estimate_persistence(
@@ -171,11 +168,10 @@ def estimate_persistence(
     runs every replica to the first end; a batch's runs still without an
     update resume to the next end, or straight to the horizon once fewer than
     half of the batch's runs have updated, in chunks whose first pass draws
-    about RING_SLOT_BUDGET ring slots.  Carried state belongs to one
-    first-stage chunk at a time.  A resumed run's rings are bit for bit those
-    of one run to the horizon (``BatchLog.resume``), so every tau_x, and with
-    it every output, is the one-shot run's.  A window x horizon over the
-    replica cap fails before any stage runs.
+    at most RING_SLOT_BUDGET ring slots (or one run).  A resumed run's rings
+    are bit for bit those of one run to the horizon (``BatchLog.resume``), so
+    every tau_x, and with it every output, is the one-shot run's.  A window x
+    horizon over the replica cap fails before any stage runs.
     """
     if x not in window:
         raise EstimatorError(f"site {x} outside window")
@@ -183,9 +179,7 @@ def estimate_persistence(
     ends = _stage_ends(ts)
     replica_ring_slots(window, ends[-1])
     counts = np.zeros(len(ts), dtype=np.int64)
-    batches = replica_batches(params, spec, window, ends[0], seed, "persist", n,
-                              resumable=len(ends) > 1)
-    for _, batch in batches:
+    for _, batch in replica_batches(params, spec, window, ends[0], seed, "persist", n):
         tau = _first_updates(batch, x, ends[1:])
         counts += (tau[:, None] > np.asarray(ts)).sum(axis=0)
     values = tuple(float(k) / n for k in counts)
@@ -213,12 +207,12 @@ def _first_updates(batch: BatchLog, x: Site, ends: Sequence[float]) -> np.ndarra
         return tau
     if 2 * waiting.size > len(batch):  # fewer than half updated: go to the horizon
         ends = ends[-1:]
-    per_chunk = max(1, RING_SLOT_BUDGET // batch.resume_ring_slots(waiting, ends[0]))
+    per_chunk = max(1, RING_SLOT_BUDGET // replica_ring_slots(batch.window, ends[0] - batch.horizon))
     for part in np.array_split(waiting, -(-waiting.size // per_chunk)):
         # keep the last resumed batch alive while the next is built, as the
         # driver's chunks are: freed first, its heap pages went back to the
         # system and were faulted in again (9x the page faults per run)
-        resumed = batch.resume(part, ends[0], resumable=len(ends) > 1)
+        resumed = batch.resume(part, ends[0])
         tau[part] = _first_updates(resumed, x, ends[1:])
     return tau
 

@@ -199,10 +199,6 @@ class Configuration:
         return Configuration(window, tuple(spins), exterior, overrides or {})
 
 
-def spin_at_site(config: Configuration, x: Site) -> int:
-    return config.spin_at(x)
-
-
 def east_constraint(config: Configuration, x: Site) -> bool:
     """True iff some neighbor x - e_i has spin 0."""
     return any(config.spin_at(site_sub_e(x, i)) == 0 for i in range(len(x)))

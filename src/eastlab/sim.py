@@ -90,80 +90,42 @@ def _geometry(window: Window) -> _Geometry:
     )
 
 
-class _Pass(NamedTuple):
-    """Rings drawn for some streams at once: ring k0[r] + c of stream rows[r]
-    is column c of ``times`` and ``bits`` (bit uniform < p)."""
-
-    rows: np.ndarray
-    times: np.ndarray  # (rows, width)
-    bits: np.ndarray  # (rows, width) bool
-    k0: np.ndarray
-
-
 def _ring_times(seeds: np.ndarray, keys: np.ndarray, p: float, start: float, horizon: float,
-                carried: Sequence[_Pass] = ()):
-    """CSR offsets, times and bits of each stream's rings on (start, horizon],
-    and every pass that drew them.
+                k_first: np.ndarray, base: np.ndarray):
+    """CSR offsets, times and bits of each stream's rings on (start, horizon].
 
-    Times are sequential cumulative sums of the gaps, so ring k's time does not
-    depend on how many rings a pass draws, nor on where an earlier batch
-    stopped.  ``carried`` holds, for each stream of a resumed batch, the pass
-    in which it drew past ``start``; its next pass starts at the ring after
-    that pass, from that pass's last time.  A stream in no carried pass starts
-    at ring 0 and time 0.  A stream enters another pass only if all its drawn
-    rings fell inside the horizon, so ring k lands at its offset + k - the
-    index of its first ring after ``start``.
+    Stream r's first ring after ``start`` is ring ``k_first[r]``, and
+    ``base[r]`` is the time of the ring before it (0 before ring 0).  Times
+    are sequential cumulative sums of the gaps from there, so ring k's time
+    does not depend on how many rings a pass draws, nor on where an earlier
+    batch stopped.  Every pass is ring_block(horizon - start) wide and starts
+    each stream at its next ring.  A stream enters another pass only if all
+    its drawn rings fell inside the horizon, so its rings of pass j land j x
+    width after its offset.
     """
     n = seeds.size
-    k_next = np.zeros(n, dtype=np.int64)
-    first = np.zeros(n, dtype=np.int64)
-    last = np.zeros(n)
-    for c in carried:
-        k_next[c.rows] = c.k0 + c.times.shape[1]
-        first[c.rows] = c.k0 + (c.times <= start).sum(axis=1)
-        last[c.rows] = c.times[:, -1]
-    passes = list(carried)
-    rows = np.flatnonzero(last <= horizon)
-    # a resumed batch's streams go on from different times: its first pass is
-    # sized for the median stream, later ones for the earliest stream left
-    reach = _median(last[rows]) if carried and rows.size else start
-    while rows.size:
-        width = ring_block(horizon - reach)
-        k0 = k_next[rows]
-        # a fresh batch's pass j starts every stream at ring j * width
-        gaps, bit_u = ring_draws(seeds[rows], keys[rows], k0 if carried else len(passes) * width,
-                                 width)
-        gaps[:, 0] += last[rows]
-        times = np.cumsum(gaps, axis=1, out=gaps)
-        passes.append(_Pass(rows, times, bit_u < p, k0))
-        k_next[rows] += width
-        last[rows] = times[:, -1]
-        rows = rows[times[:, -1] <= horizon]
-        reach = last[rows].min(initial=horizon) if carried else start
+    width = ring_block(horizon - start)
+    rows, last = np.arange(n), base
     counts = np.zeros(n, dtype=np.int64)
-    inside = []
-    for i, d in enumerate(passes):
-        mask = d.times <= horizon
-        if i < len(carried):  # only carried rings can fall at or before start
-            mask &= d.times > start
-        per_row = mask.sum(axis=1)
-        counts[d.rows] += per_row
-        inside.append((mask, per_row))
+    passes = []
+    while rows.size:
+        gaps, bit_u = ring_draws(seeds[rows], keys[rows], k_first[rows] + len(passes) * width, width)
+        gaps[:, 0] += last
+        times = np.cumsum(gaps, axis=1, out=gaps)
+        inside = times <= horizon
+        per_row = inside.sum(axis=1)
+        counts[rows] += per_row
+        passes.append((rows, times, bit_u < p, inside, per_row))
+        rows, last = rows[inside[:, -1]], times[inside[:, -1], -1]
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     out_t = np.empty(offsets[-1])
     out_b = np.empty(offsets[-1], dtype=np.int8)
-    for d, (mask, per_row) in zip(passes, inside):
-        # a row's rings in a pass are consecutive, from ring max(k0, first) on
-        dest = _ranges(offsets[d.rows] + np.maximum(d.k0 - first[d.rows], 0), per_row)
-        out_t[dest] = d.times[mask]
-        out_b[dest] = d.bits[mask]
-    return offsets, out_t, out_b, passes
-
-
-def _median(a: np.ndarray) -> float:
-    """Upper median; a first np.median imports numpy.ma (17 ms, 2 MB of RSS)."""
-    return float(np.partition(a, a.size // 2)[a.size // 2])
+    for j, (rows, times, bits, inside, per_row) in enumerate(passes):
+        dest = _ranges(offsets[rows] + j * width, per_row)
+        out_t[dest] = times[inside]
+        out_b[dest] = bits[inside]
+    return offsets, out_t, out_b
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -260,14 +222,16 @@ class BatchLog:
 
     The constructor sweeps the given rings (``offsets``, ``times``, ``bits``),
     which fall on (start, horizon], for legality and spins, from ``spins`` at
-    ``start``: one row per seed, or one for all.  A resumable batch that
-    ``simulate_batch`` or ``resume`` made also keeps its streams' site keys and
-    ring passes (``streams``), so that ``resume`` can continue it.
+    ``start``: one row per seed, or one for all.  A batch that
+    ``simulate_batch`` or ``resume`` made also keeps ``streams`` = (site keys,
+    per row the index of its first ring after ``start`` and the time of the
+    ring before it), 16 bytes per row, from which ``resume`` continues it.
     """
 
     def __init__(self, params: ModelParams, rule: Exterior, spins, horizon: float,
                  seeds: np.ndarray, offsets: np.ndarray, times: np.ndarray, bits: np.ndarray,
-                 start: float = 0.0, streams: Optional[tuple[np.ndarray, list[_Pass]]] = None):
+                 start: float = 0.0,
+                 streams: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None):
         self.params, self.rule, self.window = params, rule, rule.window
         self.start, self.horizon, self.seeds = float(start), float(horizon), seeds
         self.offsets, self.times, self.bits = offsets, times, bits
@@ -318,21 +282,20 @@ class BatchLog:
     def log(self, r: int) -> "EventLog":
         return EventLog(self, r)
 
-    def resume(self, replicas, horizon: float, resumable: bool = False) -> "BatchLog":
+    def resume(self, replicas, horizon: float) -> "BatchLog":
         """The given replicas continued from this batch's horizon to a later one.
 
         The new batch starts at this horizon from its final spins.  Each stream
-        goes on from the ring after the last one it drew: rings this batch drew
-        past its horizon are carried over, and new ones continue the sum of
-        gaps from the last time drawn.  So the new batch's rings, legality and
-        spins on (start, horizon] are bit for bit those of one run of the same
-        replicas to ``horizon``; it is ``resumable`` as ``simulate_batch``
-        says.  Raises SimulationError on a batch that is not resumable,
-        replicas not distinct or not in the batch, or a horizon before this
-        one.
+        goes on from the ring after the last one this batch kept, drawn again
+        from its counter, and its times continue the sum of gaps from that
+        last ring's time.  So the new batch's rings, legality and spins on
+        (start, horizon] are bit for bit those of one run of the same replicas
+        to ``horizon``, and it can resume in turn.  Raises SimulationError on a
+        batch replayed from CSV, replicas not distinct or not in the batch, or
+        a horizon before this one.
         """
         if self.streams is None:
-            raise SimulationError("only a resumable simulated batch can resume")
+            raise SimulationError("only a simulated batch can resume")
         if not self.horizon <= horizon <= MAX_HORIZON:
             raise SimulationError(f"resume horizon must lie in [{self.horizon}, {MAX_HORIZON:g}]")
         replicas = np.asarray(replicas, dtype=np.int64).reshape(-1)
@@ -340,33 +303,15 @@ class BatchLog:
                 and np.bincount(replicas).max() == 1):  # np.unique would import numpy.ma
             raise SimulationError("need distinct replica indices of the batch, at least one")
         replica_ring_slots(self.window, horizon - self.horizon)
-        keys, passes = self.streams
+        keys, k_first, base = self.streams
         rows = (replicas[:, None] * self.n_sites + np.arange(self.n_sites)).ravel()
-        renumber = np.full(self.init.size, -1)
-        renumber[rows] = np.arange(rows.size)
-        carried = []
-        for d in passes:  # each stream's last pass is the one that drew past the horizon
-            keep = np.flatnonzero((renumber[d.rows] >= 0) & (d.times[:, -1] > self.horizon))
-            # np.take copies whole rows about 10x faster than fancy indexing
-            carried.append(_Pass(renumber[d.rows[keep]], np.take(d.times, keep, axis=0),
-                                 np.take(d.bits, keep, axis=0), d.k0[keep]))
+        end = self.offsets[rows + 1]
+        rung = end > self.offsets[rows]
+        base = base[rows]
+        base[rung] = self.times[end[rung] - 1]
         spins = self._final(rows).reshape(replicas.size, self.n_sites)
         return _run(self.params, self.rule, spins, self.seeds[replicas], keys, self.horizon,
-                    horizon, carried, resumable)
-
-    def resume_ring_slots(self, replicas, horizon: float) -> int:
-        """Ring slots per replica that ``resume(replicas, horizon)`` draws in
-        its first pass: window sites x ring_block of the span left to the
-        median stream that still needs rings, as ``resume`` sizes that pass."""
-        if self.streams is None:
-            raise SimulationError("only a resumable simulated batch can resume")
-        until = np.empty(self.init.size)  # time of the last ring each stream drew
-        for d in self.streams[1]:  # a stream's last pass comes last
-            until[d.rows] = d.times[:, -1]
-        until = until.reshape(len(self), self.n_sites)[replicas].ravel()
-        short = until[until <= horizon]
-        reach = _median(short) if short.size else horizon
-        return replica_ring_slots(self.window, horizon - reach)
+                    horizon, k_first[rows] + end - self.offsets[rows], base)
 
     def _rows(self, x: Site) -> np.ndarray:
         if x not in self.window:
@@ -489,11 +434,12 @@ class EventLog:
         return int(self._batch._spin(self._rows([x]), s)[0])
 
     def occupation_time(self, x: Site, t: float) -> float:
-        """Lebesgue time in [0, t] during which x has spin 0."""
+        """Lebesgue time in [start, t] during which x has spin 0 (start is 0
+        unless the batch was resumed)."""
         return float(self._batch._occupation(self._rows([x]), t)[0])
 
     def first_update_time(self, x: Site) -> Optional[float]:
-        """Time of the first legal ring at x, or None."""
+        """Time of the first legal ring at x after start, or None."""
         tau = float(self._batch.first_legal[self._row(x)])
         return None if tau == math.inf else tau
 
@@ -504,7 +450,7 @@ class EventLog:
 
     def final_spins(self) -> tuple[int, ...]:
         rows = self._base + np.arange(self._batch.n_sites)
-        return tuple(int(v) for v in self._batch._spin(rows, self.horizon))
+        return tuple(int(v) for v in self._batch._final(rows))
 
     # --- serialization ----------------------------------------------------
 
@@ -577,7 +523,6 @@ class EventLog:
 def simulate_batch(
     params: ModelParams, rule: Exterior, spins, horizon: float, seeds: Sequence[int],
     stream_salts: Optional[Mapping[Site, int]] = None,
-    resumable: bool = False,
 ) -> BatchLog:
     """Run the graphical construction for replica r = (spins[r], seeds[r])
     under one exterior rule.
@@ -589,8 +534,6 @@ def simulate_batch(
     re-keys the clock/bit streams of selected sites in every replica (used by
     the dependence-cone diagnostics); unlisted sites are unaffected.  A
     replica over MAX_REPLICA_RING_SLOTS raises before any per-site array.
-    A ``resumable`` batch keeps its ring passes (9 bytes per drawn ring slot)
-    so that ``BatchLog.resume`` can continue it.
     """
     window = rule.window
     if window.d != params.d:
@@ -605,18 +548,19 @@ def simulate_batch(
         for x, salt in stream_salts.items():
             if x in window:
                 keys[window.index(x)] = site_key(x, salt)
-    return _run(params, rule, spins, seeds, keys, 0.0, horizon, (), resumable)
+    rows = seeds.size * keys.size
+    return _run(params, rule, spins, seeds, keys, 0.0, horizon, np.zeros(rows, dtype=np.int64),
+                np.zeros(rows))
 
 
 def _run(params: ModelParams, rule: Exterior, spins, seeds: np.ndarray, keys: np.ndarray,
-         start: float, horizon: float, carried: Sequence[_Pass], resumable: bool) -> BatchLog:
-    """Draw the rings of every (seed, site key) stream on (start, horizon] and sweep them."""
-    offsets, times, bits, passes = _ring_times(
-        np.repeat(seeds, keys.size), np.tile(keys, seeds.size), params.p, start, horizon, carried
-    )
-    streams = (keys, passes) if resumable else None
-    del passes  # a batch that will not resume frees its passes before the sweep
-    return BatchLog(params, rule, spins, horizon, seeds, offsets, times, bits, start, streams)
+         start: float, horizon: float, k_first: np.ndarray, base: np.ndarray) -> BatchLog:
+    """Draw the rings of every (seed, site key) stream on (start, horizon],
+    from ring ``k_first`` after time ``base`` per row, and sweep them."""
+    offsets, times, bits = _ring_times(np.repeat(seeds, keys.size), np.tile(keys, seeds.size),
+                                       params.p, start, horizon, k_first, base)
+    return BatchLog(params, rule, spins, horizon, seeds, offsets, times, bits, start,
+                    (keys, k_first, base))
 
 
 def simulate(

@@ -100,19 +100,12 @@ def ring_draws(
     gaps = np.empty((rows, count))
     bits_u = np.empty((rows, count))
     k = np.arange(count, dtype=np.uint64)
-    per_row = np.ndim(k0) > 0
-    if per_row:
-        k0 = np.asarray(k0, dtype=np.uint64)
-    else:
-        k_words = _words(k + np.uint64(k0))
+    k0 = np.broadcast_to(np.asarray(k0, dtype=np.uint64), rows)
     row_words = [(a >> shift).astype(np.uint32) for a in (site_keys, seeds) for shift in (0, 32)]
     step = max(1, PHILOX_CHUNK // count)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        if per_row:  # built per chunk: a whole call's words cost more than the tile below
-            counter = _words((k0[lo:hi, None] + k).ravel())
-        else:
-            counter = [np.tile(w, hi - lo) for w in k_words]
+        counter = _words((k0[lo:hi, None] + k).ravel())
         counter += [np.repeat(w[lo:hi], count) for w in row_words[:2]]
         key = [np.repeat(w[lo:hi], count) for w in row_words[2:]]
         w0, w1, w2, w3 = philox4x32(counter, key)

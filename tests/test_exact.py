@@ -19,7 +19,6 @@ from eastlab.exact import (
     evolve_expectation,
     half_space_operator,
     killed_operator,
-    mu_expectation,
     poisson_truncation,
     spectral_gap,
 )
@@ -131,7 +130,7 @@ class TestEvolveExpectation:
         f = np.array([float(s & 1) for s in range(8)])
         tol = 1e-10
         got = evolve_expectation(gen, 0b111, f, 1000.0, tol=tol)
-        want = mu_expectation(f, region_1d([1, 2, 3]), 0.5)
+        want = gen.mu() @ f
         assert abs(got - want) < 10 * tol
 
     def test_stationarity_of_mu_mixture(self):
@@ -308,6 +307,13 @@ class TestHalfSpaceGap:
         want = np.linalg.eigvalsh(chain_reference(p, N - 1).toarray())[0]
         assert east1d_gap(p, N) == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("N", [11, 12])
+    def test_slow_chain_within_rounding_of_dense(self, N):
+        # at p = 0.95 the gap is about 1e-5 and |B| about 11: the accuracy is
+        # absolute, a few eps |B| (seen <= 5e-15), not 1e-12 relative
+        want = np.linalg.eigvalsh(chain_reference(0.95, N - 1).toarray())[0]
+        assert east1d_gap(0.95, N) == pytest.approx(want, abs=1e-13)
+
     def test_step_cap_named(self, monkeypatch):
         # p = 0.9, N = 12 needs about 380 steps
         monkeypatch.setattr(eastlab.exact, "MAX_LANCZOS_STEPS", 100)
@@ -375,22 +381,6 @@ class TestBernoulliWeights:
         p = 0.3
         want = [math.prod(p if (s >> i) & 1 else 1 - p for i in range(n)) for s in range(1 << n)]
         assert np.allclose(bernoulli_weights(n, p), want, rtol=1e-14, atol=0)
-
-
-class TestMuExpectation:
-    def test_single_spin(self):
-        f = lambda s: float(s & 1)
-        assert mu_expectation(f, region_1d([1, 2]), 0.3) == pytest.approx(0.3)
-
-    def test_all_ones_indicator(self):
-        region = region_1d([1, 2, 3])
-        f = lambda s: float(s == 0b111)
-        assert mu_expectation(f, region, 0.4) == pytest.approx(0.4**3)
-
-    def test_product_of_two_spins(self):
-        region = region_1d([1, 2])
-        f = lambda s: float((s & 1) and (s >> 1) & 1)
-        assert mu_expectation(f, region, 0.6) == pytest.approx(0.36)
 
 
 class TestExport:

@@ -20,7 +20,6 @@ from eastlab.lattice import (
     east_constraint,
     initial_rows,
     sample_initial,
-    spin_at_site,
 )
 
 
@@ -61,9 +60,9 @@ class TestConfiguration:
     def test_spin_lookup(self):
         w = Window((0, 0), (1, 1))
         cfg = Configuration.with_zeros(w, [(0, 1)])
-        assert spin_at_site(cfg, (0, 1)) == 0
-        assert spin_at_site(cfg, (1, 1)) == 1
-        assert spin_at_site(cfg, (5, 5)) == 1  # exterior default
+        assert cfg.spin_at((0, 1)) == 0
+        assert cfg.spin_at((1, 1)) == 1
+        assert cfg.spin_at((5, 5)) == 1  # exterior default
 
     def test_exterior_values(self):
         w = Window((0,), (0,))

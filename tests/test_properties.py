@@ -124,15 +124,18 @@ def test_horizon_prefix_consistency(scenario, extra):
 def test_resume_matches_one_shot(scenario, more_seeds, extra, data):
     # simulate to h, resume chosen replicas to mid, and some of those to H:
     # rings on (mid, H] and the spins at H are the one-shot run's; a zero
-    # extension leaves rows with no rings
+    # extension leaves rows with no rings.  Salted streams must stay salted
+    # when resumed.
     params, initial, h, seed = scenario
     seeds = [seed, *more_seeds]
     mid, horizon = h + extra[0], h + extra[0] + extra[1]
-    one = simulate_batch(params, initial.rule, initial.spins, horizon, seeds)
+    salts = data.draw(st.dictionaries(st.sampled_from(initial.window.sites),
+                                      st.integers(1, 2**32), max_size=3))
+    one = simulate_batch(params, initial.rule, initial.spins, horizon, seeds, salts)
     picks = data.draw(st.lists(st.sampled_from(range(len(seeds))), min_size=1, unique=True))
     again = data.draw(st.lists(st.sampled_from(range(len(picks))), min_size=1, unique=True))
-    first = simulate_batch(params, initial.rule, initial.spins, h, seeds, resumable=True)
-    resumed = first.resume(picks, mid, resumable=True).resume(again, horizon)
+    first = simulate_batch(params, initial.rule, initial.spins, h, seeds, salts)
+    resumed = first.resume(picks, mid).resume(again, horizon)
     chosen = [picks[i] for i in again]
     assert (resumed.start, resumed.horizon) == (mid, horizon)
     assert np.array_equal(resumed.final_spins(), one.final_spins()[chosen])
