@@ -329,13 +329,14 @@ def _run_constants(config: ExperimentConfig, out: RunOutputs) -> None:
 def _run_verify_lemma(config: ExperimentConfig, out: RunOutputs) -> None:
     """One row per replica; a replica whose start site is not at zero
     initially does not meet the lemma's premise and is counted as not
-    applicable."""
+    applicable.  The check reads [0, t/2] only, so runs stop at t/2."""
     rows = ["seed,t,alpha,hypothesis_held,found,path_length,applicable"]
     counterexample = False
-    not_applicable = 0
+    not_applicable = rings = legal_rings = 0
     t, alpha, x = config.t, config.alpha, config.site
+    constants = f"{t:.17g},{alpha:.17g}"
     batches = replica_batches(
-        config.params, config.measure, config.window, t, config.seed, "lemma", config.n
+        config.params, config.measure, config.window, t / 2, config.seed, "lemma", config.n
     )
     for _, batch in batches:
         check = oriented_path_check(batch, t, alpha, x)
@@ -343,10 +344,17 @@ def _run_verify_lemma(config: ExperimentConfig, out: RunOutputs) -> None:
         wrong = (found & ~certify_paths(batch, t, alpha, x, check)) | (held & ~found)
         counterexample |= bool(wrong.any())
         not_applicable += int((~check.applicable).sum())
+        rings += batch.times.size
+        legal_rings += int(batch.legal.sum())
         columns = (batch.seeds, held, found, check.length, check.applicable)
-        rows += [f"{s},{t:.17g},{alpha:.17g},{h:d},{f:d},{n},{a:d}"
+        rows += [f"{s},{constants},{h:d},{f:d},{n},{a:d}"
                  for s, h, f, n, a in zip(*(c.tolist() for c in columns))]
-    out.notes["lemma.not_applicable"] = str(not_applicable)
+    out.notes.update({
+        "lemma.horizon": f"{t / 2:.17g}",
+        "lemma.not_applicable": str(not_applicable),
+        "lemma.rings": str(rings),
+        "lemma.legal_rings": str(legal_rings),
+    })
     out.write("lemma.csv", "\n".join(rows) + "\n")
     if counterexample:
         raise LemmaCounterexampleError(

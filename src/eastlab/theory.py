@@ -5,7 +5,11 @@ replica the set E of sites updated before t/2 inside the box D, and (when no
 site of D stayed at zero throughout [0, t/2]) searches for an oriented path of
 -e_i steps inside E from the starting zero down to the outer layer of D, as
 one reach sweep over D's box for the whole batch.  Failure to find one would
-contradict a proven statement and is surfaced as a counterexample.
+contradict a proven statement and is surfaced as a counterexample.  The
+check reads only [0, t/2], so it needs a batch simulated to t/2, not t: ring
+times come from the Philox counter, not the horizon, and the sweep is causal,
+so a longer batch gives the same answers.  The hyperplane profile reads
+occupation times on [0, t] and needs a batch simulated to t.
 """
 
 from __future__ import annotations
@@ -103,8 +107,8 @@ def _lemma_box(batch: BatchLog, t: float, alpha: float, x: Site):
     small = math.floor(alpha * t)
     if not all(-small <= c <= 0 for c in x):
         raise TheoryCheckError(f"start site {x} outside {{-{small}..0}}^d")
-    if t > batch.horizon:
-        raise TheoryCheckError("t beyond log horizon")
+    if t / 2.0 > batch.horizon:
+        raise TheoryCheckError(f"t/2 = {t / 2.0:g} beyond log horizon {batch.horizon:g}")
     rows, corner = _box_rows(batch, geom)
     xc = [c + geom.radius for c in x]
     dist = np.abs(corner - np.reshape(xc, (-1,) + (1,) * geom.d)).sum(axis=0)
@@ -179,6 +183,9 @@ class HyperplaneProfile(NamedTuple):
 
 
 def hyperplane_hit_profile(batch: BatchLog, geom: GeometrySet) -> HyperplaneProfile:
+    """Reads E on [0, t/2] and occupation times on [0, t], so needs the log to t."""
+    if geom.t > batch.horizon:
+        raise TheoryCheckError(f"t = {geom.t:g} beyond log horizon {batch.horizon:g}")
     rows, corner = _box_rows(batch, geom)
     rows = rows.reshape(len(batch), -1)
     threshold = (1.0 - batch.params.p) * geom.t / 4.0

@@ -306,6 +306,12 @@ class TestRuns:
         lines = (tmp_path / "lemma.csv").read_text().splitlines()
         assert lines[0] == "seed,t,alpha,hypothesis_held,found,path_length,applicable"
         assert len(lines) == 21
+        # runs stop at t/2, the end of the interval the check reads
+        text = (tmp_path / "manifest.txt").read_text()
+        entries = dict(ln.split(" = ", 1) for ln in text.splitlines())
+        assert float(entries["lemma.horizon"]) == 4.0
+        rings, legal = int(entries["lemma.rings"]), int(entries["lemma.legal_rings"])
+        assert rings > 0 and 0 <= legal <= rings
 
     def test_verify_lemma_counts_inapplicable_replicas(self, tmp_path):
         # under a product measure the start site is often 1 initially; such
@@ -412,6 +418,14 @@ GOLDEN = {
         "kind = verify-lemma\nd = 3\np = 0.5\nalpha = 0.03\nt = 12\nwindow_lower = -3 -3 -3\n"
         "window_upper = 0 0 0\nexterior = 0\nmeasure = delta-zeros 0 0 0\nsite = 0 0 0\nn = 40\n",
         "0f69856d1abcab45704f0dd6ff79f407c934decf2aead5a3f34d3173b5883f4b",
+    ),
+    # the lemma-2d benchmark config: its 300 replicas come in two chunks of
+    # different sizes at horizon t and at t/2, so this pins the chunking too
+    "lemma.csv-2d-delta": (
+        "lemma.csv",
+        "kind = verify-lemma\nd = 2\np = 0.5\nalpha = 0.1\nt = 10\nwindow_lower = -4 -4\n"
+        "window_upper = 0 0\nexterior = 0\nmeasure = delta-zeros 0 0\nsite = 0 0\nn = 300\n",
+        "772492c3af7cd645147cc336fd02cf8eb98f464bcf3ed7920476e072aef7a3df",
     ),
 }
 

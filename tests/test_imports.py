@@ -13,12 +13,14 @@ from eastlab.cli import main
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SPACE = "d = 2\np = 0.5\nwindow_lower = 0 0\nwindow_upper = 2 2\nmeasure = bernoulli 0.5\n"
+# the lemma's box D and the cascade sites lie at and below the origin
+LOWER_SPACE = SPACE.replace("0 0\nwindow_upper = 2 2", "-2 -2\nwindow_upper = 0 0")
 MONTE_CARLO_CONFIGS = [
     "kind = simulate\nhorizon = 2\n" + SPACE,
     "kind = persistence\nsite = 1 1\ntimes = 1 2\nn = 10\n" + SPACE,
     "kind = relaxation\nsite = 1 1\ntimes = 1 2\nn_outer = 2\nn_inner = 3\n" + SPACE,
-    "kind = verify-lemma\nsite = 1 1\nt = 2\nalpha = 0.2\nn = 5\n" + SPACE,
-    "kind = fk-probe\nsite = 1 1\ndelta = 0.5\nt = 2\nn = 5\n" + SPACE,
+    "kind = verify-lemma\nsite = 0 0\nt = 2\nalpha = 0.2\nn = 5\n" + LOWER_SPACE,
+    "kind = fk-probe\nsite = -1 -1\ndelta = 0.5\nt = 2\nn = 5\n" + LOWER_SPACE,
 ]
 
 PROBE = """
@@ -57,10 +59,10 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "m
 """
 
 
-def test_persistence_and_relaxation_runs_load_no_numpy_ma(tmp_path):
+def test_monte_carlo_runs_load_no_numpy_ma(tmp_path):
     # a first np.median, np.percentile or np.unique imports numpy.ma
-    configs = [tmp_path / "persistence.cfg", tmp_path / "relaxation.cfg"]
-    for path, text in zip(configs, MONTE_CARLO_CONFIGS[1:3]):
+    configs = [tmp_path / f"run{i}.cfg" for i in range(len(MONTE_CARLO_CONFIGS))]
+    for path, text in zip(configs, MONTE_CARLO_CONFIGS):
         path.write_text(text)
     assert probe_output(MA_PROBE, str(tmp_path), *map(str, configs)) == []
 

@@ -5,17 +5,19 @@ identical rings, histories are consistent under horizon extension, a batch
 resumed from its horizon continues the one-shot run bit for bit, a site's
 rings ignore the enclosing window, a site's trajectory is measurable with
 respect to its backward cone, estimator outputs ignore the replica chunking,
-relaxation equals its per-run reference, and each replica's EventLog answers
-as its BatchLog does.  A window's array site keys and frozen-exterior rows
+relaxation equals its per-run reference, each replica's EventLog answers
+as its BatchLog does, and the oriented-path lemma answers the same on a
+batch simulated to t/2 as on one simulated to t.  A window's array site keys and frozen-exterior rows
 match their per-site definitions.  Philox4x32-10 is checked against the
 Random123 known answers.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eastlab import estimators, sim, streams
@@ -39,7 +41,7 @@ from eastlab.lattice import (
 )
 from eastlab.sim import simulate, simulate_batch
 from eastlab.streams import derive_seed
-from eastlab.theory import fk_cascade_probe
+from eastlab.theory import GeometrySet, certify_paths, fk_cascade_probe, oriented_path_check
 from oracle import event_loop
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -218,6 +220,49 @@ def test_event_log_views_match_batch_queries(scenario, seeds, no_rings):
                 assert log.occupation_time(x, t) == batch.occupation_time(x, t)[r]
                 if k < times.size:  # right-continuous: the ring's own outcome
                     assert spin == after[k]
+
+
+@st.composite
+def lemma_runs(draw):
+    """(params, spec, window, t, alpha, x, seed): d = 1..3, t from 0, a window
+    holding D, exterior 0 or 1, a Bernoulli or a Delta measure with few zeros
+    (so that D often clears by t/2), and x in {-floor(alpha t)..0}^d."""
+    d = draw(st.integers(1, 3))
+    t = 0.0 if draw(st.integers(0, 9)) == 9 else draw(st.floats(2.0, 10.0))
+    # D's radius floor(2 d alpha t) is drawn first, so that most boxes have more than one site
+    alpha = (draw(st.integers(0, 3)) + draw(st.floats(0.0, 0.99))) / (2 * d * max(t, 1.0))
+    r, small = GeometrySet(t, alpha, d).radius, math.floor(alpha * t)
+    x = tuple(draw(st.integers(-small, 0)) for _ in range(d))
+    window = Window(tuple(-r - draw(st.integers(0, 1)) for _ in range(d)),
+                    tuple(draw(st.integers(0, 1)) for _ in range(d)))
+    exterior = draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        spec = ProductBernoulli(draw(st.floats(0.5, 0.95)), exterior)
+    else:
+        zeros = {x, *draw(st.lists(st.sampled_from(window.sites), max_size=3))}
+        spec = Delta(Configuration.with_zeros(window, zeros, exterior))
+    params = ModelParams(d, draw(st.floats(0.3, 0.7)))
+    return params, spec, window, t, alpha, x, draw(st.integers(0, 2**64 - 1))
+
+
+@PROPERTY
+@given(lemma_runs())
+@example((ModelParams(2, 0.5), Delta(Configuration.with_zeros(Window((-1, -1), (0, 0)), [(0, 0)], 0)),
+          Window((-1, -1), (0, 0)), 0.0, 0.1, (0, 0), 5))
+def test_lemma_reads_only_half_horizon(case):
+    # the check reads [0, t/2]: runs cut there answer as runs to t
+    params, spec, window, t, alpha, x, seed = case
+    rule, rows = initial_rows(spec, window, derive_seed(seed, "init"), range(16))
+    rows = np.array(rows)
+    rows[::2, window.index(x)] = 0  # x starts at zero in every other replica
+    seeds = derive_seed(seed, "sim", np.arange(16))
+    answers = []
+    for horizon in (t, t / 2):
+        batch = simulate_batch(params, rule, rows, horizon, seeds)
+        check = oriented_path_check(batch, t, alpha, x)
+        answers.append((*check, certify_paths(batch, t, alpha, x, check)))
+    for full, half in zip(*answers):
+        assert np.array_equal(full, half)
 
 
 @pytest.mark.parametrize("budget", [1, 300, 5000])

@@ -119,6 +119,20 @@ class TestOrientedPathLemma:
         with pytest.raises(TheoryCheckError):
             oriented_path_check(batch, 8.0, 0.25, (0, 0))
 
+    @pytest.mark.parametrize("t", [8.0, 7.3])
+    def test_batch_must_reach_half_t(self, t):
+        # the check reads [0, t/2]: a batch to t/2 suffices, a shorter one does not
+        init = Configuration.with_zeros(Window((-2, -2), (0, 0)), [(0, 0)], exterior=0)
+        params, alpha, x = ModelParams(2, 0.5), 0.08, (0, 0)
+        short = simulate_batch(params, init.rule, init.spins, np.nextafter(t / 2, 0), [4, 5])
+        with pytest.raises(TheoryCheckError, match="t/2"):
+            oriented_path_check(short, t, alpha, x)
+        batch = simulate_batch(params, init.rule, init.spins, t / 2, [4, 5])
+        check = oriented_path_check(batch, t, alpha, x)
+        with pytest.raises(TheoryCheckError, match="t/2"):
+            certify_paths(short, t, alpha, x, check)
+        assert (certify_paths(batch, t, alpha, x, check) == check.found).all()
+
     def test_frozen_zero_voids_hypothesis(self):
         # single zero with all-ones exterior can never be updated, so some
         # site of D stays at zero and the lemma hypothesis is void
@@ -207,6 +221,13 @@ class TestHyperplaneProfile:
         profile = hyperplane_hit_profile(batch, geom)
         assert not profile.u_k.any()
         assert not profile.g_k.any()
+
+    def test_batch_shorter_than_t_raises_named_error(self):
+        # g_k reads occupation times on [0, t]; the error comes before any query
+        batch, geom = active_batch([8])
+        short = simulate_batch(batch.params, batch.rule, batch.init, geom.t / 2, [8])
+        with pytest.raises(TheoryCheckError, match=r"t = 8 beyond"):
+            hyperplane_hit_profile(short, geom)
 
     def test_matches_per_site_definition(self):
         # u_k: H_k meets E; g_k: some site of H_k spends >= (1-p)t/4 at zero
