@@ -166,12 +166,14 @@ def estimate_persistence(
     stage ends are requested times: the smallest positive one, then each
     first one at least twice the previous end, then the horizon.  The driver
     runs every replica to the first end; a batch's runs still without an
-    update resume to the next end, or straight to the horizon once fewer than
-    half of the batch's runs have updated, in chunks whose first pass draws
-    at most RING_SLOT_BUDGET ring slots (or one run).  A resumed run's rings
-    are bit for bit those of one run to the horizon (``BatchLog.resume``), so
-    every tau_x, and with it every output, is the one-shot run's.  A window x
-    horizon over the replica cap fails before any stage runs.
+    update resume to each next end in turn, in chunks whose first pass draws
+    at most RING_SLOT_BUDGET ring slots (or one run).  Each resumed chunk is
+    a batch of its own and pays a batch's fixed cost; the sweep keeps that
+    small by finding every ring's neighbor slot once per batch, not once per
+    hyperplane (``sim._sweep``).  A resumed run's rings are bit for bit those
+    of one run to the horizon (``BatchLog.resume``), so every tau_x, and with
+    it every output, is the one-shot run's.  A window x horizon over the
+    replica cap fails before any stage runs.
     """
     if x not in window:
         raise EstimatorError(f"site {x} outside window")
@@ -200,13 +202,14 @@ def _stage_ends(ts: Sequence[float]) -> list[float]:
 
 def _first_updates(batch: BatchLog, x: Site, ends: Sequence[float]) -> np.ndarray:
     """tau_x per replica of ``batch`` (inf: none by the last end), resuming
-    the replicas not yet updated through the stage ends after its horizon."""
+    the replicas not yet updated to each stage end after its horizon in turn.
+    Every resumed chunk is a new batch, whose sweep finds the neighbor slots
+    of all its rings, a sentinel for those outside the window, once before
+    its hyperplane loop (``sim._sweep``)."""
     tau = batch.first_update_time(x)
     waiting = np.flatnonzero(tau == np.inf)
     if not ends or waiting.size == 0:
         return tau
-    if 2 * waiting.size > len(batch):  # fewer than half updated: go to the horizon
-        ends = ends[-1:]
     per_chunk = max(1, RING_SLOT_BUDGET // replica_ring_slots(batch.window, ends[0] - batch.horizon))
     for part in np.array_split(waiting, -(-waiting.size // per_chunk)):
         # keep the last resumed batch alive while the next is built, as the

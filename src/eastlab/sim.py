@@ -173,29 +173,51 @@ def _sweep(geo: _Geometry, init, free, offsets, bits, key):
     neighbor spin is the spin after the neighbor's last ring ranked below it.
 
     ``buf`` holds, per row, the initial spin and then the spin after each
-    ring.  The neighbor row's rings ranked below a ring end just before the
-    searchsorted position of key - stride * m, so that position plus the
-    neighbor row is its entry in ``buf``: the initial spin if there is none."""
+    ring, and last a sentinel spin 1.  The neighbor row's rings ranked below a
+    ring end just before the searchsorted position of key - stride * m, so
+    that position plus the neighbor row is its entry in ``buf``: the initial
+    spin if there is none.  These slots depend on the keys alone, so before
+    the sweep each axis finds them for the whole batch, in one searchsorted
+    over the rings whose neighbor lies in the window (the queries come
+    sorted).  The other rings point at the sentinel; ``free`` already holds
+    the frozen zeros there."""
     m, n_rows = key.size, init.size
+    sentinel = m + n_rows
     row = key // m
-    site = row % geo.plane.size
-    buf = np.empty(m + n_rows, dtype=np.int8)
+    replicas = n_rows // geo.plane.size
+
+    def per_ring(per_site):
+        return np.tile(per_site, replicas)[row]
+
+    buf = np.empty(sentinel + 1, dtype=np.int8)
     buf[offsets[:-1] + np.arange(n_rows)] = init
-    legal = free[site]
-    ring_plane = geo.plane[site]
+    buf[sentinel] = 1
+    legal = per_ring(free)
+    slots = []
+    for i, stride in enumerate(geo.strides):
+        inner = per_ring(geo.coords[i] > 0)
+        pos = key[inner]
+        pos -= stride * m
+        pos = key.searchsorted(pos)
+        pos += row[inner]
+        pos -= stride
+        # int32 slots while they fit: they set a small batch's peak memory
+        nb = np.full(m, sentinel, dtype=np.int32 if sentinel < 2**31 else np.int64)
+        nb[inner] = pos
+        slots.append(nb)
+    del inner, pos
+    ring_plane = per_ring(geo.plane)
     by_plane = np.argsort(ring_plane, kind="stable")  # row order kept within a plane
     bounds = np.searchsorted(ring_plane[by_plane], np.arange(geo.plane.max() + 2))
+    del ring_plane
     for k in range(geo.plane.max() + 1):
         sel = by_plane[bounds[k]:bounds[k + 1]]
         if sel.size == 0:
             continue
         rs = row[sel]
-        ss = site[sel]
         ok = legal[sel]
-        for i, stride in enumerate(geo.strides):
-            inner = geo.coords[i][ss] > 0
-            nb = key.searchsorted(key[sel[inner]] - stride * m) + rs[inner] - stride
-            ok[inner] |= buf[nb] == 0
+        for nb in slots:
+            ok |= buf[nb[sel]] == 0
         legal[sel] = ok
         # spin after a ring = bit of the row's last legal ring so far
         idx = np.arange(sel.size)
@@ -203,7 +225,8 @@ def _sweep(geo: _Geometry, init, free, offsets, bits, key):
         np.maximum.accumulate(last, out=last)
         first = idx - (sel - offsets[rs])
         buf[sel + rs + 1] = np.where(last >= first, bits[sel][last], init[rs])
-    return legal, buf[np.arange(m) + row + 1]
+    row += np.arange(1, m + 1)  # each ring's own entry in buf
+    return legal, buf[row]
 
 
 class BatchLog:

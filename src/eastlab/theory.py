@@ -9,7 +9,8 @@ contradict a proven statement and is surfaced as a counterexample.  The
 check reads only [0, t/2], so it needs a batch simulated to t/2, not t: ring
 times come from the Philox counter, not the horizon, and the sweep is causal,
 so a longer batch gives the same answers.  The hyperplane profile reads
-occupation times on [0, t] and needs a batch simulated to t.
+occupation times on [0, t] and needs a batch simulated to t.  Both read
+``init`` as the spins at time 0, so they reject a resumed batch (start > 0).
 """
 
 from __future__ import annotations
@@ -100,9 +101,17 @@ def _box_rows(batch: BatchLog, geom: GeometrySet) -> tuple[np.ndarray, np.ndarra
     return np.arange(len(batch)).reshape((-1,) + (1,) * geom.d) * batch.n_sites + index, corner
 
 
+def _from_time_zero(batch: BatchLog) -> None:
+    """A resumed batch's ``init`` holds the spins at its start, not at time 0,
+    and its ring summaries count from there."""
+    if batch.start != 0:
+        raise TheoryCheckError(f"batch.start = {batch.start:g}: the check needs a batch run from time 0")
+
+
 def _lemma_box(batch: BatchLog, t: float, alpha: float, x: Site):
     """Check the lemma's premises; return D's rows, x's index into them, and per
     site y of D, |x - y|_1 and whether y lies on D's outer layer."""
+    _from_time_zero(batch)
     geom = GeometrySet(t, alpha, batch.params.d)
     small = math.floor(alpha * t)
     if not all(-small <= c <= 0 for c in x):
@@ -183,7 +192,9 @@ class HyperplaneProfile(NamedTuple):
 
 
 def hyperplane_hit_profile(batch: BatchLog, geom: GeometrySet) -> HyperplaneProfile:
-    """Reads E on [0, t/2] and occupation times on [0, t], so needs the log to t."""
+    """Reads E on [0, t/2] and occupation times on [0, t], so needs the log
+    from time 0 to t."""
+    _from_time_zero(batch)
     if geom.t > batch.horizon:
         raise TheoryCheckError(f"t = {geom.t:g} beyond log horizon {batch.horizon:g}")
     rows, corner = _box_rows(batch, geom)

@@ -427,6 +427,14 @@ GOLDEN = {
         "window_upper = 0 0\nexterior = 0\nmeasure = delta-zeros 0 0\nsite = 0 0\nn = 300\n",
         "772492c3af7cd645147cc336fd02cf8eb98f464bcf3ed7920476e072aef7a3df",
     ),
+    # the persist-2d-wide benchmark config: its runs resume through every
+    # stage end, so this pins the staging too
+    "persistence.csv-2d-wide": (
+        "persistence.csv",
+        "kind = persistence\nd = 2\np = 0.5\nwindow_lower = -10 -10\nwindow_upper = 1 1\n"
+        "measure = bernoulli 0.5\nsite = 1 1\ntimes = 1 2 3 4 5 6 7 8 9 10\nn = 100\n",
+        "bda46048ac1940411e4e21716c4829455385bfcfb72123e3b483fa3cdd578ff6",
+    ),
 }
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eastlab import estimators
+from eastlab import estimators, sim
 from eastlab.estimators import (
     DecaySeries,
     EstimatorError,
@@ -170,10 +170,10 @@ class TestStagedPersistence:
         assert estimate_persistence(*args) == want
 
     @pytest.mark.parametrize("setup, resumes", [
-        # each stage retires more than half its runs: every end is reached in turn
+        # each stage retires most of its runs; the rest resume to every end in turn
         ("every-end-a-stage", [(1.0, 2.0), (2.0, 4.0), (4.0, 8.0)]),
-        # no run ever updates: after stage 1 the rest run straight to the horizon
-        ("blocked", [(1.0, 10.0)]),
+        # no run ever updates: the waiting runs still resume through every end
+        ("blocked", [(1.0, 2.0), (2.0, 4.0), (4.0, 8.0), (8.0, 10.0)]),
     ])
     def test_stage_ends_reached(self, monkeypatch, setup, resumes):
         seen = set()
@@ -186,6 +186,35 @@ class TestStagedPersistence:
         monkeypatch.setattr(BatchLog, "resume", spy)
         estimate_persistence(*STAGED_SETUPS[setup], 11)
         assert sorted(seen) == resumes
+
+    def test_sweeps_fewer_rings_than_one_shot(self, monkeypatch):
+        # persist-2d-wide's config: summed over all batches, the staged run
+        # sweeps fewer rings than the one-shot oracle and draws no more
+        # Philox blocks, though a resumed stream draws again the rings its
+        # last stage drew past its end
+        def work(estimate):
+            seen = {"rings": 0, "blocks": 0}
+            run, draws = sim._run, sim.ring_draws
+
+            def counted_run(*args):
+                batch = run(*args)
+                seen["rings"] += batch.times.size
+                return batch
+
+            def counted_draws(seeds, keys, k0, count):
+                seen["blocks"] += seeds.size * count
+                return draws(seeds, keys, k0, count)
+
+            with monkeypatch.context() as m:
+                m.setattr(sim, "_run", counted_run)
+                m.setattr(sim, "ring_draws", counted_draws)
+                estimate(ModelParams(2, 0.5), ProductBernoulli(0.5), (1, 1), range(1, 11), 100,
+                         A4_WINDOW, 7)
+            return seen
+
+        staged, one_shot = work(estimate_persistence), work(one_shot_persistence)
+        assert staged["rings"] < one_shot["rings"]
+        assert staged["blocks"] <= one_shot["blocks"]
 
     @pytest.mark.parametrize("times, ends", [
         ([1, 2, 3, 4, 5, 6, 7, 8, 9, 10], [1, 2, 4, 8, 10]),
