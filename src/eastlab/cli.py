@@ -108,6 +108,7 @@ def _parse_measure(value: str, config: ExperimentConfig) -> MeasureSpec:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a flat key=value config."""
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -115,6 +116,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(key, f"given twice, on lines {first_line[key]} and {lineno}")
+        first_line[key] = lineno
         raw[key] = value
 
     kind = raw.get("kind")

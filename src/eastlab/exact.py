@@ -5,6 +5,10 @@ States are bitmasks over the region's sites in lexicographic coordinate order
 the product Bernoulli(p) measure: a constrained site flips to 1 at rate p and
 to 0 at rate 1-p.
 
+Every operator comes from one pass, `_legal_flips`, the only copy of the East
+constraint, and one CSR writer, `_flip_csr`: Q, -S and the killed B_z differ
+only in the values it writes.  ``tests/oracle.py`` builds Q site by site.
+
 Uniformization takes its Poisson weights and truncation from ``scipy.special``
 (``xlogy``, ``gammaln``, ``pdtrc``), the formulas ``scipy.stats.poisson``
 evaluates for ``pmf`` and ``isf``, without importing ``scipy.stats``.
@@ -43,7 +47,7 @@ class SpectrumResult:
 
 
 def _checked_sites(region: Region, p: float) -> tuple[Site, ...]:
-    """The region's sites in bit order, once p and the region's size are checked."""
+    """The region's sites in bit order, once p, their count and dimension are checked."""
     if not (0.0 < p < 1.0):
         raise ExactEngineError(f"p must lie in (0,1), got {p}")
     sites = tuple(sorted(region.sites))
@@ -51,7 +55,64 @@ def _checked_sites(region: Region, p: float) -> tuple[Site, ...]:
         raise ExactEngineError("region is empty")
     if len(sites) > MAX_REGION_SITES:
         raise ExactEngineError(f"region capped at {MAX_REGION_SITES} sites")
+    if len({len(x) for x in sites}) > 1:
+        raise ExactEngineError(f"region mixes sites of dimensions {sorted({len(x) for x in sites})}")
     return sites
+
+
+def _legal_flips(sites: tuple[Site, ...], boundary: Mapping[Site, int], p: float,
+                 z: Site | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per bitmask state: the bits of the sites free to flip to 1, and to 0,
+    and the exit rate p #up + (1-p) #down, plus c_z = 1{some z - e_j is at
+    zero} for a killed site z.  A boundary spin read but missing, or other
+    than 0 or 1, raises `ExactEngineError`."""
+    index = {x: i for i, x in enumerate(sites)}
+    states = np.arange(1 << len(sites), dtype=np.int32)
+
+    def constraint(x: Site) -> np.ndarray:
+        cons = np.zeros(states.size, dtype=bool)
+        for j in range(len(x)):
+            y = site_sub_e(x, j)
+            if y in index:
+                cons |= (states >> index[y]) & 1 == 0
+            elif y not in boundary:
+                raise ExactEngineError(f"missing boundary assignment for {y}")
+            elif boundary[y] not in (0, 1):
+                raise ExactEngineError(f"boundary spin at {y} must be 0 or 1, got {boundary[y]!r}")
+            elif boundary[y] == 0:
+                cons[:] = True
+        return cons
+
+    legal = np.zeros(states.size, dtype=np.int32)
+    for i, x in enumerate(sites):
+        np.bitwise_or(legal, 1 << i, out=legal, where=constraint(x))
+    up, down = legal & ~states, legal & states
+    exit_rate = p * np.bitwise_count(up) + (1.0 - p) * np.bitwise_count(down)
+    if z is not None:
+        exit_rate += constraint(z)
+    return up, down, exit_rate
+
+
+def _flip_csr(up: np.ndarray, down: np.ndarray, diag: np.ndarray, up_value: float,
+              down_value: float) -> sp.csr_matrix:
+    """CSR matrix with up_value / down_value at each legal flip to 1 / to 0 and
+    diag on the diagonal; int32 indices, sorted within each row."""
+    states = np.arange(up.size, dtype=np.int32)
+    flips = 1 << np.arange(up.size.bit_length() - 1, dtype=np.int32)  # flips[i] toggles site i
+    # a row's columns ascend: eta - 2^i for i = n-1..0, eta, then eta + 2^i for i = 0..n-1
+    slots = np.concatenate([flips[::-1], np.zeros(1, np.int32), flips])
+    present = np.concatenate(
+        [down[:, None] & flips[::-1], np.ones((states.size, 1), np.int32), up[:, None] & flips], axis=1
+    ) != 0
+    indices = np.extract(present, states[:, None] ^ slots)
+    n_down = np.bitwise_count(down)
+    indptr = np.zeros(states.size + 1, dtype=np.int32)
+    np.cumsum(np.bitwise_count(up | down) + 1, out=indptr[1:])
+    data = np.full(indices.size, up_value)
+    if down_value != up_value:  # a row's flips to 0 are its columns below the diagonal
+        data[indices < np.repeat(states, np.diff(indptr))] = down_value
+    data[indptr[:-1] + n_down] = diag
+    return sp.csr_matrix((data, indices, indptr), shape=(states.size, states.size))
 
 
 class Generator:
@@ -65,38 +126,8 @@ class Generator:
         self.d = len(self.sites[0])
         self.n = len(self.sites)
         self.dim = 1 << self.n
-        self.rates = self._build()
-
-    def _build(self) -> sp.csr_matrix:
-        index = {x: i for i, x in enumerate(self.sites)}
-        states = np.arange(self.dim, dtype=np.int64)
-        rows, cols, vals = [], [], []
-        diag = np.zeros(self.dim)
-        for i, x in enumerate(self.sites):
-            cons = np.zeros(self.dim, dtype=bool)
-            for j in range(self.d):
-                y = site_sub_e(x, j)
-                if y in index:
-                    cons |= ((states >> index[y]) & 1) == 0
-                elif y in self.boundary:
-                    if self.boundary[y] == 0:
-                        cons[:] = True
-                else:
-                    raise ExactEngineError(f"missing boundary assignment for {y}")
-            bit = (states >> i) & 1
-            rate = np.where(bit == 0, self.p, 1.0 - self.p)
-            rows.append(states[cons])
-            cols.append(states[cons] ^ (1 << i))
-            vals.append(rate[cons])
-            diag[cons] -= rate[cons]
-        rows.append(states)
-        cols.append(states)
-        vals.append(diag)
-        Q = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.dim, self.dim),
-        )
-        return Q.tocsr()
+        up, down, exit_rate = _legal_flips(self.sites, self.boundary, p)
+        self.rates = _flip_csr(up, down, 0.0 - exit_rate, p, 1.0 - p)  # 0 - 0.0 is +0.0, not -0.0
 
     def mu(self) -> np.ndarray:
         """Product Bernoulli(p) weights indexed by bitmask state."""
@@ -185,20 +216,16 @@ def poisson_truncation(mu: float, q: float) -> tuple[int, np.ndarray]:
     return K, np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
 
 
-def _symmetrized(gen: Generator) -> sp.csr_matrix:
-    sq = np.sqrt(gen.mu())
-    S = sp.diags(sq) @ gen.rates @ sp.diags(1.0 / sq)
-    return ((S + S.T) * 0.5).tocsr()
-
-
 def spectral_gap(gen: Generator) -> SpectrumResult:
     """Gap and zero-eigenvalue multiplicity of the symmetrized generator, by a
     dense solve; the test oracle for `east1d_gap`.  Regions above
     `MAX_SPECTRAL_SITES` sites are refused before anything is densified."""
     if gen.n > MAX_SPECTRAL_SITES:
         raise ExactEngineError(f"spectral_gap is capped at {MAX_SPECTRAL_SITES} sites")
-    rates = -np.linalg.eigvalsh(_symmetrized(gen).toarray())  # >= 0 up to rounding
-    zero_tol = max(float(np.max(np.abs(gen.rates.diagonal()))), 1.0) * 1e-10
+    up, down, exit_rate = _legal_flips(gen.sites, gen.boundary, gen.p)
+    flip = -math.sqrt(gen.p * (1.0 - gen.p))
+    rates = np.linalg.eigvalsh(_flip_csr(up, down, exit_rate, flip, flip).toarray())  # -S: >= 0 up to rounding
+    zero_tol = max(float(exit_rate.max()), 1.0) * 1e-10
     nonzero = rates[rates > zero_tol]
     gap = float(nonzero.min()) if nonzero.size else 0.0
     return SpectrumResult(gap, int((rates <= zero_tol).sum()))
@@ -209,48 +236,18 @@ def killed_operator(region: Region, boundary: Mapping[Site, int], p: float, z: S
     c_z(eta) = 1{some z - e_j is at zero}, the constraint of the killed site z
     outside the region.
 
-    Its CSR arrays (int32 indices, sorted within each row) are written in one
-    vectorized pass over the region's sites: -sqrt(p(1-p)) at each legal flip
-    and the sum of the flip rates plus c_z on the diagonal, which
-    `build_generator` and `_symmetrized` reach by a longer route.
+    Its CSR arrays (int32 indices, sorted within each row) are written from
+    the one legal-flip pass: -sqrt(p(1-p)) at each legal flip, and the exit
+    rate plus c_z on the diagonal.  A killed site inside the region, or not
+    of the region's dimension, raises `ExactEngineError`.
     """
     sites = _checked_sites(region, p)
     if z in region:
         raise ExactEngineError(f"killed site {z} lies inside the region")
-    n = len(sites)
-    index = {x: i for i, x in enumerate(sites)}
-    states = np.arange(1 << n, dtype=np.int32)
-
-    def constraint(x: Site) -> np.ndarray:
-        cons = np.zeros(states.size, dtype=bool)
-        for j in range(len(x)):
-            y = site_sub_e(x, j)
-            if y in index:
-                cons |= (states >> index[y]) & 1 == 0
-            elif y not in boundary:
-                raise ExactEngineError(f"missing boundary assignment for {y}")
-            elif boundary[y] == 0:
-                cons[:] = True
-        return cons
-
-    flips = 1 << np.arange(n, dtype=np.int32)  # flips[i] toggles site i
-    legal = np.zeros(states.size, dtype=np.int32)  # per state, the bits of the sites free to flip
-    for x, f in zip(sites, flips):
-        np.bitwise_or(legal, f, out=legal, where=constraint(x))
-    up, down = legal & ~states, legal & states  # legal flips to 1 (rate p) and to 0 (rate 1-p)
-    n_down = np.bitwise_count(down)
-    diag = p * np.bitwise_count(up) + (1.0 - p) * n_down + constraint(z)
-    # a row's columns ascend: eta - 2^i for i = n-1..0, eta, then eta + 2^i for i = 0..n-1
-    slots = np.concatenate([flips[::-1], np.zeros(1, np.int32), flips])
-    present = np.concatenate(
-        [down[:, None] & flips[::-1], np.ones((states.size, 1), np.int32), up[:, None] & flips], axis=1
-    ) != 0
-    indices = np.extract(present, states[:, None] ^ slots)
-    indptr = np.zeros(states.size + 1, dtype=np.int32)
-    np.cumsum(np.bitwise_count(legal) + 1, out=indptr[1:])
-    data = np.full(indices.size, -math.sqrt(p * (1.0 - p)))
-    data[indptr[:-1] + n_down] = diag
-    return sp.csr_matrix((data, indices, indptr), shape=(states.size, states.size))
+    if len(z) != len(sites[0]):
+        raise ExactEngineError(f"killed site {z} is not {len(sites[0])}-dimensional, as the region is")
+    flip = -math.sqrt(p * (1.0 - p))
+    return _flip_csr(*_legal_flips(sites, boundary, p, z), flip, flip)
 
 
 def half_space_operator(p: float, m: int) -> sp.csr_matrix:

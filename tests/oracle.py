@@ -1,17 +1,22 @@
-"""Per-log references, used only as test oracles.
+"""References used only as test oracles.
 
 ``event_loop`` replays a log's rings in global time order with one spin table
 and returns what legality and spin-after each ring must have.  Ties in time
 break by site order, as in the simulator.  ``oriented_path`` answers the
-oriented-path lemma on one log, site by site.
+oriented-path lemma on one log, site by site.  ``site_loop_rates`` builds the
+exact rate matrix Q of a region site by site, and ``symmetrized`` conjugates
+it by sqrt(mu) into S; `eastlab.exact` writes Q, -S and the killed operator
+from one legal-flip pass instead.
 """
 
 import math
 from itertools import product
 
 import numpy as np
+import scipy.sparse as sp
 
-from eastlab.lattice import site_sub_e
+from eastlab.exact import ExactEngineError
+from eastlab.lattice import bernoulli_weights, site_sub_e
 
 
 def event_loop(log):
@@ -87,3 +92,48 @@ def oriented_path(log, t, alpha, x):
             return applicable, held, True, steps + 1
         reached = {site_sub_e(y, i) for y in reached for i in range(d)} & E
     return applicable, held, False, 0
+
+
+def site_loop_rates(region, boundary, p):
+    """Rate matrix Q of the East dynamics on the region's 2^n bitmask states
+    (bit i = spin of the i-th site in sorted order), one site at a time."""
+    sites = tuple(sorted(region.sites))
+    d = len(sites[0])
+    dim = 1 << len(sites)
+    index = {x: i for i, x in enumerate(sites)}
+    states = np.arange(dim, dtype=np.int64)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(dim)
+    for i, x in enumerate(sites):
+        cons = np.zeros(dim, dtype=bool)
+        for j in range(d):
+            y = site_sub_e(x, j)
+            if y in index:
+                cons |= ((states >> index[y]) & 1) == 0
+            elif y in boundary:
+                if boundary[y] == 0:
+                    cons[:] = True
+            else:
+                raise ExactEngineError(f"missing boundary assignment for {y}")
+        bit = (states >> i) & 1
+        rate = np.where(bit == 0, p, 1.0 - p)
+        rows.append(states[cons])
+        cols.append(states[cons] ^ (1 << i))
+        vals.append(rate[cons])
+        diag[cons] -= rate[cons]
+    rows.append(states)
+    cols.append(states)
+    vals.append(diag)
+    Q = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
+    return Q.tocsr()
+
+
+def symmetrized(rates, p):
+    """S = (D Q D^-1 + its transpose) / 2 with D = diag(sqrt(mu)), mu the
+    product Bernoulli(p) weights."""
+    sq = np.sqrt(bernoulli_weights(rates.shape[0].bit_length() - 1, p))
+    S = sp.diags(sq) @ rates @ sp.diags(1.0 / sq)
+    return ((S + S.T) * 0.5).tocsr()

@@ -138,16 +138,32 @@ class TestParse:
         ],
     )
     def test_malformed_measure_or_site_names_key(self, tmp_path, capsys, line, key):
-        # the later line overrides the well-formed one
+        # the line takes the place of the well-formed one
+        lines = {
+            "measure": "measure = delta-zeros 0 0",
+            "site": "site = 1 1",
+        }
+        lines[key] = line
         text = (
             "kind = relaxation\nd = 2\nwindow_lower = 0 0\nwindow_upper = 1 1\n"
-            "measure = delta-zeros 0 0\nsite = 1 1\ntimes = 1\n" + line + "\n"
+            + "\n".join(lines.values()) + "\ntimes = 1\n"
         )
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
         assert exc.value.field_name == key
         assert main([write_config(tmp_path, text)]) == 1
         assert f"validation error: config field '{key}'" in capsys.readouterr().err
+
+    def test_key_given_twice_names_both_lines(self, tmp_path, capsys):
+        text = "kind = gap\np = 0.5\nN = 3\n\nN = 4 5\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.field_name == "N"
+        assert "given twice, on lines 3 and 5" in str(exc.value)
+        out = tmp_path / "out"
+        assert main([write_config(tmp_path, text), "--out", str(out)]) == 1
+        assert "validation error: config field 'N': given twice" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_delta_zeros_measure(self):
         cfg = parse_config(

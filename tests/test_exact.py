@@ -13,7 +13,6 @@ from eastlab.exact import (
     ExactEngineError,
     MAX_REGION_SITES,
     _lowest_tridiagonal,
-    _symmetrized,
     build_generator,
     east1d_gap,
     evolve_expectation,
@@ -23,6 +22,7 @@ from eastlab.exact import (
     spectral_gap,
 )
 from eastlab.lattice import Region, bernoulli_weights
+from oracle import site_loop_rates, symmetrized
 
 
 def region_1d(sites):
@@ -30,17 +30,24 @@ def region_1d(sites):
 
 
 def killed_reference(region, boundary, p, z):
-    """diag(c_z) - S from `build_generator` and `_symmetrized`, with z's
-    constraint read state by state."""
-    gen = build_generator(region, boundary, p)
-    index = {x: i for i, x in enumerate(gen.sites)}
+    """diag(c_z) - S from the oracle's site loop and sqrt(mu) conjugation,
+    with z's constraint read state by state."""
+    rates = site_loop_rates(region, boundary, p)
+    index = {x: i for i, x in enumerate(sorted(region.sites))}
 
     def at_zero(s, y):
         return (s >> index[y]) & 1 == 0 if y in index else boundary[y] == 0
 
     lower = [z[:j] + (z[j] - 1,) + z[j + 1 :] for j in range(len(z))]
-    c = [float(any(at_zero(s, y) for y in lower)) for s in range(gen.dim)]
-    return (sp.diags(c) - _symmetrized(gen)).tocsr()
+    c = [float(any(at_zero(s, y) for y in lower)) for s in range(rates.shape[0])]
+    return (sp.diags(c) - symmetrized(rates, p)).tocsr()
+
+
+# the two public builders on a region and boundary, at p = 0.5; z = (3,) for the killed one
+BUILDERS = {
+    "build_generator": lambda region, boundary: build_generator(region, boundary, 0.5),
+    "killed_operator": lambda region, boundary: killed_operator(region, boundary, 0.5, (3,)),
+}
 
 
 def chain_reference(p, m):
@@ -76,7 +83,7 @@ class TestBuildGenerator:
         rows = np.asarray(gen.rates.sum(axis=1)).ravel()
         assert np.max(np.abs(rows)) < 1e-12
 
-    @pytest.mark.parametrize("trial", range(20))
+    @pytest.mark.parametrize("trial", range(50))
     def test_detailed_balance_random_regions(self, trial):
         rng = np.random.default_rng(trial)
         d = int(rng.integers(1, 3))
@@ -99,6 +106,36 @@ class TestBuildGenerator:
         assert np.max(np.abs(resid)) < 1e-12
         rows = np.asarray(gen.rates.sum(axis=1)).ravel()
         assert np.max(np.abs(rows)) < 1e-12
+        # the one-pass rates against the site loop: the same flips, the same
+        # rates, and the diagonal summed in another order
+        want = site_loop_rates(region, boundary, p)
+        assert np.array_equal(gen.rates.indptr, want.indptr)
+        assert np.array_equal(gen.rates.indices, want.indices)
+        off = gen.rates.indices != np.repeat(np.arange(gen.dim), np.diff(gen.rates.indptr))
+        assert np.array_equal(gen.rates.data[off], want.data[off])
+        assert np.allclose(gen.rates.diagonal(), want.diagonal(), rtol=1e-15, atol=0)
+        # and spectral_gap's -S against the oracle's sqrt(mu) conjugation
+        spec = np.linalg.eigvalsh(-symmetrized(want, p).toarray())
+        zero = spec <= max(np.abs(want.diagonal()).max(), 1.0) * 1e-10
+        res = spectral_gap(gen)
+        assert res.eigenvalue_count_at_zero == zero.sum()
+        assert res.gap == pytest.approx(spec[~zero].min() if (~zero).any() else 0.0, rel=1e-9)
+
+    @pytest.mark.parametrize("spin", [2, -1, 7, 0.5])
+    @pytest.mark.parametrize("build", BUILDERS, ids=BUILDERS)
+    def test_boundary_spin_outside_0_1_named(self, build, spin):
+        with pytest.raises(ExactEngineError, match=rf"boundary spin at \(0,\) must be 0 or 1, got {spin}"):
+            BUILDERS[build](region_1d([1, 2]), {(0,): spin})
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=BUILDERS)
+    def test_mixed_dimensions_named(self, build):
+        region = Region(frozenset({(1,), (1, 2)}))
+        with pytest.raises(ExactEngineError, match=r"region mixes sites of dimensions \[1, 2\]"):
+            BUILDERS[build](region, {(0,): 0, (0, 2): 0, (1, 1): 0, (2,): 0})
+
+    def test_killed_site_of_other_dimension_named(self):
+        with pytest.raises(ExactEngineError, match=r"killed site \(2, 0\) is not 1-dimensional"):
+            killed_operator(region_1d([1]), {(0,): 0}, 0.5, (2, 0))
 
 
 class TestEvolveExpectation:
@@ -253,8 +290,8 @@ def chain_spectrum(p, N):
     """Sorted spectrum of -S_N on the chain {1..N}; the empty chain has spectrum {0}."""
     if N == 0:
         return np.zeros(1)
-    gen = build_generator(region_1d(range(1, N + 1)), {(0,): 0}, p)
-    return np.linalg.eigvalsh(-_symmetrized(gen).toarray())
+    rates = site_loop_rates(region_1d(range(1, N + 1)), {(0,): 0}, p)
+    return np.linalg.eigvalsh(-symmetrized(rates, p).toarray())
 
 
 class TestHalfSpaceGap:
