@@ -116,8 +116,10 @@ class TestParse:
         assert exc.value.field_name == "times"
 
     def test_nonpositive_counts(self):
-        with pytest.raises(ConfigError):
-            parse_config(PERSIST_CFG + "n = 0\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(PERSIST_CFG.replace("n = 200", "n = 0"))
+        assert exc.value.field_name == "n"
+        assert "given twice" not in str(exc.value)
 
     def test_bad_measure(self):
         with pytest.raises(ConfigError) as exc:
@@ -219,7 +221,7 @@ class TestParse:
     @pytest.mark.parametrize(
         "text,key",
         [
-            (PERSIST_CFG + "times = 1 -1 2\n", "times"),
+            (PERSIST_CFG.replace("times = 0.5 1.0 2.0", "times = 1 -1 2"), "times"),
             (LEMMA_CFG + "t = -0.5\n", "t"),
             (LEMMA_CFG + "alpha = -0.1\n", "alpha"),
         ],
@@ -229,13 +231,14 @@ class TestParse:
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
         assert exc.value.field_name == key
+        assert "given twice" not in str(exc.value)
         assert main([write_config(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
         assert f"'{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text,key",
         [
-            (PERSIST_CFG + "times = 1 nan 2\n", "times"),
+            (PERSIST_CFG.replace("times = 0.5 1.0 2.0", "times = 1 nan 2"), "times"),
             (LEMMA_CFG + "t = nan\n", "t"),
             (LEMMA_CFG + "alpha = inf\n", "alpha"),
             ("kind = simulate\nd = 1\nwindow_lower = 0\nwindow_upper = 1\n"
@@ -251,6 +254,7 @@ class TestParse:
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
         assert exc.value.field_name == key
+        assert "given twice" not in str(exc.value)
         assert main([write_config(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
         assert f"'{key}'" in capsys.readouterr().err
 
