@@ -16,7 +16,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .streams import ring_draws, site_key
+from .streams import ring_bits, site_key
 
 Site = tuple[int, ...]
 
@@ -238,13 +238,14 @@ def bernoulli_weights(n: int, p: float) -> np.ndarray:
 def initial_rows(spec: MeasureSpec, window: Window, key: int,
                  draws: range) -> tuple[Exterior, np.ndarray]:
     """The exterior rule and the (len(draws), sites) int8 spins of these draws
-    on the window.  Under Bernoulli(q), site x of draw j is 1 iff the bit
-    uniform of block j of x's stream under ``key`` (``ring_draws``) is below q,
-    whatever the other sites and draws.  A Delta measure broadcasts one row."""
+    on the window.  Under Bernoulli(q), site x of draw j is ring j's bit of
+    x's stream under ``key`` (``ring_bits``): 1 iff that block's bit uniform
+    is below q, whatever the other sites and draws.  A Delta measure
+    broadcasts one row."""
     n = window.site_count()
     if isinstance(spec, ProductBernoulli):
-        _, bit_u = ring_draws(np.full(n, np.uint64(key)), window.site_keys, draws.start, len(draws))
-        return Exterior(window, spec.exterior, {}), (bit_u.T < spec.q).astype(np.int8)
+        bits = ring_bits(np.full(n, np.uint64(key)), window.site_keys, draws.start, len(draws), spec.q)
+        return Exterior(window, spec.exterior, {}), bits.view(np.int8)
     if isinstance(spec, Delta):
         stored = spec.config
         if not stored.window.contains_window(window):

@@ -101,7 +101,10 @@ def _ring_times(seeds: np.ndarray, keys: np.ndarray, p: float, start: float, hor
     batch stopped.  Every pass is ring_block(horizon - start) wide and starts
     each stream at its next ring.  A stream enters another pass only if all
     its drawn rings fell inside the horizon, so its rings of pass j land j x
-    width after its offset.
+    width after its offset.  A pass is ring-major, (width, rows): its
+    cumulative sum runs down axis 0, one add per ring for all rows at once,
+    which are the same sequential sums as row by row.  The first pass fills
+    every slot that no later pass fills, so it needs no index array.
     """
     n = seeds.size
     width = ring_block(horizon - start)
@@ -109,22 +112,27 @@ def _ring_times(seeds: np.ndarray, keys: np.ndarray, p: float, start: float, hor
     counts = np.zeros(n, dtype=np.int64)
     passes = []
     while rows.size:
-        gaps, bit_u = ring_draws(seeds[rows], keys[rows], k_first[rows] + len(passes) * width, width)
-        gaps[:, 0] += last
-        times = np.cumsum(gaps, axis=1, out=gaps)
+        times, bits = ring_draws(seeds[rows], keys[rows], k_first[rows] + len(passes) * width, width, p)
+        times[0] += last
+        np.cumsum(times, axis=0, out=times)
         inside = times <= horizon
-        per_row = inside.sum(axis=1)
+        per_row = inside.sum(axis=0)
         counts[rows] += per_row
-        passes.append((rows, times, bit_u < p, inside, per_row))
-        rows, last = rows[inside[:, -1]], times[inside[:, -1], -1]
+        passes.append((rows, times, bits, inside, per_row))
+        rows, last = rows[inside[-1]], times[-1, inside[-1]]
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     out_t = np.empty(offsets[-1])
     out_b = np.empty(offsets[-1], dtype=np.int8)
-    for j, (rows, times, bits, inside, per_row) in enumerate(passes):
+    first = np.ones(offsets[-1], dtype=bool)  # the slots no later pass fills
+    for j, (rows, times, bits, inside, per_row) in enumerate(passes[1:], 1):
         dest = _ranges(offsets[rows] + j * width, per_row)
-        out_t[dest] = times[inside]
-        out_b[dest] = bits[inside]
+        first[dest] = False
+        out_t[dest] = times.T[inside.T]  # row by row, as the CSR wants
+        out_b[dest] = bits.T[inside.T]
+    _, times, bits, inside, _ = passes[0]
+    out_t[first] = times.T[inside.T]
+    out_b[first] = bits.T[inside.T]
     return offsets, out_t, out_b
 
 

@@ -8,11 +8,29 @@ optional salt.  A draw therefore depends only on (seed, site, salt, k): never
 on the horizon, the enclosing window, the replica batch or the evaluation
 chunk, which is what makes replica reproducibility, horizon extension and the
 dependence-cone checks exact.
+
+The kernel keeps each block's four 32-bit words as two uint64 lanes,
+X = w0 2^32 + w1 and Y = w2 2^32 + w3, and updates them in place, so a round
+is ten whole-array uint64 operations with no casts and no strided views.
+Lane X is the 64-bit value whose top 53 bits give the gap uniform, and ring
+k's bit is 1 exactly when Y < bit_threshold(p), which is the same test as
+"bit uniform < p" without a float conversion.  The output bytes are those of
+the 32-bit-word formulation (kept as the test oracle), so STREAM_VERSION
+stays 3.  Draws are ring-major, (count, rows), so per-row words broadcast
+along the contiguous axis.
+
+Cost of one chunk of 1365 rows x 12 rings (16 380 blocks), median of 800
+calls on a 2-core x86-64 host with numpy 2.4.6:
+
+    lane rounds alone (_lanes)            811 us   50 ns per block
+    ring_bits                             822 us   50 ns per block
+    ring_draws                            919 us   56 ns per block
+    ring_draws on 32-bit words (before)  1498 us   91 ns per block
 """
 
 from __future__ import annotations
 
-import sys
+import math
 
 import numpy as np
 
@@ -21,9 +39,6 @@ PHILOX_CHUNK = 1 << 14  # elements per vectorized Philox evaluation
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_PHILOX_M = (np.uint32(0xD2511F53), np.uint32(0xCD9E8D57))
-_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
-_LO, _HI = (0, 1) if sys.byteorder == "little" else (1, 0)  # 32-bit halves of a uint64
 
 
 def _mix(z: int) -> int:
@@ -61,54 +76,97 @@ def site_key(coords, salt: int = 0) -> int | np.ndarray:
     return mix64(*coords, salt)
 
 
-def philox4x32(counter: tuple, key: tuple) -> tuple[np.ndarray, ...]:
-    """Philox4x32-10 on uint32 word arrays (four counter words, two key words;
-    key words may be scalars).  Returns the four output words."""
-    c0, c1, c2, c3 = counter
-    k0, k1 = key
-    for r in range(10):
-        kr0 = k0 + np.uint32(r * _PHILOX_W[0] & 0xFFFFFFFF)  # wraps mod 2^32
-        kr1 = k1 + np.uint32(r * _PHILOX_W[1] & 0xFFFFFFFF)
-        p0 = np.multiply(c0, _PHILOX_M[0], dtype=np.uint64).view(np.uint32)
-        p1 = np.multiply(c2, _PHILOX_M[1], dtype=np.uint64).view(np.uint32)
-        c0, c1, c2, c3 = p1[_HI::2] ^ c1 ^ kr0, p1[_LO::2], p0[_HI::2] ^ c3 ^ kr1, p0[_LO::2]
-    return c0, c1, c2, c3
+_32 = np.uint64(32)
+_HI32 = np.uint64(0xFFFFFFFF00000000)  # the high word of a lane
+_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+_PHILOX_W = (np.uint64(0x9E3779B9 << 32), np.uint64(0xBB67AE85 << 32))  # key bumps, high words
 
 
-def _unit(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Uniform on [0, 1) from the top 53 of two 32-bit words."""
-    x = (hi.astype(np.uint64) << 32) | lo
-    return (x >> 11).astype(np.float64) * 2.0**-53
+def _swap(v: np.ndarray) -> np.ndarray:
+    """uint64 values with their 32-bit halves swapped."""
+    return (v << _32) | (v >> _32)
 
 
-def _words(k: np.ndarray) -> list[np.ndarray]:
-    """Low and high 32-bit words of uint64 ring indices (astype keeps the low 32 bits)."""
-    return [k.astype(np.uint32), (k >> 32).astype(np.uint32)]
+def _lanes(seeds: np.ndarray, site_keys: np.ndarray, k0, count: int):
+    """Philox4x32-10 blocks k0 .. k0+count-1 of each stream, chunk by chunk.
+
+    Block k of a stream has counter words (w0, w1, w2, w3) = (low, high word
+    of k, low, high word of the site key) and key words (low, high word of the
+    seed).  The block is kept as two lanes X = w0 2^32 + w1 and
+    Y = w2 2^32 + w3, and a round is
+    X, Y = (X << 32) ^ (Y >> 32) M1 ^ K0, (Y << 32) ^ (X >> 32) M0 ^ K1
+    with the round's key words in the high halves of K0 and K1.  Yields
+    (index, X, Y): the block of a (count, rows) array that this chunk fills,
+    and its two output lanes, ring-major.
+    """
+    rows = seeds.size
+    k0 = np.broadcast_to(np.asarray(k0, dtype=np.uint64), rows)
+    key = (seeds << _32, seeds & _HI32)
+    y0 = _swap(site_keys)
+    ring = np.arange(count, dtype=np.uint64)[:, None]
+    row_step = max(1, min(rows, PHILOX_CHUNK))
+    ring_step = max(1, PHILOX_CHUNK // row_step)  # 1 unless a chunk holds every row
+    for lo in range(0, rows, row_step):
+        cols = slice(lo, lo + row_step)
+        for a in range(0, count, ring_step):
+            x = _swap(k0[cols] + ring[a:a + ring_step])
+            y = np.empty_like(x)
+            y[...] = y0[cols]
+            t, u = np.empty_like(x), np.empty_like(x)
+            kx, ky = key[0][cols].copy(), key[1][cols].copy()
+            for r in range(10):
+                if r:
+                    kx += _PHILOX_W[0]  # wraps mod 2^32 in the high word
+                    ky += _PHILOX_W[1]
+                np.right_shift(x, _32, out=t)
+                t *= _PHILOX_M[0]
+                np.right_shift(y, _32, out=u)
+                u *= _PHILOX_M[1]
+                x <<= _32
+                x ^= u
+                x ^= kx
+                y <<= _32
+                y ^= t
+                y ^= ky
+            yield (slice(a, a + ring_step), cols), x, y
+
+
+def bit_threshold(p: float) -> np.uint64:
+    """The lane value below which a ring's bit is 1: for p in [0, 1), a lane
+    Y has Y < bit_threshold(p) exactly when its uniform (Y >> 11) 2^-53 < p.
+    (Y >> 11) < p 2^53 holds for the integer Y >> 11 exactly when it lies
+    below ceil(p 2^53), which is at most 2^53 - 1 for p < 1."""
+    return np.uint64(math.ceil(p * 2.0**53) << 11)
 
 
 def ring_draws(
-    seeds: np.ndarray, site_keys: np.ndarray, k0, count: int
+    seeds: np.ndarray, site_keys: np.ndarray, k0, count: int, p: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exp(1) gaps and bit uniforms of rings k0 .. k0+count-1 of each stream.
+    """Exp(1) gaps and Bernoulli(p) bits of rings k0 .. k0+count-1 of each stream.
 
     ``seeds`` and ``site_keys`` are uint64 arrays naming one stream per row;
     ``k0`` is one first ring index for every row, or an array of one per row.
-    Returns two (rows, count) float64 arrays.  Words 0-1 of block k give gap
-    k, words 2-3 the uniform that decides bit k.
+    Returns a (count, rows) float64 and a (count, rows) bool array, ring-major.
+    Lane X of block k gives gap k as -log1p(-(X >> 11) 2^-53); bit k is
+    Y < bit_threshold(p).
     """
-    rows = seeds.size
-    gaps = np.empty((rows, count))
-    bits_u = np.empty((rows, count))
-    k = np.arange(count, dtype=np.uint64)
-    k0 = np.broadcast_to(np.asarray(k0, dtype=np.uint64), rows)
-    row_words = [(a >> shift).astype(np.uint32) for a in (site_keys, seeds) for shift in (0, 32)]
-    step = max(1, PHILOX_CHUNK // count)
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        counter = _words((k0[lo:hi, None] + k).ravel())
-        counter += [np.repeat(w[lo:hi], count) for w in row_words[:2]]
-        key = [np.repeat(w[lo:hi], count) for w in row_words[2:]]
-        w0, w1, w2, w3 = philox4x32(counter, key)
-        gaps[lo:hi] = (-np.log1p(-_unit(w0, w1))).reshape(hi - lo, count)
-        bits_u[lo:hi] = _unit(w2, w3).reshape(hi - lo, count)
-    return gaps, bits_u
+    gaps = np.empty((count, seeds.size))
+    bits = np.empty((count, seeds.size), dtype=bool)
+    threshold = bit_threshold(p)
+    for block, x, y in _lanes(seeds, site_keys, k0, count):
+        np.less(y, threshold, out=bits[block])
+        x >>= np.uint64(11)
+        g = gaps[block]
+        np.multiply(x, -(2.0**-53), out=g)
+        np.log1p(g, out=g)
+        np.negative(g, out=g)
+    return gaps, bits
+
+
+def ring_bits(seeds: np.ndarray, site_keys: np.ndarray, k0, count: int, p: float) -> np.ndarray:
+    """The bits of ``ring_draws`` alone, without computing the gaps."""
+    bits = np.empty((count, seeds.size), dtype=bool)
+    threshold = bit_threshold(p)
+    for block, _, y in _lanes(seeds, site_keys, k0, count):
+        np.less(y, threshold, out=bits[block])
+    return bits

@@ -6,10 +6,14 @@ break by site order, as in the simulator.  ``oriented_path`` answers the
 oriented-path lemma on one log, site by site.  ``site_loop_rates`` builds the
 exact rate matrix Q of a region site by site, and ``symmetrized`` conjugates
 it by sqrt(mu) into S; `eastlab.exact` writes Q, -S and the killed operator
-from one legal-flip pass instead.
+from one legal-flip pass instead.  ``philox4x32`` is Philox4x32-10 on 32-bit
+word arrays, as Salmon et al. state it, and ``ring_blocks`` draws a stream's
+blocks with it; `eastlab.streams` runs the same rounds on two packed 64-bit
+lanes.
 """
 
 import math
+import sys
 from itertools import product
 
 import numpy as np
@@ -17,6 +21,47 @@ import scipy.sparse as sp
 
 from eastlab.exact import ExactEngineError
 from eastlab.lattice import bernoulli_weights, site_sub_e
+
+_PHILOX_M = (np.uint32(0xD2511F53), np.uint32(0xCD9E8D57))
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_LO, _HI = (0, 1) if sys.byteorder == "little" else (1, 0)  # 32-bit halves of a uint64
+
+
+def philox4x32(counter: tuple, key: tuple) -> tuple:
+    """Philox4x32-10 on uint32 word arrays (four counter words, two key words;
+    key words may be scalars).  Returns the four output words."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for r in range(10):
+        kr0 = k0 + np.uint32(r * _PHILOX_W[0] & 0xFFFFFFFF)  # wraps mod 2^32
+        kr1 = k1 + np.uint32(r * _PHILOX_W[1] & 0xFFFFFFFF)
+        p0 = np.multiply(c0, _PHILOX_M[0], dtype=np.uint64).view(np.uint32)
+        p1 = np.multiply(c2, _PHILOX_M[1], dtype=np.uint64).view(np.uint32)
+        c0, c1, c2, c3 = p1[_HI::2] ^ c1 ^ kr0, p1[_LO::2], p0[_HI::2] ^ c3 ^ kr1, p0[_LO::2]
+    return c0, c1, c2, c3
+
+
+def unit(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Uniform on [0, 1) from the top 53 of two 32-bit words."""
+    x = (hi.astype(np.uint64) << 32) | lo
+    return (x >> 11).astype(np.float64) * 2.0**-53
+
+
+def words(k: np.ndarray) -> list:
+    """Low and high 32-bit words of uint64 values (astype keeps the low 32 bits)."""
+    return [k.astype(np.uint32), (k >> 32).astype(np.uint32)]
+
+
+def ring_blocks(seeds, site_keys, k0, count):
+    """Output words w0 .. w3 of blocks k0 .. k0+count-1 of each stream, each
+    (rows, count): block k has counter words (k, site key) and key words
+    (seed), low word first.  Words 0-1 give ring k's gap uniform and words
+    2-3 the uniform that decides its bit."""
+    rows = seeds.size
+    k = np.broadcast_to(np.asarray(k0, dtype=np.uint64), rows)[:, None] + np.arange(count, dtype=np.uint64)
+    counter = words(k.ravel()) + [np.repeat(w, count) for w in words(site_keys)]
+    out = philox4x32(counter, [np.repeat(w, count) for w in words(seeds)])
+    return [w.reshape(rows, count) for w in out]
 
 
 def event_loop(log):

@@ -201,9 +201,9 @@ class TestStagedPersistence:
                 seen["rings"] += batch.times.size
                 return batch
 
-            def counted_draws(seeds, keys, k0, count):
+            def counted_draws(seeds, keys, k0, count, *args):
                 seen["blocks"] += seeds.size * count
-                return draws(seeds, keys, k0, count)
+                return draws(seeds, keys, k0, count, *args)
 
             with monkeypatch.context() as m:
                 m.setattr(sim, "_run", counted_run)

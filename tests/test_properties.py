@@ -9,7 +9,8 @@ relaxation equals its per-run reference, each replica's EventLog answers
 as its BatchLog does, and the oriented-path lemma answers the same on a
 batch simulated to t/2 as on one simulated to t.  A window's array site keys and frozen-exterior rows
 match their per-site definitions.  Philox4x32-10 is checked against the
-Random123 known answers.
+Random123 known answers, the packed-lane kernel against the 32-bit-word
+oracle, and the integer bit threshold against the float rule u < p.
 """
 
 import itertools
@@ -42,6 +43,7 @@ from eastlab.lattice import (
 from eastlab.sim import simulate, simulate_batch
 from eastlab.streams import derive_seed
 from eastlab.theory import GeometrySet, certify_paths, fk_cascade_probe, oriented_path_check
+import oracle
 from oracle import event_loop
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -306,6 +308,15 @@ def test_relaxation_matches_per_run_reference():
     assert series.values == tuple(float(v) for v in np.mean(outer, axis=0))
 
 
+def _block_words(seed: int, site_key: int, k: int) -> list[int]:
+    """Output words w0 .. w3 of block k of one stream, unpacked from the
+    production kernel's lanes X = w0 2^32 + w1 and Y = w2 2^32 + w3."""
+    (_, x, y), = streams._lanes(np.array([seed], dtype=np.uint64),
+                                np.array([site_key], dtype=np.uint64), k, 1)
+    x, y = int(x[0, 0]), int(y[0, 0])
+    return [x >> 32, x & 0xFFFFFFFF, y >> 32, y & 0xFFFFFFFF]
+
+
 @pytest.mark.parametrize(
     "word, expected",
     [
@@ -314,8 +325,12 @@ def test_relaxation_matches_per_run_reference():
     ],
 )
 def test_philox_known_answers(word, expected):
+    # every counter and key word equal to ``word``; the oracle's 32-bit-word
+    # kernel gives the same answers
+    both = word << 32 | word
+    assert tuple(_block_words(both, both, both)) == expected
     w = np.full(3, word, dtype=np.uint32)
-    out = streams.philox4x32((w, w, w, w), (w, w))
+    out = oracle.philox4x32((w, w, w, w), (w, w))
     assert [tuple(int(v) for v in col) for col in zip(*out)] == [expected] * 3
 
 
@@ -331,11 +346,8 @@ def test_initial_spin_known_answers(key, draw, site, top53):
     # by hand: Philox4x32-10 with counter (draw, site key) and the two key
     # words; output words 2-3 give the top 53 bits of a uniform u, and the
     # spin under Bernoulli(q) is 1 exactly when u < q
-    def words(v):
-        return np.array([v & 0xFFFFFFFF], dtype=np.uint32), np.array([v >> 32], dtype=np.uint32)
-
-    out = streams.philox4x32((*words(draw), *words(streams.site_key(site))), words(key))
-    assert (int(out[2][0]) << 32 | int(out[3][0])) >> 11 == top53
+    w0, w1, w2, w3 = _block_words(key, streams.site_key(site), draw)
+    assert (w2 << 32 | w3) >> 11 == top53
     u = top53 * 2.0**-53
     w = Window(tuple(c - 1 for c in site), tuple(c + 1 for c in site))
     for q, spin in ((u, 0), (np.nextafter(u, 1.0), 1), (0.5, int(u < 0.5))):
@@ -352,6 +364,86 @@ def test_persistence_window_independent():
     assert a.to_csv() == b.to_csv()
 
 
+U64 = st.one_of(st.just(2**64 - 1), st.integers(0, 2**64 - 1))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(U64, U64, st.one_of(st.integers(0, 2**40), st.integers(2**32, 2**64 - 10))),
+                min_size=1, max_size=12),
+       st.integers(1, 9), st.sampled_from([7, 50, 1 << 14]), st.floats(0.0, 1.0, exclude_max=True))
+@example([(2**64 - 1, 2**64 - 1, 2**32 - 2)] * 3, 5, 7, 0.5)
+def test_lanes_match_reference_philox(streams_, count, chunk, p):
+    # the packed-lane kernel against the 32-bit-word reference: random and
+    # all-ones seeds and site keys, ring indices whose high counter word is
+    # set or turns over within a draw, every chunking
+    seeds, keys, starts = (np.array(c, dtype=np.uint64) for c in zip(*streams_))
+    w0, w1, w2, w3 = (w.T.astype(np.uint64) for w in oracle.ring_blocks(seeds, keys, starts, count))
+    x, y = np.empty_like(w0), np.empty_like(w0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(streams, "PHILOX_CHUNK", chunk)
+        for block, bx, by in streams._lanes(seeds, keys, starts, count):
+            x[block], y[block] = bx, by
+        gaps, bits = streams.ring_draws(seeds, keys, starts, count, p)
+        only_bits = streams.ring_bits(seeds, keys, starts, count, p)
+    assert np.array_equal(x, w0 << 32 | w1) and np.array_equal(y, w2 << 32 | w3)
+    assert np.array_equal(gaps, -np.log1p(-oracle.unit(w0, w1)))
+    assert np.array_equal(bits, oracle.unit(w2, w3) < p)
+    assert np.array_equal(only_bits, bits)
+
+
+@PROPERTY
+@given(st.integers(0, 2**64 - 1))
+@example(0)
+@example(2**64 - 1)
+@example(2**11 - 1)
+@example(2**11)
+def test_bit_threshold_matches_float_rule(x):
+    # x < bit_threshold(p) is exactly (x >> 11) 2^-53 < p, at p on and next
+    # to x's own uniform and at fixed p near both ends of [0, 1)
+    u = (x >> 11) * 2.0**-53
+    ps = [u, np.nextafter(u, 0.0), np.nextafter(u, 1.0), 2.0**-53, 0.5, 1 - 2.0**-53, 0.0]
+    for p in (float(v) for v in ps):
+        if p < 1.0:
+            assert (np.uint64(x) < streams.bit_threshold(p)) == (u < p), (x, p)
+
+
+def test_bit_threshold_over_random_lanes():
+    xs = np.random.default_rng(17).integers(0, 2**64 - 1, 1 << 14, dtype=np.uint64, endpoint=True)
+    u = (xs >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    for p in (2.0**-53, 0.5, 1 - 2.0**-53, float(u[0]), float(u[1])):
+        assert np.array_equal(xs < streams.bit_threshold(p), u < p), p
+
+
+def test_bit_threshold_range():
+    # the largest p that ModelParams and ProductBernoulli accept keeps the
+    # threshold below 2^64; q = 0 gives no ones
+    top = float(np.nextafter(1.0, 0.0))
+    ModelParams(1, top)
+    ProductBernoulli(top)
+    for reject in (lambda: ModelParams(1, 1.0), lambda: ProductBernoulli(1.0)):
+        with pytest.raises(ValueError):
+            reject()
+    assert int(streams.bit_threshold(top)) == 2**64 - 2**11
+    assert streams.bit_threshold(0.0) == 0
+    w = Window((-2, -2), (3, 3))
+    assert not initial_rows(ProductBernoulli(0.0), w, 5, range(200))[1].any()
+    assert initial_rows(ProductBernoulli(top), w, 5, range(200))[1].all()
+
+
+def test_ring_bit_is_strict_at_its_threshold():
+    # a drawn lane Y with its low 11 bits zero equals bit_threshold(p) at p =
+    # its own uniform: the bit is 0 there and 1 from the next p up
+    seeds = np.array([11], dtype=np.uint64)
+    keys = np.array([streams.site_key((0,))], dtype=np.uint64)
+    (_, _, y), = streams._lanes(seeds, keys, 0, 1 << 14)
+    k = int(np.flatnonzero(y[:, 0] & np.uint64(0x7FF) == 0)[0])
+    u = int(y[k, 0] >> np.uint64(11)) * 2.0**-53
+    assert streams.bit_threshold(u) == y[k, 0]
+    for p, bit in ((u, False), (float(np.nextafter(u, 1.0)), True)):
+        assert streams.ring_draws(seeds, keys, k, 1, p)[1][0, 0] == bit
+        assert streams.ring_bits(seeds, keys, k, 1, p)[0, 0] == bit
+
+
 @PROPERTY
 @given(st.lists(st.integers(0, 2**40), min_size=1, max_size=12), st.integers(1, 9),
        st.sampled_from([7, 50, 1 << 14]))
@@ -362,19 +454,19 @@ def test_ring_draws_per_row_start_matches_scalar_calls(starts, count, chunk):
     keys = np.arange(len(starts), dtype=np.uint64) * np.uint64(0xBF58476D1CE4E5B9)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(streams, "PHILOX_CHUNK", chunk)
-        got = streams.ring_draws(seeds, keys, np.array(starts), count)
+        got = streams.ring_draws(seeds, keys, np.array(starts), count, 0.3)
     for r, k0 in enumerate(starts):
-        want = streams.ring_draws(seeds[r:r + 1], keys[r:r + 1], k0, count)
-        assert np.array_equal(got[0][r], want[0][0]) and np.array_equal(got[1][r], want[1][0])
+        want = streams.ring_draws(seeds[r:r + 1], keys[r:r + 1], k0, count, 0.3)
+        assert np.array_equal(got[0][:, r], want[0][:, 0]) and np.array_equal(got[1][:, r], want[1][:, 0])
 
 
 def test_ring_draws_ignore_philox_chunk(monkeypatch):
     seeds = np.arange(1, 40, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     keys = np.arange(39, dtype=np.uint64)
-    reference = streams.ring_draws(seeds, keys, 5, 17)
+    reference = streams.ring_draws(seeds, keys, 5, 17, 0.3)
     monkeypatch.setattr(streams, "PHILOX_CHUNK", 50)
-    for got, ref in zip(streams.ring_draws(seeds, keys, 5, 17), reference):
+    for got, ref in zip(streams.ring_draws(seeds, keys, 5, 17, 0.3), reference):
         assert np.array_equal(got, ref)
     # a later block of the same stream equals the tail of a longer draw
-    tail = streams.ring_draws(seeds, keys, 12, 10)
-    assert np.array_equal(tail[0], reference[0][:, 7:])
+    tail = streams.ring_draws(seeds, keys, 12, 10, 0.3)
+    assert np.array_equal(tail[0], reference[0][7:])

@@ -40,7 +40,7 @@ class TestStreams:
         # a site's stream is named by (seed, coordinates, salt) alone
         def draws(seed, x, salt=0):
             seeds = np.array([seed], dtype=np.uint64)
-            return ring_draws(seeds, np.array([site_key(x, salt)], dtype=np.uint64), 0, 4)[0]
+            return ring_draws(seeds, np.array([site_key(x, salt)], dtype=np.uint64), 0, 4, 0.5)[0]
 
         a = draws(9, (2, 3))
         assert np.array_equal(a, draws(9, (2, 3)))
