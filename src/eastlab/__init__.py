@@ -19,7 +19,7 @@ from .lattice import (  # noqa: F401
     initial_rows,
     sample_initial,
 )
-from .sim import BatchLog, EventLog, RingRecord, simulate, simulate_batch  # noqa: F401
+from .sim import BatchLog, RingRecord, simulate, simulate_batch  # noqa: F401
 from .estimators import (  # noqa: F401
     DecaySeries,
     FitResult,

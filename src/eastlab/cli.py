@@ -289,7 +289,7 @@ def _write_fit(out: RunOutputs, name: str, series) -> None:
 def _run_simulate(config: ExperimentConfig, out: RunOutputs) -> None:
     batches = replica_batches(config.params, config.measure, config.window, config.horizon,
                               config.seed, "simulate", 1)
-    out.write("events.csv", next(batches)[1].log(0).to_csv())
+    out.write("events.csv", next(batches)[1].to_csv(0))
 
 
 def _run_persistence(config: ExperimentConfig, out: RunOutputs) -> None:

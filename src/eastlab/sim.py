@@ -10,7 +10,8 @@ a function of those on H_{k-1} and of H_k's own rings, and the simulation runs
 as one vectorized pass per hyperplane over every replica and every site of
 H_k at once.  The full ring history (legal and illegal) is kept per site in
 CSR form, indexed once per batch by exact time-rank keys that answer the
-sweep's neighbor lookups, every log query, ``records`` and CSV.
+sweep's neighbor lookups, every log query, ``records`` and CSV.  ``BatchLog``
+is the one trajectory type; ``simulate`` returns a batch of one replica.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .lattice import Configuration, Exterior, ModelParams, Region, Site, Window
+from .lattice import Configuration, Exterior, ModelParams, Site, Window
 from .streams import STREAM_VERSION, ring_draws, site_key
 
 MAX_HORIZON = 1e9
@@ -49,11 +49,11 @@ class RingRecord:
 
 def ring_block(horizon: float) -> int:
     """Rings drawn per site in a pass; the few sites that need more draw
-    another pass.  Raises SimulationError on a horizon outside [0, MAX_HORIZON]."""
-    if horizon < 0:
-        raise SimulationError("horizon must be >= 0")
-    if horizon > MAX_HORIZON:
-        raise SimulationError(f"horizon capped at {MAX_HORIZON:g}")
+    another pass.  Raises SimulationError on a horizon outside [0, MAX_HORIZON],
+    NaN included."""
+    if not 0 <= horizon <= MAX_HORIZON:
+        why = f"capped at {MAX_HORIZON:g}" if horizon > MAX_HORIZON else "must be >= 0"
+        raise SimulationError(f"horizon {why}, got {horizon}")
     return int(horizon + math.sqrt(horizon)) + 2
 
 
@@ -248,8 +248,9 @@ class BatchLog:
     ``zero_time``, the time the site spent at 0 on [start, ring time]; per row,
     ``first_change``, the first time the spin leaves its initial value.
     ``key`` and the sorted ``ordered`` times (see ``_rank_keys``) are the one
-    ring index: a query costs O(log M) per row.  ``log(r)`` views one replica;
-    the methods here answer for all.
+    ring index: a query costs O(log M) per row.  The queries answer for every
+    replica at once; ``initial``, ``rings``, ``records`` and ``to_csv`` take a
+    replica index r.
 
     The constructor sweeps the given rings (``offsets``, ``times``, ``bits``),
     which fall on (start, horizon], for legality and spins, from ``spins`` at
@@ -310,9 +311,6 @@ class BatchLog:
         out[r[lead]] = self.times[idx[lead]]
         return out
 
-    def log(self, r: int) -> "EventLog":
-        return EventLog(self, r)
-
     def resume(self, replicas, horizon: float) -> "BatchLog":
         """The given replicas continued from this batch's horizon to a later one.
 
@@ -344,10 +342,18 @@ class BatchLog:
         return _run(self.params, self.rule, spins, self.seeds[replicas], keys, self.horizon,
                     horizon, k_first[rows] + end - self.offsets[rows], base)
 
-    def _rows(self, x: Site) -> np.ndarray:
+    def _site(self, x: Site) -> int:
         if x not in self.window:
             raise SimulationError(f"site {x} outside window")
-        return np.arange(len(self)) * self.n_sites + self.window.index(x)
+        return self.window.index(x)
+
+    def _rows(self, x: Site) -> np.ndarray:
+        return np.arange(len(self)) * self.n_sites + self._site(x)
+
+    def _base(self, r: int) -> int:
+        if not 0 <= r < len(self):
+            raise SimulationError(f"replica {r} not in a batch of {len(self)}")
+        return r * self.n_sites
 
     def _spin(self, rows: np.ndarray, s: float) -> np.ndarray:
         if not (self.start <= s <= self.horizon):
@@ -367,8 +373,8 @@ class BatchLog:
         return occ
 
     def _updated(self, rows: np.ndarray, deadline: float) -> np.ndarray:
-        if deadline > self.horizon:
-            raise SimulationError("deadline beyond horizon")
+        if not deadline <= self.horizon:
+            raise SimulationError(f"deadline {deadline} beyond horizon")
         return self.first_legal[rows] <= deadline
 
     def spin_at_time(self, x: Site, s: float) -> np.ndarray:
@@ -399,100 +405,46 @@ class BatchLog:
         """(replicas, sites) spins at the horizon."""
         return self._final(np.arange(self.init.size)).reshape(len(self), self.n_sites)
 
+    def initial(self, r: int) -> Configuration:
+        """Replica r's initial configuration: the exterior rule and its row."""
+        base = self._base(r)
+        return self.rule.configuration(self.init[base:base + self.n_sites])
 
-class EventLog:
-    """Immutable record of one realized trajectory up to a horizon: replica r
-    of a BatchLog, whose row-level queries answer for it."""
+    def rings(self, r: int, x: Site) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Replica r's ring times, bits, legality and spins after at x, in time order."""
+        row = self._base(r) + self._site(x)
+        s = slice(self.offsets[row], self.offsets[row + 1])
+        return self.times[s], self.bits[s], self.legal[s], self.spin_after[s]
 
-    def __init__(self, batch: BatchLog, r: int):
-        self._batch, self._base = batch, r * batch.n_sites
-        self.params, self.window, self.horizon = batch.params, batch.window, batch.horizon
-        self.seed = int(batch.seeds[r])
-
-    @property
-    def initial(self) -> Configuration:
-        """The initial configuration: the batch's exterior rule and this replica's row."""
-        b = self._batch
-        return b.rule.configuration(b.init[self._base:self._base + b.n_sites])
-
-    def _row(self, x: Site) -> int:
-        if x not in self.window:
-            raise SimulationError(f"site {x} outside window")
-        return self._base + self.window.index(x)
-
-    def _rows(self, sites: Sequence[Site]) -> np.ndarray:
-        return np.array([self._row(x) for x in sites], dtype=np.int64)
-
-    def _span(self) -> slice:
-        off = self._batch.offsets
-        return slice(off[self._base], off[self._base + self._batch.n_sites])
-
-    def rings(self, x: Site) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Ring times, bits, legality and spin after each ring at x, in time order."""
-        row = self._row(x)
-        b = self._batch
-        s = slice(b.offsets[row], b.offsets[row + 1])
-        return b.times[s], b.bits[s], b.legal[s], b.spin_after[s]
-
-    def _time_order(self):
-        """Time-sorted (site index, time, bit, legal, spin after) arrays, read
-        off the batch's time ranks in O(M)."""
-        b, s = self._batch, self._span()
-        m = b.times.size
+    def _time_order(self, r: int):
+        """Replica r's time-sorted (site index, time, bit, legal, spin after)
+        arrays, read off the batch's time ranks in O(M)."""
+        base = self._base(r)
+        start, stop = self.offsets[base], self.offsets[base + self.n_sites]
+        m = self.times.size
         slot = np.full(m, -1)
-        slot[b.key[s] % m] = np.arange(s.start, s.stop)
+        slot[self.key[start:stop] % m] = np.arange(start, stop)
         order = slot[slot >= 0]
-        return (b.key[order] // m - self._base, b.times[order], b.bits[order], b.legal[order],
-                b.spin_after[order])
+        return (self.key[order] // m - base, self.times[order], self.bits[order],
+                self.legal[order], self.spin_after[order])
 
-    @property
-    def records(self) -> list[RingRecord]:
+    def records(self, r: int) -> list[RingRecord]:
+        """Replica r's rings, legal and illegal, in time order."""
         sites = self.window.sites
         return [
             RingRecord(sites[s], float(t), int(b), bool(l), int(a))
-            for s, t, b, l, a in zip(*self._time_order())
+            for s, t, b, l, a in zip(*self._time_order(r))
         ]
 
-    def __len__(self) -> int:
-        s = self._span()
-        return int(s.stop - s.start)
-
-    def n_legal(self) -> int:
-        return int(self._batch.legal[self._span()].sum())
-
-    def spin_at_time(self, x: Site, s: float) -> int:
-        """Spin of x at time s: initial spin modified by legal rings up to s."""
-        return int(self._batch._spin(self._rows([x]), s)[0])
-
-    def occupation_time(self, x: Site, t: float) -> float:
-        """Lebesgue time in [start, t] during which x has spin 0 (start is 0
-        unless the batch was resumed)."""
-        return float(self._batch._occupation(self._rows([x]), t)[0])
-
-    def first_update_time(self, x: Site) -> Optional[float]:
-        """Time of the first legal ring at x after start, or None."""
-        tau = float(self._batch.first_legal[self._row(x)])
-        return None if tau == math.inf else tau
-
-    def updated_set(self, region: Region, deadline: float) -> set[Site]:
-        """Region sites with at least one legal ring at time <= deadline."""
-        sites = [x for x in region.sites if x in self.window]
-        return set(compress(sites, self._batch._updated(self._rows(sites), deadline)))
-
-    def final_spins(self) -> tuple[int, ...]:
-        rows = self._base + np.arange(self._batch.n_sites)
-        return tuple(int(v) for v in self._batch._final(rows))
-
-    # --- serialization ----------------------------------------------------
-
-    def to_csv(self) -> str:
-        if self._batch.start:
+    def to_csv(self, r: int) -> str:
+        """Replica r's event CSV: a JSON manifest line, then its rings in time order."""
+        if self.start:
             raise SimulationError("a resumed batch's replicas have no event CSV")
-        initial = self.initial
+        initial = self.initial(r)
         manifest = {
             "d": self.params.d,
             "p": self.params.p,
-            "seed": self.seed,
+            "seed": int(self.seeds[r]),
             "horizon": self.horizon,
             "stream_version": STREAM_VERSION,
             "window_lower": list(self.window.lower),
@@ -506,17 +458,17 @@ class EventLog:
         lines = ["# " + json.dumps(manifest, sort_keys=True)]
         lines.append("site_coords,time,bit,legal,spin_after")
         sites = self.window.sites
-        for s, t, b, l, a in zip(*self._time_order()):
+        for s, t, b, l, a in zip(*self._time_order(r)):
             coords = ";".join(str(c) for c in sites[s])
             lines.append(f"{coords},{t:.17g},{int(b)},{int(l)},{int(a)}")
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_csv(text: str) -> "EventLog":
-        """Read a ``to_csv`` log and replay its ring times and bits.  Raises
-        SimulationError on a wrong column header, a site outside the window,
-        ring times of a site not strictly increasing within (0, horizon], a
-        bit not 0/1, or ``legal``/``spin_after`` columns unlike the replay."""
+    def from_csv(text: str) -> "BatchLog":
+        """Replay a ``to_csv`` log's ring times and bits as a batch of one.  Raises
+        SimulationError on a wrong column header, a site outside the window, ring
+        times of a site not strictly increasing within (0, horizon], a bit not
+        0/1, or ``legal``/``spin_after`` columns unlike the replay."""
         lines = text.splitlines()
         manifest = json.loads(lines[0].lstrip("# "))
         if lines[1:2] != ["site_coords,time,bit,legal,spin_after"]:
@@ -548,7 +500,7 @@ class EventLog:
         batch = BatchLog(params, rule, spins, horizon, seeds, offsets, times, bits)
         if (legal != batch.legal).any() or (spin_after != batch.spin_after).any():
             raise SimulationError("legal or spin_after column differs from the replayed rings")
-        return batch.log(0)
+        return batch
 
 
 def simulate_batch(
@@ -600,9 +552,6 @@ def simulate(
     horizon: float,
     seed: int,
     stream_salts: Optional[Mapping[Site, int]] = None,
-) -> EventLog:
-    """Run the graphical construction; deterministic in (params, initial, horizon, seed).
-
-    The batch-of-one view of ``simulate_batch``.
-    """
-    return simulate_batch(params, initial.rule, initial.spins, horizon, [seed], stream_salts).log(0)
+) -> BatchLog:
+    """``simulate_batch`` for the one replica (initial, seed): a batch of one."""
+    return simulate_batch(params, initial.rule, initial.spins, horizon, [seed], stream_salts)

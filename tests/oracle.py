@@ -1,9 +1,9 @@
 """References used only as test oracles.
 
-``event_loop`` replays a log's rings in global time order with one spin table
-and returns what legality and spin-after each ring must have.  Ties in time
-break by site order, as in the simulator.  ``oriented_path`` answers the
-oriented-path lemma on one log, site by site.  ``site_loop_rates`` builds the
+``event_loop`` replays one replica's rings in global time order with one spin
+table and returns what legality and spin-after each ring must have.  Ties in
+time break by site order, as in the simulator.  ``oriented_path`` answers the
+oriented-path lemma on one replica, site by site.  ``site_loop_rates`` builds the
 exact rate matrix Q of a region site by site, and ``symmetrized`` conjugates
 it by sqrt(mu) into S; `eastlab.exact` writes Q, -S and the killed operator
 from one legal-flip pass instead.  ``philox4x32`` is Philox4x32-10 on 32-bit
@@ -64,10 +64,10 @@ def ring_blocks(seeds, site_keys, k0, count):
     return [w.reshape(rows, count) for w in out]
 
 
-def event_loop(log):
-    """(legal, spin_after) per window site, aligned with ``log.rings(x)``."""
-    params, initial = log.params, log.initial
-    sites = log.window.sites
+def event_loop(batch, r):
+    """(legal, spin_after) per window site, aligned with ``batch.rings(r, x)``."""
+    params, initial = batch.params, batch.initial(r)
+    sites = batch.window.sites
     n = len(sites)
     index = {x: i for i, x in enumerate(sites)}
 
@@ -92,7 +92,7 @@ def event_loop(log):
             row.append(j)
         nbrs.append(tuple(row))
 
-    rings = [log.rings(x) for x in sites]
+    rings = [batch.rings(r, x) for x in sites]
     times = np.concatenate([r[0] for r in rings])
     ev_site = np.concatenate([np.full(r[0].size, i) for i, r in enumerate(rings)])
     ev_bit = np.concatenate([r[1] for r in rings])
@@ -112,23 +112,22 @@ def event_loop(log):
     return legal, after
 
 
-def oriented_path(log, t, alpha, x):
+def oriented_path(batch, k, t, alpha, x):
     """(applicable, hypothesis held, found, path length) of the oriented-path
-    lemma on one log.  From x, grow the sites reachable by -e_i steps inside E
-    one step at a time; the first step that meets D's outer layer gives the
-    length of a shortest path."""
-    d = log.params.d
+    lemma on replica k of the batch.  From x, grow the sites reachable by -e_i
+    steps inside E one step at a time; the first step that meets D's outer
+    layer gives the length of a shortest path."""
+    d = batch.params.d
     r = math.floor(2 * d * alpha * t)
     half = t / 2
     box = list(product(range(-r, 1), repeat=d))
-    spin0 = dict(zip(log.window.sites, log.initial.spins))
+    spin0 = dict(zip(batch.window.sites, batch.initial(k).spins))
 
     def stayed_at_zero(y):
-        times, _, _, after = log.rings(y)
+        times, _, _, after = batch.rings(k, y)
         return spin0[y] == 0 and not after[times <= half].any()
 
-    taus = {y: log.first_update_time(y) for y in box}
-    E = {y for y, tau in taus.items() if tau is not None and tau <= half}
+    E = {y for y in box if batch.first_update_time(y)[k] <= half}
     applicable = spin0[x] == 0
     held = applicable and not any(stayed_at_zero(y) for y in box)
     reached = {x} & E if held else set()

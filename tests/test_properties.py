@@ -5,12 +5,13 @@ identical rings, histories are consistent under horizon extension, a batch
 resumed from its horizon continues the one-shot run bit for bit, a site's
 rings ignore the enclosing window, a site's trajectory is measurable with
 respect to its backward cone, estimator outputs ignore the replica chunking,
-relaxation equals its per-run reference, each replica's EventLog answers
-as its BatchLog does, and the oriented-path lemma answers the same on a
-batch simulated to t/2 as on one simulated to t.  A window's array site keys and frozen-exterior rows
-match their per-site definitions.  Philox4x32-10 is checked against the
-Random123 known answers, the packed-lane kernel against the 32-bit-word
-oracle, and the integer bit threshold against the float rule u < p.
+relaxation equals its per-run reference, a spin read at a ring's own time
+is that ring's outcome, and the oriented-path lemma answers the same on a
+batch simulated to t/2 as on one simulated to t.  A window's array site keys
+and frozen-exterior rows match their per-site definitions.  Philox4x32-10 is
+checked against the Random123 known answers, the packed-lane kernel against
+the 32-bit-word oracle, and the integer bit threshold against the float rule
+u < p.
 """
 
 import itertools
@@ -74,7 +75,7 @@ def scenarios(draw):
 
 
 def site_records(log, x, until=np.inf):
-    return [(r.time, r.bit, r.legal, r.spin_after) for r in log.records
+    return [(r.time, r.bit, r.legal, r.spin_after) for r in log.records(0)
             if r.site == x and r.time <= until]
 
 
@@ -82,9 +83,9 @@ def site_records(log, x, until=np.inf):
 @given(scenarios())
 def test_sweep_matches_event_loop(scenario):
     log = simulate(*scenario)
-    legal, after = event_loop(log)
+    legal, after = event_loop(log, 0)
     for i, x in enumerate(log.window.sites):
-        _, _, got_legal, got_after = log.rings(x)
+        _, _, got_legal, got_after = log.rings(0, x)
         assert np.array_equal(got_legal, legal[i])
         assert np.array_equal(got_after, after[i])
 
@@ -145,9 +146,9 @@ def test_resume_matches_one_shot(scenario, more_seeds, extra, data):
     assert np.array_equal(resumed.final_spins(), one.final_spins()[chosen])
     for i, r in enumerate(chosen):
         for x in initial.window.sites:
-            want = one.log(r).rings(x)
+            want = one.rings(r, x)
             late = want[0] > mid
-            for got, ref in zip(resumed.log(i).rings(x), want):
+            for got, ref in zip(resumed.rings(i, x), want):
                 assert np.array_equal(got, ref[late])
             legal_late = want[0][late & want[2]]
             tau = legal_late[0] if legal_late.size else np.inf
@@ -167,8 +168,8 @@ def test_window_independence_of_rings(scenario, grow):
     a = simulate(params, initial, horizon, seed)
     b = simulate(params, Configuration.all_ones(big), horizon, seed)
     for x in w.sites:
-        assert np.array_equal(a.rings(x)[0], b.rings(x)[0])
-        assert np.array_equal(a.rings(x)[1], b.rings(x)[1])
+        assert np.array_equal(a.rings(0, x)[0], b.rings(0, x)[0])
+        assert np.array_equal(a.rings(0, x)[1], b.rings(0, x)[1])
 
 
 @PROPERTY
@@ -180,7 +181,7 @@ def test_cone_measurability(scenario, data):
     off_cone = {y: salt for y in initial.window.sites if not all(a <= b for a, b in zip(y, x))}
     base = simulate(params, initial, horizon, seed)
     pert = simulate(params, initial, horizon, seed, stream_salts=off_cone)
-    for got, ref in zip(pert.rings(x), base.rings(x)):
+    for got, ref in zip(pert.rings(0, x), base.rings(0, x)):
         assert np.array_equal(got, ref)
 
 
@@ -199,29 +200,27 @@ def test_batch_replicas_match_single_runs(group, data):
     batch = simulate_batch(params, first.rule, rows, horizon, seeds)
     for r, (spins, seed) in enumerate(zip(rows, seeds)):
         init = first.rule.configuration(spins)
-        assert batch.log(r).to_csv() == simulate(params, init, horizon, seed).to_csv()
+        assert batch.to_csv(r) == simulate(params, init, horizon, seed).to_csv(0)
 
 
 @PROPERTY
 @given(scenarios(), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3), st.booleans())
-def test_event_log_views_match_batch_queries(scenario, seeds, no_rings):
+def test_spins_right_continuous_at_rings(scenario, seeds, no_rings):
+    # the spin read at a ring's own time is that ring's outcome, and at the
+    # horizon the final spin; a batch with zero rings answers from its start
     params, initial, horizon, seed = scenario
-    horizon = 0.0 if no_rings else horizon  # a batch with zero rings
+    horizon = 0.0 if no_rings else horizon
     batch = simulate_batch(params, initial.rule, initial.spins, horizon, [seed, *seeds])
     final = batch.final_spins()
+    if no_rings:
+        assert batch.times.size == 0 and (final == np.array(initial.spins)).all()
     for r in range(len(batch)):
-        log = batch.log(r)
-        assert log.final_spins() == tuple(final[r])
-        for x in initial.window.sites:
-            tau = batch.first_update_time(x)[r]
-            assert log.first_update_time(x) == (None if tau == np.inf else tau)
-            times, _, _, after = log.rings(x)
-            for k, t in enumerate([*times, 0.0, horizon]):
-                spin = log.spin_at_time(x, t)
-                assert spin == batch.spin_at_time(x, t)[r]
-                assert log.occupation_time(x, t) == batch.occupation_time(x, t)[r]
-                if k < times.size:  # right-continuous: the ring's own outcome
-                    assert spin == after[k]
+        for i, x in enumerate(initial.window.sites):
+            times, _, _, after = batch.rings(r, x)
+            assert batch.spin_at_time(x, horizon)[r] == final[r, i]
+            assert batch.occupation_time(x, 0.0)[r] == 0.0
+            for t, spin in zip(times, after):
+                assert batch.spin_at_time(x, t)[r] == spin
 
 
 @st.composite
@@ -301,7 +300,7 @@ def test_relaxation_matches_per_run_reference():
         init = rule.configuration(rows[o])
         logs = [simulate(params, init, times[-1], derive_seed(5, "relax-sim", o, i))
                 for i in range(n_inner)]
-        inner = np.array([[f.eval_spins([log.spin_at_time(x, t) for x in f.sites])
+        inner = np.array([[f.eval_spins([log.spin_at_time(x, t)[0] for x in f.sites])
                            for t in times] for log in logs])
         outer.append((np.abs(inner.mean(axis=0) - mu_f) / norm) ** gamma)
     series = estimate_relaxation(params, spec, f, times, n_outer, n_inner, w, 5, gamma)

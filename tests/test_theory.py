@@ -201,7 +201,7 @@ class TestOrientedPathLemma:
         check = oriented_path_check(batch, t, alpha, x)
         got = zip(check.applicable, check.hypothesis_held, check.found, check.length)
         assert [tuple(map(int, g)) for g in got] == [
-            tuple(map(int, oriented_path(batch.log(r), t, alpha, x))) for r in range(len(batch))
+            tuple(map(int, oriented_path(batch, r, t, alpha, x))) for r in range(len(batch))
         ]
         assert (certify_paths(batch, t, alpha, x, check) == check.found).all()
 
@@ -261,21 +261,21 @@ class TestHyperplaneProfile:
         assert profile.u_k.shape == profile.g_k.shape == (12, geom.k_max + 1)
         threshold = (1 - batch.params.p) * geom.t / 4
         planes = [geom.hyperplane(k) for k in range(geom.k_max + 1)]
+        sites = geom.D.sorted_sites()
         for r in range(12):
-            log = batch.log(r)
-            E = log.updated_set(geom.D, geom.t / 2)
+            E = {y for y, hit in zip(sites, batch.updated_set(sites, geom.t / 2)[r]) if hit}
             assert profile.u_k[r].tolist() == [any(y in E for y in hk) for hk in planes]
             assert profile.g_k[r].tolist() == [
-                any(log.occupation_time(y, geom.t) >= threshold for y in hk) for hk in planes
+                any(batch.occupation_time(y, geom.t)[r] >= threshold for y in hk) for hk in planes
             ]
         for values in (profile.u_k, profile.g_k):
             assert values.any() and not values.all()
 
     def test_origin_update_sets_u0(self):
         batch, geom = active_batch([31])
-        e = batch.log(0).updated_set(geom.D, geom.t / 2)
+        e = batch.updated_set([(0, 0)], geom.t / 2)
         profile = hyperplane_hit_profile(batch, geom)
-        assert profile.u_k[0, 0] == ((0, 0) in e)
+        assert profile.u_k[0, 0] == e[0, 0]
 
 
 class TestConstants:
