@@ -203,6 +203,8 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, values in (("times", config.times), ("t", (config.t,)), ("alpha", (config.alpha,))):
         if min(values, default=0.0) < 0:
             raise ConfigError(key, f"must be >= 0, got {raw[key]}")
+    if config.gamma <= 0:
+        raise ConfigError("gamma", f"must be > 0, got {raw['gamma']}")
 
     if config.site is not None and len(config.site) != config.params.d:
         raise ConfigError("site", f"expected {config.params.d} coordinates")
@@ -213,8 +215,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(name, f"{problem} (required for kind {kind!r})")
     if config.site is not None and config.window is not None and config.site not in config.window:
         raise ConfigError("site", f"site {config.site} outside window")
-    if config.n <= 0 or config.n_outer <= 0 or config.n_inner <= 0:
-        raise ConfigError("n", "sample counts must be positive")
+    for key in ("n", "n_outer", "n_inner"):
+        if getattr(config, key) <= 0:
+            raise ConfigError(key, f"sample count must be positive, got {raw[key]}")
     return config
 
 

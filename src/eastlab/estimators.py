@@ -98,13 +98,10 @@ class Observable:
     sites: tuple[Site, ...]
     fn: Callable[[tuple[int, ...]], float]
 
-    def eval_spins(self, spins: Sequence[int]) -> float:
-        return float(self.fn(tuple(spins)))
-
     def table(self) -> np.ndarray:
         """f on every support state; bit i of the state = spin of sites[i]."""
         k = len(self.sites)
-        return np.array([self.eval_spins([(s >> i) & 1 for i in range(k)]) for s in range(1 << k)])
+        return np.array([float(self.fn(tuple((s >> i) & 1 for i in range(k)))) for s in range(1 << k)])
 
     @staticmethod
     def spin(site: Site) -> "Observable":
@@ -232,6 +229,8 @@ def estimate_relaxation(
     gamma: float = 1.0,
 ) -> DecaySeries:
     """Average of (|inner estimate of E_eta[f] - mu(f)| / ||f - mu(f)||_inf)^gamma."""
+    if not gamma > 0:
+        raise EstimatorError(f"gamma must be > 0, got {gamma}")
     if any(x not in window for x in f.sites):
         raise EstimatorError("observable support must lie inside the window")
     ts = tuple(sorted(float(t) for t in times))
@@ -298,13 +297,14 @@ def default_fit_floor(series: DecaySeries) -> float:
 
 
 def fit_exponential(series: DecaySeries, floor: float) -> FitResult:
-    """Least squares on (t, ln value) over points with value > floor."""
+    """Least squares on (t, ln value) over points with value > floor, which
+    must fall at 3 or more distinct times."""
     t = np.asarray(series.times)
     v = np.asarray(series.values)
     mask = v > floor
-    if mask.sum() < 3:
-        raise EstimatorError("fewer than 3 points above the fit floor")
     x = t[mask]
+    if np.count_nonzero(np.diff(np.sort(x))) < 2:  # np.unique would import numpy.ma
+        raise EstimatorError("fewer than 3 distinct times above the fit floor")
     y = np.log(v[mask])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

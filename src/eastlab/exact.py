@@ -120,10 +120,8 @@ class Generator:
 
     def __init__(self, region: Region, boundary: Mapping[Site, int], p: float):
         self.sites = _checked_sites(region, p)
-        self.region = region
         self.boundary = dict(boundary)
         self.p = p
-        self.d = len(self.sites[0])
         self.n = len(self.sites)
         self.dim = 1 << self.n
         up, down, exit_rate = _legal_flips(self.sites, self.boundary, p)
@@ -132,17 +130,6 @@ class Generator:
     def mu(self) -> np.ndarray:
         """Product Bernoulli(p) weights indexed by bitmask state."""
         return bernoulli_weights(self.n, self.p)
-
-    def to_triplet_text(self) -> str:
-        lines = [
-            f"# region {self.region.descriptor} sites {list(self.sites)}",
-            f"# boundary {sorted(self.boundary.items())}",
-            f"# p {self.p!r}",
-        ]
-        coo = self.rates.tocoo()
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            lines.append(f"{r},{c},{v:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 def build_generator(region: Region, boundary: Mapping[Site, int], p: float) -> Generator:

@@ -52,10 +52,9 @@ def site_sub_e(x: Site, i: int) -> Site:
 
 @dataclass(frozen=True)
 class Region:
-    """A finite set of sites with a human-readable descriptor."""
+    """A finite set of sites."""
 
     sites: frozenset[Site]
-    descriptor: str = "Explicit"
 
     def __contains__(self, x: Site) -> bool:
         return x in self.sites
@@ -75,7 +74,7 @@ def build_lambda_region(r: float, d: int) -> Region:
         raise LatticeError(f"d must be >= 1, got {d}")
     m = math.floor(r)
     sites = frozenset(s for s in product(range(m + 1), repeat=d) if any(c != 0 for c in s))
-    return Region(sites, f"LambdaBox({r})")
+    return Region(sites)
 
 
 @dataclass(frozen=True)
@@ -314,43 +313,3 @@ def all_ones_probability(spec: MeasureSpec, ell: float, d: int) -> float:
                 return 0.0
         return 1.0
     raise LatticeError(f"unknown measure spec {spec!r}")
-
-
-# --- text serialization -------------------------------------------------
-
-def config_to_text(config: Configuration, params: ModelParams) -> str:
-    """Header "d p window_lower window_upper exterior", one line per site."""
-    w = config.window
-    head = " ".join(
-        [str(params.d), repr(params.p)]
-        + [str(c) for c in w.lower]
-        + [str(c) for c in w.upper]
-        + [str(config.exterior)]
-    )
-    lines = [head]
-    for x in w.sites:
-        lines.append(" ".join(str(c) for c in x) + f" {config.spin_at(x)}")
-    for x in sorted(config.exterior_overrides):
-        lines.append("ext " + " ".join(str(c) for c in x) + f" {config.exterior_overrides[x]}")
-    return "\n".join(lines) + "\n"
-
-
-def config_from_text(text: str) -> tuple[ModelParams, Configuration]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    d = int(head[0])
-    p = float(head[1])
-    lower = tuple(int(c) for c in head[2 : 2 + d])
-    upper = tuple(int(c) for c in head[2 + d : 2 + 2 * d])
-    exterior = int(head[2 + 2 * d])
-    window = Window(lower, upper)
-    spins = [0] * window.site_count()
-    overrides: dict[Site, int] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "ext":
-            overrides[tuple(int(c) for c in parts[1 : 1 + d])] = int(parts[1 + d])
-        else:
-            x = tuple(int(c) for c in parts[:d])
-            spins[window.index(x)] = int(parts[d])
-    return ModelParams(d, p), Configuration(window, tuple(spins), exterior, overrides)

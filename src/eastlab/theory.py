@@ -1,16 +1,18 @@
 """Mechanical checks of the combinatorial machinery on simulated histories.
 
 The oriented-path check takes a batch of realized histories, computes per
-replica the set E of sites updated before t/2 inside the box D, and (when no
-site of D stayed at zero throughout [0, t/2]) searches for an oriented path of
--e_i steps inside E from the starting zero down to the outer layer of D, as
-one reach sweep over D's box for the whole batch.  Failure to find one would
-contradict a proven statement and is surfaced as a counterexample.  The
-check reads only [0, t/2], so it needs a batch simulated to t/2, not t: ring
-times come from the Philox counter, not the horizon, and the sweep is causal,
-so a longer batch gives the same answers.  The hyperplane profile reads
-occupation times on [0, t] and needs a batch simulated to t.  Both read
-``init`` as the spins at time 0, so they reject a resumed batch (start > 0).
+replica the set E of sites updated before t/2 inside the box
+D = {-radius..0}^d, and (when no site of D stayed at zero throughout [0, t/2])
+searches for an oriented path of -e_i steps inside E from the starting zero
+down to the outer layer of D, the sites with some coordinate equal to
+-radius, as one reach sweep over D's box for the whole batch.  Failure to
+find one would contradict a proven statement and is surfaced as a
+counterexample.  The check reads only [0, t/2], so it needs a batch
+simulated to t/2, not t: ring times come from the Philox counter, not the
+horizon, and the sweep is causal, so a longer batch gives the same answers.
+The hyperplane profile reads occupation times on [0, t] and needs a batch
+simulated to t.  Both read ``init`` as the spins at time 0, so they reject a
+resumed batch (start > 0).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class TheoryCheckError(ValueError):
 
 @dataclass(frozen=True)
 class GeometrySet:
-    """The boxes D, D' and the diagonal hyperplanes H_k for given (t, alpha, d)."""
+    """The box D and its diagonal hyperplanes H_k for given (t, alpha, d)."""
 
     t: float
     alpha: float
@@ -58,15 +60,7 @@ class GeometrySet:
     @cached_property
     def D(self) -> Region:
         r = self.radius
-        return Region(frozenset(product(range(-r, 1), repeat=self.d)), f"D(t={self.t},alpha={self.alpha})")
-
-    @cached_property
-    def D_prime(self) -> Region:
-        r = self.radius
-        return Region(
-            frozenset(product(range(-r + 1, 1), repeat=self.d)),
-            f"D'(t={self.t},alpha={self.alpha})",
-        )
+        return Region(frozenset(product(range(-r, 1), repeat=self.d)))
 
     def D_fits(self, window: Window) -> bool:
         """D = {-radius..0}^d lies in a window box iff it is empty or both its corners do."""
@@ -82,11 +76,6 @@ class GeometrySet:
         if not (0 <= k <= self.k_max):
             raise TheoryCheckError(f"k must lie in 0..{self.k_max}")
         return frozenset(x for x in self.D.sites if sum(x) == -k)
-
-    def outer_layer(self) -> frozenset[Site]:
-        """D minus D': sites with some coordinate equal to -radius."""
-        r = self.radius
-        return frozenset(x for x in self.D.sites if min(x) == -r)
 
 
 def _box_rows(batch: BatchLog, geom: GeometrySet) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +99,8 @@ def _from_time_zero(batch: BatchLog) -> None:
 
 def _lemma_box(batch: BatchLog, t: float, alpha: float, x: Site):
     """Check the lemma's premises; return D's rows, x's index into them, and per
-    site y of D, |x - y|_1 and whether y lies on D's outer layer."""
+    site y of D, |x - y|_1 and whether y lies on D's outer layer: the sites
+    with some coordinate equal to -radius."""
     _from_time_zero(batch)
     geom = GeometrySet(t, alpha, batch.params.d)
     small = math.floor(alpha * t)

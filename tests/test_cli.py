@@ -37,6 +37,16 @@ n = 200
 seed = 7
 """
 
+RELAX_CFG = """
+kind = relaxation
+d = 1
+window_lower = 0
+window_upper = 2
+measure = bernoulli 0.5
+site = 1
+times = 1 2
+"""
+
 LEMMA_CFG = """
 kind = verify-lemma
 d = 2
@@ -116,10 +126,25 @@ class TestParse:
         assert exc.value.field_name == "times"
 
     def test_nonpositive_counts(self):
+        for text, key in (
+            (PERSIST_CFG.replace("n = 200", "n = 0"), "n"),
+            (RELAX_CFG + "n_outer = 0\n", "n_outer"),
+            (RELAX_CFG + "n_inner = -3\n", "n_inner"),
+        ):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(text)
+            assert exc.value.field_name == key
+            assert "given twice" not in str(exc.value)
+
+    @pytest.mark.parametrize("gamma", ["0", "-1"])
+    def test_nonpositive_gamma_rejected(self, tmp_path, capsys, gamma):
+        text = RELAX_CFG + f"gamma = {gamma}\n"
         with pytest.raises(ConfigError) as exc:
-            parse_config(PERSIST_CFG.replace("n = 200", "n = 0"))
-        assert exc.value.field_name == "n"
-        assert "given twice" not in str(exc.value)
+            parse_config(text)
+        assert exc.value.field_name == "gamma"
+        assert main([write_config(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+        assert "'gamma'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_measure(self):
         with pytest.raises(ConfigError) as exc:
@@ -278,6 +303,12 @@ class TestRuns:
         text = (tmp_path / "out" / "manifest.txt").read_text()
         assert "config.seed = 7" in text
         assert "status = ok" in text
+
+    def test_fit_needs_three_distinct_times(self, tmp_path):
+        cfg = parse_config(PERSIST_CFG.replace("times = 0.5 1.0 2.0", "times = 1 1 1"))
+        cfg.out_dir = str(tmp_path)
+        assert run_experiment(cfg).status == "ok"
+        assert (tmp_path / "persistence_fit.txt").read_text() == "fit_failed=too_few_points\n"
 
     def test_double_run_identical_checksums(self, tmp_path):
         cfg1 = parse_config(PERSIST_CFG)

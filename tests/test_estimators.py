@@ -281,6 +281,13 @@ class TestRelaxation:
                 ModelParams(1, 0.5), ProductBernoulli(0.5), obs, [1.0], 2, 2, w, 0
             )
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+    def test_nonpositive_gamma_rejected(self, gamma):
+        # |deviation|^gamma is 1 at gamma = 0, and inf at a zero deviation for gamma < 0
+        with pytest.raises(EstimatorError, match="gamma"):
+            estimate_relaxation(ModelParams(1, 0.5), ProductBernoulli(0.5), Observable.spin((1,)),
+                                [1.0], 2, 2, Window((0,), (2,)), 0, gamma)
+
     def test_against_exact_engine(self):
         # 2-site chain with frozen zero boundary: MC inner estimates must
         # track uniformization started from the same initial states
@@ -355,6 +362,18 @@ class TestFit:
         series = DecaySeries((1.0, 2.0, 3.0), (0.5, 0.4, 0.01), (0.0,) * 3, 3, 1)
         with pytest.raises(EstimatorError):
             fit_exponential(series, floor=0.1)
+
+    @pytest.mark.parametrize("times", [(1.0, 1.0, 1.0), (1.0, 1.0, 2.0, 2.0), (2.0, 1.0, 2.0, 1.0)])
+    def test_too_few_distinct_times(self, times):
+        # a line through fewer than 3 distinct times leaves no point to judge it by
+        series = DecaySeries(times, (0.5, 0.4, 0.3, 0.2)[: len(times)], (0.0,) * len(times), 3, 1)
+        with pytest.raises(EstimatorError, match="3 distinct times"):
+            fit_exponential(series, floor=0.0)
+
+    @pytest.mark.parametrize("times", [(1.0, 1.0, 2.0, 3.0), (3.0, 1.0, 2.0, 1.0)])
+    def test_three_distinct_times_with_repeats_fit(self, times):
+        series = DecaySeries(times, tuple(2.0**-t for t in times), (0.0,) * 4, 4, 1)
+        assert fit_exponential(series, floor=0.0).rate == pytest.approx(math.log(2), abs=1e-12)
 
     def test_floor_excludes_tail(self):
         series = DecaySeries(

@@ -418,15 +418,3 @@ class TestBernoulliWeights:
         p = 0.3
         want = [math.prod(p if (s >> i) & 1 else 1 - p for i in range(n)) for s in range(1 << n)]
         assert np.allclose(bernoulli_weights(n, p), want, rtol=1e-14, atol=0)
-
-
-class TestExport:
-    def test_triplet_text(self):
-        gen = build_generator(region_1d([1]), {(0,): 0}, 0.3)
-        text = gen.to_triplet_text()
-        lines = text.splitlines()
-        assert lines[0].startswith("#")
-        data = [ln for ln in lines if not ln.startswith("#")]
-        trip = {(int(r), int(c)): float(v) for r, c, v in (ln.split(",") for ln in data)}
-        assert trip[(0, 1)] == pytest.approx(0.3)
-        assert trip[(1, 0)] == pytest.approx(0.7)

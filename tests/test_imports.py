@@ -90,3 +90,37 @@ def test_gap_chain_cap_still_checked_at_parse_time(tmp_path, capsys):
     assert main([str(path), "--out", str(tmp_path / "out")]) == 1
     assert "config field 'N'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_benchmark_references_run_against_this_checkout(monkeypatch):
+    # the benchmark's reference checks call the library; a deletion they
+    # depend on fails here rather than in a benchmark run
+    import numpy as np
+    from scipy.linalg import expm
+
+    from eastlab.cli import parse_config
+    from eastlab.exact import east1d_gap
+    from eastlab.lattice import Region
+    from oracle import site_loop_rates
+
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(SRC), "perfbench"))
+    import workloads
+
+    cfg = parse_config(workloads.WORKLOADS["relax-2x2-many"].config)
+    ref = workloads.relaxation_reference(cfg)
+    assert (ref["mu_f"], ref["norm"], ref["n_inner"]) == (0.5, 0.5, 500)
+    # (0, 0) starts at 0 and the exterior at 1: state 0b1110 in sorted site
+    # order, and f reads bit 3, the site (1, 1)
+    boundary = {y: 1 for y in ((-1, 0), (-1, 1), (0, -1), (1, -1))}
+    q = site_loop_rates(Region(frozenset(cfg.window.sites)), boundary, 0.5).toarray()
+    fvec = (np.arange(16) >> 3) & 1
+    want = {t: expm(q * t)[0b1110] @ fvec for t in cfg.times}
+    assert sorted(ref["expect"]) == sorted(want) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    for t, v in ref["expect"].items():
+        assert v == pytest.approx(want[t], rel=1e-10)
+
+    cfg = parse_config(workloads.WORKLOADS["gap-1d"].config)
+    gaps = workloads.gap_reference(cfg)
+    assert sorted(gaps) == [11, 12, 13]
+    for n, g in gaps.items():
+        assert east1d_gap(0.5, n) == pytest.approx(g, rel=1e-8)

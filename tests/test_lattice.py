@@ -15,8 +15,6 @@ from eastlab.lattice import (
     all_ones_probability,
     build_lambda_region,
     condition_C_params,
-    config_from_text,
-    config_to_text,
     east_constraint,
     initial_rows,
     sample_initial,
@@ -207,21 +205,3 @@ class TestConditionC:
         a, A = condition_C_params(spec)
         for ell in range(51):
             assert all_ones_probability(spec, ell, d) <= A * math.exp(-a * ell) + 1e-15
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        params = ModelParams(2, 0.3)
-        w = Window((-1, -1), (1, 1))
-        cfg = Configuration.with_zeros(w, [(0, 0)], exterior=0, overrides={(-2, 0): 1})
-        text = config_to_text(cfg, params)
-        params2, cfg2 = config_from_text(text)
-        assert params2 == params
-        assert cfg2 == cfg
-        assert config_to_text(cfg2, params2) == text
-
-    def test_header_shape(self):
-        params = ModelParams(1, 0.25)
-        cfg = Configuration((w := Window((0,), (1,))), (1, 0), exterior=1)
-        head = config_to_text(cfg, params).splitlines()[0].split()
-        assert head == ["1", "0.25", "0", "1", "1"]

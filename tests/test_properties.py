@@ -300,7 +300,7 @@ def test_relaxation_matches_per_run_reference():
         init = rule.configuration(rows[o])
         logs = [simulate(params, init, times[-1], derive_seed(5, "relax-sim", o, i))
                 for i in range(n_inner)]
-        inner = np.array([[f.eval_spins([log.spin_at_time(x, t)[0] for x in f.sites])
+        inner = np.array([[f.fn([log.spin_at_time(x, t)[0] for x in f.sites])
                            for t in times] for log in logs])
         outer.append((np.abs(inner.mean(axis=0) - mu_f) / norm) ** gamma)
     series = estimate_relaxation(params, spec, f, times, n_outer, n_inner, w, 5, gamma)

@@ -46,8 +46,6 @@ class TestGeometry:
         geom = GeometrySet(t=10.0, alpha=0.2, d=2)
         assert geom.radius == 8
         assert len(geom.D) == 81
-        assert len(geom.D_prime) == 64
-        assert geom.D_prime.sites < geom.D.sites
 
     def test_hyperplanes_partition_d(self):
         geom = GeometrySet(t=5.0, alpha=0.3, d=2)
@@ -60,12 +58,6 @@ class TestGeometry:
             total += len(hk)
         assert seen == geom.D.sites
         assert total == len(geom.D)
-
-    def test_outer_layer(self):
-        geom = GeometrySet(t=10.0, alpha=0.2, d=2)
-        layer = geom.outer_layer()
-        assert layer == geom.D.sites - geom.D_prime.sites
-        assert all(min(x) == -geom.radius for x in layer)
 
     @pytest.mark.parametrize("t, alpha", [(10.0, 0.2), (2.0, 0.1), (1.0, 0.0), (1.0, -0.3)])
     def test_d_fits_matches_site_scan(self, t, alpha):
