@@ -9,9 +9,13 @@ Every operator comes from one pass, `_legal_flips`, the only copy of the East
 constraint, and one CSR writer, `_flip_csr`: Q, -S and the killed B_z differ
 only in the values it writes.  ``tests/oracle.py`` builds Q site by site.
 
-Uniformization takes its Poisson weights and truncation from ``scipy.special``
-(``xlogy``, ``gammaln``, ``pdtrc``), the formulas ``scipy.stats.poisson``
-evaluates for ``pmf`` and ``isf``, without importing ``scipy.stats``.
+Importing this module loads ``scipy.sparse`` (the operators) and
+``scipy.linalg`` (``dstebz``, which `east1d_gap` reads every 10 Lanczos
+steps), never ``scipy.special``, ``scipy.stats`` or ``scipy.sparse.linalg``:
+the kinds gap and constants load nothing more.  Uniformization takes its
+Poisson weights and truncation from ``scipy.special`` (``xlogy``,
+``gammaln``, ``pdtrc``), the formulas ``scipy.stats.poisson`` evaluates for
+``pmf`` and ``isf``, and imports it on its first call (`poisson_truncation`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from typing import Callable, Mapping, Union
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dstebz
-from scipy.special import gammaln, pdtrc, xlogy
 
 from .lattice import Region, Site, bernoulli_weights, site_sub_e
 
@@ -146,13 +149,14 @@ def evolve_expectation(
     """E_initial[f(state at time t)] by uniformization with truncation error < tol.
 
     ``initial`` is a bitmask state or a distribution vector over states; a
-    state outside 0..dim-1, or a vector of the wrong length, raises
+    state outside 0..dim-1, a vector of the wrong length, a t that is
+    negative or not finite, or a tol that is not > 0 (NaN included) raises
     `ExactEngineError`.
     """
-    if t < 0:
-        raise ExactEngineError("t must be >= 0")
-    if tol <= 0:
-        raise ExactEngineError("tol must be > 0")
+    if not 0 <= t < math.inf:
+        raise ExactEngineError(f"t must be finite and >= 0, got {t}")
+    if not tol > 0:
+        raise ExactEngineError(f"tol must be > 0, got {tol}")
     fvec = np.asarray(
         f if isinstance(f, np.ndarray) else [f(s) for s in range(gen.dim)], dtype=float
     )
@@ -194,6 +198,8 @@ def poisson_truncation(mu: float, q: float) -> tuple[int, np.ndarray]:
     (mu + x / 3))), which is q at x = L/3 + sqrt(L^2/9 + 2 mu L), L = -log q,
     so the least such k lies in the searched range.
     """
+    from scipy.special import gammaln, pdtrc, xlogy  # uniformization alone reads scipy.special
+
     K = 0
     if q < 1.0:
         L = -math.log(q)
@@ -304,9 +310,9 @@ def east1d_gap(p: float, N: int) -> float:
     scipy 1.17), with peak RSS in MB in brackets and the Lanczos steps below:
 
         N          14          15          16          17          18 (*)
-        p = 0.5    0.022 (65)  0.047 (67)  0.096 (72)  0.18 (82)   0.52 (102)
+        p = 0.5    0.022 (61)  0.047 (64)  0.096 (69)  0.18 (78)   0.52 (98)
           steps    110         120         130         130         140
-        p = 0.9    0.11 (65)   0.27 (67)   0.56 (72)   1.34 (82)   4.1 (102)
+        p = 0.9    0.11 (61)   0.27 (63)   0.56 (69)   1.34 (78)   4.1 (98)
           steps    650         830         950         1080        1240
 
     p = 0.95 took 0.16 s (950 steps) at N = 14 and 2.3 s (1980 steps, the
@@ -315,6 +321,8 @@ def east1d_gap(p: float, N: int) -> float:
     """
     if not (0.0 < p < 1.0):
         raise ExactEngineError(f"p must lie in (0,1), got {p}")
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+        raise ExactEngineError(f"N must be an integer, got {N!r}")
     if not (1 <= N <= MAX_GAP_SITES):
         raise ExactEngineError(f"N must lie in 1..{MAX_GAP_SITES}, got {N}")
     if N == 1:

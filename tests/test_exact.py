@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -197,6 +198,18 @@ class TestEvolveExpectationInputs:
         with pytest.raises(ExactEngineError, match=r"f has shape \(7,\)"):
             evolve_expectation(self.gen, 0, np.ones(7), t)
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, -math.inf])
+    def test_t_negative_or_not_finite_named(self, t):
+        with pytest.raises(ExactEngineError, match=rf"t must be finite and >= 0, got {t}$"):
+            evolve_expectation(self.gen, 0, np.ones(8), t)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_tol_not_positive_named(self, tol):
+        # NaN passes a tol <= 0 test, and q = min(1, nan) = 1 would keep only
+        # the first Poisson term
+        with pytest.raises(ExactEngineError, match=rf"tol must be > 0, got {tol}$"):
+            evolve_expectation(self.gen, 0, np.ones(8), 1.0, tol=tol)
+
 
 class TestPoissonTruncation:
     @pytest.mark.parametrize("mu", [0.5, 1.0, 3.7, 8.0, 20.0, 50.5, 200.0])
@@ -328,6 +341,16 @@ class TestHalfSpaceGap:
         for p in (0.0, 1.0):
             with pytest.raises(ExactEngineError):
                 east1d_gap(p, 1)
+
+    @pytest.mark.parametrize("N", [2.5, 3.0, True, "3"])
+    def test_rejects_n_that_is_not_an_integer_named(self, N):
+        # 2.5 and 3.0 would reach the operator builder, and True passes 1 <= N
+        with pytest.raises(ExactEngineError, match=rf"N must be an integer, got {re.escape(repr(N))}$"):
+            east1d_gap(0.5, N)
+
+    @pytest.mark.parametrize("N", [np.int32(1), np.int64(6), np.uint8(11)])
+    def test_numpy_integer_n_accepted(self, N):
+        assert east1d_gap(0.5, N) == east1d_gap(0.5, int(N))
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("N", range(11, 15))

@@ -1,5 +1,12 @@
-"""Start-up cost: the Monte Carlo kinds never load scipy; only the exact
-engine (kinds gap and constants, and the exact names of the package) does."""
+"""Start-up cost, checked in fresh processes.
+
+- The Monte Carlo kinds load no scipy and no numpy.ma, at parse time or in a run.
+- The exact engine (kinds gap and constants, and the exact names of the
+  package) loads scipy.sparse and scipy.linalg, never scipy.stats or
+  scipy.sparse.linalg.
+- scipy.special loads only with uniformization (`evolve_expectation`),
+  which no kind runs.
+"""
 
 import os
 import subprocess
@@ -23,48 +30,92 @@ MONTE_CARLO_CONFIGS = [
     "kind = fk-probe\nsite = -1 -1\ndelta = 0.5\nt = 2\nn = 5\n" + LOWER_SPACE,
 ]
 
-PROBE = """
+# every probe starts with this: loaded() prints, on one line, the scipy and
+# numpy.ma modules loaded so far
+PRELUDE = """
 import sys
+def loaded():
+    print(" ".join(sorted(m for m in sys.modules
+                         if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])))
+"""
+
+PROBE = PRELUDE + """
 from eastlab.cli import parse_config
 for text in sys.argv[1:]:
     parse_config(text)
-print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+loaded()
 """
 
 
-def probe_output(probe: str, *args: str) -> list[str]:
+def probe_output(probe: str, *args: str) -> list[list[str]]:
+    """The modules each loaded() call of the probe printed, in a fresh process."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", probe, *args], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    return proc.stdout.split()
+    return [line.split() for line in proc.stdout.splitlines()]
+
+
+def under(modules: list[str], package: str) -> list[str]:
+    return [m for m in modules if m == package or m.startswith(package + ".")]
 
 
 def test_monte_carlo_kinds_load_no_scipy():
-    assert probe_output(PROBE, *MONTE_CARLO_CONFIGS) == []
+    assert probe_output(PROBE, *MONTE_CARLO_CONFIGS) == [[]]
 
 
 def test_exact_engine_loads_no_arpack():
-    loaded = probe_output("import eastlab.exact" + PROBE)
+    [loaded] = probe_output(PRELUDE + "import eastlab.exact\nloaded()")
     assert "scipy.sparse" in loaded
     assert "scipy.sparse.linalg" not in loaded
 
 
-MA_PROBE = """
-import sys
+MAIN_PROBE = PRELUDE + """
 from eastlab.cli import main
 out, configs = sys.argv[1], sys.argv[2:]
 for i, path in enumerate(configs):
     assert main([path, "--out", f"{out}/run{i}"]) == 0
-print(" ".join(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"])))
+loaded()
 """
 
 
-def test_monte_carlo_runs_load_no_numpy_ma(tmp_path):
-    # a first np.median, np.percentile or np.unique imports numpy.ma
-    configs = [tmp_path / f"run{i}.cfg" for i in range(len(MONTE_CARLO_CONFIGS))]
-    for path, text in zip(configs, MONTE_CARLO_CONFIGS):
+def run_main(tmp_path, configs: list[str]) -> list[str]:
+    """The scipy and numpy.ma modules that `main` on each config loads, in one fresh process."""
+    paths = [tmp_path / f"run{i}.cfg" for i in range(len(configs))]
+    for path, text in zip(paths, configs):
         path.write_text(text)
-    assert probe_output(MA_PROBE, str(tmp_path), *map(str, configs)) == []
+    [loaded] = probe_output(MAIN_PROBE, str(tmp_path), *map(str, paths))
+    return loaded
+
+
+def test_monte_carlo_runs_load_no_scipy_or_numpy_ma(tmp_path):
+    # a first np.median, np.percentile or np.unique imports numpy.ma
+    assert run_main(tmp_path, MONTE_CARLO_CONFIGS) == []
+
+
+@pytest.mark.parametrize("config", ["kind = gap\np = 0.5\nN = 3 4\n", "kind = constants\nlambda_N = 4\n"])
+def test_exact_kind_runs_load_no_scipy_special(tmp_path, config):
+    # the gap solver needs scipy.sparse for B and scipy.linalg for dstebz;
+    # only uniformization, which no kind runs, reads scipy.special
+    loaded = run_main(tmp_path, [config])
+    assert {"scipy.sparse", "scipy.linalg"} <= set(loaded)
+    for package in ("scipy.special", "scipy.stats", "scipy.sparse.linalg"):
+        assert under(loaded, package) == []
+
+
+UNIFORMIZATION_PROBE = PRELUDE + """
+from eastlab.exact import build_generator, evolve_expectation
+from eastlab.lattice import Region
+gen = build_generator(Region(frozenset({(1,)})), {(0,): 0}, 0.5)
+loaded()
+evolve_expectation(gen, 1, lambda s: float(s), 1.0)
+loaded()
+"""
+
+
+def test_uniformization_alone_loads_scipy_special():
+    before, after = probe_output(UNIFORMIZATION_PROBE)
+    assert under(before, "scipy.special") == []
+    assert "scipy.special" in after
 
 
 def test_exact_names_resolve_from_the_package():
