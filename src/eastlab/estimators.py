@@ -243,11 +243,8 @@ def estimate_relaxation(
     sums = np.zeros((n_outer, len(ts)))  # per draw, in run order: bit for bit a mean's sum
     batches = replica_batches(params, spec, window, horizon, seed, "relax", n_outer, n_inner)
     for draws, batch in batches:
-        values = np.empty((len(batch), len(ts)))
-        for j, t in enumerate(ts):
-            state = sum(w * batch.spin_at_time(x, t) for w, x in zip(weights, f.sites))
-            values[:, j] = table[state]
-        np.add.at(sums, draws, values)
+        state = sum(w * batch.spin_at_time(x, ts) for w, x in zip(weights, f.sites))
+        np.add.at(sums, draws, table[state])
     outer_vals = (np.abs(sums / n_inner - mu_f) / norm) ** gamma
     values = outer_vals.mean(axis=0)
     if n_outer > 1:

@@ -26,6 +26,7 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import daxpy, ddot, dscal
 from scipy.linalg.lapack import dstebz
 
 from .lattice import Region, Site, bernoulli_weights, site_sub_e
@@ -33,7 +34,7 @@ from .lattice import Region, Site, bernoulli_weights, site_sub_e
 MAX_REGION_SITES = 20
 MAX_SPECTRAL_SITES = 12  # spectral_gap: largest region, a 4096x4096 dense solve
 MAX_GAP_SITES = 17  # east1d_gap: largest chain; set when its former ARPACK solver took 34 s at p = 0.9
-MAX_LANCZOS_STEPS = 20_000  # east1d_gap: 10x the 1980 steps of p = 0.95, N = 17
+MAX_LANCZOS_STEPS = 20_000  # east1d_gap: 10x the 1930 steps of p = 0.95, N = 17
 # east1d_gap: relative stagnation of lambda_min(T_k), and breakdown.  It does
 # not bound the result's error, which is absolute, a few eps |B| (see east1d_gap).
 LANCZOS_RTOL = 1e-12
@@ -149,8 +150,9 @@ def evolve_expectation(
     """E_initial[f(state at time t)] by uniformization with truncation error < tol.
 
     ``initial`` is a bitmask state or a distribution vector over states; a
-    state outside 0..dim-1, a vector of the wrong length, a t that is
-    negative or not finite, or a tol that is not > 0 (NaN included) raises
+    state outside 0..dim-1, a vector of the wrong length, an f that is not
+    finite, a t that is negative or not finite, a tol that is not > 0 (NaN
+    included), or a tol / max|f| that underflows to 0 raises
     `ExactEngineError`.
     """
     if not 0 <= t < math.inf:
@@ -162,6 +164,9 @@ def evolve_expectation(
     )
     if fvec.shape != (gen.dim,):
         raise ExactEngineError(f"f has shape {fvec.shape}, the region has {gen.dim} states")
+    if not np.isfinite(fvec).all():
+        state = int(np.argmin(np.isfinite(fvec)))
+        raise ExactEngineError(f"f must be finite, got {fvec[state]} at state {state}")
     if isinstance(initial, (int, np.integer)):
         if not 0 <= initial < gen.dim:
             raise ExactEngineError(f"initial state {initial} lies outside 0..{gen.dim - 1}")
@@ -178,6 +183,8 @@ def evolve_expectation(
     lam = float(gen.n)  # uniformization rate: each of n sites rings at rate 1
     mu_poiss = lam * t
     fnorm = float(np.max(np.abs(fvec))) or 1.0
+    if tol / fnorm == 0.0:
+        raise ExactEngineError(f"tol / max|f| = {tol} / {fnorm} underflows to 0")
     K, weights = poisson_truncation(mu_poiss, min(1.0, tol / fnorm))
     P = sp.identity(gen.dim, format="csr") + gen.rates / lam
     acc = 0.0
@@ -284,10 +291,17 @@ def east1d_gap(p: float, N: int) -> float:
     from the normalized all-ones vector, which makes the result deterministic
     and overlaps the positive ground vector.  Only the coefficients alpha_k,
     beta_k of the tridiagonal T_k and three vectors are kept: no basis is
-    stored, nothing is reorthogonalized and nothing restarts.  In floating
-    point the vectors lose orthogonality, but by Paige's analysis (LAA 34,
-    1980) lambda_min(T_k) still decreases to lambda_min(B); lost
-    orthogonality only adds ghost copies of Ritz values that have converged.
+    stored, nothing is reorthogonalized and nothing restarts.  A step is one
+    CSR matvec plus BLAS level-1 updates in place (``daxpy``, ``ddot``,
+    ``dscal``), because each is one fused pass over the vectors, where
+    numpy's ``w -= b * q_prev`` makes a temporary and two passes.  At
+    N = 13, p = 0.9 a step took 73 us with numpy's updates (47 us of it the
+    matvec) and 58 us with BLAS's, on the host of the cost table below;
+    numpy's updates in place through a scratch vector keep every bit and
+    took 73 us.  In floating point the vectors lose orthogonality, but by
+    Paige's analysis (LAA 34, 1980) lambda_min(T_k) still decreases to
+    lambda_min(B); lost orthogonality only adds ghost copies of Ritz values
+    that have converged.
     Every 10 steps lambda_min(T_k) is read by LAPACK's bisection ``dstebz``
     (`_lowest_tridiagonal`), and the recurrence stops when it fell by at
     most `LANCZOS_RTOL` relative over those 10 steps, or at breakdown
@@ -301,21 +315,24 @@ def east1d_gap(p: float, N: int) -> float:
     about like N): rounding in B, not the stop rule, sets the limit, so a
     small gap is known to fewer relative digits.  At p = 0.95 and
     N = 11..14 (gap 9e-6 .. 4e-6, |B| about 11 at N = 11) the result lies
-    within 8e-15 of ARPACK at ``tol=0``, 2e-11 .. 2e-9 relative, and ARPACK
+    within 1.6e-14 of ARPACK at ``tol=0``, 8e-12 .. 4e-9 relative, and ARPACK
     itself lies 5e-10 (N = 11) and 2e-10 (N = 12) relative from dense
-    ``eigvalsh``.
+    ``eigvalsh``.  Rounding in the step alone moves the result within this
+    accuracy: over p in {0.05, 0.3, 0.5, 0.7, 0.9, 0.95} x N = 1..14, the BLAS
+    step and numpy's separate passes gave results at most 8.5e-15 apart
+    (2.0e-9 relative, at p = 0.95, N = 14), and 19 of the 84 alike to the bit.
 
     Cost of one call in seconds, median of 3 fresh processes pinned to one
     core of a 2-core x86-64 host, one BLAS thread (Python 3.11, numpy 2.4,
     scipy 1.17), with peak RSS in MB in brackets and the Lanczos steps below:
 
         N          14          15          16          17          18 (*)
-        p = 0.5    0.022 (61)  0.047 (64)  0.096 (69)  0.18 (78)   0.52 (98)
+        p = 0.5    0.016 (61)  0.044 (64)  0.077 (69)  0.18 (78)   0.52 (98)
           steps    110         120         130         130         140
-        p = 0.9    0.11 (61)   0.27 (63)   0.56 (69)   1.34 (78)   4.1 (98)
-          steps    650         830         950         1080        1240
+        p = 0.9    0.094 (61)  0.20 (64)   0.55 (69)   1.26 (78)   3.8 (98)
+          steps    660         760         940         1100        1240
 
-    p = 0.95 took 0.16 s (950 steps) at N = 14 and 2.3 s (1980 steps, the
+    p = 0.95 took 0.14 s (900 steps) at N = 14 and 2.1 s (1930 steps, the
     most measured) at N = 17.  (*) N = 18 lies past `MAX_GAP_SITES` and was
     timed with the cap raised in-process; it is informational.
     """
@@ -335,11 +352,13 @@ def east1d_gap(p: float, N: int) -> float:
     low = math.inf
     for k in range(1, MAX_LANCZOS_STEPS + 1):
         w = B @ q
-        w -= b * q_prev
-        a = float(q @ w)
-        w -= a * q
+        # f2py writes into w in place only while it is a contiguous float64
+        # array, and into a copy otherwise: keep every returned array.
+        w = daxpy(q_prev, w, a=-b)
+        a = ddot(q, w)
+        w = daxpy(q, w, a=-a)
         scale = math.hypot(a, b)  # |B q_k| up to the new beta
-        b = float(np.linalg.norm(w))
+        b = math.sqrt(ddot(w, w))
         breakdown = b <= LANCZOS_RTOL * scale
         alpha.append(a)
         if breakdown or k % 10 == 0:
@@ -348,7 +367,7 @@ def east1d_gap(p: float, N: int) -> float:
                 return theta
             low = theta
         beta.append(b)
-        q_prev, q = q, w / b
+        q_prev, q = q, dscal(1.0 / b, w)
     raise ExactEngineError(
         f"east1d_gap(p={p}, N={N}): Lanczos did not settle within MAX_LANCZOS_STEPS = {MAX_LANCZOS_STEPS} steps"
     )

@@ -243,9 +243,9 @@ class BatchLog:
     Row r*n + i holds site i of replica r, which starts at spin ``init[row]``;
     every replica shares the exterior ``rule``.  A row's rings are
     ``times[offsets[row]:offsets[row + 1]]`` in increasing order, with the drawn
-    bit, the legality and the spin after each ring.  Per row, ``first_legal``
-    is the first legal ring time (inf if none).  Built on first use: per ring,
-    ``zero_time``, the time the site spent at 0 on [start, ring time]; per row,
+    bit, the legality and the spin after each ring.  Built on first use: per
+    ring, ``zero_time``, the time the site spent at 0 on [start, ring time];
+    per row, ``first_legal``, the first legal ring time (inf if none), and
     ``first_change``, the first time the spin leaves its initial value.
     ``key`` and the sorted ``ordered`` times (see ``_rank_keys``) are the one
     ring index: a query costs O(log M) per row.  The queries answer for every
@@ -280,7 +280,6 @@ class BatchLog:
         self.key, self.ordered = _rank_keys(offsets, times)
         free = _frozen_zero(rule, geo.boundary)
         self.legal, self.spin_after = _sweep(geo, self.init, free, offsets, bits, self.key)
-        self.first_legal = self._first_time(self.legal)
 
     def __len__(self) -> int:
         return self.seeds.size
@@ -298,6 +297,10 @@ class BatchLog:
         padded[row, col] = np.where(prev_s == 0, self.times - prev_t, 0.0)
         np.cumsum(padded, axis=1, out=padded)
         return padded[row, col]
+
+    @cached_property
+    def first_legal(self) -> np.ndarray:
+        return self._first_time(self.legal)
 
     @cached_property
     def first_change(self) -> np.ndarray:
@@ -355,11 +358,17 @@ class BatchLog:
             raise SimulationError(f"replica {r} not in a batch of {len(self)}")
         return r * self.n_sites
 
-    def _spin(self, rows: np.ndarray, s: float) -> np.ndarray:
-        if not (self.start <= s <= self.horizon):
-            raise SimulationError(f"time {s} outside [start, horizon]")
+    def _spin(self, rows: np.ndarray, s: float | Sequence[float]) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        if s.ndim > 1:
+            raise SimulationError(f"times must be one time or a 1-d array, got shape {s.shape}")
+        outside = ~((self.start <= s) & (s <= self.horizon))  # NaN included
+        if outside.any():
+            raise SimulationError(f"time {s[outside][0]} outside [start, horizon]")
+        if s.ndim:
+            rows = rows[:, None]
         last, hit = _last_ring(self.key, self.offsets, rows, self.ordered.searchsorted(s, "right"))
-        spins = self.init[rows]
+        spins = np.broadcast_to(self.init[rows], hit.shape).copy()
         spins[hit] = self.spin_after[last[hit]]
         return spins
 
@@ -377,8 +386,9 @@ class BatchLog:
             raise SimulationError(f"deadline {deadline} beyond horizon")
         return self.first_legal[rows] <= deadline
 
-    def spin_at_time(self, x: Site, s: float) -> np.ndarray:
-        """Spin of x at time s in every replica."""
+    def spin_at_time(self, x: Site, s: float | Sequence[float]) -> np.ndarray:
+        """Spin of x at time s in every replica; for a 1-d array of times, a
+        (replicas, times) array.  Every time lies in [start, horizon]."""
         return self._spin(self._rows(x), s)
 
     def occupation_time(self, x: Site, t: float) -> np.ndarray:

@@ -273,6 +273,19 @@ class TestRelaxation:
         assert estimate_relaxation(*args) == blocked
         assert all(h > 0 for h in blocked.halfwidths)
 
+    def test_batches_build_no_first_legal(self, monkeypatch):
+        # relaxation reads spins only: the per-row first legal ring time stays unbuilt
+        batches = []
+
+        def kept(*args):
+            batches.append(sim.simulate_batch(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(estimators, "simulate_batch", kept)
+        estimate_relaxation(ModelParams(2, 0.5), ProductBernoulli(0.5), Observable.spin((1, 1)),
+                            [0.5, 1.0, 2.0], 4, 3, Window((0, 0), (1, 1)), 5)
+        assert batches and all("first_legal" not in vars(b) for b in batches)
+
     def test_constant_observable_rejected(self):
         w = Window((0,), (2,))
         obs = Observable(((1,),), lambda s: 1.0)

@@ -183,6 +183,8 @@ class TestEvolveExpectation:
 
 class TestEvolveExpectationInputs:
     gen = build_generator(region_1d([1, 2, 3]), {(0,): 0}, 0.5)
+    # f below is the spin of (1,), bit 0 of the state
+    two_site = build_generator(region_1d([1, 2]), {(0,): 0}, 0.5)
 
     @pytest.mark.parametrize("state", [-1, 8, 100])
     def test_state_outside_range_named(self, state):
@@ -202,6 +204,20 @@ class TestEvolveExpectationInputs:
     def test_t_negative_or_not_finite_named(self, t):
         with pytest.raises(ExactEngineError, match=rf"t must be finite and >= 0, got {t}$"):
             evolve_expectation(self.gen, 0, np.ones(8), t)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_f_not_finite_named(self, value):
+        # an infinite entry would make the truncation take log(0), and NaN
+        # would give q = min(1, nan) = 1 and a nan result with no error
+        f = np.array([0.0, 1.0, value, 1.0])
+        with pytest.raises(ExactEngineError, match=rf"f must be finite, got {value} at state 2$"):
+            evolve_expectation(self.two_site, 1, f, 1.0)
+
+    def test_tol_underflowing_against_f_named(self):
+        # 1e-320 / 1e10 is 0 in double precision: the truncation's q would be 0
+        f = np.array([0.0, 1e10, 0.0, 1e10])
+        with pytest.raises(ExactEngineError, match=r"tol / max\|f\| = 1e-320 / 10000000000\.0 underflows to 0$"):
+            evolve_expectation(self.two_site, 1, f, 1.0, tol=1e-320)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
     def test_tol_not_positive_named(self, tol):
@@ -373,6 +389,14 @@ class TestHalfSpaceGap:
         # absolute, a few eps |B| (seen <= 5e-15), not 1e-12 relative
         want = np.linalg.eigvalsh(chain_reference(0.95, N - 1).toarray())[0]
         assert east1d_gap(0.95, N) == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("p", [0.5, 0.9])
+    @pytest.mark.parametrize("N", [11, 12])
+    def test_within_rounding_of_dense_on_its_operator(self, p, N):
+        # the recurrence alone, against a dense solve of the operator it
+        # iterates on: the result is absolute, a few eps |B|
+        want = np.linalg.eigvalsh(half_space_operator(p, N - 1).toarray())[0]
+        assert east1d_gap(p, N) == pytest.approx(want, abs=1e-13)
 
     def test_step_cap_named(self, monkeypatch):
         # p = 0.9, N = 12 needs about 380 steps

@@ -3,7 +3,8 @@
 - The Monte Carlo kinds load no scipy and no numpy.ma, at parse time or in a run.
 - The exact engine (kinds gap and constants, and the exact names of the
   package) loads scipy.sparse and scipy.linalg, never scipy.stats or
-  scipy.sparse.linalg.
+  scipy.sparse.linalg, and nothing that scipy.sparse and
+  scipy.linalg.lapack do not load themselves.
 - scipy.special loads only with uniformization (`evolve_expectation`),
   which no kind runs.
 """
@@ -67,6 +68,24 @@ def test_exact_engine_loads_no_arpack():
     [loaded] = probe_output(PRELUDE + "import eastlab.exact\nloaded()")
     assert "scipy.sparse" in loaded
     assert "scipy.sparse.linalg" not in loaded
+
+
+# the modules, other than eastlab's own, that importing the exact engine adds
+# to those of scipy.sparse and scipy.linalg.lapack
+EXACT_PROBE = """
+import sys
+import scipy.sparse, scipy.linalg.lapack
+before = set(sys.modules)
+import eastlab.exact
+print(" ".join(sorted(m for m in set(sys.modules) - before if m.split(".")[0] != "eastlab")))
+"""
+
+
+def test_exact_engine_loads_nothing_past_sparse_and_lapack():
+    # the Lanczos step's BLAS level-1 routines come with scipy.linalg.lapack,
+    # which the gap solver loads for dstebz: a gap run's start-up pays for
+    # no further module
+    assert probe_output(EXACT_PROBE) == [[]]
 
 
 MAIN_PROBE = PRELUDE + """

@@ -142,6 +142,35 @@ class TestQueries:
         with pytest.raises(SimulationError):
             log.spin_at_time((1,), 11.0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spin_at_many_times_stacks_single_queries(self, seed):
+        # at every ring time (a ring at s counts by s), at start, at the
+        # horizon and in between, from start 0 and from a resumed start
+        rng = np.random.default_rng(seed)
+        w = Window((0, 0), (2, 1))
+        rule = Exterior(w, int(rng.integers(2)), {(-1, 0): 0})
+        spins = rng.integers(0, 2, (5, len(w.sites)))
+        batch = simulate_batch(ModelParams(2, float(rng.uniform(0.2, 0.8))), rule, spins, 2.0,
+                               rng.integers(0, 1 << 62, 5))
+        for b in (batch, batch.resume([4, 1, 2], 3.5)):
+            times = np.concatenate([b.times, [b.start, b.horizon], rng.uniform(b.start, b.horizon, 5)])
+            rng.shuffle(times)
+            for x in w.sites:
+                want = np.stack([b.spin_at_time(x, float(t)) for t in times], axis=1)
+                got = b.spin_at_time(x, times)
+                assert got.dtype == want.dtype and (got == want).all()
+
+    @pytest.mark.parametrize("times, bad", [([1.0, 11.0, -1.0], "11.0"), ([2.0, math.nan], "nan"),
+                                            ([-0.5], "-0.5")])
+    def test_spin_at_many_times_names_the_first_outside(self, times, bad):
+        log = single_site_log(horizon=10.0)
+        with pytest.raises(SimulationError, match=rf"^time {bad} outside \[start, horizon\]$"):
+            log.spin_at_time((1,), np.array(times))
+
+    def test_spin_at_time_of_2d_times_rejected(self):
+        with pytest.raises(SimulationError, match=r"shape \(2, 1\)"):
+            single_site_log(horizon=10.0).spin_at_time((1,), np.ones((2, 1)))
+
     def test_occupation_time_trivial(self):
         params = ModelParams(1, 0.5)
         init = Configuration.all_ones(Window((1,), (2,)), exterior=1)  # blocked
@@ -253,7 +282,9 @@ class TestBatchInput:
     def test_summaries_built_on_first_use(self):
         init = Configuration.with_zeros(Window((0, 0), (2, 2)), [(0, 0)], exterior=0)
         batch = simulate_batch(ModelParams(2, 0.5), init.rule, init.spins, 5.0, [1, 2])
+        assert "first_legal" not in vars(batch)
         batch.first_update_time((1, 1))
+        assert "first_legal" in vars(batch)
         assert "zero_time" not in vars(batch) and "first_change" not in vars(batch)
         batch.occupation_time((1, 1), 5.0)
         assert "zero_time" in vars(batch) and "first_change" not in vars(batch)
