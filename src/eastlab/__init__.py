@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .lattice import (  # noqa: F401
-    BlockedMeasureError,
     Configuration,
     Delta,
     Exterior,
@@ -13,8 +12,6 @@ from .lattice import (  # noqa: F401
     Region,
     Site,
     Window,
-    build_lambda_region,
-    condition_C_params,
     east_constraint,
     initial_rows,
     sample_initial,
@@ -27,7 +24,6 @@ from .estimators import (  # noqa: F401
     estimate_persistence,
     estimate_relaxation,
     fit_exponential,
-    occupation_statistics,
     replica_batches,
 )
 from .theory import (  # noqa: F401
@@ -37,7 +33,6 @@ from .theory import (  # noqa: F401
     certify_paths,
     compute_constants,
     fk_cascade_probe,
-    hyperplane_hit_profile,
     oriented_path_check,
 )
 

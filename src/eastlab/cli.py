@@ -82,6 +82,14 @@ def _parse_floats(value: str) -> tuple[float, ...]:
     return tuple(float(v) for v in value.split())
 
 
+def _convert(raw: dict[str, str], key: str, conv, default: Optional[str] = None):
+    """``conv`` of the key's value, or of ``default``; a ValueError names the key."""
+    try:
+        return conv(raw.get(key, default))
+    except ValueError as e:
+        raise ConfigError(key, str(e))
+
+
 def _parse_measure(value: str, config: ExperimentConfig) -> MeasureSpec:
     """Raises ValueError (LatticeError included) on a value it cannot honour."""
     name, *args = value.split() or [""]
@@ -133,11 +141,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(key, f"not read by kind {kind!r}; valid keys: {valid}")
     config = ExperimentConfig(kind=kind, raw=dict(raw))
 
-    try:
-        d = int(raw.get("d", "1"))
-        p = float(raw.get("p", "0.5"))
-    except ValueError as e:
-        raise ConfigError("d/p", str(e))
+    d = _convert(raw, "d", int, "1")
+    p = _convert(raw, "p", float, "0.5")
     if not (0.0 < p < 1.0):
         raise ConfigError("p", f"must lie in (0,1), got {p}")
     if d < 1:
@@ -185,10 +190,7 @@ def parse_config(text: str) -> ExperimentConfig:
         ("out", "out_dir", str),
     ):
         if key in raw:
-            try:
-                setattr(config, attr, conv(raw[key]))
-            except ValueError as e:
-                raise ConfigError(key, str(e))
+            setattr(config, attr, _convert(raw, key, conv))
 
     for key, lengths in (("N", config.n_values), ("lambda_N", (config.lambda_n,))):
         if key in raw:  # only the kinds that solve read these keys, and load the exact engine

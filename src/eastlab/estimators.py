@@ -18,7 +18,6 @@ import numpy as np
 from .lattice import (
     MeasureSpec,
     ModelParams,
-    Region,
     Site,
     Window,
     bernoulli_weights,
@@ -147,6 +146,18 @@ def replica_batches(
         yield draws, simulate_batch(params, rule, rows[draws - first], horizon, seeds)
 
 
+def _time_grid(times: Sequence[float], **counts: int) -> tuple[float, ...]:
+    """The requested times, sorted.  Raises EstimatorError on no time or a
+    count below 1, naming it."""
+    ts = tuple(sorted(float(t) for t in times))
+    if not ts:
+        raise EstimatorError("times must hold at least one time")
+    for name, k in counts.items():
+        if k < 1:
+            raise EstimatorError(f"{name} must be positive, got {k}")
+    return ts
+
+
 def estimate_persistence(
     params: ModelParams,
     spec: MeasureSpec,
@@ -174,7 +185,7 @@ def estimate_persistence(
     """
     if x not in window:
         raise EstimatorError(f"site {x} outside window")
-    ts = tuple(sorted(float(t) for t in times))
+    ts = _time_grid(times, n=n)
     ends = _stage_ends(ts)
     replica_ring_slots(window, ends[-1])
     counts = np.zeros(len(ts), dtype=np.int64)
@@ -233,7 +244,7 @@ def estimate_relaxation(
         raise EstimatorError(f"gamma must be > 0, got {gamma}")
     if any(x not in window for x in f.sites):
         raise EstimatorError("observable support must lie inside the window")
-    ts = tuple(sorted(float(t) for t in times))
+    ts = _time_grid(times, n_outer=n_outer, n_inner=n_inner)
     horizon = ts[-1]
     mu_f, norm = observable_mu_and_norm(f, params.p)
     if norm == 0.0:
@@ -314,48 +325,4 @@ def fit_exponential(series: DecaySeries, floor: float) -> FitResult:
         prefactor=float(math.exp(intercept)),
         r_squared=max(0.0, r2),
         fit_window=(int(used[0]), int(used[-1])),
-    )
-
-
-@dataclass(frozen=True)
-class OccupationSummary:
-    sites: tuple[Site, ...]
-    means: tuple[float, ...]
-    q10: tuple[float, ...]
-    q50: tuple[float, ...]
-    q90: tuple[float, ...]
-    g_frequency: float
-    threshold: float
-    n: int
-
-
-def occupation_statistics(
-    params: ModelParams,
-    spec: MeasureSpec,
-    region: Region,
-    t: float,
-    n: int,
-    window: Window,
-    seed: int,
-) -> OccupationSummary:
-    """Per-site occupation-at-zero statistics and the frequency of the event
-    {some region site spends at least (1-p)t/4 at zero}."""
-    sites = tuple(region.sorted_sites())
-    if any(x not in window for x in sites):
-        raise EstimatorError("region must lie inside the window")
-    threshold = (1.0 - params.p) * t / 4.0
-    occ = np.zeros((n, len(sites)))
-    for draws, batch in replica_batches(params, spec, window, t, seed, "occ", n):
-        for j, x in enumerate(sites):
-            occ[draws, j] = batch.occupation_time(x, t)
-    g_freq = float((occ.max(axis=1) >= threshold).mean()) if sites else 0.0
-    return OccupationSummary(
-        sites=sites,
-        means=tuple(occ.mean(axis=0)),
-        q10=tuple(percentile(occ, 10)),
-        q50=tuple(percentile(occ, 50)),
-        q90=tuple(percentile(occ, 90)),
-        g_frequency=g_freq,
-        threshold=threshold,
-        n=n,
     )

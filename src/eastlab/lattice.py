@@ -27,10 +27,6 @@ class LatticeError(ValueError):
     pass
 
 
-class BlockedMeasureError(LatticeError):
-    """Raised when a measure cannot satisfy the exponential all-ones bound."""
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Dimension and update probability of the dynamics."""
@@ -64,17 +60,6 @@ class Region:
 
     def sorted_sites(self) -> list[Site]:
         return sorted(self.sites)
-
-
-def build_lambda_region(r: float, d: int) -> Region:
-    """The box {0..floor(r)}^d minus the origin."""
-    if r < 0:
-        raise LatticeError(f"r must be >= 0, got {r}")
-    if d < 1:
-        raise LatticeError(f"d must be >= 1, got {d}")
-    m = math.floor(r)
-    sites = frozenset(s for s in product(range(m + 1), repeat=d) if any(c != 0 for c in s))
-    return Region(sites)
 
 
 @dataclass(frozen=True)
@@ -263,53 +248,3 @@ def sample_initial(spec: MeasureSpec, window: Window, key: int) -> Configuration
     """Draw 0 of ``initial_rows`` under ``key``, as a configuration."""
     rule, rows = initial_rows(spec, window, key, range(1))
     return rule.configuration(rows[0])
-
-
-def _delta_zero_scale(config: Configuration) -> int | None:
-    """Smallest integer m such that {-m..0}^d contains a zero of config.
-
-    Returns None if no box in the lower-left orthant ever contains a zero.
-    """
-    d = config.window.d
-    extent = max((abs(c) for c in config.window.lower), default=0)
-    extent = max(
-        extent,
-        max((max(abs(c) for c in x) for x in config.exterior_overrides), default=0),
-    )
-    for m in range(extent + 2):
-        for x in product(range(-m, 1), repeat=d):
-            if config.spin_at(x) == 0:
-                return m
-    return None
-
-
-def condition_C_params(spec: MeasureSpec) -> tuple[float, float]:
-    """Constants (a, A) with nu(all ones on {-floor(l)..0}^d) <= A e^{-a l}.
-
-    One valid certificate is returned, not the optimal one.  Raises
-    BlockedMeasureError for measures concentrated on blocked configurations.
-    """
-    if isinstance(spec, ProductBernoulli):
-        if spec.q == 0.0:
-            return 1.0, 1.0
-        # the box has (floor(l)+1)^d >= l sites, so q^sites <= e^{l ln q}
-        return -math.log(spec.q), 1.0
-    if isinstance(spec, Delta):
-        m = _delta_zero_scale(spec.config)
-        if m is None:
-            raise BlockedMeasureError("Delta measure has no zero in the lower-left orthant")
-        return 1.0, math.exp(m)
-    raise LatticeError(f"unknown measure spec {spec!r}")
-
-
-def all_ones_probability(spec: MeasureSpec, ell: float, d: int) -> float:
-    """Exact nu(all spins 1 on {-floor(ell)..0}^d); used as the oracle for (a, A)."""
-    m = math.floor(ell)
-    if isinstance(spec, ProductBernoulli):
-        return spec.q ** ((m + 1) ** d)
-    if isinstance(spec, Delta):
-        for x in product(range(-m, 1), repeat=d):
-            if spec.config.spin_at(x) == 0:
-                return 0.0
-        return 1.0
-    raise LatticeError(f"unknown measure spec {spec!r}")

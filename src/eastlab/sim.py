@@ -358,7 +358,10 @@ class BatchLog:
             raise SimulationError(f"replica {r} not in a batch of {len(self)}")
         return r * self.n_sites
 
-    def _spin(self, rows: np.ndarray, s: float | Sequence[float]) -> np.ndarray:
+    def spin_at_time(self, x: Site, s: float | Sequence[float]) -> np.ndarray:
+        """Spin of x at time s in every replica; for a 1-d array of times, a
+        (replicas, times) array.  Every time lies in [start, horizon]."""
+        rows = self._rows(x)
         s = np.asarray(s, dtype=float)
         if s.ndim > 1:
             raise SimulationError(f"times must be one time or a 1-d array, got shape {s.shape}")
@@ -372,7 +375,9 @@ class BatchLog:
         spins[hit] = self.spin_after[last[hit]]
         return spins
 
-    def _occupation(self, rows: np.ndarray, t: float) -> np.ndarray:
+    def occupation_time(self, x: Site, t: float) -> np.ndarray:
+        """Lebesgue time in [start, t] during which x has spin 0, per replica."""
+        rows = self._rows(x)
         if not (self.start <= t <= self.horizon):
             raise SimulationError(f"time {t} outside [start, horizon]")
         last, hit = _last_ring(self.key, self.offsets, rows, self.ordered.searchsorted(t, "right"))
@@ -381,27 +386,16 @@ class BatchLog:
         occ[hit] = self.zero_time[j] + (t - self.times[j]) * (self.spin_after[j] == 0)
         return occ
 
-    def _updated(self, rows: np.ndarray, deadline: float) -> np.ndarray:
-        if not deadline <= self.horizon:
-            raise SimulationError(f"deadline {deadline} beyond horizon")
-        return self.first_legal[rows] <= deadline
-
-    def spin_at_time(self, x: Site, s: float | Sequence[float]) -> np.ndarray:
-        """Spin of x at time s in every replica; for a 1-d array of times, a
-        (replicas, times) array.  Every time lies in [start, horizon]."""
-        return self._spin(self._rows(x), s)
-
-    def occupation_time(self, x: Site, t: float) -> np.ndarray:
-        """Lebesgue time in [start, t] during which x has spin 0, per replica."""
-        return self._occupation(self._rows(x), t)
-
     def first_update_time(self, x: Site) -> np.ndarray:
         """Time of the first legal ring at x after start per replica, inf if none."""
         return self.first_legal[self._rows(x)]
 
     def updated_set(self, sites: Sequence[Site], deadline: float) -> np.ndarray:
         """(replicas, len(sites)) mask: site had a legal ring by the deadline."""
-        return self._updated(np.stack([self._rows(x) for x in sites], axis=1), deadline)
+        rows = np.stack([self._rows(x) for x in sites], axis=1)
+        if not deadline <= self.horizon:
+            raise SimulationError(f"deadline {deadline} beyond horizon")
+        return self.first_legal[rows] <= deadline
 
     def _final(self, rows: np.ndarray) -> np.ndarray:
         """Spin after each row's last ring, or its initial spin."""

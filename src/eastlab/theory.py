@@ -10,9 +10,9 @@ find one would contradict a proven statement and is surfaced as a
 counterexample.  The check reads only [0, t/2], so it needs a batch
 simulated to t/2, not t: ring times come from the Philox counter, not the
 horizon, and the sweep is causal, so a longer batch gives the same answers.
-The hyperplane profile reads occupation times on [0, t] and needs a batch
-simulated to t.  Both read ``init`` as the spins at time 0, so they reject a
-resumed batch (start > 0).
+It reads ``init`` as the spins at time 0, so it rejects a resumed batch
+(start > 0).  The module also evaluates the closed-form constants of the
+decay machinery and probes the occupation-time cascade along y^(0)..y^(d).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class TheoryCheckError(ValueError):
 
 @dataclass(frozen=True)
 class GeometrySet:
-    """The box D and its diagonal hyperplanes H_k for given (t, alpha, d)."""
+    """The box D = {-radius..0}^d for given (t, alpha, d)."""
 
     t: float
     alpha: float
@@ -67,48 +67,27 @@ class GeometrySet:
         r = self.radius
         return r < 0 or ((-r,) * self.d in window and (0,) * self.d in window)
 
-    @property
-    def k_max(self) -> int:
-        return self.d * self.radius
-
-    def hyperplane(self, k: int) -> frozenset[Site]:
-        """H_k = sites of D with coordinate sum -k."""
-        if not (0 <= k <= self.k_max):
-            raise TheoryCheckError(f"k must lie in 0..{self.k_max}")
-        return frozenset(x for x in self.D.sites if sum(x) == -k)
-
-
-def _box_rows(batch: BatchLog, geom: GeometrySet) -> tuple[np.ndarray, np.ndarray]:
-    """D's batch rows (r * n_sites + window index), shaped (R, r+1, ..., r+1) in D's
-    lexicographic (C) order, and each site's offset from D's lower corner."""
-    w = batch.window
-    if not geom.D_fits(w):
-        raise TheoryCheckError("D does not fit inside the log's window")
-    corner = np.indices((geom.radius + 1,) * geom.d)
-    extent = [hi - lo + 1 for lo, hi in zip(w.lower, w.upper)]
-    index = np.ravel_multi_index([c - geom.radius - lo for c, lo in zip(corner, w.lower)], extent)
-    return np.arange(len(batch)).reshape((-1,) + (1,) * geom.d) * batch.n_sites + index, corner
-
-
-def _from_time_zero(batch: BatchLog) -> None:
-    """A resumed batch's ``init`` holds the spins at its start, not at time 0,
-    and its ring summaries count from there."""
-    if batch.start != 0:
-        raise TheoryCheckError(f"batch.start = {batch.start:g}: the check needs a batch run from time 0")
-
 
 def _lemma_box(batch: BatchLog, t: float, alpha: float, x: Site):
-    """Check the lemma's premises; return D's rows, x's index into them, and per
-    site y of D, |x - y|_1 and whether y lies on D's outer layer: the sites
-    with some coordinate equal to -radius."""
-    _from_time_zero(batch)
+    """Check the lemma's premises; return D's batch rows (r * n_sites + window
+    index), shaped (R, r+1, ..., r+1) in D's lexicographic (C) order, x's index
+    into them, and per site y of D, |x - y|_1 and whether y lies on D's outer
+    layer: the sites with some coordinate equal to -radius."""
+    if batch.start != 0:  # a resumed batch's init holds the spins at its start
+        raise TheoryCheckError(f"batch.start = {batch.start:g}: the check needs a batch run from time 0")
     geom = GeometrySet(t, alpha, batch.params.d)
     small = math.floor(alpha * t)
     if not all(-small <= c <= 0 for c in x):
         raise TheoryCheckError(f"start site {x} outside {{-{small}..0}}^d")
     if t / 2.0 > batch.horizon:
         raise TheoryCheckError(f"t/2 = {t / 2.0:g} beyond log horizon {batch.horizon:g}")
-    rows, corner = _box_rows(batch, geom)
+    w = batch.window
+    if not geom.D_fits(w):
+        raise TheoryCheckError("D does not fit inside the log's window")
+    corner = np.indices((geom.radius + 1,) * geom.d)  # offsets from D's lower corner
+    extent = [hi - lo + 1 for lo, hi in zip(w.lower, w.upper)]
+    index = np.ravel_multi_index([c - geom.radius - lo for c, lo in zip(corner, w.lower)], extent)
+    rows = np.arange(len(batch)).reshape((-1,) + (1,) * geom.d) * batch.n_sites + index
     xc = [c + geom.radius for c in x]
     dist = np.abs(corner - np.reshape(xc, (-1,) + (1,) * geom.d)).sum(axis=0)
     return rows, (np.s_[:], *xc), dist, (corner == 0).any(axis=0)
@@ -176,26 +155,6 @@ def certify_paths(
     return check.found & sound.reshape(flat).all(axis=1) & ends.reshape(flat).any(axis=1)
 
 
-class HyperplaneProfile(NamedTuple):
-    u_k: np.ndarray  # (R, k_max + 1): H_k meets the updated set E
-    g_k: np.ndarray  # (R, k_max + 1): some site of H_k spends >= (1-p)t/4 at zero
-
-
-def hyperplane_hit_profile(batch: BatchLog, geom: GeometrySet) -> HyperplaneProfile:
-    """Reads E on [0, t/2] and occupation times on [0, t], so needs the log
-    from time 0 to t."""
-    _from_time_zero(batch)
-    if geom.t > batch.horizon:
-        raise TheoryCheckError(f"t = {geom.t:g} beyond log horizon {batch.horizon:g}")
-    rows, corner = _box_rows(batch, geom)
-    rows = rows.reshape(len(batch), -1)
-    threshold = (1.0 - batch.params.p) * geom.t / 4.0
-    plane = geom.k_max - corner.reshape(geom.d, -1).sum(axis=0)  # y lies on H_{-sum(y)}
-    on_plane = plane[:, None] == np.arange(geom.k_max + 1)
-    hits = (batch._updated(rows, geom.t / 2.0), batch._occupation(rows, geom.t) >= threshold)
-    return HyperplaneProfile(*(h @ on_plane for h in hits))
-
-
 @dataclass(frozen=True)
 class ConstantsReport:
     p: float
@@ -231,10 +190,10 @@ def compute_constants(p: float, d: int, delta: float, c: float, lambda_pp: float
         raise TheoryCheckError(f"d must be >= 1, got {d}")
     if not (0.0 < delta < 1.0):
         raise TheoryCheckError(f"delta must lie in (0,1), got {delta}")
-    if c <= 0:
-        raise TheoryCheckError(f"c must be > 0, got {c}")
-    if lambda_pp <= 0:
-        raise TheoryCheckError(f"lambda_pp must be > 0, got {lambda_pp}")
+    if not 0 < c < math.inf:  # NaN included
+        raise TheoryCheckError(f"c must be finite and > 0, got {c}")
+    if not 0 < lambda_pp < math.inf:
+        raise TheoryCheckError(f"lambda_pp must be finite and > 0, got {lambda_pp}")
     pmin = min(p, 1.0 - p)
     ratio = 2.0 * p / (1.0 + p)
     c3_prime = -math.log(ratio)

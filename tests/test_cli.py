@@ -96,6 +96,13 @@ class TestParse:
             parse_config("kind = gap\np = 1.5\nN = 1 2\n")
         assert exc.value.field_name == "p"
 
+    @pytest.mark.parametrize("line,key", [("d = 1.5", "d"), ("d = two", "d"), ("p = x", "p"), ("p =", "p")])
+    def test_unparsable_d_or_p_named_alone(self, line, key):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"kind = constants\n{line}\n")
+        assert exc.value.field_name == key
+        assert str(exc.value).startswith(f"config field '{key}': ")
+
     def test_window_dim_mismatch(self):
         with pytest.raises(ConfigError) as exc:
             parse_config(

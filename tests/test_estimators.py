@@ -14,7 +14,6 @@ from eastlab.estimators import (
     fit_exponential,
     median,
     observable_mu_and_norm,
-    occupation_statistics,
     percentile,
     replica_batches,
     wilson_halfwidth,
@@ -29,9 +28,7 @@ from eastlab.lattice import (
     ProductBernoulli,
     Region,
     Window,
-    condition_C_params,
     initial_rows,
-    sample_initial,
 )
 from eastlab.sim import (
     MAX_REPLICA_RING_SLOTS,
@@ -131,6 +128,17 @@ class TestPersistence:
         with pytest.raises(EstimatorError):
             estimate_persistence(
                 ModelParams(1, 0.5), ProductBernoulli(0.5), (9,), [1.0], 10, Window((0,), (1,)), 0
+            )
+
+    @pytest.mark.parametrize("times,n,match", [
+        ((), 10, "times must hold at least one time"),
+        ([1.0], 0, "n must be positive, got 0"),
+        ([1.0], -3, "n must be positive, got -3"),
+    ])
+    def test_empty_times_or_nonpositive_n_named(self, times, n, match):
+        with pytest.raises(EstimatorError, match=match):
+            estimate_persistence(
+                ModelParams(1, 0.5), ProductBernoulli(0.5), (1,), times, n, Window((0,), (1,)), 0
             )
 
 
@@ -301,6 +309,17 @@ class TestRelaxation:
             estimate_relaxation(ModelParams(1, 0.5), ProductBernoulli(0.5), Observable.spin((1,)),
                                 [1.0], 2, 2, Window((0,), (2,)), 0, gamma)
 
+    @pytest.mark.parametrize("times,n_outer,n_inner,match", [
+        ((), 2, 2, "times must hold at least one time"),
+        ([1.0], 0, 2, "n_outer must be positive, got 0"),
+        ([1.0], 2, 0, "n_inner must be positive, got 0"),
+        ([1.0], 2, -1, "n_inner must be positive, got -1"),
+    ])
+    def test_empty_times_or_nonpositive_counts_named(self, times, n_outer, n_inner, match):
+        with pytest.raises(EstimatorError, match=match):
+            estimate_relaxation(ModelParams(1, 0.5), ProductBernoulli(0.5), Observable.spin((1,)),
+                                times, n_outer, n_inner, Window((0,), (2,)), 0)
+
     def test_against_exact_engine(self):
         # 2-site chain with frozen zero boundary: MC inner estimates must
         # track uniformization started from the same initial states
@@ -417,49 +436,22 @@ class TestOrderStatistics:
 
 
 class TestOccupation:
+    # occupation_time read through the replica driver, as the cascade probe reads it
     def test_blocked_run(self):
-        params = ModelParams(2, 0.5)
+        # all ones under an exterior of ones: no ring is legal, no site is ever at 0
         w = Window((0, 0), (1, 1))
         spec = Delta(Configuration.all_ones(w, exterior=1))
-        region = Region(frozenset(w.sites))
-        stats = occupation_statistics(params, spec, region, 5.0, 50, w, 1)
-        assert all(m == 0.0 for m in stats.means)
-        assert stats.g_frequency == 0.0
+        for _, batch in replica_batches(ModelParams(2, 0.5), spec, w, 5.0, 1, "occ", 50):
+            for x in w.sites:
+                assert not batch.occupation_time(x, 5.0).any()
 
     def test_unconstrained_site_mean(self):
-        p = 0.3
-        params = ModelParams(1, p)
+        # a site whose neighbor is frozen at 0 is at 0 a fraction 1 - p of the time
+        p, t, n = 0.3, 50.0, 300
         w = Window((1,), (1,))
         spec = Delta(Configuration(w, (1,), exterior=0))
-        t = 50.0
-        n = 300
-        stats = occupation_statistics(params, spec, Region(frozenset({(1,)})), t, n, w, 7)
+        batches = replica_batches(ModelParams(1, p), spec, w, t, 7, "occ", n)
+        occ = np.concatenate([batch.occupation_time((1,), t) for _, batch in batches])
+        assert occ.size == n
         sigma = math.sqrt(2 * p * (1 - p) / t) / math.sqrt(n)
-        assert abs(stats.means[0] / t - (1 - p)) < 4 * sigma
-
-    def test_g_frequency_grows_with_activity(self):
-        params = ModelParams(2, 0.5)
-        w = Window((-4, -4), (0, 0))
-        spec = Delta(Configuration.with_zeros(w, [(-4, -4)], exterior=0))
-        region = Region(frozenset(w.sites))
-        stats = occupation_statistics(params, spec, region, 20.0, 100, w, 9)
-        assert stats.g_frequency > 0.9
-
-
-class TestZeroWithinBox:
-    def test_condition_c_zero_frequency(self):
-        # a spec passing condition C yields a zero in {-floor(alpha t)..0}^d
-        # with frequency at least 1 - A e^{-a alpha t}
-        spec = ProductBernoulli(0.6)
-        a, A = condition_C_params(spec)
-        alpha, t, d = 0.5, 6.0, 2
-        m = math.floor(alpha * t)
-        w = Window((-m, -m), (0, 0))
-        n = 2000
-        hits = 0
-        for r in range(n):
-            cfg = sample_initial(spec, w, derive_seed(11, r))
-            hits += any(cfg.spin_at(x) == 0 for x in w.sites)
-        bound = 1 - A * math.exp(-a * alpha * t)
-        sigma = math.sqrt(max(bound * (1 - bound), 1e-6) / n)
-        assert hits / n >= bound - 3 * sigma
+        assert abs(occ.mean() / t - (1 - p)) < 4 * sigma

@@ -1,4 +1,4 @@
-"""Start-up cost, checked in fresh processes.
+"""Start-up cost, checked in fresh processes, and a reader for every public name.
 
 - The Monte Carlo kinds load no scipy and no numpy.ma, at parse time or in a run.
 - The exact engine (kinds gap and constants, and the exact names of the
@@ -7,11 +7,19 @@
   scipy.linalg.lapack do not load themselves.
 - scipy.special loads only with uniformization (`evolve_expectation`),
   which no kind runs.
+- Every module-level public function and class of the package has a reader
+  outside its own definition: code in the package, the benchmark, or the
+  test oracles.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
+
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +202,31 @@ def test_benchmark_references_run_against_this_checkout(monkeypatch):
     assert sorted(gaps) == [11, 12, 13]
     for n, g in gaps.items():
         assert east1d_gap(0.5, n) == pytest.approx(g, rel=1e-8)
+
+
+# public names that only tests read, each with the reason it stays in the package
+TEST_ONLY_READERS = {
+    "east_constraint": "the per-site legality oracle that test_sim checks the sweep against",
+}
+
+
+def _names_read(node: ast.AST) -> Counter:
+    """How often each name is read in ``node`` as a Name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_name_has_a_reader():
+    # a reader is a use outside the name's own definition, anywhere in the
+    # package, or a word of the benchmark's scripts or of the test oracles
+    root = Path(SRC).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(SRC, "eastlab").glob("*.py")}
+    read = sum(map(_names_read, trees.values()), Counter())
+    outside = " ".join(path.read_text() for path in [*root.glob("perfbench/*.py"), root / "tests" / "oracle.py"])
+    words = set(re.findall(r"\w+", outside))
+    public = [(module, node) for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+    unread = sorted((node.name, module) for module, node in public
+                    if read[node.name] == _names_read(node)[node.name] and node.name not in words)
+    # the allowlist holds exactly the names that need it
+    assert [name for name, _ in unread] == sorted(TEST_ONLY_READERS), unread

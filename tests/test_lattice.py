@@ -1,20 +1,15 @@
 import math
-from itertools import product
 
 import numpy as np
 import pytest
 
 from eastlab.lattice import (
-    BlockedMeasureError,
     Configuration,
     Delta,
     LatticeError,
     ModelParams,
     ProductBernoulli,
     Window,
-    all_ones_probability,
-    build_lambda_region,
-    condition_C_params,
     east_constraint,
     initial_rows,
     sample_initial,
@@ -29,29 +24,6 @@ def test_model_params_validation():
         ModelParams(1, 1.0)
     with pytest.raises(LatticeError):
         ModelParams(2, 0.0)
-
-
-class TestLambdaRegion:
-    def test_1d(self):
-        assert sorted(build_lambda_region(2.5, 1).sites) == [(1,), (2,)]
-
-    def test_empty(self):
-        assert len(build_lambda_region(0.9, 2)) == 0
-
-    def test_2d(self):
-        r = build_lambda_region(2, 2)
-        assert len(r) == 8
-        assert (0, 0) not in r
-        assert r.sites == frozenset(
-            s for s in product(range(3), repeat=2) if s != (0, 0)
-        )
-
-    @pytest.mark.parametrize("r", [0, 0.5, 1, 2.7, 3, 5])
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_cardinality_and_origin(self, r, d):
-        reg = build_lambda_region(r, d)
-        assert len(reg) == (math.floor(r) + 1) ** d - 1
-        assert (0,) * d not in reg
 
 
 class TestConfiguration:
@@ -162,46 +134,3 @@ class TestSampleInitial:
         mean = sum(cfg.spins) / len(cfg.spins)
         sigma = 0.5 / math.sqrt(len(cfg.spins))
         assert abs(mean - 0.5) < 3 * sigma
-
-
-class TestConditionC:
-    def test_bernoulli_half(self):
-        a, A = condition_C_params(ProductBernoulli(0.5))
-        assert a == pytest.approx(math.log(2))
-        assert A == pytest.approx(1.0)
-
-    def test_delta_zero_at_minus3(self):
-        w = Window((-3, -3), (0, 0))
-        cfg = Configuration.with_zeros(w, [(-3, -3)])
-        a, A = condition_C_params(Delta(cfg))
-        assert a == pytest.approx(1.0)
-        assert A == pytest.approx(math.exp(3))
-
-    def test_all_ones_fails(self):
-        cfg = Configuration.all_ones(Window((-1, -1), (0, 0)), exterior=1)
-        with pytest.raises(BlockedMeasureError):
-            condition_C_params(Delta(cfg))
-
-    def test_exterior_zero_passes(self):
-        cfg = Configuration.all_ones(Window((-1,), (0,)), exterior=0)
-        a, A = condition_C_params(Delta(cfg))
-        assert a > 0 and A > 0
-
-    @pytest.mark.parametrize(
-        "spec,d",
-        [
-            (ProductBernoulli(0.5), 1),
-            (ProductBernoulli(0.9), 2),
-            (ProductBernoulli(0.0), 3),
-            (
-                Delta(Configuration.with_zeros(Window((-3, -3), (0, 0)), [(-3, -2)])),
-                2,
-            ),
-            (Delta(Configuration.all_ones(Window((-2,), (0,)), exterior=0)), 1),
-        ],
-    )
-    def test_certificate_bound(self, spec, d):
-        # exact probabilities never exceed A e^{-a l} on l = 0..50
-        a, A = condition_C_params(spec)
-        for ell in range(51):
-            assert all_ones_probability(spec, ell, d) <= A * math.exp(-a * ell) + 1e-15

@@ -28,7 +28,6 @@ from eastlab.estimators import (
     estimate_persistence,
     estimate_relaxation,
     observable_mu_and_norm,
-    occupation_statistics,
 )
 from eastlab.lattice import (
     Configuration,
@@ -36,7 +35,6 @@ from eastlab.lattice import (
     Exterior,
     ModelParams,
     ProductBernoulli,
-    Region,
     Window,
     initial_rows,
     site_sub_e,
@@ -277,8 +275,7 @@ def test_estimators_ignore_chunking(monkeypatch, budget):
         return (
             estimate_persistence(p2, ProductBernoulli(0.5), (1, 1), [1, 2, 4], 60, w2, 3),
             estimate_relaxation(p2, ProductBernoulli(0.4), weighted, [0.5, 2.0], 4, 30, w2, 5),
-            occupation_statistics(p2, ProductBernoulli(0.5), Region(frozenset(w2.sites)),
-                                  3.0, 40, w2, 7),
+            fk_cascade_probe(p2, ProductBernoulli(0.5), (-2, -1), 0.5, 3.0, 40, w2, 7),
             fk_cascade_probe(ModelParams(1, 0.5), spec1, (-1,), 0.5, 4.0, 50, w1, 9),
         )
 

@@ -23,7 +23,6 @@ from eastlab.theory import (
     certify_paths,
     compute_constants,
     fk_cascade_probe,
-    hyperplane_hit_profile,
     oriented_path_check,
 )
 from oracle import oriented_path
@@ -46,18 +45,6 @@ class TestGeometry:
         geom = GeometrySet(t=10.0, alpha=0.2, d=2)
         assert geom.radius == 8
         assert len(geom.D) == 81
-
-    def test_hyperplanes_partition_d(self):
-        geom = GeometrySet(t=5.0, alpha=0.3, d=2)
-        seen = set()
-        total = 0
-        for k in range(geom.k_max + 1):
-            hk = geom.hyperplane(k)
-            assert not (hk & seen)
-            seen |= hk
-            total += len(hk)
-        assert seen == geom.D.sites
-        assert total == len(geom.D)
 
     @pytest.mark.parametrize("t, alpha", [(10.0, 0.2), (2.0, 0.1), (1.0, 0.0), (1.0, -0.3)])
     def test_d_fits_matches_site_scan(self, t, alpha):
@@ -177,14 +164,18 @@ class TestOrientedPathLemma:
         assert oriented_path_check(batch, geom.t, geom.alpha, (0, 0)).hypothesis_held.any()
 
     def test_path_consistency_with_hyperplanes(self):
-        # a found path forces E to meet every H_k between d*floor(alpha t)
-        # and floor(beta t)
+        # a found path forces E to meet every H_k, the sites of D with
+        # coordinate sum -k, between d*floor(alpha t) and floor(beta t)
         batch, geom = active_batch([derive_seed(900, seed) for seed in range(40)], alpha=0.08)
         found = oriented_path_check(batch, geom.t, geom.alpha, (0, 0)).found
+        sites = geom.D.sorted_sites()
+        E = batch.updated_set(sites, geom.t / 2)[found]
+        plane = -np.sum(sites, axis=1)
         lo = geom.d * math.floor(geom.alpha * geom.t)
         hi = math.floor(geom.beta * geom.t)
-        assert found.any()
-        assert hyperplane_hit_profile(batch, geom).u_k[found, lo:hi + 1].all()
+        assert found.any() and lo < hi
+        for k in range(lo, hi + 1):
+            assert E[:, plane == k].any(axis=1).all(), f"E misses H_{k}"
 
     @PROPERTY
     @given(lemma_cases())
@@ -221,53 +212,6 @@ class TestOrientedPathLemma:
         certified = certify_paths(batch, t, alpha, x, check._replace(reach=reach))
         assert bad.sum() >= 10 and not certified[bad].any()
         assert certified[found & ~bad].all()
-
-
-class TestHyperplaneProfile:
-    def test_blocked_run_all_false(self):
-        t, alpha, d = 6.0, 0.2, 2
-        geom = GeometrySet(t, alpha, d)
-        r = geom.radius
-        w = Window((-r,) * d, (0,) * d)
-        init = Configuration.all_ones(w, exterior=1)
-        batch = simulate_batch(ModelParams(d, 0.5), init.rule, init.spins, t, [8])
-        profile = hyperplane_hit_profile(batch, geom)
-        assert not profile.u_k.any()
-        assert not profile.g_k.any()
-
-    def test_batch_shorter_than_t_raises_named_error(self):
-        # g_k reads occupation times on [0, t]; the error comes before any query
-        batch, geom = active_batch([8])
-        short = simulate_batch(batch.params, batch.rule, batch.init, geom.t / 2, [8])
-        with pytest.raises(TheoryCheckError, match=r"t = 8 beyond"):
-            hyperplane_hit_profile(short, geom)
-
-    def test_resumed_batch_raises_named_error(self):
-        with pytest.raises(TheoryCheckError, match="batch.start = 2"):
-            hyperplane_hit_profile(resumed_box_batch(), GeometrySet(6.0, 0.08, 2))
-
-    def test_matches_per_site_definition(self):
-        # u_k: H_k meets E; g_k: some site of H_k spends >= (1-p)t/4 at zero
-        batch, geom = active_batch([derive_seed(1200, seed) for seed in range(12)])
-        profile = hyperplane_hit_profile(batch, geom)
-        assert profile.u_k.shape == profile.g_k.shape == (12, geom.k_max + 1)
-        threshold = (1 - batch.params.p) * geom.t / 4
-        planes = [geom.hyperplane(k) for k in range(geom.k_max + 1)]
-        sites = geom.D.sorted_sites()
-        for r in range(12):
-            E = {y for y, hit in zip(sites, batch.updated_set(sites, geom.t / 2)[r]) if hit}
-            assert profile.u_k[r].tolist() == [any(y in E for y in hk) for hk in planes]
-            assert profile.g_k[r].tolist() == [
-                any(batch.occupation_time(y, geom.t)[r] >= threshold for y in hk) for hk in planes
-            ]
-        for values in (profile.u_k, profile.g_k):
-            assert values.any() and not values.all()
-
-    def test_origin_update_sets_u0(self):
-        batch, geom = active_batch([31])
-        e = batch.updated_set([(0, 0)], geom.t / 2)
-        profile = hyperplane_hit_profile(batch, geom)
-        assert profile.u_k[0, 0] == e[0, 0]
 
 
 class TestConstants:
@@ -310,6 +254,16 @@ class TestConstants:
             compute_constants(0.5, 1, 0.5, -0.1, 1.0)
         with pytest.raises(TheoryCheckError):
             compute_constants(0.5, 1, 0.5, 0.1, 0.0)
+
+    @pytest.mark.parametrize("c,lambda_pp,match", [
+        (float("nan"), 1.0, "c must be finite and > 0, got nan"),  # alpha was nan
+        (float("inf"), 1.0, "c must be finite and > 0, got inf"),  # alpha was inf
+        (0.1, float("nan"), "lambda_pp must be finite and > 0, got nan"),  # chi was nan
+        (0.1, float("inf"), "lambda_pp must be finite and > 0, got inf"),
+    ])
+    def test_non_finite_c_or_lambda_pp_named(self, c, lambda_pp, match):
+        with pytest.raises(TheoryCheckError, match=match):
+            compute_constants(0.5, 2, 0.5, c, lambda_pp)
 
     def test_report_text(self):
         text = compute_constants(0.5, 2, 0.5, 0.1, 0.2).to_text()
