@@ -14,9 +14,8 @@ from .lattice import (  # noqa: F401
     Window,
     east_constraint,
     initial_rows,
-    sample_initial,
 )
-from .sim import BatchLog, RingRecord, simulate, simulate_batch  # noqa: F401
+from .sim import BatchLog, simulate, simulate_batch  # noqa: F401
 from .estimators import (  # noqa: F401
     DecaySeries,
     FitResult,

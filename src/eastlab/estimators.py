@@ -134,7 +134,9 @@ def replica_batches(
     range of runs in (o, i) order: it hashes its seeds and draws its spin rows
     in one array call each.  Nothing carries from one chunk to the next, and
     replica randomness is counter-based, so no output depends on the chunking.
+    Raises EstimatorError on an ``n`` or ``n_inner`` below 1.
     """
+    _positive(n=n, n_inner=n_inner)
     per_chunk = max(1, RING_SLOT_BUDGET // replica_ring_slots(window, horizon))
     total = n * (n_inner or 1)
     init_key = derive_seed(seed, f"{tag}-init")
@@ -146,16 +148,24 @@ def replica_batches(
         yield draws, simulate_batch(params, rule, rows[draws - first], horizon, seeds)
 
 
+def _positive(**counts: Optional[int]) -> None:
+    """Raises EstimatorError naming the first count below 1; None passes."""
+    for name, k in counts.items():
+        if k is not None and k < 1:
+            raise EstimatorError(f"{name} must be positive, got {k}")
+
+
 def _time_grid(times: Sequence[float], **counts: int) -> tuple[float, ...]:
-    """The requested times, sorted.  Raises EstimatorError on no time or a
-    count below 1, naming it."""
-    ts = tuple(sorted(float(t) for t in times))
+    """The requested times, sorted.  Raises EstimatorError on no time, on a
+    time that is negative or not finite, or on a count below 1, naming it."""
+    ts = [float(t) for t in times]
     if not ts:
         raise EstimatorError("times must hold at least one time")
-    for name, k in counts.items():
-        if k < 1:
-            raise EstimatorError(f"{name} must be positive, got {k}")
-    return ts
+    for t in ts:
+        if not 0 <= t < math.inf:
+            raise EstimatorError(f"times must be finite and >= 0, got {t}")
+    _positive(**counts)
+    return tuple(sorted(ts))
 
 
 def estimate_persistence(

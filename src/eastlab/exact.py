@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,11 +143,12 @@ def build_generator(region: Region, boundary: Mapping[Site, int], p: float) -> G
 def evolve_expectation(
     gen: Generator,
     initial: Union[int, np.ndarray],
-    f: Union[Callable[[int], float], np.ndarray],
+    f: np.ndarray,
     t: float,
     tol: float = 1e-10,
 ) -> float:
-    """E_initial[f(state at time t)] by uniformization with truncation error < tol.
+    """E_initial[f(state at time t)] by uniformization with truncation error < tol,
+    for f given as its values on the states 0..dim-1.
 
     ``initial`` is a bitmask state or a distribution vector over states; a
     state outside 0..dim-1, a vector of the wrong length, an f that is not
@@ -159,9 +160,7 @@ def evolve_expectation(
         raise ExactEngineError(f"t must be finite and >= 0, got {t}")
     if not tol > 0:
         raise ExactEngineError(f"tol must be > 0, got {tol}")
-    fvec = np.asarray(
-        f if isinstance(f, np.ndarray) else [f(s) for s in range(gen.dim)], dtype=float
-    )
+    fvec = np.asarray(f, dtype=float)
     if fvec.shape != (gen.dim,):
         raise ExactEngineError(f"f has shape {fvec.shape}, the region has {gen.dim} states")
     if not np.isfinite(fvec).all():

@@ -58,9 +58,6 @@ class Region:
     def __len__(self) -> int:
         return len(self.sites)
 
-    def sorted_sites(self) -> list[Site]:
-        return sorted(self.sites)
-
 
 @dataclass(frozen=True)
 class Window:
@@ -91,7 +88,7 @@ class Window:
 
     @cached_property
     def site_keys(self) -> np.ndarray:
-        """Unsalted stream key (``streams.site_key``) of each site, in site order."""
+        """Stream key (``streams.site_key``) of each site, in site order."""
         extent = [hi - lo + 1 for lo, hi in zip(self.lower, self.upper)]
         offsets = np.indices(extent).reshape(self.d, -1)
         return site_key(offsets + np.array(self.lower, dtype=np.int64)[:, None])
@@ -242,9 +239,3 @@ def initial_rows(spec: MeasureSpec, window: Window, key: int,
                          if s != stored.exterior and x not in window)
         return Exterior(window, stored.exterior, overrides), np.broadcast_to(row, (len(draws), n))
     raise LatticeError(f"unknown measure spec {spec!r}")
-
-
-def sample_initial(spec: MeasureSpec, window: Window, key: int) -> Configuration:
-    """Draw 0 of ``initial_rows`` under ``key``, as a configuration."""
-    rule, rows = initial_rows(spec, window, key, range(1))
-    return rule.configuration(rows[0])

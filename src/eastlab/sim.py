@@ -10,7 +10,7 @@ a function of those on H_{k-1} and of H_k's own rings, and the simulation runs
 as one vectorized pass per hyperplane over every replica and every site of
 H_k at once.  The full ring history (legal and illegal) is kept per site in
 CSR form, indexed once per batch by exact time-rank keys that answer the
-sweep's neighbor lookups, every log query, ``records`` and CSV.  ``BatchLog``
+sweep's neighbor lookups, every log query and the CSV.  ``BatchLog``
 is the one trajectory type; ``simulate`` returns a batch of one replica.
 """
 
@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .lattice import Configuration, Exterior, ModelParams, Site, Window
-from .streams import STREAM_VERSION, ring_draws, site_key
+from .streams import STREAM_VERSION, ring_draws
 
 MAX_HORIZON = 1e9
 # One replica's peak RSS grew by 65-82 bytes per ring slot (1-d and 2-d
@@ -36,15 +35,6 @@ MAX_REPLICA_RING_SLOTS = 1 << 24
 
 class SimulationError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RingRecord:
-    site: Site
-    time: float
-    bit: int
-    legal: bool
-    spin_after: int
 
 
 def ring_block(horizon: float) -> int:
@@ -249,8 +239,8 @@ class BatchLog:
     ``first_change``, the first time the spin leaves its initial value.
     ``key`` and the sorted ``ordered`` times (see ``_rank_keys``) are the one
     ring index: a query costs O(log M) per row.  The queries answer for every
-    replica at once; ``initial``, ``rings``, ``records`` and ``to_csv`` take a
-    replica index r.
+    replica at once; ``initial``, ``rings`` and ``to_csv`` take a replica
+    index r.
 
     The constructor sweeps the given rings (``offsets``, ``times``, ``bits``),
     which fall on (start, horizon], for legality and spins, from ``spins`` at
@@ -420,26 +410,6 @@ class BatchLog:
         s = slice(self.offsets[row], self.offsets[row + 1])
         return self.times[s], self.bits[s], self.legal[s], self.spin_after[s]
 
-    def _time_order(self, r: int):
-        """Replica r's time-sorted (site index, time, bit, legal, spin after)
-        arrays, read off the batch's time ranks in O(M)."""
-        base = self._base(r)
-        start, stop = self.offsets[base], self.offsets[base + self.n_sites]
-        m = self.times.size
-        slot = np.full(m, -1)
-        slot[self.key[start:stop] % m] = np.arange(start, stop)
-        order = slot[slot >= 0]
-        return (self.key[order] // m - base, self.times[order], self.bits[order],
-                self.legal[order], self.spin_after[order])
-
-    def records(self, r: int) -> list[RingRecord]:
-        """Replica r's rings, legal and illegal, in time order."""
-        sites = self.window.sites
-        return [
-            RingRecord(sites[s], float(t), int(b), bool(l), int(a))
-            for s, t, b, l, a in zip(*self._time_order(r))
-        ]
-
     def to_csv(self, r: int) -> str:
         """Replica r's event CSV: a JSON manifest line, then its rings in time order."""
         if self.start:
@@ -461,8 +431,16 @@ class BatchLog:
         }
         lines = ["# " + json.dumps(manifest, sort_keys=True)]
         lines.append("site_coords,time,bit,legal,spin_after")
+        # the replica's rings in time order, read off the batch's time ranks in O(M)
+        base = self._base(r)
+        lo, hi = self.offsets[base], self.offsets[base + self.n_sites]
+        m = self.times.size
+        slot = np.full(m, -1)
+        slot[self.key[lo:hi] % m] = np.arange(lo, hi)
+        order = slot[slot >= 0]
         sites = self.window.sites
-        for s, t, b, l, a in zip(*self._time_order(r)):
+        for s, t, b, l, a in zip(self.key[order] // m - base, self.times[order], self.bits[order],
+                                 self.legal[order], self.spin_after[order]):
             coords = ";".join(str(c) for c in sites[s])
             lines.append(f"{coords},{t:.17g},{int(b)},{int(l)},{int(a)}")
         return "\n".join(lines) + "\n"
@@ -508,8 +486,7 @@ class BatchLog:
 
 
 def simulate_batch(
-    params: ModelParams, rule: Exterior, spins, horizon: float, seeds: Sequence[int],
-    stream_salts: Optional[Mapping[Site, int]] = None,
+    params: ModelParams, rule: Exterior, spins, horizon: float, seeds: Sequence[int]
 ) -> BatchLog:
     """Run the graphical construction for replica r = (spins[r], seeds[r])
     under one exterior rule.
@@ -517,10 +494,8 @@ def simulate_batch(
     ``spins`` holds 0/1 window spins in ``rule.window.sites`` order: one row
     per seed, or a single row that every replica starts from.  Deterministic
     per replica: replica r's history depends on its own (params, rule, spins,
-    horizon, seed) only, never on the rest of the batch.  ``stream_salts``
-    re-keys the clock/bit streams of selected sites in every replica (used by
-    the dependence-cone diagnostics); unlisted sites are unaffected.  A
-    replica over MAX_REPLICA_RING_SLOTS raises before any per-site array.
+    horizon, seed) only, never on the rest of the batch.  A replica over
+    MAX_REPLICA_RING_SLOTS raises before any per-site array.
     """
     window = rule.window
     if window.d != params.d:
@@ -530,11 +505,6 @@ def simulate_batch(
         raise SimulationError("need at least one seed")
     replica_ring_slots(window, horizon)
     keys = window.site_keys
-    if stream_salts:
-        keys = keys.copy()
-        for x, salt in stream_salts.items():
-            if x in window:
-                keys[window.index(x)] = site_key(x, salt)
     rows = seeds.size * keys.size
     return _run(params, rule, spins, seeds, keys, 0.0, horizon, np.zeros(rows, dtype=np.int64),
                 np.zeros(rows))
@@ -550,12 +520,6 @@ def _run(params: ModelParams, rule: Exterior, spins, seeds: np.ndarray, keys: np
                     (keys, k_first, base))
 
 
-def simulate(
-    params: ModelParams,
-    initial: Configuration,
-    horizon: float,
-    seed: int,
-    stream_salts: Optional[Mapping[Site, int]] = None,
-) -> BatchLog:
+def simulate(params: ModelParams, initial: Configuration, horizon: float, seed: int) -> BatchLog:
     """``simulate_batch`` for the one replica (initial, seed): a batch of one."""
-    return simulate_batch(params, initial.rule, initial.spins, horizon, [seed], stream_salts)
+    return simulate_batch(params, initial.rule, initial.spins, horizon, [seed])

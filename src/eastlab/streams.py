@@ -3,11 +3,11 @@
 Ring k of a lattice site draws its clock gap and its update bit from one
 Philox4x32-10 block (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
 3", SC'11).  The block's key is the replica's simulation seed and its counter
-is (k, site key), where the site key hashes the site's coordinates and an
-optional salt.  A draw therefore depends only on (seed, site, salt, k): never
-on the horizon, the enclosing window, the replica batch or the evaluation
-chunk, which is what makes replica reproducibility, horizon extension and the
-dependence-cone checks exact.
+is (k, site key), where the site key hashes the site's coordinates.  A draw
+therefore depends only on (seed, site, k): never on the horizon, the
+enclosing window, the replica batch or the evaluation chunk, which is what
+makes replica reproducibility, horizon extension and the dependence-cone
+checks exact.
 
 The kernel keeps each block's four 32-bit words as two uint64 lanes,
 X = w0 2^32 + w1 and Y = w2 2^32 + w3, and updates them in place, so a round
@@ -70,10 +70,11 @@ def derived_generator(seed: int, *parts: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_seed(seed, *parts)))
 
 
-def site_key(coords, salt: int = 0) -> int | np.ndarray:
+def site_key(coords) -> int | np.ndarray:
     """The 64-bit counter half that names a site's stream; a uint64 array for
-    one integer coordinate array per axis (negative values wrap alike)."""
-    return mix64(*coords, salt)
+    one integer coordinate array per axis (negative values wrap alike).  The
+    hash ends with a zero word, as STREAM_VERSION 3 defines the key."""
+    return mix64(*coords, 0)
 
 
 _32 = np.uint64(32)

@@ -207,9 +207,6 @@ class CascadeProbeResult:
     sites: tuple[Site, ...]  # y^(0) .. y^(d)
     probabilities: tuple[float, ...]  # P(T(y^(i)) <= delta T(y^(i-1))), i = 1..d
     halfwidths: tuple[float, ...]
-    delta: float
-    t: float
-    n: int
 
 
 def cascade_sites(y: Site) -> tuple[Site, ...]:
@@ -242,4 +239,4 @@ def fk_cascade_probe(
         counts += (occ[1:] <= delta * occ[:-1]).sum(axis=1)
     probs = tuple(float(k) / n for k in counts)
     halfwidths = tuple(wilson_halfwidth(int(k), n) for k in counts)
-    return CascadeProbeResult(sites, probs, halfwidths, delta, t, n)
+    return CascadeProbeResult(sites, probs, halfwidths)

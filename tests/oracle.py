@@ -9,7 +9,8 @@ it by sqrt(mu) into S; `eastlab.exact` writes Q, -S and the killed operator
 from one legal-flip pass instead.  ``philox4x32`` is Philox4x32-10 on 32-bit
 word arrays, as Salmon et al. state it, and ``ring_blocks`` draws a stream's
 blocks with it; `eastlab.streams` runs the same rounds on two packed 64-bit
-lanes.
+lanes.  ``off_cone_history`` swaps a run's rings off a site's backward cone
+for another run's, the perturbation that the cone tests hold the site against.
 """
 
 import math
@@ -21,6 +22,7 @@ import scipy.sparse as sp
 
 from eastlab.exact import ExactEngineError
 from eastlab.lattice import bernoulli_weights, site_sub_e
+from eastlab.sim import BatchLog
 
 _PHILOX_M = (np.uint32(0xD2511F53), np.uint32(0xCD9E8D57))
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
@@ -110,6 +112,18 @@ def event_loop(batch, r):
         legal[si][ev_pos[k]] = ok
         after[si][ev_pos[k]] = spins[si]
     return legal, after
+
+
+def off_cone_history(base, other, x):
+    """The batch of one that starts from ``base``'s spins, with ``base``'s ring
+    times and bits at the sites of x's backward cone {y <= x} and ``other``'s
+    at every other window site, swept afresh by the public constructor."""
+    rings = [(base if all(a <= b for a, b in zip(y, x)) else other).rings(0, y)[:2]
+             for y in base.window.sites]
+    offsets = np.cumsum([0] + [t.size for t, _ in rings])
+    times, bits = (np.concatenate(col) for col in zip(*rings))
+    return BatchLog(base.params, base.rule, base.initial(0).spins, base.horizon, base.seeds,
+                    offsets, times, bits)
 
 
 def oriented_path(batch, k, t, alpha, x):

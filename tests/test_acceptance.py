@@ -31,6 +31,7 @@ from eastlab.lattice import (
 from eastlab.sim import simulate, simulate_batch
 from eastlab.streams import derive_seed, derived_generator
 from eastlab.theory import certify_paths, compute_constants, oriented_path_check
+from oracle import off_cone_history
 
 
 def verdict(tag: str, label: str, ok: bool) -> bool:
@@ -216,16 +217,13 @@ def test_a9_cone_measurability():
         init = Configuration(w, spins, exterior=1)
         seed = derive_seed(909, trial)
         base = simulate(params, init, 8.0, seed)
-        salts = {
-            y: 1 + trial
-            for y in w.sites
-            if not all(c <= xc for c, xc in zip(y, x))
-        }
-        pert = simulate(params, init, 8.0, seed, stream_salts=salts)
-        ref = [(r.time, r.spin_after) for r in base.records(0) if r.site == x]
-        got = [(r.time, r.spin_after) for r in pert.records(0) if r.site == x]
-        ok &= ref == got
-    assert verdict("A9", "trajectory at x unchanged under off-cone stream perturbation", ok)
+        other = simulate(params, init, 8.0, derive_seed(909, trial, "off-cone"))
+        pert = off_cone_history(base, other, x)
+        ref, got = base.rings(0, x), pert.rings(0, x)
+        ok &= np.array_equal(ref[0], got[0]) and np.array_equal(ref[3], got[3])
+        off = [y for y in w.sites if not all(c <= xc for c, xc in zip(y, x))]
+        ok &= any(not np.array_equal(base.rings(0, y)[0], pert.rings(0, y)[0]) for y in off)
+    assert verdict("A9", "trajectory at x unchanged under off-cone ring perturbation", ok)
 
 
 def test_a10_constants():

@@ -493,6 +493,13 @@ GOLDEN = {
         "measure = bernoulli 0.5\nsite = 1 1\ntimes = 1 2 3 4 5 6 7 8 9 10\nn = 100\n",
         "bda46048ac1940411e4e21716c4829455385bfcfb72123e3b483fa3cdd578ff6",
     ),
+    # the one kind that reads occupation_time and zero_time
+    "fk_probe.csv": (
+        "fk_probe.csv",
+        "kind = fk-probe\nd = 2\np = 0.5\nwindow_lower = -4 -4\nwindow_upper = 0 0\n"
+        "measure = bernoulli 0.5\nsite = -2 -1\ndelta = 0.5\nt = 6\nn = 400\n",
+        "955d5e72b32e1ae5b9f50f1e457e9fed7eda9010ec0cbebd8e0f8a4b110de404",
+    ),
 }
 
 

@@ -64,6 +64,25 @@ class TestReplicaBatches:
             simulate_batch(ModelParams(1, 0.5), Exterior(w, 1, {}), [1], horizon, [0])
         assert "sites" not in vars(w) and "site_keys" not in vars(w)
 
+    @pytest.mark.parametrize("n,n_inner,match", [
+        (3, 0, "n_inner must be positive, got 0"),
+        (3, -2, "n_inner must be positive, got -2"),
+        (0, None, "n must be positive, got 0"),
+        (0, 2, "n must be positive, got 0"),
+    ])
+    def test_counts_below_one_named(self, n, n_inner, match):
+        # n_inner = 0 once ran as None (one run per draw); n = 0 and
+        # n_inner < 0 once yielded no batch at all
+        with pytest.raises(EstimatorError, match=match):
+            next(replica_batches(ModelParams(1, 0.5), ProductBernoulli(0.5), Window((0,), (2,)),
+                                 1.0, 0, "x", n, n_inner))
+
+    def test_none_is_one_run_per_draw(self):
+        (draws, batch), = replica_batches(ModelParams(1, 0.5), ProductBernoulli(0.5),
+                                          Window((0,), (2,)), 1.0, 0, "x", 3)
+        assert draws.tolist() == [0, 1, 2]
+        assert batch.seeds.tolist() == [derive_seed(0, "x-sim", o) for o in range(3)]
+
 
 class TestWilson:
     def test_interval_contains_phat(self):
@@ -139,6 +158,18 @@ class TestPersistence:
         with pytest.raises(EstimatorError, match=match):
             estimate_persistence(
                 ModelParams(1, 0.5), ProductBernoulli(0.5), (1,), times, n, Window((0,), (1,)), 0
+            )
+
+    @pytest.mark.parametrize("times,bad", [
+        ((-1.0, 2.0), "-1.0"),
+        ((float("nan"), 2.0), "nan"),
+        ((2.0, float("inf"), -3.0), "inf"),
+    ])
+    def test_negative_or_non_finite_time_named(self, times, bad):
+        # F(-1) once read 1.0 and F(nan) 0.0 on this chain
+        with pytest.raises(EstimatorError, match=f"times must be finite and >= 0, got {bad}$"):
+            estimate_persistence(
+                ModelParams(1, 0.5), ProductBernoulli(0.5), (1,), times, 200, Window((0,), (2,)), 0
             )
 
 
@@ -319,6 +350,13 @@ class TestRelaxation:
         with pytest.raises(EstimatorError, match=match):
             estimate_relaxation(ModelParams(1, 0.5), ProductBernoulli(0.5), Observable.spin((1,)),
                                 times, n_outer, n_inner, Window((0,), (2,)), 0)
+
+    @pytest.mark.parametrize("times,bad", [((-1.0, 2.0), "-1.0"), ((float("nan"), 2.0), "nan")])
+    def test_negative_or_non_finite_time_named(self, times, bad):
+        # refused before any batch runs, not by a log query
+        with pytest.raises(EstimatorError, match=f"times must be finite and >= 0, got {bad}$"):
+            estimate_relaxation(ModelParams(1, 0.5), ProductBernoulli(0.5), Observable.spin((1,)),
+                                times, 2, 2, Window((0,), (2,)), 0)
 
     def test_against_exact_engine(self):
         # 2-site chain with frozen zero boundary: MC inner estimates must

@@ -142,7 +142,7 @@ class TestBuildGenerator:
 class TestEvolveExpectation:
     def test_t_zero(self):
         gen = build_generator(region_1d([1]), {(0,): 0}, 0.3)
-        assert evolve_expectation(gen, 1, lambda s: float(s), 0.0) == 1.0
+        assert evolve_expectation(gen, 1, np.array([0.0, 1.0]), 0.0) == 1.0
 
     @pytest.mark.parametrize("eta0", [0, 1])
     @pytest.mark.parametrize("t", [0.2, 1.0, 3.0])
@@ -150,7 +150,7 @@ class TestEvolveExpectation:
         # two-state master equation: E[spin] = p + (eta0 - p) e^{-t}
         p = 0.3
         gen = build_generator(region_1d([1]), {(0,): 0}, p)
-        got = evolve_expectation(gen, eta0, lambda s: float(s), t, tol=1e-12)
+        got = evolve_expectation(gen, eta0, np.array([0.0, 1.0]), t, tol=1e-12)
         assert got == pytest.approx(p + (eta0 - p) * math.exp(-t), abs=1e-10)
 
     def test_matches_matrix_exponential(self):

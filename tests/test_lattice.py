@@ -12,7 +12,6 @@ from eastlab.lattice import (
     Window,
     east_constraint,
     initial_rows,
-    sample_initial,
 )
 
 
@@ -90,7 +89,8 @@ class TestSampleInitial:
         big = Window((-2, -2), (2, 2))
         stored = Configuration.with_zeros(big, [(0, 0), (-2, -2)])
         small = Window((0, 0), (1, 1))
-        cfg = sample_initial(Delta(stored), small, 0)
+        rule, rows = initial_rows(Delta(stored), small, 0, range(1))
+        cfg = rule.configuration(rows[0])
         assert cfg.spin_at((0, 0)) == 0
         assert cfg.spin_at((1, 1)) == 1
         # restriction is exact: the out-of-window zero survives as an override
@@ -101,10 +101,11 @@ class TestSampleInitial:
         stored = Configuration.with_zeros(big, [(0, 0), (-2, -2)], overrides={(-3, 0): 0})
         small = Window((0, 0), (1, 1))
         rule, rows = initial_rows(Delta(stored), small, 0, range(3, 8))
-        want = sample_initial(Delta(stored), small, 1)
+        want_rule, want = initial_rows(Delta(stored), small, 1, range(1))
         assert rows.shape == (5, 4)
-        assert all(tuple(row) == want.spins for row in rows.tolist())
-        assert rule == want.rule
+        assert want.tolist() == [[0, 1, 1, 1]]
+        assert (rows == want).all()
+        assert rule == want_rule
         assert rule.overrides == {(-3, 0): 0, (-2, -2): 0}
 
     def test_bernoulli_rows_are_per_draw_samples(self):
@@ -112,25 +113,24 @@ class TestSampleInitial:
         w = Window((0, 0), (2, 3))
         rule, rows = initial_rows(ProductBernoulli(0.4), w, 9, range(6))
         assert rule.spin == 1 and rule.overrides == {}
-        assert tuple(rows[0]) == sample_initial(ProductBernoulli(0.4), w, 9).spins
-        for a, b in ((0, 6), (2, 5), (5, 6)):
+        for a, b in ((0, 1), (0, 6), (2, 5), (5, 6)):
             assert (initial_rows(ProductBernoulli(0.4), w, 9, range(a, b))[1] == rows[a:b]).all()
         assert len({row.tobytes() for row in rows}) == 6
 
     def test_delta_incompatible_window(self):
         stored = Configuration.all_ones(Window((0,), (1,)))
         with pytest.raises(LatticeError):
-            sample_initial(Delta(stored), Window((0,), (5,)), 0)
+            initial_rows(Delta(stored), Window((0,), (5,)), 0, range(1))
 
     def test_bernoulli_extremes(self):
         w = Window((0,), (9,))
-        cfg = sample_initial(ProductBernoulli(0.0), w, 1)
-        assert all(s == 0 for s in cfg.spins)
-        assert cfg.exterior == 1
+        rule, rows = initial_rows(ProductBernoulli(0.0), w, 1, range(1))
+        assert (rows == 0).all()
+        assert rule.spin == 1
 
     def test_bernoulli_mean(self):
         w = Window((0, 0), (99, 99))  # 10^4 sites
-        cfg = sample_initial(ProductBernoulli(0.5), w, 2)
-        mean = sum(cfg.spins) / len(cfg.spins)
-        sigma = 0.5 / math.sqrt(len(cfg.spins))
+        _, rows = initial_rows(ProductBernoulli(0.5), w, 2, range(1))
+        mean = rows.mean()
+        sigma = 0.5 / math.sqrt(rows.size)
         assert abs(mean - 0.5) < 3 * sigma

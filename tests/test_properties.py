@@ -43,7 +43,7 @@ from eastlab.sim import simulate, simulate_batch
 from eastlab.streams import derive_seed
 from eastlab.theory import GeometrySet, certify_paths, fk_cascade_probe, oriented_path_check
 import oracle
-from oracle import event_loop
+from oracle import event_loop, off_cone_history
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -73,8 +73,8 @@ def scenarios(draw):
 
 
 def site_records(log, x, until=np.inf):
-    return [(r.time, r.bit, r.legal, r.spin_after) for r in log.records(0)
-            if r.site == x and r.time <= until]
+    rings = log.rings(0, x)
+    return [col[rings[0] <= until].tolist() for col in rings]
 
 
 @PROPERTY
@@ -127,17 +127,14 @@ def test_horizon_prefix_consistency(scenario, extra):
 def test_resume_matches_one_shot(scenario, more_seeds, extra, data):
     # simulate to h, resume chosen replicas to mid, and some of those to H:
     # rings on (mid, H] and the spins at H are the one-shot run's; a zero
-    # extension leaves rows with no rings.  Salted streams must stay salted
-    # when resumed.
+    # extension leaves rows with no rings.
     params, initial, h, seed = scenario
     seeds = [seed, *more_seeds]
     mid, horizon = h + extra[0], h + extra[0] + extra[1]
-    salts = data.draw(st.dictionaries(st.sampled_from(initial.window.sites),
-                                      st.integers(1, 2**32), max_size=3))
-    one = simulate_batch(params, initial.rule, initial.spins, horizon, seeds, salts)
+    one = simulate_batch(params, initial.rule, initial.spins, horizon, seeds)
     picks = data.draw(st.lists(st.sampled_from(range(len(seeds))), min_size=1, unique=True))
     again = data.draw(st.lists(st.sampled_from(range(len(picks))), min_size=1, unique=True))
-    first = simulate_batch(params, initial.rule, initial.spins, h, seeds, salts)
+    first = simulate_batch(params, initial.rule, initial.spins, h, seeds)
     resumed = first.resume(picks, mid).resume(again, horizon)
     chosen = [picks[i] for i in again]
     assert (resumed.start, resumed.horizon) == (mid, horizon)
@@ -175,10 +172,9 @@ def test_window_independence_of_rings(scenario, grow):
 def test_cone_measurability(scenario, data):
     params, initial, horizon, seed = scenario
     x = data.draw(st.sampled_from(initial.window.sites))
-    salt = data.draw(st.integers(1, 2**32))
-    off_cone = {y: salt for y in initial.window.sites if not all(a <= b for a, b in zip(y, x))}
+    other = data.draw(st.integers(0, 2**64 - 1))
     base = simulate(params, initial, horizon, seed)
-    pert = simulate(params, initial, horizon, seed, stream_salts=off_cone)
+    pert = off_cone_history(base, simulate(params, initial, horizon, other), x)
     for got, ref in zip(pert.rings(0, x), base.rings(0, x)):
         assert np.array_equal(got, ref)
 

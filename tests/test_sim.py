@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, poisson
 
-from eastlab.lattice import Configuration, Delta, Exterior, ModelParams, Window, initial_rows
+from eastlab.lattice import (
+    Configuration, Delta, Exterior, ModelParams, Window, east_constraint, initial_rows,
+)
 from eastlab.sim import BatchLog, SimulationError, replica_ring_slots, simulate, simulate_batch
 from eastlab.streams import derive_seed, mix64, ring_draws, site_key
 from eastlab.theory import oriented_path_check
+from oracle import event_loop, off_cone_history
 
 
 def single_site_log(p=0.3, horizon=100.0, seed=1, exterior=0):
@@ -37,15 +40,14 @@ class TestStreams:
         ]
 
     def test_site_stream_window_independent(self):
-        # a site's stream is named by (seed, coordinates, salt) alone
-        def draws(seed, x, salt=0):
+        # a site's stream is named by (seed, coordinates) alone
+        def draws(seed, x):
             seeds = np.array([seed], dtype=np.uint64)
-            return ring_draws(seeds, np.array([site_key(x, salt)], dtype=np.uint64), 0, 4, 0.5)[0]
+            return ring_draws(seeds, np.array([site_key(x)], dtype=np.uint64), 0, 4, 0.5)[0]
 
         a = draws(9, (2, 3))
         assert np.array_equal(a, draws(9, (2, 3)))
         assert not np.array_equal(a, draws(9, (3, 2)))
-        assert not np.array_equal(a, draws(9, (2, 3), salt=1))
         assert not np.array_equal(a, draws(10, (2, 3)))
 
 
@@ -93,7 +95,7 @@ class TestSimulate:
     def test_replica_index_outside_batch_rejected(self):
         log = single_site_log(horizon=1.0)
         for r in (-1, 1):
-            for call in (log.initial, log.records, log.to_csv, lambda r: log.rings(r, (1,))):
+            for call in (log.initial, log.to_csv, lambda r: log.rings(r, (1,))):
                 with pytest.raises(SimulationError, match=f"replica {r} not in a batch of 1"):
                     call(r)
 
@@ -102,22 +104,22 @@ class TestSimulate:
         init = Configuration.with_zeros(Window((1,), (5,)), [(3,)], exterior=0)
         log = simulate(params, init, 30.0, 11)
         spins = list(init.spins)
-        for rec in log.records(0):
-            i = log.window.index(rec.site)
+        for line in log.to_csv(0).splitlines()[2:]:  # the rings of all sites in time order
+            coords, _, bit, legal, spin_after = line.split(",")
+            site, bit, legal, spin_after = (int(coords),), int(bit), legal == "1", int(spin_after)
+            i = log.window.index(site)
             # legality matches the East constraint at the pre-ring configuration
             cfg = Configuration(log.window, tuple(spins), init.exterior)
-            from eastlab.lattice import east_constraint
-
-            assert rec.legal == east_constraint(cfg, rec.site)
-            if rec.legal:
-                spins[i] = rec.bit
-            assert rec.spin_after == spins[i]
+            assert legal == east_constraint(cfg, site)
+            if legal:
+                spins[i] = bit
+            assert spin_after == spins[i]
         assert np.array_equal(log.final_spins(), [spins])
 
     def test_ring_times_sorted_distinct(self):
         log = single_site_log(horizon=200.0)
-        times = [r.time for r in log.records(0)]
-        assert times == sorted(times)
+        times = log.rings(0, (1,))[0].tolist()
+        assert times and times == sorted(times)
         assert len(set(times)) == len(times)
 
 
@@ -131,9 +133,9 @@ class TestQueries:
 
     def test_spin_at_time_follows_updates(self):
         log = single_site_log(p=0.3, horizon=50.0, seed=9)
-        recs = [r for r in log.records(0) if r.legal]
-        for rec in recs[:20]:
-            assert log.spin_at_time((1,), rec.time)[0] == rec.spin_after
+        times, _, legal, after = log.rings(0, (1,))
+        for t, a in list(zip(times[legal], after[legal]))[:20]:
+            assert log.spin_at_time((1,), t)[0] == a
 
     def test_spin_at_time_errors(self):
         log = single_site_log(horizon=10.0)
@@ -197,12 +199,13 @@ class TestQueries:
         # time at one computed by independent replay of each site
         total_one = 0.0
         for x in log.window.sites:
-            idx = [r for r in log.records(0) if r.site == x and r.legal and r.time <= t]
+            times, _, legal, after = log.rings(0, x)
+            keep = legal & (times <= t)
             cur, last, acc = init.spin_at(x), 0.0, 0.0
-            for r in idx:
+            for s, a in zip(times[keep], after[keep]):
                 if cur == 1:
-                    acc += r.time - last
-                cur, last = r.spin_after, r.time
+                    acc += s - last
+                cur, last = a, s
             if cur == 1:
                 acc += t - last
             total_one += acc
@@ -214,7 +217,7 @@ class TestQueries:
         )
         assert blocked.first_update_time((1,))[0] == math.inf
         log = single_site_log(horizon=50.0, seed=13)
-        first_ring = log.records(0)[0].time
+        first_ring = log.rings(0, (1,))[0][0]
         assert log.first_update_time((1,))[0] == pytest.approx(first_ring)
 
     def test_first_update_not_before_first_ring(self):
@@ -224,9 +227,9 @@ class TestQueries:
         for seed in range(30):
             log = simulate(params, init, 20.0, seed)
             for x in log.window.sites:
-                rings = [r.time for r in log.records(0) if r.site == x]
+                rings = log.rings(0, x)[0]
                 tau = log.first_update_time(x)[0]
-                if tau != math.inf and rings:
+                if tau != math.inf and rings.size:
                     assert tau >= rings[0] - 1e-15
 
     def test_updated_set(self):
@@ -348,13 +351,14 @@ class TestStatisticalContracts:
 
     def test_bits_bernoulli(self):
         log = single_site_log(p=0.3, horizon=5_000.0, seed=31)
-        bits = [r.bit for r in log.records(0) if r.legal]
+        _, ring_bits, legal, _ = log.rings(0, (1,))
+        bits = ring_bits[legal]
         mean = np.mean(bits)
         sigma = math.sqrt(0.3 * 0.7 / len(bits))
         assert abs(mean - 0.3) < 3 * sigma
 
     def test_cone_measurability(self):
-        # perturbing streams outside x + (-N)^d leaves the trajectory at x intact
+        # other rings outside x + (-N)^d leave the trajectory at x intact
         params = ModelParams(2, 0.5)
         w = Window((-3, -3), (2, 2))
         x = (0, 0)
@@ -363,15 +367,13 @@ class TestStatisticalContracts:
             spins = tuple(int(v) for v in rng.integers(0, 2, w.site_count()))
             init = Configuration(w, spins, exterior=1)
             base = simulate(params, init, 8.0, derive_seed(1000, trial))
-            salts = {
-                y: 1 + trial
-                for y in w.sites
-                if not all(c <= xc for c, xc in zip(y, x))
-            }
-            pert = simulate(params, init, 8.0, derive_seed(1000, trial), stream_salts=salts)
-            ref = [(r.time, r.spin_after) for r in base.records(0) if r.site == x and r.legal]
-            got = [(r.time, r.spin_after) for r in pert.records(0) if r.site == x and r.legal]
+            other = simulate(params, init, 8.0, derive_seed(1000, trial, "off-cone"))
+            pert = off_cone_history(base, other, x)
+            ref = [(t, a) for t, _, legal, a in zip(*base.rings(0, x)) if legal]
+            got = [(t, a) for t, _, legal, a in zip(*pert.rings(0, x)) if legal]
             assert ref == got
+            off = [y for y in w.sites if not all(c <= xc for c, xc in zip(y, x))]
+            assert any(not np.array_equal(base.rings(0, y)[0], pert.rings(0, y)[0]) for y in off)
 
 
 class TestCsv:
@@ -408,6 +410,43 @@ class TestCsv:
             for x in w.sites:
                 for got, want in zip(replay.rings(0, x), batch.rings(r, x)):
                     assert np.array_equal(got, want)
+
+    # hand-written logs in which x - e_i and x ring at the same instant, with
+    # the rows of the opposite tie outcome: ties break by site order, so x
+    # sees its neighbor's new spin
+    TIES = {
+        # site 0 is frozen at 0, so site 1 flips to 0 at t = 1 and site 2 may update then
+        "1d": ({"d": 1, "window_lower": [1], "window_upper": [2], "exterior": 0,
+                "initial_spins": "11"},
+               ["1,1,0,1,0", "2,1,0,1,0"], {1: "2,1,0,0,1"}, (2,), [((1,), 1.0)]),
+        # (0, 0) stays 0; x = (1, 1) is blocked but at t = 1 by x - e_0 = (0, 1)
+        # and at t = 3 by x - e_1 = (1, 0), each flipping to 0 at that instant
+        "2d": ({"d": 2, "window_lower": [0, 0], "window_upper": [1, 1], "exterior": 1,
+                "initial_spins": "0111"},
+               ["0;1,1,0,1,0", "1;1,1,0,1,0", "0;1,2,1,1,1", "1;0,3,0,1,0", "1;1,3,1,1,1"],
+               {1: "1;1,1,0,0,1", 4: "1;1,3,1,0,1"}, (1, 1), [((0, 1), 1.0), ((1, 0), 3.0)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TIES))
+    def test_tied_neighbor_rings_first(self, case):
+        fields, rows, opposite, x, ties = self.TIES[case]
+        manifest = {"p": 0.5, "seed": 0, "horizon": 4.0, "stream_version": 3,
+                    "exterior_overrides": [], **fields}
+        head = ["# " + json.dumps(manifest), "site_coords,time,bit,legal,spin_after"]
+        batch = BatchLog.from_csv("\n".join(head + rows) + "\n")
+        legal, after = event_loop(batch, 0)
+        for i, y in enumerate(batch.window.sites):
+            _, _, got_legal, got_after = batch.rings(0, y)
+            assert np.array_equal(got_legal, legal[i]) and np.array_equal(got_after, after[i])
+        times, _, x_legal, x_after = batch.rings(0, x)
+        for nb, t in ties:
+            assert x_legal[times == t].all()
+            # at the tied instant the spins read are those after both rings
+            assert batch.spin_at_time(nb, t)[0] == 0
+            assert batch.spin_at_time(x, t)[0] == x_after[times == t][0]
+        flipped = [opposite.get(k, row) for k, row in enumerate(rows)]
+        with pytest.raises(SimulationError, match="differs from the replayed rings"):
+            BatchLog.from_csv("\n".join(head + flipped) + "\n")
 
     def test_header(self):
         log = single_site_log(horizon=1.0)

@@ -168,7 +168,7 @@ class TestOrientedPathLemma:
         # coordinate sum -k, between d*floor(alpha t) and floor(beta t)
         batch, geom = active_batch([derive_seed(900, seed) for seed in range(40)], alpha=0.08)
         found = oriented_path_check(batch, geom.t, geom.alpha, (0, 0)).found
-        sites = geom.D.sorted_sites()
+        sites = sorted(geom.D.sites)
         E = batch.updated_set(sites, geom.t / 2)[found]
         plane = -np.sum(sites, axis=1)
         lo = geom.d * math.floor(geom.alpha * geom.t)
@@ -204,7 +204,7 @@ class TestOrientedPathLemma:
         assert (short.length[found] > 0).all()
         assert not certify_paths(batch, t, alpha, x, short).any()
         # one reached site outside E
-        outside = ~batch.updated_set(geom.D.sorted_sites(), t / 2).reshape(check.reach.shape)
+        outside = ~batch.updated_set(sorted(geom.D.sites), t / 2).reshape(check.reach.shape)
         bad = found & outside.reshape(len(batch), -1).any(axis=1)
         reach = check.reach.copy()
         for r in np.flatnonzero(bad):
