@@ -27,7 +27,6 @@ from .estimators import (  # noqa: F401
 )
 from .theory import (  # noqa: F401
     ConstantsReport,
-    GeometrySet,
     PathCheck,
     certify_paths,
     compute_constants,

@@ -140,6 +140,20 @@ def build_generator(region: Region, boundary: Mapping[Site, int], p: float) -> G
     return Generator(region, boundary, p)
 
 
+def _state_vector(name: str, value, dim: int) -> np.ndarray:
+    """``value`` as a finite float vector over the dim states, else ExactEngineError naming it."""
+    vec = np.asarray(value)
+    if vec.dtype.kind not in "biuf":  # callables, strings, dicts and None give other kinds
+        raise ExactEngineError(f"{name} must be numeric, got {type(value).__name__} of dtype {vec.dtype}")
+    if vec.shape != (dim,):
+        raise ExactEngineError(f"{name} has shape {vec.shape}, the region has {dim} states")
+    vec = vec.astype(float, copy=False)
+    if not np.isfinite(vec).all():
+        state = int(np.argmin(np.isfinite(vec)))
+        raise ExactEngineError(f"{name} must be finite, got {vec[state]} at state {state}")
+    return vec
+
+
 def evolve_expectation(
     gen: Generator,
     initial: Union[int, np.ndarray],
@@ -151,32 +165,23 @@ def evolve_expectation(
     for f given as its values on the states 0..dim-1.
 
     ``initial`` is a bitmask state or a distribution vector over states; a
-    state outside 0..dim-1, a vector of the wrong length, an f that is not
-    finite, a t that is negative or not finite, a tol that is not > 0 (NaN
-    included), or a tol / max|f| that underflows to 0 raises
-    `ExactEngineError`.
+    state outside 0..dim-1, an f or a vector that is not numeric, of the
+    wrong length or not finite, a t that is negative or not finite, a tol
+    that is not > 0 (NaN included), or a tol / max|f| that underflows to 0
+    raises `ExactEngineError`.
     """
     if not 0 <= t < math.inf:
         raise ExactEngineError(f"t must be finite and >= 0, got {t}")
     if not tol > 0:
         raise ExactEngineError(f"tol must be > 0, got {tol}")
-    fvec = np.asarray(f, dtype=float)
-    if fvec.shape != (gen.dim,):
-        raise ExactEngineError(f"f has shape {fvec.shape}, the region has {gen.dim} states")
-    if not np.isfinite(fvec).all():
-        state = int(np.argmin(np.isfinite(fvec)))
-        raise ExactEngineError(f"f must be finite, got {fvec[state]} at state {state}")
+    fvec = _state_vector("f", f, gen.dim)
     if isinstance(initial, (int, np.integer)):
         if not 0 <= initial < gen.dim:
             raise ExactEngineError(f"initial state {initial} lies outside 0..{gen.dim - 1}")
         dist = np.zeros(gen.dim)
         dist[initial] = 1.0
     else:
-        dist = np.asarray(initial, dtype=float)
-        if dist.shape != (gen.dim,):
-            raise ExactEngineError(
-                f"initial distribution has shape {dist.shape}, the region has {gen.dim} states"
-            )
+        dist = _state_vector("initial distribution", initial, gen.dim)
     if t == 0:
         return float(dist @ fvec)
     lam = float(gen.n)  # uniformization rate: each of n sites rings at rate 1

@@ -233,9 +233,8 @@ class BatchLog:
     Row r*n + i holds site i of replica r, which starts at spin ``init[row]``;
     every replica shares the exterior ``rule``.  A row's rings are
     ``times[offsets[row]:offsets[row + 1]]`` in increasing order, with the drawn
-    bit, the legality and the spin after each ring.  Built on first use: per
-    ring, ``zero_time``, the time the site spent at 0 on [start, ring time];
-    per row, ``first_legal``, the first legal ring time (inf if none), and
+    bit, the legality and the spin after each ring.  Built on first use, per
+    row: ``first_legal``, the first legal ring time (inf if none), and
     ``first_change``, the first time the spin leaves its initial value.
     ``key`` and the sorted ``ordered`` times (see ``_rank_keys``) are the one
     ring index: a query costs O(log M) per row.  The queries answer for every
@@ -273,20 +272,6 @@ class BatchLog:
 
     def __len__(self) -> int:
         return self.seeds.size
-
-    @cached_property
-    def zero_time(self) -> np.ndarray:
-        m = self.times.size
-        row = self.key // m
-        col = np.arange(m) - self.offsets[row]
-        head = col == 0
-        prev_t = np.where(head, self.start, self.times[np.maximum(np.arange(m) - 1, 0)])
-        prev_s = np.where(head, self.init[row], self.spin_after[np.arange(m) - 1])
-        # per-row sequential cumulative sum, so a row's value ignores its batch
-        padded = np.zeros((self.init.size, int(np.diff(self.offsets).max(initial=0))))
-        padded[row, col] = np.where(prev_s == 0, self.times - prev_t, 0.0)
-        np.cumsum(padded, axis=1, out=padded)
-        return padded[row, col]
 
     @cached_property
     def first_legal(self) -> np.ndarray:
@@ -366,15 +351,23 @@ class BatchLog:
         return spins
 
     def occupation_time(self, x: Site, t: float) -> np.ndarray:
-        """Lebesgue time in [start, t] during which x has spin 0, per replica."""
+        """Lebesgue time in [start, t] during which x has spin 0, per replica:
+        the zero intervals between x's rings up to t, summed in ring order from
+        0, then the interval from the last of them (or from start) to t."""
         rows = self._rows(x)
         if not (self.start <= t <= self.horizon):
             raise SimulationError(f"time {t} outside [start, horizon]")
         last, hit = _last_ring(self.key, self.offsets, rows, self.ordered.searchsorted(t, "right"))
-        occ = (t - self.start) * (self.init[rows] == 0)
-        j = last[hit]
-        occ[hit] = self.zero_time[j] + (t - self.times[j]) * (self.spin_after[j] == 0)
-        return occ
+        lo = self.offsets[rows]
+        count = last + 1 - lo  # 0 where no ring: last is lo - 1 there
+        j, replica = _ranges(lo, count), np.repeat(np.arange(len(self)), count)
+        head = j == lo[replica]
+        prev_t = np.where(head, self.start, self.times[j - 1])
+        prev_s = np.where(head, self.init[rows][replica], self.spin_after[j - 1])
+        occ = np.bincount(replica, np.where(prev_s == 0, self.times[j] - prev_t, 0.0), len(self))
+        end_t, end_s = np.full(len(self), self.start), self.init[rows]
+        end_t[hit], end_s[hit] = self.times[last[hit]], self.spin_after[last[hit]]
+        return occ + (t - end_t) * (end_s == 0)
 
     def first_update_time(self, x: Site) -> np.ndarray:
         """Time of the first legal ring at x after start per replica, inf if none."""

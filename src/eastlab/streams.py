@@ -23,7 +23,6 @@ Cost of one chunk of 1365 rows x 12 rings (16 380 blocks), median of 800
 calls on a 2-core x86-64 host with numpy 2.4.6:
 
     lane rounds alone (_lanes)            811 us   50 ns per block
-    ring_bits                             822 us   50 ns per block
     ring_draws                            919 us   56 ns per block
     ring_draws on 32-bit words (before)  1498 us   91 ns per block
 """
@@ -163,11 +162,3 @@ def ring_draws(
         np.negative(g, out=g)
     return gaps, bits
 
-
-def ring_bits(seeds: np.ndarray, site_keys: np.ndarray, k0, count: int, p: float) -> np.ndarray:
-    """The bits of ``ring_draws`` alone, without computing the gaps."""
-    bits = np.empty((count, seeds.size), dtype=bool)
-    threshold = bit_threshold(p)
-    for block, _, y in _lanes(seeds, site_keys, k0, count):
-        np.less(y, threshold, out=bits[block])
-    return bits

@@ -19,20 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .estimators import replica_batches, wilson_halfwidth
-from .lattice import (
-    MeasureSpec,
-    ModelParams,
-    Region,
-    Site,
-    Window,
-)
+from .lattice import MeasureSpec, ModelParams, Site, Window
 from .sim import BatchLog
 
 
@@ -40,56 +32,31 @@ class TheoryCheckError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GeometrySet:
-    """The box D = {-radius..0}^d for given (t, alpha, d)."""
-
-    t: float
-    alpha: float
-    d: int
-
-    @property
-    def beta(self) -> float:
-        return 2 * self.d * self.alpha
-
-    @property
-    def radius(self) -> int:
-        """floor(2 d alpha t) = floor(beta t); D = {-radius..0}^d."""
-        return math.floor(self.beta * self.t)
-
-    @cached_property
-    def D(self) -> Region:
-        r = self.radius
-        return Region(frozenset(product(range(-r, 1), repeat=self.d)))
-
-    def D_fits(self, window: Window) -> bool:
-        """D = {-radius..0}^d lies in a window box iff it is empty or both its corners do."""
-        r = self.radius
-        return r < 0 or ((-r,) * self.d in window and (0,) * self.d in window)
-
-
 def _lemma_box(batch: BatchLog, t: float, alpha: float, x: Site):
-    """Check the lemma's premises; return D's batch rows (r * n_sites + window
-    index), shaped (R, r+1, ..., r+1) in D's lexicographic (C) order, x's index
+    """Check the lemma's premises, with D = {-radius..0}^d for radius =
+    floor(2 d alpha t); return D's batch rows (r * n_sites + window index),
+    shaped (R, radius+1, ..., radius+1) in D's lexicographic (C) order, x's index
     into them, and per site y of D, |x - y|_1 and whether y lies on D's outer
     layer: the sites with some coordinate equal to -radius."""
     if batch.start != 0:  # a resumed batch's init holds the spins at its start
         raise TheoryCheckError(f"batch.start = {batch.start:g}: the check needs a batch run from time 0")
-    geom = GeometrySet(t, alpha, batch.params.d)
-    small = math.floor(alpha * t)
+    d = batch.params.d
+    radius, small = math.floor(2 * d * alpha * t), math.floor(alpha * t)
     if not all(-small <= c <= 0 for c in x):
         raise TheoryCheckError(f"start site {x} outside {{-{small}..0}}^d")
     if t / 2.0 > batch.horizon:
         raise TheoryCheckError(f"t/2 = {t / 2.0:g} beyond log horizon {batch.horizon:g}")
     w = batch.window
-    if not geom.D_fits(w):
+    # D is a box, so it fits iff both its corners do; it is not empty, as
+    # alpha t < 0 fails the start-site check
+    if (-radius,) * d not in w or (0,) * d not in w:
         raise TheoryCheckError("D does not fit inside the log's window")
-    corner = np.indices((geom.radius + 1,) * geom.d)  # offsets from D's lower corner
+    corner = np.indices((radius + 1,) * d)  # offsets from D's lower corner
     extent = [hi - lo + 1 for lo, hi in zip(w.lower, w.upper)]
-    index = np.ravel_multi_index([c - geom.radius - lo for c, lo in zip(corner, w.lower)], extent)
-    rows = np.arange(len(batch)).reshape((-1,) + (1,) * geom.d) * batch.n_sites + index
-    xc = [c + geom.radius for c in x]
-    dist = np.abs(corner - np.reshape(xc, (-1,) + (1,) * geom.d)).sum(axis=0)
+    index = np.ravel_multi_index([c - radius - lo for c, lo in zip(corner, w.lower)], extent)
+    rows = np.arange(len(batch)).reshape((-1,) + (1,) * d) * batch.n_sites + index
+    xc = [c + radius for c in x]
+    dist = np.abs(corner - np.reshape(xc, (-1,) + (1,) * d)).sum(axis=0)
     return rows, (np.s_[:], *xc), dist, (corner == 0).any(axis=0)
 
 

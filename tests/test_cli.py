@@ -493,7 +493,7 @@ GOLDEN = {
         "measure = bernoulli 0.5\nsite = 1 1\ntimes = 1 2 3 4 5 6 7 8 9 10\nn = 100\n",
         "bda46048ac1940411e4e21716c4829455385bfcfb72123e3b483fa3cdd578ff6",
     ),
-    # the one kind that reads occupation_time and zero_time
+    # the one kind that reads occupation_time, which sums x's own rings
     "fk_probe.csv": (
         "fk_probe.csv",
         "kind = fk-probe\nd = 2\np = 0.5\nwindow_lower = -4 -4\nwindow_upper = 0 0\n"

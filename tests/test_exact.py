@@ -213,6 +213,30 @@ class TestEvolveExpectationInputs:
         with pytest.raises(ExactEngineError, match=rf"f must be finite, got {value} at state 2$"):
             evolve_expectation(self.two_site, 1, f, 1.0)
 
+    @pytest.mark.parametrize("f, kind", [(lambda s: float(s), "function of dtype object"),
+                                         ("0101", "str of dtype <U4"),
+                                         (["a", "b", "c", "d"], "list of dtype <U1"),
+                                         ({0: 1.0}, "dict of dtype object")],
+                             ids=["callable", "string", "strings", "dict"])
+    def test_f_not_numeric_named(self, f, kind):
+        with pytest.raises(ExactEngineError, match=f"f must be numeric, got {kind}$"):
+            evolve_expectation(self.two_site, 1, f, 1.0)
+
+    @pytest.mark.parametrize("initial, kind", [("0001", "str of dtype <U4"),
+                                               ([None, None, None, None], "list of dtype object")],
+                             ids=["string", "none"])
+    def test_initial_not_numeric_named(self, initial, kind):
+        # Nones would read as nan, and the result would be nan with no error
+        with pytest.raises(ExactEngineError, match=f"initial distribution must be numeric, got {kind}$"):
+            evolve_expectation(self.two_site, initial, np.ones(4), 1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_initial_not_finite_named(self, value):
+        initial = np.array([0.5, 0.5, value, 0.0])
+        with pytest.raises(ExactEngineError,
+                           match=rf"initial distribution must be finite, got {value} at state 2$"):
+            evolve_expectation(self.two_site, initial, np.ones(4), 1.0)
+
     def test_tol_underflowing_against_f_named(self):
         # 1e-320 / 1e10 is 0 in double precision: the truncation's q would be 0
         f = np.array([0.0, 1e10, 0.0, 1e10])

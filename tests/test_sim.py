@@ -183,6 +183,38 @@ class TestQueries:
         # neighbor (0,) frozen at 1: no legal ring, spin stays 0
         assert log0.occupation_time((1,), 8.5)[0] == pytest.approx(8.5)
 
+    @pytest.mark.parametrize("d, horizon, resume_to", [(1, 2.0, None), (2, 2.0, None), (3, 2.0, None),
+                                                       (2, 2.0, 3.0), (1, 0.0, None)],
+                             ids=["1d", "2d", "3d", "2d-resumed", "no-rings"])
+    def test_occupation_matches_sequential_sum(self, d, horizon, resume_to):
+        # bit for bit x's zero intervals up to t summed in ring order, then
+        # the tail to t, in every replica: at start, between rings, at ring
+        # times and at the horizon, with some replicas that never ring at x
+        w = Window((0,) * d, (2,) * (d - 1) + (1 + (d == 1) * 4,))
+        spins = np.random.default_rng(d).integers(0, 2, (12, w.site_count()))
+        batch = simulate_batch(ModelParams(d, 0.5), Exterior(w, 0, {}), spins, horizon, range(12))
+        if resume_to is not None:
+            batch = batch.resume(range(0, 12, 2), resume_to)
+        bare = 0
+        for x in w.sites:
+            rungs = [batch.rings(r, x) for r in range(len(batch))]
+            inits = [batch.initial(r).spin_at(x) for r in range(len(batch))]
+            bare += sum(times.size == 0 for times, *_ in rungs)
+            edges = np.concatenate([[batch.start, batch.horizon], *(ts for ts, *_ in rungs)])
+            edges = np.unique(edges)
+            for t in np.concatenate([edges, (edges[1:] + edges[:-1]) / 2]):
+                occ = batch.occupation_time(x, float(t))
+                for r, (times, _, _, after) in enumerate(rungs):
+                    acc, prev_t, prev_s = 0.0, batch.start, inits[r]
+                    for s, a in zip(times[times <= t], after[times <= t]):
+                        if prev_s == 0:
+                            acc += s - prev_t
+                        prev_t, prev_s = s, a
+                    if prev_s == 0:
+                        acc += t - prev_t
+                    assert occ[r] == acc, (x, r, t)
+        assert bare > 0
+
     def test_occupation_piecewise(self):
         log = single_site_log(p=0.5, horizon=50.0, seed=21)
         # cross-check against a dense-grid replay of the same log
@@ -288,9 +320,8 @@ class TestBatchInput:
         assert "first_legal" not in vars(batch)
         batch.first_update_time((1, 1))
         assert "first_legal" in vars(batch)
-        assert "zero_time" not in vars(batch) and "first_change" not in vars(batch)
-        batch.occupation_time((1, 1), 5.0)
-        assert "zero_time" in vars(batch) and "first_change" not in vars(batch)
+        batch.occupation_time((1, 1), 5.0)  # reads x's own rings, no summary
+        assert "first_change" not in vars(batch)
         oriented_path_check(batch, 2.0, 0.1, (0, 0))  # reads which sites stayed at 0
         assert "first_change" in vars(batch)
 

@@ -1,5 +1,6 @@
 import math
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from eastlab.lattice import (
 from eastlab.sim import simulate_batch
 from eastlab.streams import derive_seed
 from eastlab.theory import (
-    GeometrySet,
     TheoryCheckError,
     cascade_sites,
     certify_paths,
@@ -40,25 +40,58 @@ def resumed_box_batch():
     return batch.resume(range(200), 6.0)
 
 
+class Lemma(NamedTuple):
+    """The lemma's (t, alpha, d) and its box D = {-radius..0}^d."""
+
+    t: float
+    alpha: float
+    d: int
+
+    @property
+    def radius(self) -> int:
+        return math.floor(2 * self.d * self.alpha * self.t)
+
+    @property
+    def sites(self) -> list:
+        """D's sites in lexicographic order."""
+        return list(product(range(-self.radius, 1), repeat=self.d))
+
+
+def blank_batch(window: Window, horizon: float):
+    return simulate_batch(ModelParams(window.d, 0.5), Exterior(window, 0, {}),
+                          [1] * window.site_count(), horizon, [1, 2])
+
+
 class TestGeometry:
     def test_boxes(self):
-        geom = GeometrySet(t=10.0, alpha=0.2, d=2)
-        assert geom.radius == 8
-        assert len(geom.D) == 81
+        # D = {-8..0}^2 at t = 10, alpha = 0.2: the reach spans its 81 sites
+        batch = blank_batch(Window((-8, -8), (0, 0)), 5.0)
+        assert oriented_path_check(batch, 10.0, 0.2, (0, 0)).reach.shape == (2, 9, 9)
 
     @pytest.mark.parametrize("t, alpha", [(10.0, 0.2), (2.0, 0.1), (1.0, 0.0), (1.0, -0.3)])
     def test_d_fits_matches_site_scan(self, t, alpha):
-        geom = GeometrySet(t, alpha, 2)
-        r = geom.radius
+        # the check refuses D exactly when a site of D lies outside the window;
+        # alpha t < 0 leaves no start site, so an empty D never gets that far
+        lemma = Lemma(t, alpha, 2)
+        r = lemma.radius
         for lower, upper in product((-r - 1, -r, -r + 1), (-1, 0, 1)):
-            if lower <= upper:
-                w = Window((lower, -r - 1), (upper, 2))
-                assert geom.D_fits(w) == all(y in w for y in geom.D.sites)
+            if lower > upper:
+                continue
+            for w in (Window((lower, -r - 1), (upper, 2)), Window((-r - 1, lower), (2, upper))):
+                batch = blank_batch(w, t / 2)
+                if alpha < 0:
+                    with pytest.raises(TheoryCheckError, match="start site"):
+                        oriented_path_check(batch, t, alpha, (0, 0))
+                elif all(y in w for y in lemma.sites):
+                    assert oriented_path_check(batch, t, alpha, (0, 0)).reach.shape == (2, r + 1, r + 1)
+                else:
+                    with pytest.raises(TheoryCheckError, match="D does not fit"):
+                        oriented_path_check(batch, t, alpha, (0, 0))
 
 
 def active_batch(seeds, t=8.0, alpha=0.25, d=2, p=0.5):
     """Batch on a window covering D with frozen zeros outside: ergodic dynamics."""
-    geom = GeometrySet(t, alpha, d)
+    geom = Lemma(t, alpha, d)
     r = geom.radius
     w = Window((-r,) * d, (0,) * d)
     init = Configuration.with_zeros(w, [(0,) * d], exterior=0)
@@ -72,7 +105,7 @@ def lemma_cases(draw):
     d = draw(st.integers(1, 3))
     t = draw(st.floats(2.0, 10.0))
     alpha = draw(st.floats(0.0, {1: 0.3, 2: 0.12, 3: 0.06}[d]))
-    r, small = GeometrySet(t, alpha, d).radius, math.floor(alpha * t)
+    r, small = Lemma(t, alpha, d).radius, math.floor(alpha * t)
     x = tuple(draw(st.integers(-small, 0)) for _ in range(d))
     lower = tuple(-r - draw(st.integers(0, 1)) for _ in range(d))
     w = Window(lower, tuple(draw(st.integers(0, 1)) for _ in range(d)))
@@ -137,8 +170,7 @@ class TestOrientedPathLemma:
         # single zero with all-ones exterior can never be updated, so some
         # site of D stays at zero and the lemma hypothesis is void
         t, alpha, d = 10.0, 0.2, 2
-        geom = GeometrySet(t, alpha, d)
-        r = geom.radius
+        r = Lemma(t, alpha, d).radius
         w = Window((-r - 1,) * d, (1,) * d)
         init = Configuration.with_zeros(w, [(-1, -1)], exterior=1)
         batch = simulate_batch(ModelParams(d, 0.5), init.rule, init.spins, t, [5])
@@ -168,11 +200,11 @@ class TestOrientedPathLemma:
         # coordinate sum -k, between d*floor(alpha t) and floor(beta t)
         batch, geom = active_batch([derive_seed(900, seed) for seed in range(40)], alpha=0.08)
         found = oriented_path_check(batch, geom.t, geom.alpha, (0, 0)).found
-        sites = sorted(geom.D.sites)
+        sites = geom.sites
         E = batch.updated_set(sites, geom.t / 2)[found]
         plane = -np.sum(sites, axis=1)
         lo = geom.d * math.floor(geom.alpha * geom.t)
-        hi = math.floor(geom.beta * geom.t)
+        hi = geom.radius
         assert found.any() and lo < hi
         for k in range(lo, hi + 1):
             assert E[:, plane == k].any(axis=1).all(), f"E misses H_{k}"
@@ -204,7 +236,7 @@ class TestOrientedPathLemma:
         assert (short.length[found] > 0).all()
         assert not certify_paths(batch, t, alpha, x, short).any()
         # one reached site outside E
-        outside = ~batch.updated_set(sorted(geom.D.sites), t / 2).reshape(check.reach.shape)
+        outside = ~batch.updated_set(geom.sites, t / 2).reshape(check.reach.shape)
         bad = found & outside.reshape(len(batch), -1).any(axis=1)
         reach = check.reach.copy()
         for r in np.flatnonzero(bad):
