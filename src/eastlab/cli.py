@@ -300,7 +300,7 @@ def _run_simulate(config: ExperimentConfig, out: RunOutputs) -> None:
 def _run_persistence(config: ExperimentConfig, out: RunOutputs) -> None:
     series = estimate_persistence(
         config.params, config.measure, config.site, config.times, config.n,
-        config.window, config.seed,
+        config.window, config.seed, out.notes,
     )
     out.write("persistence.csv", series.to_csv(_series_manifest(config)))
     _write_fit(out, "persistence_fit.txt", series)

@@ -29,6 +29,7 @@ from .streams import derived_generator, derive_seed
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 RING_SLOT_BUDGET = 1 << 16  # ring slots simulated, or bootstrap indices drawn, at once
 N_BOOT = 1000  # bootstrap resamples of the relaxation draws
+BOX_SIDE = 6  # side of persistence's first box (see estimate_persistence)
 
 
 class EstimatorError(ValueError):
@@ -123,6 +124,8 @@ def replica_batches(
     tag: str,
     n: int,
     n_inner: Optional[int] = None,
+    runs: Optional[np.ndarray] = None,
+    within: Optional[Window] = None,
 ) -> Iterator[tuple[np.ndarray, BatchLog]]:
     """The replica driver: simulate runs in chunks of at most RING_SLOT_BUDGET
     ring slots, yielding (draw index of each replica, batch) per chunk.
@@ -134,18 +137,23 @@ def replica_batches(
     range of runs in (o, i) order: it hashes its seeds and draws its spin rows
     in one array call each.  Nothing carries from one chunk to the next, and
     replica randomness is counter-based, so no output depends on the chunking.
+    ``runs``, increasing indices into that order, runs those alone, each with
+    the draw and seed it has among all; every batch is simulated ``within``
+    (see ``BatchLog``).
     Raises EstimatorError on an ``n`` or ``n_inner`` below 1.
     """
     _positive(n=n, n_inner=n_inner)
     per_chunk = max(1, RING_SLOT_BUDGET // replica_ring_slots(window, horizon))
-    total = n * (n_inner or 1)
+    if runs is None:
+        runs = np.arange(n * (n_inner or 1))
     init_key = derive_seed(seed, f"{tag}-init")
-    for start in range(0, total, per_chunk):
-        draws, runs = np.divmod(np.arange(start, min(total, start + per_chunk)), n_inner or 1)
-        first = int(draws[0])
-        rule, rows = initial_rows(spec, window, init_key, range(first, int(draws[-1]) + 1))
-        seeds = derive_seed(seed, f"{tag}-sim", *((draws,) if n_inner is None else (draws, runs)))
-        yield draws, simulate_batch(params, rule, rows[draws - first], horizon, seeds)
+    for start in range(0, runs.size, per_chunk):
+        draws, inner = np.divmod(runs[start:start + per_chunk], n_inner or 1)
+        first = np.diff(draws, prepend=-1) != 0  # a draw's first run: its spins are drawn once
+        rule, rows = initial_rows(spec, window, init_key, draws[first])
+        seeds = derive_seed(seed, f"{tag}-sim", *((draws,) if n_inner is None else (draws, inner)))
+        yield draws, simulate_batch(params, rule, rows[np.cumsum(first) - 1], horizon, seeds,
+                                    within)
 
 
 def _positive(**counts: Optional[int]) -> None:
@@ -176,32 +184,52 @@ def estimate_persistence(
     n: int,
     window: Window,
     seed: int,
+    notes: Optional[dict] = None,
 ) -> DecaySeries:
     """Fraction of runs with no legal ring at x by each time, Wilson intervals.
 
-    A run's answer is its first update time tau_x, so runs are simulated in
-    stages and each stops at the first stage end it has updated by.  The
-    stage ends are requested times: the smallest positive one, then each
-    first one at least twice the previous end, then the horizon.  The driver
-    runs every replica to the first end; a batch's runs still without an
-    update resume to each next end in turn, in chunks whose first pass draws
-    at most RING_SLOT_BUDGET ring slots (or one run).  Each resumed chunk is
-    a batch of its own and pays a batch's fixed cost; the sweep keeps that
-    small by finding every ring's neighbor slot once per batch, not once per
-    hyperplane (``sim._sweep``).  A resumed run's rings are bit for bit those
-    of one run to the horizon (``BatchLog.resume``), so every tau_x, and with
-    it every output, is the one-shot run's.  A window x horizon over the
-    replica cap fails before any stage runs.
+    A run's answer is its first update time tau_x, which reads only sites
+    y <= x.  So runs are simulated first on the box W ∩ [x - s + 1, x] with
+    s = BOX_SIDE, the window's other sites unknown (``sim._sweep``).  A
+    run is certified when x's first ring that is not certainly illegal is
+    certainly legal, or when every ring of x to the horizon is certainly
+    illegal; its tau_x is then the window's.  The others rerun from time 0,
+    with the same draws and seeds, on the last box W ∩ {y <= x}, which has no
+    unknown neighbor and so decides every run.
+
+    On each box, runs are simulated in stages and each stops at the first
+    stage end it has updated by.  The stage ends are requested times: the
+    smallest positive one, then each first one at least twice the previous
+    end, then the horizon.  The driver runs every replica to the first end; a
+    batch's runs still without an update resume to each next end in turn, in
+    chunks whose first pass draws at most RING_SLOT_BUDGET ring slots (or one
+    run).  A resumed run's rings are bit for bit those of one run to the
+    horizon (``BatchLog.resume``), so every tau_x, and with it every output,
+    is the one-shot run's on the window.  A window x horizon over the replica
+    cap fails before any stage runs.  ``notes``, if given, receives
+    ``persistence.box_side`` and ``persistence.reruns`` (runs rerun on the
+    last box / n).
     """
     if x not in window:
         raise EstimatorError(f"site {x} outside window")
     ts = _time_grid(times, n=n)
     ends = _stage_ends(ts)
     replica_ring_slots(window, ends[-1])
-    counts = np.zeros(len(ts), dtype=np.int64)
-    for _, batch in replica_batches(params, spec, window, ends[0], seed, "persist", n):
-        tau = _first_updates(batch, x, ends[1:])
-        counts += (tau[:, None] > np.asarray(ts)).sum(axis=0)
+    lower = tuple(max(lo, c - BOX_SIDE + 1) for lo, c in zip(window.lower, x))
+    tau = np.full(n, np.nan)  # NaN until certified
+    runs = None  # every run
+    if lower != window.lower:  # the first box, the window's other sites unknown
+        for draws, batch in replica_batches(params, spec, Window(lower, x), ends[0], seed,
+                                            "persist", n, within=window):
+            tau[draws] = _first_updates(batch, x, ends[1:])
+        runs = np.flatnonzero(np.isnan(tau))
+    for draws, batch in replica_batches(params, spec, Window(window.lower, x), ends[0], seed,
+                                        "persist", n, runs=runs):
+        tau[draws] = _first_updates(batch, x, ends[1:])
+    if notes is not None:
+        reruns = 0 if runs is None else runs.size
+        notes.update({"persistence.box_side": str(BOX_SIDE), "persistence.reruns": f"{reruns}/{n}"})
+    counts = n - np.sort(tau).searchsorted(ts, "right")
     values = tuple(float(k) / n for k in counts)
     halfwidths = tuple(wilson_halfwidth(int(k), n) for k in counts)
     return DecaySeries(ts, values, halfwidths, n_outer=n, n_inner=1)
@@ -219,8 +247,9 @@ def _stage_ends(ts: Sequence[float]) -> list[float]:
 
 
 def _first_updates(batch: BatchLog, x: Site, ends: Sequence[float]) -> np.ndarray:
-    """tau_x per replica of ``batch`` (inf: none by the last end), resuming
-    the replicas not yet updated to each stage end after its horizon in turn.
+    """tau_x per replica of ``batch`` (inf: none by the last end; NaN: not
+    certified on a box), resuming the replicas not yet updated to each stage
+    end after its horizon in turn.
     Every resumed chunk is a new batch, whose sweep finds the neighbor slots
     of all its rings, a sentinel for those outside the window, once before
     its hyperplane loop (``sim._sweep``)."""

@@ -142,7 +142,10 @@ def build_generator(region: Region, boundary: Mapping[Site, int], p: float) -> G
 
 def _state_vector(name: str, value, dim: int) -> np.ndarray:
     """``value`` as a finite float vector over the dim states, else ExactEngineError naming it."""
-    vec = np.asarray(value)
+    try:
+        vec = np.asarray(value)
+    except ValueError:  # numpy's inhomogeneous-shape error
+        raise ExactEngineError(f"{name} is ragged: its nested sequences differ in length") from None
     if vec.dtype.kind not in "biuf":  # callables, strings, dicts and None give other kinds
         raise ExactEngineError(f"{name} must be numeric, got {type(value).__name__} of dtype {vec.dtype}")
     if vec.shape != (dim,):
@@ -165,8 +168,8 @@ def evolve_expectation(
     for f given as its values on the states 0..dim-1.
 
     ``initial`` is a bitmask state or a distribution vector over states; a
-    state outside 0..dim-1, an f or a vector that is not numeric, of the
-    wrong length or not finite, a t that is negative or not finite, a tol
+    state outside 0..dim-1, an f or a vector that is ragged, not numeric, of
+    the wrong length or not finite, a t that is negative or not finite, a tol
     that is not > 0 (NaN included), or a tol / max|f| that underflows to 0
     raises `ExactEngineError`.
     """

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -217,16 +217,18 @@ def bernoulli_weights(n: int, p: float) -> np.ndarray:
 
 
 def initial_rows(spec: MeasureSpec, window: Window, key: int,
-                 draws: range) -> tuple[Exterior, np.ndarray]:
+                 draws: Sequence[int]) -> tuple[Exterior, np.ndarray]:
     """The exterior rule and the (len(draws), sites) int8 spins of these draws
     on the window.  Under Bernoulli(q), site x of draw j is ring j's bit of
-    x's stream under ``key`` (``ring_draws``): 1 iff that block's bit uniform
-    is below q, whatever the other sites and draws.  A Delta measure
-    broadcasts one row."""
+    x's stream under ``key`` (``ring_draws``, one block per (draw, site)): 1
+    iff that block's bit uniform is below q, whatever the other sites and
+    draws.  A Delta measure broadcasts one row."""
     n = window.site_count()
     if isinstance(spec, ProductBernoulli):
-        _, bits = ring_draws(np.full(n, np.uint64(key)), window.site_keys, draws.start, len(draws), spec.q)
-        return Exterior(window, spec.exterior, {}), bits.view(np.int8)
+        m = len(draws)
+        _, bits = ring_draws(np.full(n * m, np.uint64(key)), np.tile(window.site_keys, m),
+                             np.repeat(np.asarray(draws, dtype=np.uint64), n), 1, spec.q)
+        return Exterior(window, spec.exterior, {}), bits.view(np.int8).reshape(m, n)
     if isinstance(spec, Delta):
         stored = spec.config
         if not stored.window.contains_window(window):

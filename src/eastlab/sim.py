@@ -31,6 +31,7 @@ MAX_HORIZON = 1e9
 # windows of 1e6-2e6 slots, every summary built; numpy 2.4, x86-64), so a
 # replica at the cap needs about 1.4 GB.
 MAX_REPLICA_RING_SLOTS = 1 << 24
+UNKNOWN = 2  # the spin of a site whose value a batch does not know (see ``_sweep``)
 
 
 class SimulationError(ValueError):
@@ -131,17 +132,30 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
-def _frozen_zero(rule: Exterior, boundary: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Per window site: some neighbor outside the window is frozen at 0."""
+def _frozen_zero(rule: Exterior, boundary: tuple[np.ndarray, ...],
+                 within: Optional[Window] = None) -> np.ndarray:
+    """Per window site: some neighbor outside the window, and outside
+    ``within`` if given, is frozen at 0."""
     window = rule.window
     row = np.zeros(window.site_count(), dtype=bool)
     for i, sites in enumerate(boundary):
+        if within is not None and within.lower[i] < window.lower[i]:
+            continue  # an open face: see _open_face
         zero = np.full(sites.size, rule.spin == 0)
         for y, s in rule.overrides.items():
             x = tuple(c + (k == i) for k, c in enumerate(y))  # y = x - e_i
             if x in window:
                 zero[sites.searchsorted(window.index(x))] = s == 0
         row[sites] |= zero
+    return row
+
+
+def _open_face(window: Window, boundary: tuple[np.ndarray, ...], within: Window) -> np.ndarray:
+    """Per window site: some neighbor lies in ``within`` but outside the
+    window, so that its spin is unknown."""
+    row = np.zeros(window.site_count(), dtype=bool)
+    for i, sites in enumerate(boundary):
+        row[sites] |= within.lower[i] < window.lower[i]
     return row
 
 
@@ -166,7 +180,7 @@ def _last_ring(key: np.ndarray, offsets: np.ndarray, rows: np.ndarray, rank) -> 
     return pos - 1, pos > offsets[rows]
 
 
-def _sweep(geo: _Geometry, init, free, offsets, bits, key):
+def _sweep(geo: _Geometry, init, free, offsets, bits, key, unsure=None):
     """Legality and spin after each ring, one hyperplane at a time.  A ring's
     neighbor spin is the spin after the neighbor's last ring ranked below it.
 
@@ -178,7 +192,15 @@ def _sweep(geo: _Geometry, init, free, offsets, bits, key):
     the sweep each axis finds them for the whole batch, in one searchsorted
     over the rings whose neighbor lies in the window (the queries come
     sorted).  The other rings point at the sentinel; ``free`` already holds
-    the frozen zeros there."""
+    the frozen zeros there.
+
+    With ``unsure`` (per site: a neighbor outside the window has an unknown
+    spin), spins take a third value UNKNOWN.  A ring is legal if some
+    neighbor is certainly 0, illegal if all are certainly 1, and of unknown
+    legality otherwise; after such a ring the spin stays certain only if the
+    bit equals it.  So every certain spin and legality is the one a run on a
+    larger window with the same rings has.  Returns (legal, spin after,
+    unknown legality), the last None without ``unsure``."""
     m, n_rows = key.size, init.size
     sentinel = m + n_rows
     row = key // m
@@ -191,6 +213,7 @@ def _sweep(geo: _Geometry, init, free, offsets, bits, key):
     buf[offsets[:-1] + np.arange(n_rows)] = init
     buf[sentinel] = 1
     legal = per_ring(free)
+    unknown = None if unsure is None else per_ring(unsure)
     slots = []
     for i, stride in enumerate(geo.strides):
         inner = per_ring(geo.coords[i] > 0)
@@ -214,17 +237,40 @@ def _sweep(geo: _Geometry, init, free, offsets, bits, key):
             continue
         rs = row[sel]
         ok = legal[sel]
-        for nb in slots:
-            ok |= buf[nb[sel]] == 0
+        if unknown is None:
+            for nb in slots:
+                ok |= buf[nb[sel]] == 0
+        else:
+            maybe = unknown[sel]
+            for nb in slots:
+                near = buf[nb[sel]]
+                ok |= near == 0
+                maybe |= near == UNKNOWN
+            maybe &= ~ok
+            unknown[sel] = maybe
         legal[sel] = ok
         # spin after a ring = bit of the row's last legal ring so far
         idx = np.arange(sel.size)
-        last = np.where(ok, idx, -1)
-        np.maximum.accumulate(last, out=last)
+        last = _last_index(ok, idx)
         first = idx - (sel - offsets[rs])
-        buf[sel + rs + 1] = np.where(last >= first, bits[sel][last], init[rs])
+        b = bits[sel]
+        spin = np.where(last >= first, b[last], init[rs])
+        if unknown is not None:
+            # lost: an unknown-legality ring since then drew the other bit
+            since = np.maximum(last, first - 1)
+            other = np.where(spin == 0, _last_index(maybe & (b == 1), idx),
+                             _last_index(maybe & (b == 0), idx))
+            spin[other > since] = UNKNOWN
+        buf[sel + rs + 1] = spin
     row += np.arange(1, m + 1)  # each ring's own entry in buf
-    return legal, buf[row]
+    return legal, buf[row], unknown
+
+
+def _last_index(mask: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per position, the last index at or before it where ``mask`` holds, -1 if none."""
+    last = np.where(mask, idx, -1)
+    np.maximum.accumulate(last, out=last)
+    return last
 
 
 class BatchLog:
@@ -247,16 +293,30 @@ class BatchLog:
     ``simulate_batch`` or ``resume`` made also keeps ``streams`` = (site keys,
     per row the index of its first ring after ``start`` and the time of the
     ring before it), 16 bytes per row, from which ``resume`` continues it.
+
+    A batch ``within`` a larger window simulates only its own window: the
+    spins of the larger window's other sites are unknown, and the exterior
+    rule holds beyond the larger window only.  Its spins may then read
+    UNKNOWN (initial spins too, as a resume starts), ``legal`` marks the
+    certainly legal rings and ``unknown`` those of unknown legality (None
+    without ``within``); see ``_sweep``.  Each certain value is the one the
+    larger window's run with the same rings has.  Of the per-site queries,
+    only ``first_update_time`` and ``rings`` answer on such a batch; the
+    others raise SimulationError, as an UNKNOWN spin has no value to report.
     """
 
     def __init__(self, params: ModelParams, rule: Exterior, spins, horizon: float,
                  seeds: np.ndarray, offsets: np.ndarray, times: np.ndarray, bits: np.ndarray,
                  start: float = 0.0,
-                 streams: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None):
+                 streams: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+                 within: Optional[Window] = None):
         self.params, self.rule, self.window = params, rule, rule.window
         self.start, self.horizon, self.seeds = float(start), float(horizon), seeds
         self.offsets, self.times, self.bits = offsets, times, bits
-        self.streams = streams
+        self.streams, self.within = streams, within
+        if within is not None and not (within.d == self.window.d
+                                       and within.contains_window(self.window)):
+            raise SimulationError(f"window {within} does not hold the batch's window")
         geo = _geometry(self.window)
         self.n_sites = geo.plane.size
         shape = (seeds.size, self.n_sites)
@@ -264,21 +324,28 @@ class BatchLog:
             self.init = np.broadcast_to(np.asarray(spins, dtype=np.int8), shape).flatten()
         except ValueError:
             raise SimulationError("need one row of window spins per seed, or one row for all")
-        if ((self.init != 0) & (self.init != 1)).any():
-            raise SimulationError("spins must be 0 or 1")
+        top = 1 if within is None else UNKNOWN
+        if ((self.init < 0) | (self.init > top)).any():
+            raise SimulationError("spins must be 0 or 1" + (", or UNKNOWN" if within else ""))
         self.key, self.ordered = _rank_keys(offsets, times)
-        free = _frozen_zero(rule, geo.boundary)
-        self.legal, self.spin_after = _sweep(geo, self.init, free, offsets, bits, self.key)
+        free = _frozen_zero(rule, geo.boundary, within)
+        unsure = None if within is None else _open_face(self.window, geo.boundary, within)
+        self.legal, self.spin_after, self.unknown = _sweep(
+            geo, self.init, free, offsets, bits, self.key, unsure)
 
     def __len__(self) -> int:
         return self.seeds.size
 
     @cached_property
     def first_legal(self) -> np.ndarray:
-        return self._first_time(self.legal)
+        first = self._first_time(self.legal)
+        if self.unknown is not None:  # NaN: a ring of unknown legality comes first
+            first[self._first_time(self.unknown) < first] = np.nan
+        return first
 
     @cached_property
     def first_change(self) -> np.ndarray:
+        self._certain("first_change")
         return self._first_time(self.spin_after != self.init[self.key // self.key.size])
 
     def _first_time(self, mask: np.ndarray) -> np.ndarray:
@@ -318,7 +385,11 @@ class BatchLog:
         base[rung] = self.times[end[rung] - 1]
         spins = self._final(rows).reshape(replicas.size, self.n_sites)
         return _run(self.params, self.rule, spins, self.seeds[replicas], keys, self.horizon,
-                    horizon, k_first[rows] + end - self.offsets[rows], base)
+                    horizon, k_first[rows] + end - self.offsets[rows], base, self.within)
+
+    def _certain(self, query: str) -> None:
+        if self.within is not None:
+            raise SimulationError(f"{query} is undefined on a box batch, whose spins may be UNKNOWN")
 
     def _site(self, x: Site) -> int:
         if x not in self.window:
@@ -336,6 +407,7 @@ class BatchLog:
     def spin_at_time(self, x: Site, s: float | Sequence[float]) -> np.ndarray:
         """Spin of x at time s in every replica; for a 1-d array of times, a
         (replicas, times) array.  Every time lies in [start, horizon]."""
+        self._certain("spin_at_time")
         rows = self._rows(x)
         s = np.asarray(s, dtype=float)
         if s.ndim > 1:
@@ -354,6 +426,7 @@ class BatchLog:
         """Lebesgue time in [start, t] during which x has spin 0, per replica:
         the zero intervals between x's rings up to t, summed in ring order from
         0, then the interval from the last of them (or from start) to t."""
+        self._certain("occupation_time")
         rows = self._rows(x)
         if not (self.start <= t <= self.horizon):
             raise SimulationError(f"time {t} outside [start, horizon]")
@@ -370,11 +443,13 @@ class BatchLog:
         return occ + (t - end_t) * (end_s == 0)
 
     def first_update_time(self, x: Site) -> np.ndarray:
-        """Time of the first legal ring at x after start per replica, inf if none."""
+        """Time of the first legal ring at x after start per replica, inf if
+        none; NaN where a ring of unknown legality comes before any legal one."""
         return self.first_legal[self._rows(x)]
 
     def updated_set(self, sites: Sequence[Site], deadline: float) -> np.ndarray:
         """(replicas, len(sites)) mask: site had a legal ring by the deadline."""
+        self._certain("updated_set")
         rows = np.stack([self._rows(x) for x in sites], axis=1)
         if not deadline <= self.horizon:
             raise SimulationError(f"deadline {deadline} beyond horizon")
@@ -390,6 +465,7 @@ class BatchLog:
 
     def final_spins(self) -> np.ndarray:
         """(replicas, sites) spins at the horizon."""
+        self._certain("final_spins")
         return self._final(np.arange(self.init.size)).reshape(len(self), self.n_sites)
 
     def initial(self, r: int) -> Configuration:
@@ -405,8 +481,8 @@ class BatchLog:
 
     def to_csv(self, r: int) -> str:
         """Replica r's event CSV: a JSON manifest line, then its rings in time order."""
-        if self.start:
-            raise SimulationError("a resumed batch's replicas have no event CSV")
+        if self.start or self.within:
+            raise SimulationError("a resumed batch's or a box's replicas have no event CSV")
         initial = self.initial(r)
         manifest = {
             "d": self.params.d,
@@ -479,7 +555,8 @@ class BatchLog:
 
 
 def simulate_batch(
-    params: ModelParams, rule: Exterior, spins, horizon: float, seeds: Sequence[int]
+    params: ModelParams, rule: Exterior, spins, horizon: float, seeds: Sequence[int],
+    within: Optional[Window] = None,
 ) -> BatchLog:
     """Run the graphical construction for replica r = (spins[r], seeds[r])
     under one exterior rule.
@@ -488,7 +565,8 @@ def simulate_batch(
     per seed, or a single row that every replica starts from.  Deterministic
     per replica: replica r's history depends on its own (params, rule, spins,
     horizon, seed) only, never on the rest of the batch.  A replica over
-    MAX_REPLICA_RING_SLOTS raises before any per-site array.
+    MAX_REPLICA_RING_SLOTS raises before any per-site array.  ``within``:
+    see ``BatchLog``.
     """
     window = rule.window
     if window.d != params.d:
@@ -500,17 +578,18 @@ def simulate_batch(
     keys = window.site_keys
     rows = seeds.size * keys.size
     return _run(params, rule, spins, seeds, keys, 0.0, horizon, np.zeros(rows, dtype=np.int64),
-                np.zeros(rows))
+                np.zeros(rows), within)
 
 
 def _run(params: ModelParams, rule: Exterior, spins, seeds: np.ndarray, keys: np.ndarray,
-         start: float, horizon: float, k_first: np.ndarray, base: np.ndarray) -> BatchLog:
+         start: float, horizon: float, k_first: np.ndarray, base: np.ndarray,
+         within: Optional[Window]) -> BatchLog:
     """Draw the rings of every (seed, site key) stream on (start, horizon],
     from ring ``k_first`` after time ``base`` per row, and sweep them."""
     offsets, times, bits = _ring_times(np.repeat(seeds, keys.size), np.tile(keys, seeds.size),
                                        params.p, start, horizon, k_first, base)
     return BatchLog(params, rule, spins, horizon, seeds, offsets, times, bits, start,
-                    (keys, k_first, base))
+                    (keys, k_first, base), within)
 
 
 def simulate(params: ModelParams, initial: Configuration, horizon: float, seed: int) -> BatchLog:

@@ -42,13 +42,15 @@ def _lemma_box(batch: BatchLog, t: float, alpha: float, x: Site):
         raise TheoryCheckError(f"batch.start = {batch.start:g}: the check needs a batch run from time 0")
     d = batch.params.d
     radius, small = math.floor(2 * d * alpha * t), math.floor(alpha * t)
+    if alpha * t < 0:
+        raise TheoryCheckError(f"alpha t = {alpha * t:g} < 0 leaves no start site")
     if not all(-small <= c <= 0 for c in x):
         raise TheoryCheckError(f"start site {x} outside {{-{small}..0}}^d")
     if t / 2.0 > batch.horizon:
         raise TheoryCheckError(f"t/2 = {t / 2.0:g} beyond log horizon {batch.horizon:g}")
     w = batch.window
     # D is a box, so it fits iff both its corners do; it is not empty, as
-    # alpha t < 0 fails the start-site check
+    # alpha t >= 0 here
     if (-radius,) * d not in w or (0,) * d not in w:
         raise TheoryCheckError("D does not fit inside the log's window")
     corner = np.indices((radius + 1,) * d)  # offsets from D's lower corner

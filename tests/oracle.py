@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from eastlab.exact import ExactEngineError
 from eastlab.lattice import bernoulli_weights, site_sub_e
-from eastlab.sim import BatchLog
+from eastlab.sim import UNKNOWN, BatchLog
 
 _PHILOX_M = (np.uint32(0xD2511F53), np.uint32(0xCD9E8D57))
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
@@ -67,14 +67,17 @@ def ring_blocks(seeds, site_keys, k0, count):
 
 
 def event_loop(batch, r):
-    """(legal, spin_after) per window site, aligned with ``batch.rings(r, x)``."""
-    params, initial = batch.params, batch.initial(r)
+    """(legal, spin_after) per window site, aligned with ``batch.rings(r, x)``.
+    In a batch ``within`` a larger window, the larger window's other sites
+    read UNKNOWN, and so does the legality of a ring whose neighbors are not
+    certainly 0 but include an UNKNOWN."""
+    params, rule = batch.params, batch.rule
     sites = batch.window.sites
     n = len(sites)
     index = {x: i for i, x in enumerate(sites)}
 
-    # neighbor slot table; slot n holds the frozen exterior spin, slots beyond
-    # it hold exterior override spins
+    # neighbor slot table; slot n holds the frozen exterior spin, slot n + 1
+    # UNKNOWN, slots beyond it hold exterior override spins
     extra_spins: list[int] = []
     override_slot: dict = {}
     nbrs: list[tuple[int, ...]] = []
@@ -84,10 +87,12 @@ def event_loop(batch, r):
             y = site_sub_e(x, i)
             j = index.get(y)
             if j is None:
-                if y in initial.exterior_overrides:
+                if batch.within is not None and y in batch.within:
+                    j = n + 1
+                elif y in rule.overrides:
                     if y not in override_slot:
-                        override_slot[y] = n + 1 + len(extra_spins)
-                        extra_spins.append(initial.exterior_overrides[y])
+                        override_slot[y] = n + 2 + len(extra_spins)
+                        extra_spins.append(rule.overrides[y])
                     j = override_slot[y]
                 else:
                     j = n
@@ -101,14 +106,17 @@ def event_loop(batch, r):
     ev_pos = np.concatenate([np.arange(r[0].size) for r in rings])
     order = np.argsort(times, kind="stable")
 
-    spins = list(initial.spins) + [initial.exterior] + extra_spins
-    legal = [np.zeros(r[0].size, dtype=bool) for r in rings]
+    spins = batch.init[r * n:(r + 1) * n].tolist() + [rule.spin, UNKNOWN] + extra_spins
+    legal = [np.zeros(r[0].size, dtype=np.int8) for r in rings]
     after = [np.zeros(r[0].size, dtype=np.int8) for r in rings]
     for k in order:
-        si = int(ev_site[k])
-        ok = any(spins[j] == 0 for j in nbrs[si])
-        if ok:
-            spins[si] = int(ev_bit[k])
+        si, bit = int(ev_site[k]), int(ev_bit[k])
+        near = [spins[j] for j in nbrs[si]]
+        ok = 1 if 0 in near else UNKNOWN if UNKNOWN in near else 0
+        if ok == 1:
+            spins[si] = bit
+        elif ok == UNKNOWN and spins[si] != bit:
+            spins[si] = UNKNOWN
         legal[si][ev_pos[k]] = ok
         after[si][ev_pos[k]] = spins[si]
     return legal, after

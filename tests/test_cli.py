@@ -311,6 +311,18 @@ class TestRuns:
         assert "config.seed = 7" in text
         assert "status = ok" in text
 
+    def test_persistence_manifest_records_boxes(self, tmp_path):
+        # a 9 x 9 window, wider than the first box: one of the 80 runs reruns
+        # on the whole window, and persistence.csv keeps the digest it had
+        # when every run simulated the whole window
+        text = ("kind = persistence\nd = 2\np = 0.6\nwindow_lower = -7 -7\nwindow_upper = 1 1\n"
+                "measure = bernoulli 0.7\nsite = 1 1\ntimes = 1 2 4 8\nn = 80\n")
+        assert main([write_config(tmp_path, text), "--seed", "7", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "persistence.box_side = 6" in lines and "persistence.reruns = 1/80" in lines
+        digest = hashlib.sha256((tmp_path / "persistence.csv").read_bytes()).hexdigest()
+        assert digest == "301ed87420a30cd805ef8aa016e264e5bf5a2e91267ec113c206ad3f5d3fe54d"
+
     def test_fit_needs_three_distinct_times(self, tmp_path):
         cfg = parse_config(PERSIST_CFG.replace("times = 0.5 1.0 2.0", "times = 1 1 1"))
         cfg.out_dir = str(tmp_path)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eastlab import estimators, sim
+from eastlab import estimators, lattice, sim
 from eastlab.estimators import (
     DecaySeries,
     EstimatorError,
@@ -29,6 +31,7 @@ from eastlab.lattice import (
     Region,
     Window,
     initial_rows,
+    site_sub_e,
 )
 from eastlab.sim import (
     MAX_REPLICA_RING_SLOTS,
@@ -276,6 +279,112 @@ class TestStagedPersistence:
             estimate_persistence(ModelParams(1, 0.5), ProductBernoulli(0.5), (0,), [1.0, horizon],
                                  3, w, 0)
         assert "sites" not in vars(w) and "site_keys" not in vars(w)
+
+
+@st.composite
+def box_setups(draw):
+    """estimate_persistence arguments on a random window (d = 1..3) and site,
+    under Bernoulli or a Delta stored on a wider window with exterior
+    overrides, and a first box side and slot budget for it to run with."""
+    d = draw(st.integers(1, 3))
+    lower = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    extent = tuple(draw(st.integers(1, {1: 9, 2: 5, 3: 3}[d])) for _ in range(d))
+    window = Window(lower, tuple(lo + e - 1 for lo, e in zip(lower, extent)))
+    x = draw(st.sampled_from(window.sites))
+    exterior = draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        spec = ProductBernoulli(draw(st.floats(0.0, 0.95)), exterior)
+    else:  # stored on a window up to one site wider per side: a rim becomes overrides
+        stored = Window(tuple(c - draw(st.integers(0, 1)) for c in window.lower),
+                        tuple(c + draw(st.integers(0, 1)) for c in window.upper))
+        spins = draw(st.lists(st.integers(0, 1), min_size=stored.site_count(),
+                              max_size=stored.site_count()))
+        edge = sorted({site_sub_e(y, i) for y in window.sites for i in range(d)}
+                      - set(stored.sites))
+        overrides = draw(st.dictionaries(st.sampled_from(edge), st.integers(0, 1), max_size=3)
+                         if edge else st.just({}))
+        spec = Delta(Configuration(stored, tuple(spins), exterior, overrides))
+    times = draw(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=4))
+    args = (ModelParams(d, draw(st.floats(0.05, 0.95))), spec, x, times,
+            draw(st.integers(1, 30)), window, draw(st.integers(0, 2**32)))
+    return args, draw(st.sampled_from([1, 2])), draw(st.sampled_from([None, 40, 400]))
+
+
+class TestBoxPersistence:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(box_setups())
+    def test_equals_one_shot_on_the_window(self, setup):
+        # a first box of side 1 or 2, then W ∩ {y <= x}, with the reruns'
+        # sparse draws split over chunks by the smaller budgets
+        args, side, budget = setup
+        want = one_shot_persistence(*args)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(estimators, "BOX_SIDE", side)
+            if budget is not None:
+                m.setattr(estimators, "RING_SLOT_BUDGET", budget)
+            assert estimate_persistence(*args) == want
+
+    def test_open_face_ring_is_uncertain(self):
+        # x = 2's one ring at t = 1 reads site 1, at spin 0 in the window:
+        # legal there, illegal in the box {2} under exterior 1, and of
+        # unknown legality in that box within the window
+        params, seeds = ModelParams(1, 0.5), np.zeros(1, dtype=np.uint64)
+        box, window = Window((2,), (2,)), Window((0,), (2,))
+        rings = (np.array([1.0]), np.array([0], dtype=np.int8))
+        closed = BatchLog(params, Exterior(box, 1, {}), [1], 2.0, seeds, np.array([0, 1]), *rings)
+        boxed = BatchLog(params, Exterior(box, 1, {}), [1], 2.0, seeds, np.array([0, 1]), *rings,
+                         within=window)
+        full = BatchLog(params, Exterior(window, 1, {}), [1, 0, 1], 2.0, seeds,
+                        np.array([0, 0, 0, 1]), *rings)
+        assert full.first_update_time((2,)).tolist() == [1.0]
+        assert closed.first_update_time((2,)).tolist() == [np.inf]
+        assert np.isnan(boxed.first_update_time((2,))).all()
+        assert boxed.unknown.tolist() == [True] and boxed.legal.tolist() == [False]
+        # its bit 0 differs from the spin 1 before it, so the spin is lost
+        assert boxed.spin_after.tolist() == [sim.UNKNOWN]
+        # queries that would report that lost spin as a value refuse
+        for query in (lambda: boxed.first_change, lambda: boxed.final_spins(),
+                      lambda: boxed.spin_at_time((2,), 1.5),
+                      lambda: boxed.occupation_time((2,), 1.5),
+                      lambda: boxed.updated_set([(2,)], 1.5)):
+            with pytest.raises(SimulationError, match="undefined on a box batch"):
+                query()
+
+    def test_every_replica_reruns_from_the_open_face(self, monkeypatch):
+        # the setting above under the estimator: x's neighbor starts at 0 just
+        # outside the box of side 1, so a run reruns on the window unless x
+        # never rings by the horizon
+        window = Window((0,), (2,))
+        args = (ModelParams(1, 0.5), Delta(Configuration.with_zeros(window, [(1,)])), (2,),
+                [0.5, 1, 2, 4], 50, window, 3)
+        monkeypatch.setattr(estimators, "BOX_SIDE", 1)
+        notes = {}
+        assert estimate_persistence(*args, notes=notes) == one_shot_persistence(*args)
+        never = sum((np.diff(batch.offsets) == 0).sum() for _, batch in replica_batches(
+            args[0], args[1], Window((2,), (2,)), 4.0, 3, "persist", 50))
+        assert notes == {"persistence.box_side": "1", "persistence.reruns": f"{50 - never}/50"}
+
+    def test_sweeps_fewer_rings_than_the_window(self, monkeypatch):
+        # persist-2d-wide's config at seed 7: the staged run on the whole
+        # window swept 41 598 rings and drew 151 912 Philox blocks
+        seen = {"rings": 0, "blocks": 0}
+        run, draws = sim._run, sim.ring_draws
+
+        def counted_run(*args):
+            batch = run(*args)
+            seen["rings"] += batch.times.size
+            return batch
+
+        def counted_draws(seeds, keys, k0, count, *args):
+            seen["blocks"] += seeds.size * count
+            return draws(seeds, keys, k0, count, *args)
+
+        monkeypatch.setattr(sim, "_run", counted_run)
+        monkeypatch.setattr(sim, "ring_draws", counted_draws)
+        monkeypatch.setattr(lattice, "ring_draws", counted_draws)
+        estimate_persistence(ModelParams(2, 0.5), ProductBernoulli(0.5), (1, 1), range(1, 11), 100,
+                             A4_WINDOW, 7)
+        assert seen["rings"] < 41_598 and seen["blocks"] < 151_912
 
 
 class TestRelaxation:

@@ -222,6 +222,14 @@ class TestEvolveExpectationInputs:
         with pytest.raises(ExactEngineError, match=f"f must be numeric, got {kind}$"):
             evolve_expectation(self.two_site, 1, f, 1.0)
 
+    @pytest.mark.parametrize("name", ["f", "initial distribution"])
+    def test_ragged_input_named(self, name):
+        # np.asarray once raised its bare inhomogeneous-shape ValueError here
+        ragged = [[1.0], [2.0, 3.0]]
+        f, initial = (ragged, 1) if name == "f" else (np.ones(4), ragged)
+        with pytest.raises(ExactEngineError, match=f"^{name} is ragged"):
+            evolve_expectation(self.two_site, initial, f, 1.0)
+
     @pytest.mark.parametrize("initial, kind", [("0001", "str of dtype <U4"),
                                                ([None, None, None, None], "list of dtype object")],
                              ids=["string", "none"])

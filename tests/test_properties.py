@@ -1,7 +1,7 @@
 """Property tests of the graphical construction on random windows (d = 1..3).
 
 Coupling properties: the sweep equals the time-ordered event loop given
-identical rings, histories are consistent under horizon extension, a batch
+identical rings, also on a box whose neighbors in the window are unknown, histories are consistent under horizon extension, a batch
 resumed from its horizon continues the one-shot run bit for bit, a site's
 rings ignore the enclosing window, a site's trajectory is measurable with
 respect to its backward cone, estimator outputs ignore the replica chunking,
@@ -86,6 +86,33 @@ def test_sweep_matches_event_loop(scenario):
         _, _, got_legal, got_after = log.rings(0, x)
         assert np.array_equal(got_legal, legal[i])
         assert np.array_equal(got_after, after[i])
+
+
+@PROPERTY
+@given(scenarios(), st.data())
+def test_box_sweep_matches_event_loop(scenario, data):
+    # a box of the window, its other sites unknown, from spins that may be
+    # unknown too; resumed, so that the resumed batch starts from lost spins
+    params, initial, horizon, seed = scenario
+    window = initial.window
+    lower = tuple(data.draw(st.integers(lo, hi)) for lo, hi in zip(window.lower, window.upper))
+    upper = tuple(data.draw(st.integers(lo, hi)) for lo, hi in zip(lower, window.upper))
+    box = Window(lower, upper)
+    n = box.site_count()
+    spins = data.draw(st.lists(st.lists(st.integers(0, sim.UNKNOWN), min_size=n, max_size=n),
+                               min_size=2, max_size=2))
+    rule = Exterior(box, initial.exterior, initial.exterior_overrides)
+    batch = simulate_batch(params, rule, spins, horizon, [seed, seed + 1], window)
+    for log in (batch, batch.resume([1, 0], horizon + 2.0)):
+        for r in range(len(log)):
+            legal, after = event_loop(log, r)
+            for i, x in enumerate(box.sites):
+                _, _, got_legal, got_after = log.rings(r, x)
+                row = r * n + i
+                unknown = log.unknown[log.offsets[row]:log.offsets[row + 1]]
+                assert np.array_equal(np.where(unknown, sim.UNKNOWN, got_legal), legal[i])
+                assert not (unknown & got_legal).any()
+                assert np.array_equal(got_after, after[i])
 
 
 @PROPERTY

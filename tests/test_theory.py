@@ -89,6 +89,13 @@ class TestGeometry:
                         oriented_path_check(batch, t, alpha, (0, 0))
 
 
+    def test_negative_alpha_t_named(self):
+        # once "start site (0, 0) outside {--1..0}^d", from floor(alpha t) = -1
+        batch = blank_batch(Window((-2, -2), (0, 0)), 0.5)
+        with pytest.raises(TheoryCheckError, match=r"^alpha t = -0\.3 < 0 leaves no start site$"):
+            oriented_path_check(batch, 1.0, -0.3, (0, 0))
+
+
 def active_batch(seeds, t=8.0, alpha=0.25, d=2, p=0.5):
     """Batch on a window covering D with frozen zeros outside: ergodic dynamics."""
     geom = Lemma(t, alpha, d)
