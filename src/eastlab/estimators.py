@@ -29,7 +29,7 @@ from .streams import derived_generator, derive_seed
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 RING_SLOT_BUDGET = 1 << 16  # ring slots simulated, or bootstrap indices drawn, at once
 N_BOOT = 1000  # bootstrap resamples of the relaxation draws
-BOX_SIDE = 6  # side of persistence's first box (see estimate_persistence)
+BOX_SIDE = 4  # side of persistence's first box (see estimate_persistence)
 
 
 class EstimatorError(ValueError):
@@ -189,43 +189,34 @@ def estimate_persistence(
     """Fraction of runs with no legal ring at x by each time, Wilson intervals.
 
     A run's answer is its first update time tau_x, which reads only sites
-    y <= x.  So runs are simulated first on the box W ∩ [x - s + 1, x] with
-    s = BOX_SIDE, the window's other sites unknown (``sim._sweep``).  A
-    run is certified when x's first ring that is not certainly illegal is
-    certainly legal, or when every ring of x to the horizon is certainly
-    illegal; its tau_x is then the window's.  The others rerun from time 0,
-    with the same draws and seeds, on the last box W ∩ {y <= x}, which has no
-    unknown neighbor and so decides every run.
-
-    On each box, runs are simulated in stages and each stops at the first
-    stage end it has updated by.  The stage ends are requested times: the
-    smallest positive one, then each first one at least twice the previous
-    end, then the horizon.  The driver runs every replica to the first end; a
-    batch's runs still without an update resume to each next end in turn, in
-    chunks whose first pass draws at most RING_SLOT_BUDGET ring slots (or one
-    run).  A resumed run's rings are bit for bit those of one run to the
-    horizon (``BatchLog.resume``), so every tau_x, and with it every output,
-    is the one-shot run's on the window.  A window x horizon over the replica
-    cap fails before any stage runs.  ``notes``, if given, receives
+    y <= x.  So every run is simulated once, from time 0 to the last requested
+    time, on the box W ∩ [x - s + 1, x] with s = BOX_SIDE, the window's other
+    sites unknown (``sim._sweep``).  A run is certified when x's first ring
+    that is not certainly illegal is certainly legal, or when every ring of x
+    to the horizon is certainly illegal; its tau_x is then the window's.  The
+    others rerun once, with the same draws and seeds, on W ∩ {y <= x}, which
+    has no unknown neighbor and so decides every run.  Every tau_x, and with
+    it every output, is the run's on the window.  A window x horizon over the
+    replica cap fails before any box runs.  ``notes``, if given, receives
     ``persistence.box_side`` and ``persistence.reruns`` (runs rerun on the
     last box / n).
     """
     if x not in window:
         raise EstimatorError(f"site {x} outside window")
     ts = _time_grid(times, n=n)
-    ends = _stage_ends(ts)
-    replica_ring_slots(window, ends[-1])
+    horizon = ts[-1]
+    replica_ring_slots(window, horizon)
     lower = tuple(max(lo, c - BOX_SIDE + 1) for lo, c in zip(window.lower, x))
     tau = np.full(n, np.nan)  # NaN until certified
     runs = None  # every run
     if lower != window.lower:  # the first box, the window's other sites unknown
-        for draws, batch in replica_batches(params, spec, Window(lower, x), ends[0], seed,
+        for draws, batch in replica_batches(params, spec, Window(lower, x), horizon, seed,
                                             "persist", n, within=window):
-            tau[draws] = _first_updates(batch, x, ends[1:])
+            tau[draws] = batch.first_update_time(x)
         runs = np.flatnonzero(np.isnan(tau))
-    for draws, batch in replica_batches(params, spec, Window(window.lower, x), ends[0], seed,
+    for draws, batch in replica_batches(params, spec, Window(window.lower, x), horizon, seed,
                                         "persist", n, runs=runs):
-        tau[draws] = _first_updates(batch, x, ends[1:])
+        tau[draws] = batch.first_update_time(x)
     if notes is not None:
         reruns = 0 if runs is None else runs.size
         notes.update({"persistence.box_side": str(BOX_SIDE), "persistence.reruns": f"{reruns}/{n}"})
@@ -233,38 +224,6 @@ def estimate_persistence(
     values = tuple(float(k) / n for k in counts)
     halfwidths = tuple(wilson_halfwidth(int(k), n) for k in counts)
     return DecaySeries(ts, values, halfwidths, n_outer=n, n_inner=1)
-
-
-def _stage_ends(ts: Sequence[float]) -> list[float]:
-    """Persistence stage ends for the sorted requested times ``ts``."""
-    ends: list[float] = []
-    for t in ts:
-        if t > 0 and (not ends or t >= 2 * ends[-1]):
-            ends.append(t)
-    if not ends or ends[-1] < ts[-1]:
-        ends.append(ts[-1])
-    return ends
-
-
-def _first_updates(batch: BatchLog, x: Site, ends: Sequence[float]) -> np.ndarray:
-    """tau_x per replica of ``batch`` (inf: none by the last end; NaN: not
-    certified on a box), resuming the replicas not yet updated to each stage
-    end after its horizon in turn.
-    Every resumed chunk is a new batch, whose sweep finds the neighbor slots
-    of all its rings, a sentinel for those outside the window, once before
-    its hyperplane loop (``sim._sweep``)."""
-    tau = batch.first_update_time(x)
-    waiting = np.flatnonzero(tau == np.inf)
-    if not ends or waiting.size == 0:
-        return tau
-    per_chunk = max(1, RING_SLOT_BUDGET // replica_ring_slots(batch.window, ends[0] - batch.horizon))
-    for part in np.array_split(waiting, -(-waiting.size // per_chunk)):
-        # keep the last resumed batch alive while the next is built, as the
-        # driver's chunks are: freed first, its heap pages went back to the
-        # system and were faulted in again (9x the page faults per run)
-        resumed = batch.resume(part, ends[0])
-        tau[part] = _first_updates(resumed, x, ends[1:])
-    return tau
 
 
 def estimate_relaxation(

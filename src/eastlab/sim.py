@@ -81,29 +81,26 @@ def _geometry(window: Window) -> _Geometry:
     )
 
 
-def _ring_times(seeds: np.ndarray, keys: np.ndarray, p: float, start: float, horizon: float,
-                k_first: np.ndarray, base: np.ndarray):
-    """CSR offsets, times and bits of each stream's rings on (start, horizon].
+def _ring_times(seeds: np.ndarray, keys: np.ndarray, p: float, horizon: float):
+    """CSR offsets, times and bits of each stream's rings on (0, horizon].
 
-    Stream r's first ring after ``start`` is ring ``k_first[r]``, and
-    ``base[r]`` is the time of the ring before it (0 before ring 0).  Times
-    are sequential cumulative sums of the gaps from there, so ring k's time
-    does not depend on how many rings a pass draws, nor on where an earlier
-    batch stopped.  Every pass is ring_block(horizon - start) wide and starts
-    each stream at its next ring.  A stream enters another pass only if all
-    its drawn rings fell inside the horizon, so its rings of pass j land j x
-    width after its offset.  A pass is ring-major, (width, rows): its
-    cumulative sum runs down axis 0, one add per ring for all rows at once,
-    which are the same sequential sums as row by row.  The first pass fills
-    every slot that no later pass fills, so it needs no index array.
+    Times are sequential cumulative sums of the gaps from 0, so ring k's time
+    does not depend on how many rings a pass draws.  Every pass is
+    ring_block(horizon) wide and starts each stream at its next ring.  A
+    stream enters another pass only if all its drawn rings fell inside the
+    horizon, so its rings of pass j land j x width after its offset.  A pass
+    is ring-major, (width, rows): its cumulative sum runs down axis 0, one add
+    per ring for all rows at once, which are the same sequential sums as row
+    by row.  The first pass fills every slot that no later pass fills, so it
+    needs no index array.
     """
     n = seeds.size
-    width = ring_block(horizon - start)
-    rows, last = np.arange(n), base
+    width = ring_block(horizon)
+    rows, last = np.arange(n), 0.0
     counts = np.zeros(n, dtype=np.int64)
     passes = []
     while rows.size:
-        times, bits = ring_draws(seeds[rows], keys[rows], k_first[rows] + len(passes) * width, width, p)
+        times, bits = ring_draws(seeds[rows], keys[rows], len(passes) * width, width, p)
         times[0] += last
         np.cumsum(times, axis=0, out=times)
         inside = times <= horizon
@@ -288,32 +285,26 @@ class BatchLog:
     index r.
 
     The constructor sweeps the given rings (``offsets``, ``times``, ``bits``),
-    which fall on (start, horizon], for legality and spins, from ``spins`` at
-    ``start``: one row per seed, or one for all.  A batch that
-    ``simulate_batch`` or ``resume`` made also keeps ``streams`` = (site keys,
-    per row the index of its first ring after ``start`` and the time of the
-    ring before it), 16 bytes per row, from which ``resume`` continues it.
+    which fall on (0, horizon], for legality and spins, from 0/1 ``spins`` at
+    time 0: one row of window spins per seed, or one for all.
 
     A batch ``within`` a larger window simulates only its own window: the
     spins of the larger window's other sites are unknown, and the exterior
-    rule holds beyond the larger window only.  Its spins may then read
-    UNKNOWN (initial spins too, as a resume starts), ``legal`` marks the
-    certainly legal rings and ``unknown`` those of unknown legality (None
-    without ``within``); see ``_sweep``.  Each certain value is the one the
-    larger window's run with the same rings has.  Of the per-site queries,
-    only ``first_update_time`` and ``rings`` answer on such a batch; the
-    others raise SimulationError, as an UNKNOWN spin has no value to report.
+    rule holds beyond the larger window only.  Its spins after a ring may
+    then read UNKNOWN, ``legal`` marks the certainly legal rings and
+    ``unknown`` those of unknown legality (None without ``within``); see
+    ``_sweep``.  Each certain value is the one the larger window's run with
+    the same rings has.  Of the per-site queries, only ``first_update_time``
+    and ``rings`` answer on such a batch; the others and ``to_csv`` raise
+    SimulationError, as an UNKNOWN spin has no value to report.
     """
 
     def __init__(self, params: ModelParams, rule: Exterior, spins, horizon: float,
                  seeds: np.ndarray, offsets: np.ndarray, times: np.ndarray, bits: np.ndarray,
-                 start: float = 0.0,
-                 streams: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
                  within: Optional[Window] = None):
         self.params, self.rule, self.window = params, rule, rule.window
-        self.start, self.horizon, self.seeds = float(start), float(horizon), seeds
+        self.horizon, self.seeds, self.within = float(horizon), seeds, within
         self.offsets, self.times, self.bits = offsets, times, bits
-        self.streams, self.within = streams, within
         if within is not None and not (within.d == self.window.d
                                        and within.contains_window(self.window)):
             raise SimulationError(f"window {within} does not hold the batch's window")
@@ -321,12 +312,15 @@ class BatchLog:
         self.n_sites = geo.plane.size
         shape = (seeds.size, self.n_sites)
         try:
-            self.init = np.broadcast_to(np.asarray(spins, dtype=np.int8), shape).flatten()
-        except ValueError:
-            raise SimulationError("need one row of window spins per seed, or one row for all")
-        top = 1 if within is None else UNKNOWN
-        if ((self.init < 0) | (self.init > top)).any():
-            raise SimulationError("spins must be 0 or 1" + (", or UNKNOWN" if within else ""))
+            spins = np.asarray(spins, dtype=np.int8)
+        except ValueError:  # ragged rows
+            spins = None
+        if spins is None or spins.shape not in (shape, shape[1:], (1, self.n_sites)):
+            raise SimulationError(f"need one row of {self.n_sites} window spins per seed, "
+                                  "or one row for all")
+        self.init = np.broadcast_to(spins, shape).flatten()
+        if ((self.init < 0) | (self.init > 1)).any():
+            raise SimulationError("spins must be 0 or 1")
         self.key, self.ordered = _rank_keys(offsets, times)
         free = _frozen_zero(rule, geo.boundary, within)
         unsure = None if within is None else _open_face(self.window, geo.boundary, within)
@@ -356,37 +350,6 @@ class BatchLog:
         out[r[lead]] = self.times[idx[lead]]
         return out
 
-    def resume(self, replicas, horizon: float) -> "BatchLog":
-        """The given replicas continued from this batch's horizon to a later one.
-
-        The new batch starts at this horizon from its final spins.  Each stream
-        goes on from the ring after the last one this batch kept, drawn again
-        from its counter, and its times continue the sum of gaps from that
-        last ring's time.  So the new batch's rings, legality and spins on
-        (start, horizon] are bit for bit those of one run of the same replicas
-        to ``horizon``, and it can resume in turn.  Raises SimulationError on a
-        batch replayed from CSV, replicas not distinct or not in the batch, or
-        a horizon before this one.
-        """
-        if self.streams is None:
-            raise SimulationError("only a simulated batch can resume")
-        if not self.horizon <= horizon <= MAX_HORIZON:
-            raise SimulationError(f"resume horizon must lie in [{self.horizon}, {MAX_HORIZON:g}]")
-        replicas = np.asarray(replicas, dtype=np.int64).reshape(-1)
-        if not (replicas.size and ((0 <= replicas) & (replicas < len(self))).all()
-                and np.bincount(replicas).max() == 1):  # np.unique would import numpy.ma
-            raise SimulationError("need distinct replica indices of the batch, at least one")
-        replica_ring_slots(self.window, horizon - self.horizon)
-        keys, k_first, base = self.streams
-        rows = (replicas[:, None] * self.n_sites + np.arange(self.n_sites)).ravel()
-        end = self.offsets[rows + 1]
-        rung = end > self.offsets[rows]
-        base = base[rows]
-        base[rung] = self.times[end[rung] - 1]
-        spins = self._final(rows).reshape(replicas.size, self.n_sites)
-        return _run(self.params, self.rule, spins, self.seeds[replicas], keys, self.horizon,
-                    horizon, k_first[rows] + end - self.offsets[rows], base, self.within)
-
     def _certain(self, query: str) -> None:
         if self.within is not None:
             raise SimulationError(f"{query} is undefined on a box batch, whose spins may be UNKNOWN")
@@ -406,15 +369,15 @@ class BatchLog:
 
     def spin_at_time(self, x: Site, s: float | Sequence[float]) -> np.ndarray:
         """Spin of x at time s in every replica; for a 1-d array of times, a
-        (replicas, times) array.  Every time lies in [start, horizon]."""
+        (replicas, times) array.  Every time lies in [0, horizon]."""
         self._certain("spin_at_time")
         rows = self._rows(x)
         s = np.asarray(s, dtype=float)
         if s.ndim > 1:
             raise SimulationError(f"times must be one time or a 1-d array, got shape {s.shape}")
-        outside = ~((self.start <= s) & (s <= self.horizon))  # NaN included
+        outside = ~((0 <= s) & (s <= self.horizon))  # NaN included
         if outside.any():
-            raise SimulationError(f"time {s[outside][0]} outside [start, horizon]")
+            raise SimulationError(f"time {s[outside][0]} outside [0, horizon]")
         if s.ndim:
             rows = rows[:, None]
         last, hit = _last_ring(self.key, self.offsets, rows, self.ordered.searchsorted(s, "right"))
@@ -423,28 +386,28 @@ class BatchLog:
         return spins
 
     def occupation_time(self, x: Site, t: float) -> np.ndarray:
-        """Lebesgue time in [start, t] during which x has spin 0, per replica:
+        """Lebesgue time in [0, t] during which x has spin 0, per replica:
         the zero intervals between x's rings up to t, summed in ring order from
-        0, then the interval from the last of them (or from start) to t."""
+        0, then the interval from the last of them (or from 0) to t."""
         self._certain("occupation_time")
         rows = self._rows(x)
-        if not (self.start <= t <= self.horizon):
-            raise SimulationError(f"time {t} outside [start, horizon]")
+        if not (0 <= t <= self.horizon):
+            raise SimulationError(f"time {t} outside [0, horizon]")
         last, hit = _last_ring(self.key, self.offsets, rows, self.ordered.searchsorted(t, "right"))
         lo = self.offsets[rows]
         count = last + 1 - lo  # 0 where no ring: last is lo - 1 there
         j, replica = _ranges(lo, count), np.repeat(np.arange(len(self)), count)
         head = j == lo[replica]
-        prev_t = np.where(head, self.start, self.times[j - 1])
+        prev_t = np.where(head, 0.0, self.times[j - 1])
         prev_s = np.where(head, self.init[rows][replica], self.spin_after[j - 1])
         occ = np.bincount(replica, np.where(prev_s == 0, self.times[j] - prev_t, 0.0), len(self))
-        end_t, end_s = np.full(len(self), self.start), self.init[rows]
+        end_t, end_s = np.zeros(len(self)), self.init[rows]
         end_t[hit], end_s[hit] = self.times[last[hit]], self.spin_after[last[hit]]
         return occ + (t - end_t) * (end_s == 0)
 
     def first_update_time(self, x: Site) -> np.ndarray:
-        """Time of the first legal ring at x after start per replica, inf if
-        none; NaN where a ring of unknown legality comes before any legal one."""
+        """Time of the first legal ring at x per replica, inf if none; NaN
+        where a ring of unknown legality comes before any legal one."""
         return self.first_legal[self._rows(x)]
 
     def updated_set(self, sites: Sequence[Site], deadline: float) -> np.ndarray:
@@ -455,18 +418,15 @@ class BatchLog:
             raise SimulationError(f"deadline {deadline} beyond horizon")
         return self.first_legal[rows] <= deadline
 
-    def _final(self, rows: np.ndarray) -> np.ndarray:
-        """Spin after each row's last ring, or its initial spin."""
-        spins = self.init[rows]
-        end = self.offsets[rows + 1]
-        rung = end > self.offsets[rows]
-        spins[rung] = self.spin_after[end[rung] - 1]
-        return spins
-
     def final_spins(self) -> np.ndarray:
-        """(replicas, sites) spins at the horizon."""
+        """(replicas, sites) spins at the horizon: after each row's last ring,
+        or its initial spin."""
         self._certain("final_spins")
-        return self._final(np.arange(self.init.size)).reshape(len(self), self.n_sites)
+        spins = self.init.copy()
+        end = self.offsets[1:]
+        rung = end > self.offsets[:-1]
+        spins[rung] = self.spin_after[end[rung] - 1]
+        return spins.reshape(len(self), self.n_sites)
 
     def initial(self, r: int) -> Configuration:
         """Replica r's initial configuration: the exterior rule and its row."""
@@ -481,8 +441,7 @@ class BatchLog:
 
     def to_csv(self, r: int) -> str:
         """Replica r's event CSV: a JSON manifest line, then its rings in time order."""
-        if self.start or self.within:
-            raise SimulationError("a resumed batch's or a box's replicas have no event CSV")
+        self._certain("to_csv")
         initial = self.initial(r)
         manifest = {
             "d": self.params.d,
@@ -517,11 +476,20 @@ class BatchLog:
     @staticmethod
     def from_csv(text: str) -> "BatchLog":
         """Replay a ``to_csv`` log's ring times and bits as a batch of one.  Raises
-        SimulationError on a wrong column header, a site outside the window, ring
-        times of a site not strictly increasing within (0, horizon], a bit not
-        0/1, or ``legal``/``spin_after`` columns unlike the replay."""
+        SimulationError on empty text, a manifest key missing, a wrong column
+        header, a row without exactly its five columns, a site outside the
+        window, ring times of a site not strictly increasing within
+        (0, horizon], a bit not 0/1, initial spins not one 0/1 per window site,
+        or ``legal``/``spin_after`` columns unlike the replay."""
         lines = text.splitlines()
+        if not lines:
+            raise SimulationError("empty event log")
         manifest = json.loads(lines[0].lstrip("# "))
+        missing = [k for k in ("d", "p", "seed", "horizon", "window_lower", "window_upper",
+                               "exterior", "exterior_overrides", "initial_spins")
+                   if k not in manifest]
+        if missing:
+            raise SimulationError(f"event manifest lacks {', '.join(missing)}")
         if lines[1:2] != ["site_coords,time,bit,legal,spin_after"]:
             raise SimulationError(f"unexpected event header {lines[1:2]}")
         params, horizon = ModelParams(manifest["d"], manifest["p"]), manifest["horizon"]
@@ -530,6 +498,9 @@ class BatchLog:
             window, manifest["exterior"], {tuple(x): s for x, s in manifest["exterior_overrides"]}
         )
         rows = [ln.split(",") for ln in lines[2:] if ln.strip()]
+        for r in rows:
+            if len(r) != 5:
+                raise SimulationError(f"event row {','.join(r)!r} does not have 5 columns")
         sites = [tuple(int(c) for c in r[0].split(";")) for r in rows]
         for x in sites:
             if x not in window:
@@ -576,20 +547,9 @@ def simulate_batch(
         raise SimulationError("need at least one seed")
     replica_ring_slots(window, horizon)
     keys = window.site_keys
-    rows = seeds.size * keys.size
-    return _run(params, rule, spins, seeds, keys, 0.0, horizon, np.zeros(rows, dtype=np.int64),
-                np.zeros(rows), within)
-
-
-def _run(params: ModelParams, rule: Exterior, spins, seeds: np.ndarray, keys: np.ndarray,
-         start: float, horizon: float, k_first: np.ndarray, base: np.ndarray,
-         within: Optional[Window]) -> BatchLog:
-    """Draw the rings of every (seed, site key) stream on (start, horizon],
-    from ring ``k_first`` after time ``base`` per row, and sweep them."""
     offsets, times, bits = _ring_times(np.repeat(seeds, keys.size), np.tile(keys, seeds.size),
-                                       params.p, start, horizon, k_first, base)
-    return BatchLog(params, rule, spins, horizon, seeds, offsets, times, bits, start,
-                    (keys, k_first, base), within)
+                                       params.p, horizon)
+    return BatchLog(params, rule, spins, horizon, seeds, offsets, times, bits, within)
 
 
 def simulate(params: ModelParams, initial: Configuration, horizon: float, seed: int) -> BatchLog:

@@ -10,9 +10,8 @@ find one would contradict a proven statement and is surfaced as a
 counterexample.  The check reads only [0, t/2], so it needs a batch
 simulated to t/2, not t: ring times come from the Philox counter, not the
 horizon, and the sweep is causal, so a longer batch gives the same answers.
-It reads ``init`` as the spins at time 0, so it rejects a resumed batch
-(start > 0).  The module also evaluates the closed-form constants of the
-decay machinery and probes the occupation-time cascade along y^(0)..y^(d).
+The module also evaluates the closed-form constants of the decay machinery
+and probes the occupation-time cascade along y^(0)..y^(d).
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ def _lemma_box(batch: BatchLog, t: float, alpha: float, x: Site):
     shaped (R, radius+1, ..., radius+1) in D's lexicographic (C) order, x's index
     into them, and per site y of D, |x - y|_1 and whether y lies on D's outer
     layer: the sites with some coordinate equal to -radius."""
-    if batch.start != 0:  # a resumed batch's init holds the spins at its start
-        raise TheoryCheckError(f"batch.start = {batch.start:g}: the check needs a batch run from time 0")
     d = batch.params.d
     radius, small = math.floor(2 * d * alpha * t), math.floor(alpha * t)
     if alpha * t < 0:

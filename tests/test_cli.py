@@ -312,14 +312,14 @@ class TestRuns:
         assert "status = ok" in text
 
     def test_persistence_manifest_records_boxes(self, tmp_path):
-        # a 9 x 9 window, wider than the first box: one of the 80 runs reruns
+        # a 9 x 9 window, wider than the first box: 11 of the 80 runs rerun
         # on the whole window, and persistence.csv keeps the digest it had
         # when every run simulated the whole window
         text = ("kind = persistence\nd = 2\np = 0.6\nwindow_lower = -7 -7\nwindow_upper = 1 1\n"
                 "measure = bernoulli 0.7\nsite = 1 1\ntimes = 1 2 4 8\nn = 80\n")
         assert main([write_config(tmp_path, text), "--seed", "7", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "manifest.txt").read_text().splitlines()
-        assert "persistence.box_side = 6" in lines and "persistence.reruns = 1/80" in lines
+        assert "persistence.box_side = 4" in lines and "persistence.reruns = 11/80" in lines
         digest = hashlib.sha256((tmp_path / "persistence.csv").read_bytes()).hexdigest()
         assert digest == "301ed87420a30cd805ef8aa016e264e5bf5a2e91267ec113c206ad3f5d3fe54d"
 
@@ -497,8 +497,8 @@ GOLDEN = {
         "window_upper = 0 0\nexterior = 0\nmeasure = delta-zeros 0 0\nsite = 0 0\nn = 300\n",
         "772492c3af7cd645147cc336fd02cf8eb98f464bcf3ed7920476e072aef7a3df",
     ),
-    # the persist-2d-wide benchmark config: its runs resume through every
-    # stage end, so this pins the staging too
+    # the persist-2d-wide benchmark config: its runs go through the first box
+    # and the reruns on the window, so this pins the box certificate too
     "persistence.csv-2d-wide": (
         "persistence.csv",
         "kind = persistence\nd = 2\np = 0.5\nwindow_lower = -10 -10\nwindow_upper = 1 1\n"

@@ -177,8 +177,8 @@ class TestPersistence:
 
 
 def one_shot_persistence(params, spec, x, times, n, window, seed) -> DecaySeries:
-    """Every run simulated to the last requested time at once: the reference
-    that the staged ``estimate_persistence`` must equal."""
+    """Every run simulated on the whole window to the last requested time: the
+    reference that the boxed ``estimate_persistence`` must equal."""
     ts = tuple(sorted(float(t) for t in times))
     counts = np.zeros(len(ts), dtype=np.int64)
     for _, batch in replica_batches(params, spec, window, ts[-1], seed, "persist", n):
@@ -210,62 +210,6 @@ class TestStagedPersistence:
         if budget is not None:
             monkeypatch.setattr(estimators, "RING_SLOT_BUDGET", budget)
         assert estimate_persistence(*args) == want
-
-    @pytest.mark.parametrize("setup, resumes", [
-        # each stage retires most of its runs; the rest resume to every end in turn
-        ("every-end-a-stage", [(1.0, 2.0), (2.0, 4.0), (4.0, 8.0)]),
-        # no run ever updates: the waiting runs still resume through every end
-        ("blocked", [(1.0, 2.0), (2.0, 4.0), (4.0, 8.0), (8.0, 10.0)]),
-    ])
-    def test_stage_ends_reached(self, monkeypatch, setup, resumes):
-        seen = set()
-        resume = BatchLog.resume
-
-        def spy(batch, replicas, horizon, **kwargs):
-            seen.add((batch.horizon, horizon))
-            return resume(batch, replicas, horizon, **kwargs)
-
-        monkeypatch.setattr(BatchLog, "resume", spy)
-        estimate_persistence(*STAGED_SETUPS[setup], 11)
-        assert sorted(seen) == resumes
-
-    def test_sweeps_fewer_rings_than_one_shot(self, monkeypatch):
-        # persist-2d-wide's config: summed over all batches, the staged run
-        # sweeps fewer rings than the one-shot oracle and draws no more
-        # Philox blocks, though a resumed stream draws again the rings its
-        # last stage drew past its end
-        def work(estimate):
-            seen = {"rings": 0, "blocks": 0}
-            run, draws = sim._run, sim.ring_draws
-
-            def counted_run(*args):
-                batch = run(*args)
-                seen["rings"] += batch.times.size
-                return batch
-
-            def counted_draws(seeds, keys, k0, count, *args):
-                seen["blocks"] += seeds.size * count
-                return draws(seeds, keys, k0, count, *args)
-
-            with monkeypatch.context() as m:
-                m.setattr(sim, "_run", counted_run)
-                m.setattr(sim, "ring_draws", counted_draws)
-                estimate(ModelParams(2, 0.5), ProductBernoulli(0.5), (1, 1), range(1, 11), 100,
-                         A4_WINDOW, 7)
-            return seen
-
-        staged, one_shot = work(estimate_persistence), work(one_shot_persistence)
-        assert staged["rings"] < one_shot["rings"]
-        assert staged["blocks"] <= one_shot["blocks"]
-
-    @pytest.mark.parametrize("times, ends", [
-        ([1, 2, 3, 4, 5, 6, 7, 8, 9, 10], [1, 2, 4, 8, 10]),
-        ([0, 0, 0.5, 0.5, 0.7, 3], [0.5, 3]),
-        ([0, 0], [0]),
-        ([2], [2]),
-    ])
-    def test_stage_ends(self, times, ends):
-        assert estimators._stage_ends(sorted(float(t) for t in times)) == ends
 
     def test_over_cap_horizon_fails_before_a_stage(self, monkeypatch):
         # stage 1 ends at t = 1 and would fit the replica cap; the horizon does
@@ -346,7 +290,7 @@ class TestBoxPersistence:
         for query in (lambda: boxed.first_change, lambda: boxed.final_spins(),
                       lambda: boxed.spin_at_time((2,), 1.5),
                       lambda: boxed.occupation_time((2,), 1.5),
-                      lambda: boxed.updated_set([(2,)], 1.5)):
+                      lambda: boxed.updated_set([(2,)], 1.5), lambda: boxed.to_csv(0)):
             with pytest.raises(SimulationError, match="undefined on a box batch"):
                 query()
 
@@ -368,7 +312,7 @@ class TestBoxPersistence:
         # persist-2d-wide's config at seed 7: the staged run on the whole
         # window swept 41 598 rings and drew 151 912 Philox blocks
         seen = {"rings": 0, "blocks": 0}
-        run, draws = sim._run, sim.ring_draws
+        run, draws = estimators.simulate_batch, sim.ring_draws
 
         def counted_run(*args):
             batch = run(*args)
@@ -379,12 +323,38 @@ class TestBoxPersistence:
             seen["blocks"] += seeds.size * count
             return draws(seeds, keys, k0, count, *args)
 
-        monkeypatch.setattr(sim, "_run", counted_run)
+        monkeypatch.setattr(estimators, "simulate_batch", counted_run)
         monkeypatch.setattr(sim, "ring_draws", counted_draws)
         monkeypatch.setattr(lattice, "ring_draws", counted_draws)
         estimate_persistence(ModelParams(2, 0.5), ProductBernoulli(0.5), (1, 1), range(1, 11), 100,
                              A4_WINDOW, 7)
         assert seen["rings"] < 41_598 and seen["blocks"] < 151_912
+
+    def test_each_run_simulated_once_per_box(self, monkeypatch):
+        # persist-2d-wide's config at seed 7: one simulate_batch call per
+        # driver chunk of the first box, then one per chunk of the reruns on
+        # W ∩ {y <= x}, every call to the last requested time
+        calls = []
+        run = estimators.simulate_batch
+
+        def spy(params, rule, spins, horizon, seeds, within=None):
+            calls.append((rule.window, horizon, seeds.tolist()))
+            return run(params, rule, spins, horizon, seeds, within)
+
+        monkeypatch.setattr(estimators, "simulate_batch", spy)
+        notes = {}
+        estimate_persistence(ModelParams(2, 0.5), ProductBernoulli(0.5), (1, 1), range(1, 11), 100,
+                             A4_WINDOW, 7, notes=notes)
+        box = Window((2 - estimators.BOX_SIDE,) * 2, (1, 1))
+        reruns = int(notes["persistence.reruns"].split("/")[0])
+        assert reruns > 0
+        chunks = [-(-k // (estimators.RING_SLOT_BUDGET // replica_ring_slots(w, 10.0)))
+                  for w, k in ((box, 100), (A4_WINDOW, reruns))]
+        assert [w for w, _, _ in calls] == [box] * chunks[0] + [A4_WINDOW] * chunks[1]
+        assert {h for _, h, _ in calls} == {10.0}
+        first, again = ([s for w, _, seeds in calls if w == v for s in seeds] for v in (box, A4_WINDOW))
+        assert len(first) == len(set(first)) == 100
+        assert len(again) == len(set(again)) == reruns and set(again) <= set(first)
 
 
 class TestRelaxation:

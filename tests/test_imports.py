@@ -7,9 +7,10 @@
   scipy.linalg.lapack do not load themselves.
 - scipy.special loads only with uniformization (`evolve_expectation`),
   which no kind runs.
-- Every module-level public function and class of the package, and every
-  public method and property of its classes, has a reader outside its own
-  definition: code in the package, the benchmark, or the test oracles.
+- Every module-level public function, class and UPPER_CASE constant of the
+  package, and every public method and property of its classes, has a reader
+  outside its own definition: code in the package, the benchmark, or the test
+  oracles.
 """
 
 import ast
@@ -221,15 +222,20 @@ def _names_read(node: ast.AST) -> Counter:
 
 
 def _public_definitions(tree: ast.Module):
-    """(qualified name, node) of each public module-level function and class,
-    and of each public method and property of the module's classes."""
+    """(qualified name, name, node) of each public module-level function,
+    class and UPPER_CASE constant, and of each public method and property of
+    the module's classes; a constant's node is its assignment."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((name.id, name.id, node) for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", name.id))
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         if not node.name.startswith("_"):
-            yield node.name, node
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from ((f"{node.name}.{member.name}", member) for member in node.body
+            yield from ((f"{node.name}.{member.name}", member.name, member) for member in node.body
                         if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"))
 
 
@@ -242,7 +248,7 @@ def test_every_public_name_has_a_reader():
     outside = " ".join(path.read_text() for path in [*root.glob("perfbench/*.py"), root / "tests" / "oracle.py"])
     words = set(re.findall(r"\w+", outside))
     unread = sorted((qualified, module) for module, tree in trees.items()
-                    for qualified, node in _public_definitions(tree)
-                    if read[node.name] == _names_read(node)[node.name] and node.name not in words)
+                    for qualified, name, node in _public_definitions(tree)
+                    if read[name] == _names_read(node)[name] and name not in words)
     # the allowlist holds exactly the names that need it
     assert [name for name, _ in unread] == sorted(TEST_ONLY_READERS), unread

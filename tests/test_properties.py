@@ -1,9 +1,9 @@
 """Property tests of the graphical construction on random windows (d = 1..3).
 
 Coupling properties: the sweep equals the time-ordered event loop given
-identical rings, also on a box whose neighbors in the window are unknown, histories are consistent under horizon extension, a batch
-resumed from its horizon continues the one-shot run bit for bit, a site's
-rings ignore the enclosing window, a site's trajectory is measurable with
+identical rings, also on a box whose neighbors in the window are unknown,
+histories are consistent under horizon extension, a site's rings ignore the
+enclosing window, a site's trajectory is measurable with
 respect to its backward cone, estimator outputs ignore the replica chunking,
 relaxation equals its per-run reference, a spin read at a ring's own time
 is that ring's outcome, and the oriented-path lemma answers the same on a
@@ -91,28 +91,26 @@ def test_sweep_matches_event_loop(scenario):
 @PROPERTY
 @given(scenarios(), st.data())
 def test_box_sweep_matches_event_loop(scenario, data):
-    # a box of the window, its other sites unknown, from spins that may be
-    # unknown too; resumed, so that the resumed batch starts from lost spins
+    # a box of the window, its other sites unknown
     params, initial, horizon, seed = scenario
     window = initial.window
     lower = tuple(data.draw(st.integers(lo, hi)) for lo, hi in zip(window.lower, window.upper))
     upper = tuple(data.draw(st.integers(lo, hi)) for lo, hi in zip(lower, window.upper))
     box = Window(lower, upper)
     n = box.site_count()
-    spins = data.draw(st.lists(st.lists(st.integers(0, sim.UNKNOWN), min_size=n, max_size=n),
+    spins = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
                                min_size=2, max_size=2))
     rule = Exterior(box, initial.exterior, initial.exterior_overrides)
     batch = simulate_batch(params, rule, spins, horizon, [seed, seed + 1], window)
-    for log in (batch, batch.resume([1, 0], horizon + 2.0)):
-        for r in range(len(log)):
-            legal, after = event_loop(log, r)
-            for i, x in enumerate(box.sites):
-                _, _, got_legal, got_after = log.rings(r, x)
-                row = r * n + i
-                unknown = log.unknown[log.offsets[row]:log.offsets[row + 1]]
-                assert np.array_equal(np.where(unknown, sim.UNKNOWN, got_legal), legal[i])
-                assert not (unknown & got_legal).any()
-                assert np.array_equal(got_after, after[i])
+    for r in range(len(batch)):
+        legal, after = event_loop(batch, r)
+        for i, x in enumerate(box.sites):
+            _, _, got_legal, got_after = batch.rings(r, x)
+            row = r * n + i
+            unknown = batch.unknown[batch.offsets[row]:batch.offsets[row + 1]]
+            assert np.array_equal(np.where(unknown, sim.UNKNOWN, got_legal), legal[i])
+            assert not (unknown & got_legal).any()
+            assert np.array_equal(got_after, after[i])
 
 
 @PROPERTY
@@ -145,37 +143,6 @@ def test_horizon_prefix_consistency(scenario, extra):
     long = simulate(params, initial, h + extra, seed)
     for x in initial.window.sites:
         assert site_records(long, x, until=h) == site_records(short, x)
-
-
-@PROPERTY
-@given(scenarios(), st.lists(st.integers(0, 2**64 - 1), max_size=3),
-       st.lists(st.one_of(st.just(0.0), st.floats(0.01, 8.0)), min_size=2, max_size=2),
-       st.data())
-def test_resume_matches_one_shot(scenario, more_seeds, extra, data):
-    # simulate to h, resume chosen replicas to mid, and some of those to H:
-    # rings on (mid, H] and the spins at H are the one-shot run's; a zero
-    # extension leaves rows with no rings.
-    params, initial, h, seed = scenario
-    seeds = [seed, *more_seeds]
-    mid, horizon = h + extra[0], h + extra[0] + extra[1]
-    one = simulate_batch(params, initial.rule, initial.spins, horizon, seeds)
-    picks = data.draw(st.lists(st.sampled_from(range(len(seeds))), min_size=1, unique=True))
-    again = data.draw(st.lists(st.sampled_from(range(len(picks))), min_size=1, unique=True))
-    first = simulate_batch(params, initial.rule, initial.spins, h, seeds)
-    resumed = first.resume(picks, mid).resume(again, horizon)
-    chosen = [picks[i] for i in again]
-    assert (resumed.start, resumed.horizon) == (mid, horizon)
-    assert np.array_equal(resumed.final_spins(), one.final_spins()[chosen])
-    for i, r in enumerate(chosen):
-        for x in initial.window.sites:
-            want = one.rings(r, x)
-            late = want[0] > mid
-            for got, ref in zip(resumed.rings(i, x), want):
-                assert np.array_equal(got, ref[late])
-            legal_late = want[0][late & want[2]]
-            tau = legal_late[0] if legal_late.size else np.inf
-            assert resumed.first_update_time(x)[i] == tau
-            assert resumed.spin_at_time(x, mid)[i] == one.spin_at_time(x, mid)[r]
 
 
 @PROPERTY

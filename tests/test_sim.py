@@ -146,27 +146,27 @@ class TestQueries:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_spin_at_many_times_stacks_single_queries(self, seed):
-        # at every ring time (a ring at s counts by s), at start, at the
-        # horizon and in between, from start 0 and from a resumed start
+        # at every ring time (a ring at s counts by s), at 0, at the horizon
+        # and in between
         rng = np.random.default_rng(seed)
         w = Window((0, 0), (2, 1))
         rule = Exterior(w, int(rng.integers(2)), {(-1, 0): 0})
         spins = rng.integers(0, 2, (5, len(w.sites)))
         batch = simulate_batch(ModelParams(2, float(rng.uniform(0.2, 0.8))), rule, spins, 2.0,
                                rng.integers(0, 1 << 62, 5))
-        for b in (batch, batch.resume([4, 1, 2], 3.5)):
-            times = np.concatenate([b.times, [b.start, b.horizon], rng.uniform(b.start, b.horizon, 5)])
-            rng.shuffle(times)
-            for x in w.sites:
-                want = np.stack([b.spin_at_time(x, float(t)) for t in times], axis=1)
-                got = b.spin_at_time(x, times)
-                assert got.dtype == want.dtype and (got == want).all()
+        times = np.concatenate([batch.times, [0.0, batch.horizon],
+                                rng.uniform(0.0, batch.horizon, 5)])
+        rng.shuffle(times)
+        for x in w.sites:
+            want = np.stack([batch.spin_at_time(x, float(t)) for t in times], axis=1)
+            got = batch.spin_at_time(x, times)
+            assert got.dtype == want.dtype and (got == want).all()
 
     @pytest.mark.parametrize("times, bad", [([1.0, 11.0, -1.0], "11.0"), ([2.0, math.nan], "nan"),
                                             ([-0.5], "-0.5")])
     def test_spin_at_many_times_names_the_first_outside(self, times, bad):
         log = single_site_log(horizon=10.0)
-        with pytest.raises(SimulationError, match=rf"^time {bad} outside \[start, horizon\]$"):
+        with pytest.raises(SimulationError, match=rf"^time {bad} outside \[0, horizon\]$"):
             log.spin_at_time((1,), np.array(times))
 
     def test_spin_at_time_of_2d_times_rejected(self):
@@ -183,29 +183,26 @@ class TestQueries:
         # neighbor (0,) frozen at 1: no legal ring, spin stays 0
         assert log0.occupation_time((1,), 8.5)[0] == pytest.approx(8.5)
 
-    @pytest.mark.parametrize("d, horizon, resume_to", [(1, 2.0, None), (2, 2.0, None), (3, 2.0, None),
-                                                       (2, 2.0, 3.0), (1, 0.0, None)],
-                             ids=["1d", "2d", "3d", "2d-resumed", "no-rings"])
-    def test_occupation_matches_sequential_sum(self, d, horizon, resume_to):
+    @pytest.mark.parametrize("d, horizon", [(1, 2.0), (2, 2.0), (3, 2.0), (1, 0.0)],
+                             ids=["1d", "2d", "3d", "no-rings"])
+    def test_occupation_matches_sequential_sum(self, d, horizon):
         # bit for bit x's zero intervals up to t summed in ring order, then
-        # the tail to t, in every replica: at start, between rings, at ring
+        # the tail to t, in every replica: at 0, between rings, at ring
         # times and at the horizon, with some replicas that never ring at x
         w = Window((0,) * d, (2,) * (d - 1) + (1 + (d == 1) * 4,))
         spins = np.random.default_rng(d).integers(0, 2, (12, w.site_count()))
         batch = simulate_batch(ModelParams(d, 0.5), Exterior(w, 0, {}), spins, horizon, range(12))
-        if resume_to is not None:
-            batch = batch.resume(range(0, 12, 2), resume_to)
         bare = 0
         for x in w.sites:
             rungs = [batch.rings(r, x) for r in range(len(batch))]
             inits = [batch.initial(r).spin_at(x) for r in range(len(batch))]
             bare += sum(times.size == 0 for times, *_ in rungs)
-            edges = np.concatenate([[batch.start, batch.horizon], *(ts for ts, *_ in rungs)])
+            edges = np.concatenate([[0.0, batch.horizon], *(ts for ts, *_ in rungs)])
             edges = np.unique(edges)
             for t in np.concatenate([edges, (edges[1:] + edges[:-1]) / 2]):
                 occ = batch.occupation_time(x, float(t))
                 for r, (times, _, _, after) in enumerate(rungs):
-                    acc, prev_t, prev_s = 0.0, batch.start, inits[r]
+                    acc, prev_t, prev_s = 0.0, 0.0, inits[r]
                     for s, a in zip(times[times <= t], after[times <= t]):
                         if prev_s == 0:
                             acc += s - prev_t
@@ -307,8 +304,8 @@ class TestBatchInput:
             assert one.to_csv(r) == every.to_csv(r)
             assert one.initial(r) == init
 
-    @pytest.mark.parametrize("spins", [[(1, 0)] * 2, [(1, 0, 1)], [(1, 2)]],
-                             ids=["rows", "sites", "value"])
+    @pytest.mark.parametrize("spins", [[(1, 0)] * 2, [(1, 0, 1)], [(1, 2)], [(1,)], [[1], [0, 1]]],
+                             ids=["rows", "sites", "value", "one-site-row", "ragged"])
     def test_bad_spins_rejected(self, spins):
         init = Configuration.all_ones(Window((0,), (1,)))
         with pytest.raises(SimulationError):
@@ -324,43 +321,6 @@ class TestBatchInput:
         assert "first_change" not in vars(batch)
         oriented_path_check(batch, 2.0, 0.1, (0, 0))  # reads which sites stayed at 0
         assert "first_change" in vars(batch)
-
-
-class TestResume:
-    def batch(self):
-        w = Window((0, 0), (1, 2))
-        return simulate_batch(ModelParams(2, 0.4), Exterior(w, 0, {(-1, 1): 1}), [1] * 6, 2.0,
-                              [3, 4, 5])
-
-    def test_queries_answer_from_start(self):
-        # occupation and updates count from the resumed batch's start; its
-        # spins at start are the first batch's spins there
-        batch = self.batch()
-        one = simulate_batch(batch.params, batch.rule, [1] * 6, 5.0, batch.seeds)
-        resumed = batch.resume([2, 0], 5.0)
-        for x in batch.window.sites:
-            occ = one.occupation_time(x, 5.0) - one.occupation_time(x, 2.0)
-            assert np.allclose(resumed.occupation_time(x, 5.0), occ[[2, 0]], rtol=0, atol=1e-12)
-            assert (resumed.spin_at_time(x, 2.0) == batch.spin_at_time(x, 2.0)[[2, 0]]).all()
-        with pytest.raises(SimulationError, match="outside"):
-            resumed.spin_at_time((0, 0), 1.0)
-        with pytest.raises(SimulationError, match="outside"):
-            resumed.occupation_time((0, 0), 1.0)
-
-    @pytest.mark.parametrize("replicas, horizon", [([0], 1.0), ([0, 0], 3.0), ([3], 3.0),
-                                                   ([-1], 3.0), ([], 3.0), ([0], 2e9)])
-    def test_bad_request_rejected(self, replicas, horizon):
-        with pytest.raises(SimulationError):
-            self.batch().resume(replicas, horizon)
-
-    def test_batch_without_streams_rejected(self):
-        # a batch replayed from CSV has no site keys to draw from
-        batch = self.batch()
-        replay = BatchLog.from_csv(batch.to_csv(0))
-        with pytest.raises(SimulationError, match="only a simulated batch"):
-            replay.resume([0], 4.0)
-        with pytest.raises(SimulationError, match="no event CSV"):
-            batch.resume([1], 3.0).to_csv(0)
 
 
 class TestStatisticalContracts:
@@ -519,4 +479,30 @@ class TestCsv:
             fields[k] = str(1 - int(fields[k])) if value == "flip" else value
         lines[2] = ",".join(fields)
         with pytest.raises(SimulationError):
+            BatchLog.from_csv("\n".join(lines))
+
+    @pytest.mark.parametrize("case, match", [
+        ("empty", "empty event log"),
+        ("missing-key", "manifest lacks horizon"),
+        ("short-row", "does not have 5 columns"),
+        # "1" once broadcast to every site, which on an all-ones start even
+        # replayed to the same columns
+        ("one-initial-spin", "one row of 2 window spins"),
+    ], ids=["empty", "missing-key", "short-row", "one-initial-spin"])
+    def test_malformed_log_rejected(self, case, match):
+        init = Configuration.all_ones(Window((0,), (1,)), exterior=0)
+        lines = simulate(ModelParams(1, 0.5), init, 5.0, 9).to_csv(0).splitlines()
+        assert len(lines) > 2
+        manifest = json.loads(lines[0][2:])
+        if case == "empty":
+            lines = []
+        elif case == "missing-key":
+            del manifest["horizon"]
+        elif case == "short-row":
+            lines[2] = lines[2].rsplit(",", 1)[0]
+        else:
+            manifest["initial_spins"] = "1"
+        if lines:
+            lines[0] = "# " + json.dumps(manifest)
+        with pytest.raises(SimulationError, match=match):
             BatchLog.from_csv("\n".join(lines))

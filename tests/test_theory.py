@@ -30,16 +30,6 @@ from oracle import oriented_path
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-BOX = Configuration.with_zeros(Window((-2, -2), (0, 0)), [(0, 0)], exterior=0)
-
-
-def resumed_box_batch():
-    """200 runs from BOX simulated to 2 and resumed to 6: the batch's init
-    holds the spins at time 2, not 0."""
-    batch = simulate_batch(ModelParams(2, 0.5), BOX.rule, BOX.spins, 2.0, range(200))
-    return batch.resume(range(200), 6.0)
-
-
 class Lemma(NamedTuple):
     """The lemma's (t, alpha, d) and its box D = {-radius..0}^d."""
 
@@ -161,17 +151,6 @@ class TestOrientedPathLemma:
         with pytest.raises(TheoryCheckError, match="t/2"):
             certify_paths(short, t, alpha, x, check)
         assert (certify_paths(batch, t, alpha, x, check) == check.found).all()
-
-    def test_resumed_batch_raises_named_error(self):
-        # read as runs from 0, its replicas gave 179 applicable and 9 holding
-        # the hypothesis; the one-shot runs to 6 give 200 and 85
-        batch = resumed_box_batch()
-        with pytest.raises(TheoryCheckError, match="batch.start = 2"):
-            oriented_path_check(batch, 8.0, 0.08, (0, 0))
-        one_shot = simulate_batch(batch.params, BOX.rule, BOX.spins, 6.0, range(200))
-        check = oriented_path_check(one_shot, 8.0, 0.08, (0, 0))
-        with pytest.raises(TheoryCheckError, match="batch.start = 2"):
-            certify_paths(batch, 8.0, 0.08, (0, 0), check)
 
     def test_frozen_zero_voids_hypothesis(self):
         # single zero with all-ones exterior can never be updated, so some
