@@ -223,23 +223,28 @@ def parse_config(text: str) -> ExperimentConfig:
     return config
 
 
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 @dataclass
 class RunManifest:
+    """A run's record: the files it wrote with their checksums, its kind's
+    notes, and, once it ends, its status and duration."""
+
+    out_dir: str
     config_echo: dict[str, str]
-    version: str
-    checksums: dict[str, str]
-    duration_s: float
-    status: str
+    checksums: dict[str, str] = field(default_factory=dict)
     notes: dict[str, str] = field(default_factory=dict)
+    status: str = "ok"
+    duration_s: float = 0.0
+
+    def write(self, name: str, text: str) -> None:
+        """Write an output file into ``out_dir`` and record its bytes' sha256."""
+        data = text.encode()
+        with open(os.path.join(self.out_dir, name), "wb") as fh:
+            fh.write(data)
+        self.checksums[name] = hashlib.sha256(data).hexdigest()
 
     def to_text(self) -> str:
         lines = [
-            f"version = {self.version}",
+            f"version = {__version__}",
             f"stream_version = {STREAM_VERSION}",
             f"status = {self.status}",
         ]
@@ -253,25 +258,6 @@ class RunManifest:
         return "\n".join(lines) + "\n"
 
 
-class RunOutputs:
-    """Files a run has written so far, and notes for its manifest."""
-
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.written: list[str] = []
-        self.notes: dict[str, str] = {}
-
-    def write(self, name: str, text: str) -> None:
-        self.written.append(_write(self.out_dir, name, text))
-
-
-def _write(out_dir: str, name: str, text: str) -> str:
-    path = os.path.join(out_dir, name)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-    return path
-
-
 def _series_manifest(config: ExperimentConfig) -> dict:
     return {
         "kind": config.kind,
@@ -283,48 +269,48 @@ def _series_manifest(config: ExperimentConfig) -> dict:
     }
 
 
-def _write_fit(out: RunOutputs, name: str, series) -> None:
+def _write_fit(manifest: RunManifest, name: str, series) -> None:
     try:
         fit = fit_exponential(series, default_fit_floor(series))
-        out.write(name, fit.summary_line() + "\n")
+        manifest.write(name, fit.summary_line() + "\n")
     except ValueError:
-        out.write(name, "fit_failed=too_few_points\n")
+        manifest.write(name, "fit_failed=too_few_points\n")
 
 
-def _run_simulate(config: ExperimentConfig, out: RunOutputs) -> None:
+def _run_simulate(config: ExperimentConfig, manifest: RunManifest) -> None:
     batches = replica_batches(config.params, config.measure, config.window, config.horizon,
                               config.seed, "simulate", 1)
-    out.write("events.csv", next(batches)[1].to_csv(0))
+    manifest.write("events.csv", next(batches)[1].to_csv(0))
 
 
-def _run_persistence(config: ExperimentConfig, out: RunOutputs) -> None:
+def _run_persistence(config: ExperimentConfig, manifest: RunManifest) -> None:
     series = estimate_persistence(
         config.params, config.measure, config.site, config.times, config.n,
-        config.window, config.seed, out.notes,
+        config.window, config.seed, manifest.notes,
     )
-    out.write("persistence.csv", series.to_csv(_series_manifest(config)))
-    _write_fit(out, "persistence_fit.txt", series)
+    manifest.write("persistence.csv", series.to_csv(_series_manifest(config)))
+    _write_fit(manifest, "persistence_fit.txt", series)
 
 
-def _run_relaxation(config: ExperimentConfig, out: RunOutputs) -> None:
+def _run_relaxation(config: ExperimentConfig, manifest: RunManifest) -> None:
     series = estimate_relaxation(
         config.params, config.measure, Observable.spin(config.site), config.times,
         config.n_outer, config.n_inner, config.window, config.seed, config.gamma,
     )
-    out.write("relaxation.csv", series.to_csv(_series_manifest(config)))
-    _write_fit(out, "relaxation_fit.txt", series)
+    manifest.write("relaxation.csv", series.to_csv(_series_manifest(config)))
+    _write_fit(manifest, "relaxation_fit.txt", series)
 
 
-def _run_gap(config: ExperimentConfig, out: RunOutputs) -> None:
+def _run_gap(config: ExperimentConfig, manifest: RunManifest) -> None:
     from .exact import east1d_gap
 
     lines = ["N,gap"]
     for N in config.n_values:
         lines.append(f"{N},{east1d_gap(config.params.p, N):.17g}")
-    out.write("gap.csv", "\n".join(lines) + "\n")
+    manifest.write("gap.csv", "\n".join(lines) + "\n")
 
 
-def _run_constants(config: ExperimentConfig, out: RunOutputs) -> None:
+def _run_constants(config: ExperimentConfig, manifest: RunManifest) -> None:
     from .exact import east1d_gap
 
     p, d = config.params.p, config.params.d
@@ -332,10 +318,10 @@ def _run_constants(config: ExperimentConfig, out: RunOutputs) -> None:
     lam_prev = east1d_gap(p, config.lambda_n - 1) if config.lambda_n > 1 else lam
     report = compute_constants(p, d, config.delta_const, config.c_const, lam)
     text = report.to_text() + f"lambda_pp_cauchy_increment = {abs(lam - lam_prev)!r}\n"
-    out.write("constants.txt", text)
+    manifest.write("constants.txt", text)
 
 
-def _run_verify_lemma(config: ExperimentConfig, out: RunOutputs) -> None:
+def _run_verify_lemma(config: ExperimentConfig, manifest: RunManifest) -> None:
     """One row per replica; a replica whose start site is not at zero
     initially does not meet the lemma's premise and is counted as not
     applicable.  The check reads [0, t/2] only, so runs stop at t/2."""
@@ -358,13 +344,13 @@ def _run_verify_lemma(config: ExperimentConfig, out: RunOutputs) -> None:
         columns = (batch.seeds, held, found, check.length, check.applicable)
         rows += [f"{s},{constants},{h:d},{f:d},{n},{a:d}"
                  for s, h, f, n, a in zip(*(c.tolist() for c in columns))]
-    out.notes.update({
+    manifest.notes.update({
         "lemma.horizon": f"{t / 2:.17g}",
         "lemma.not_applicable": str(not_applicable),
         "lemma.rings": str(rings),
         "lemma.legal_rings": str(legal_rings),
     })
-    out.write("lemma.csv", "\n".join(rows) + "\n")
+    manifest.write("lemma.csv", "\n".join(rows) + "\n")
     if counterexample:
         raise LemmaCounterexampleError(
             "oriented-path search failed on a hypothesis-holding log; "
@@ -372,7 +358,7 @@ def _run_verify_lemma(config: ExperimentConfig, out: RunOutputs) -> None:
         )
 
 
-def _run_fk_probe(config: ExperimentConfig, out: RunOutputs) -> None:
+def _run_fk_probe(config: ExperimentConfig, manifest: RunManifest) -> None:
     res = fk_cascade_probe(
         config.params, config.measure, config.site, config.delta_const,
         config.t, config.n, config.window, config.seed,
@@ -384,7 +370,7 @@ def _run_fk_probe(config: ExperimentConfig, out: RunOutputs) -> None:
             f"{';'.join(map(str, res.sites[i + 1]))},"
             f"{res.probabilities[i]:.17g},{res.halfwidths[i]:.17g}"
         )
-    out.write("fk_probe.csv", "\n".join(rows) + "\n")
+    manifest.write("fk_probe.csv", "\n".join(rows) + "\n")
 
 
 class Kind(NamedTuple):
@@ -392,7 +378,7 @@ class Kind(NamedTuple):
 
     keys: frozenset[str]  # besides the common keys
     required: tuple[str, ...]  # names in _REQUIRED
-    run: Callable[[ExperimentConfig, RunOutputs], None]
+    run: Callable[[ExperimentConfig, RunManifest], None]
 
 
 _COMMON_KEYS = frozenset({"kind", "seed", "out"})
@@ -431,26 +417,19 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Dispatch, write outputs, and always leave a manifest behind."""
     os.makedirs(config.out_dir, exist_ok=True)
     start = time.monotonic()
-    status = "ok"
-    out = RunOutputs(config.out_dir)
+    manifest = RunManifest(config.out_dir, dict(config.raw))
     err: Optional[BaseException] = None
     try:
-        KINDS[config.kind].run(config, out)
+        KINDS[config.kind].run(config, manifest)
     except LemmaCounterexampleError as e:
-        status = "lemma-counterexample"
+        manifest.status = "lemma-counterexample"
         err = e
     except Exception as e:  # noqa: BLE001 - manifest must record handled errors
-        status = "error: " + str(e).encode("unicode_escape").decode("ascii")  # one line
+        manifest.status = "error: " + str(e).encode("unicode_escape").decode("ascii")  # one line
         err = e
-    manifest = RunManifest(
-        config_echo=dict(config.raw),
-        version=__version__,
-        checksums={os.path.basename(p): _sha256(p) for p in out.written},
-        duration_s=time.monotonic() - start,
-        status=status,
-        notes=out.notes,
-    )
-    _write(config.out_dir, "manifest.txt", manifest.to_text())
+    manifest.duration_s = time.monotonic() - start
+    with open(os.path.join(config.out_dir, "manifest.txt"), "w", newline="\n") as fh:
+        fh.write(manifest.to_text())
     if err is not None:
         raise err
     return manifest

@@ -10,9 +10,9 @@ constraint, and one CSR writer, `_flip_csr`: Q, -S and the killed B_z differ
 only in the values it writes.  ``tests/oracle.py`` builds Q site by site.
 
 Importing this module loads ``scipy.sparse`` (the operators) and
-``scipy.linalg`` (``dstebz``, which `east1d_gap` reads every 10 Lanczos
-steps), never ``scipy.special``, ``scipy.stats`` or ``scipy.sparse.linalg``:
-the kinds gap and constants load nothing more.  Uniformization takes its
+``scipy.linalg`` (``dstebz``, which `east1d_gap` reads as its Lanczos
+recurrence runs), never ``scipy.special``, ``scipy.stats`` or
+``scipy.sparse.linalg``: the kinds gap and constants load nothing more.  Uniformization takes its
 Poisson weights and truncation from ``scipy.special`` (``xlogy``,
 ``gammaln``, ``pdtrc``), the formulas ``scipy.stats.poisson`` evaluates for
 ``pmf`` and ``isf``, and imports it on its first call (`poisson_truncation`).
@@ -311,12 +311,15 @@ def east1d_gap(p: float, N: int) -> float:
     that have converged.
     Every 10 steps lambda_min(T_k) is read by LAPACK's bisection ``dstebz``
     (`_lowest_tridiagonal`), and the recurrence stops when it fell by at
-    most `LANCZOS_RTOL` relative over those 10 steps, or at breakdown
+    most `LANCZOS_RTOL` relative since the last read, or at breakdown
     (beta_k <= `LANCZOS_RTOL` |B q_k|), where T_k's spectrum is exact.  A
     residual bound is not used as the stop rule: once ghosts appear it stalls
     at the precision floor (beta_k |y_k| <= 1e-12 theta_k took 12 220 steps,
-    10.9 s, at p = 0.98, N = 12; this rule 0.05 s).  More than
-    `MAX_LANCZOS_STEPS` steps raise `ExactEngineError`.
+    10.9 s, at p = 0.98, N = 12; this rule 0.05 s).  A read costs O(k), so
+    past step `MAX_LANCZOS_STEPS` // 10, which no chain measured has
+    reached, the reads are k // 20 steps apart: a run that never settles
+    reads about 250 times, not 2000, and costs O(k) in reads, not O(k^2).
+    More than `MAX_LANCZOS_STEPS` steps raise `ExactEngineError`.
 
     The result is accurate in absolute terms, to a few eps |B| (|B| grows
     about like N): rounding in B, not the stop rule, sets the limit, so a
@@ -356,7 +359,7 @@ def east1d_gap(p: float, N: int) -> float:
     q_prev = np.zeros_like(q)
     alpha, beta = [], []
     b = 0.0
-    low = math.inf
+    low, read = math.inf, 10
     for k in range(1, MAX_LANCZOS_STEPS + 1):
         w = B @ q
         # f2py writes into w in place only while it is a contiguous float64
@@ -368,11 +371,11 @@ def east1d_gap(p: float, N: int) -> float:
         b = math.sqrt(ddot(w, w))
         breakdown = b <= LANCZOS_RTOL * scale
         alpha.append(a)
-        if breakdown or k % 10 == 0:
+        if breakdown or k == read:
             theta = _lowest_tridiagonal(alpha, beta)
             if breakdown or low - theta <= LANCZOS_RTOL * theta:
                 return theta
-            low = theta
+            low, read = theta, k + (10 if k < MAX_LANCZOS_STEPS // 10 else k // 20)
         beta.append(b)
         q_prev, q = q, dscal(1.0 / b, w)
     raise ExactEngineError(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -78,20 +77,32 @@ class Window:
     def d(self) -> int:
         return len(self.lower)
 
+    @property
+    def _extent(self) -> list[int]:
+        return [hi - lo + 1 for lo, hi in zip(self.lower, self.upper)]
+
     def site_count(self) -> int:
-        return math.prod(hi - lo + 1 for lo, hi in zip(self.lower, self.upper))
+        return math.prod(self._extent)
 
     @cached_property
     def sites(self) -> tuple[Site, ...]:
         """All window sites in lexicographic order."""
-        return tuple(product(*(range(lo, hi + 1) for lo, hi in zip(self.lower, self.upper))))
+        return tuple(map(tuple, (self.grid.T + self.lower).tolist()))
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """(d, n) offsets of the sites from the lower corner, in site order."""
+        return np.indices(self._extent).reshape(self.d, -1)
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Per axis i, how far x - e_i lies before x in site order."""
+        return tuple(math.prod(self._extent[i + 1:]) for i in range(self.d))
 
     @cached_property
     def site_keys(self) -> np.ndarray:
         """Stream key (``streams.site_key``) of each site, in site order."""
-        extent = [hi - lo + 1 for lo, hi in zip(self.lower, self.upper)]
-        offsets = np.indices(extent).reshape(self.d, -1)
-        return site_key(offsets + np.array(self.lower, dtype=np.int64)[:, None])
+        return site_key(self.grid + np.array(self.lower, dtype=np.int64)[:, None])
 
     def __contains__(self, x: Site) -> bool:
         return len(x) == self.d and all(
@@ -102,10 +113,7 @@ class Window:
         """Lexicographic index of a window site."""
         if x not in self:
             raise LatticeError(f"site {x} not in window")
-        idx = 0
-        for c, lo, hi in zip(x, self.lower, self.upper):
-            idx = idx * (hi - lo + 1) + (c - lo)
-        return idx
+        return sum(s * (c - lo) for s, c, lo in zip(self.strides, x, self.lower))
 
     def contains_window(self, other: "Window") -> bool:
         return all(a <= b for a, b in zip(self.lower, other.lower)) and all(
@@ -209,10 +217,7 @@ MeasureSpec = Union[ProductBernoulli, Delta]
 
 def bernoulli_weights(n: int, p: float) -> np.ndarray:
     """Product Bernoulli(p) weights of the 2^n bitmask states (bit i = spin of site i)."""
-    states = np.arange(1 << n, dtype=np.int64)
-    pop = np.zeros(states.size, dtype=np.int64)
-    for i in range(n):
-        pop += (states >> i) & 1
+    pop = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
     return p**pop * (1.0 - p) ** (n - pop)
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,27 +58,6 @@ def replica_ring_slots(window: Window, horizon: float) -> int:
             f"{MAX_REPLICA_RING_SLOTS} ring slots one replica may use"
         )
     return sites * block
-
-
-class _Geometry(NamedTuple):
-    """Window facts shared by every batch on that window."""
-
-    coords: np.ndarray  # (d, n) offsets from the window's lower corner
-    strides: tuple[int, ...]  # row distance to x - e_i
-    plane: np.ndarray  # hyperplane index (coordinate-sum offset) per site, smallest uint
-    boundary: tuple[np.ndarray, ...]  # per axis i, the sites whose x - e_i leaves the window
-
-
-@lru_cache(maxsize=8)
-def _geometry(window: Window) -> _Geometry:
-    extent = [hi - lo + 1 for lo, hi in zip(window.lower, window.upper)]
-    coords = np.indices(extent).reshape(window.d, -1)
-    return _Geometry(
-        coords=coords,
-        strides=tuple(math.prod(extent[i + 1:]) for i in range(window.d)),
-        plane=coords.sum(axis=0).astype(np.min_scalar_type(sum(extent))),
-        boundary=tuple(np.flatnonzero(c == 0) for c in coords),
-    )
 
 
 def _ring_times(seeds: np.ndarray, keys: np.ndarray, p: float, horizon: float):
@@ -129,31 +108,24 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
-def _frozen_zero(rule: Exterior, boundary: tuple[np.ndarray, ...],
-                 within: Optional[Window] = None) -> np.ndarray:
-    """Per window site: some neighbor outside the window, and outside
-    ``within`` if given, is frozen at 0."""
+def _faces(rule: Exterior, within: Optional[Window] = None):
+    """Per window site: whether some neighbor x - e_i outside the window is
+    frozen at 0, and, given ``within``, whether one lies in ``within`` so
+    that its spin is unknown (else None).  Beyond ``within`` the rule holds."""
     window = rule.window
-    row = np.zeros(window.site_count(), dtype=bool)
-    for i, sites in enumerate(boundary):
+    frozen = np.zeros(window.site_count(), dtype=bool)
+    unsure = None if within is None else np.zeros_like(frozen)
+    for i, face in enumerate(window.grid == 0):
         if within is not None and within.lower[i] < window.lower[i]:
-            continue  # an open face: see _open_face
-        zero = np.full(sites.size, rule.spin == 0)
+            unsure |= face
+            continue
+        zero = face & (rule.spin == 0)
         for y, s in rule.overrides.items():
-            x = tuple(c + (k == i) for k, c in enumerate(y))  # y = x - e_i
+            x = tuple(c + (k == i) for k, c in enumerate(y))  # y = x - e_i, so x lies on the face
             if x in window:
-                zero[sites.searchsorted(window.index(x))] = s == 0
-        row[sites] |= zero
-    return row
-
-
-def _open_face(window: Window, boundary: tuple[np.ndarray, ...], within: Window) -> np.ndarray:
-    """Per window site: some neighbor lies in ``within`` but outside the
-    window, so that its spin is unknown."""
-    row = np.zeros(window.site_count(), dtype=bool)
-    for i, sites in enumerate(boundary):
-        row[sites] |= within.lower[i] < window.lower[i]
-    return row
+                zero[window.index(x)] = s == 0
+        frozen |= zero
+    return frozen, unsure
 
 
 def _rank_keys(offsets: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +149,7 @@ def _last_ring(key: np.ndarray, offsets: np.ndarray, rows: np.ndarray, rank) -> 
     return pos - 1, pos > offsets[rows]
 
 
-def _sweep(geo: _Geometry, init, free, offsets, bits, key, unsure=None):
+def _sweep(window: Window, init, free, offsets, bits, key, unsure=None):
     """Legality and spin after each ring, one hyperplane at a time.  A ring's
     neighbor spin is the spin after the neighbor's last ring ranked below it.
 
@@ -201,7 +173,7 @@ def _sweep(geo: _Geometry, init, free, offsets, bits, key, unsure=None):
     m, n_rows = key.size, init.size
     sentinel = m + n_rows
     row = key // m
-    replicas = n_rows // geo.plane.size
+    replicas = n_rows // window.site_count()
 
     def per_ring(per_site):
         return np.tile(per_site, replicas)[row]
@@ -212,8 +184,8 @@ def _sweep(geo: _Geometry, init, free, offsets, bits, key, unsure=None):
     legal = per_ring(free)
     unknown = None if unsure is None else per_ring(unsure)
     slots = []
-    for i, stride in enumerate(geo.strides):
-        inner = per_ring(geo.coords[i] > 0)
+    for i, stride in enumerate(window.strides):
+        inner = per_ring(window.grid[i] > 0)
         pos = key[inner]
         pos -= stride * m
         pos = key.searchsorted(pos)
@@ -224,11 +196,13 @@ def _sweep(geo: _Geometry, init, free, offsets, bits, key, unsure=None):
         nb[inner] = pos
         slots.append(nb)
     del inner, pos
-    ring_plane = per_ring(geo.plane)
+    plane = window.grid.sum(axis=0)  # hyperplane index per site
+    small = np.min_scalar_type(plane[-1] + 1)  # bounds included: a wider query casts every ring
+    ring_plane = per_ring(plane.astype(small))
     by_plane = np.argsort(ring_plane, kind="stable")  # row order kept within a plane
-    bounds = np.searchsorted(ring_plane[by_plane], np.arange(geo.plane.max() + 2))
+    bounds = np.searchsorted(ring_plane[by_plane], np.arange(plane[-1] + 2, dtype=small))
     del ring_plane
-    for k in range(geo.plane.max() + 1):
+    for k in range(plane[-1] + 1):
         sel = by_plane[bounds[k]:bounds[k + 1]]
         if sel.size == 0:
             continue
@@ -308,8 +282,7 @@ class BatchLog:
         if within is not None and not (within.d == self.window.d
                                        and within.contains_window(self.window)):
             raise SimulationError(f"window {within} does not hold the batch's window")
-        geo = _geometry(self.window)
-        self.n_sites = geo.plane.size
+        self.n_sites = self.window.site_count()
         shape = (seeds.size, self.n_sites)
         try:
             spins = np.asarray(spins, dtype=np.int8)
@@ -322,10 +295,9 @@ class BatchLog:
         if ((self.init < 0) | (self.init > 1)).any():
             raise SimulationError("spins must be 0 or 1")
         self.key, self.ordered = _rank_keys(offsets, times)
-        free = _frozen_zero(rule, geo.boundary, within)
-        unsure = None if within is None else _open_face(self.window, geo.boundary, within)
+        free, unsure = _faces(rule, within)
         self.legal, self.spin_after, self.unknown = _sweep(
-            geo, self.init, free, offsets, bits, self.key, unsure)
+            self.window, self.init, free, offsets, bits, self.key, unsure)
 
     def __len__(self) -> int:
         return self.seeds.size
@@ -410,14 +382,6 @@ class BatchLog:
         where a ring of unknown legality comes before any legal one."""
         return self.first_legal[self._rows(x)]
 
-    def updated_set(self, sites: Sequence[Site], deadline: float) -> np.ndarray:
-        """(replicas, len(sites)) mask: site had a legal ring by the deadline."""
-        self._certain("updated_set")
-        rows = np.stack([self._rows(x) for x in sites], axis=1)
-        if not deadline <= self.horizon:
-            raise SimulationError(f"deadline {deadline} beyond horizon")
-        return self.first_legal[rows] <= deadline
-
     def final_spins(self) -> np.ndarray:
         """(replicas, sites) spins at the horizon: after each row's last ring,
         or its initial spin."""
@@ -476,15 +440,21 @@ class BatchLog:
     @staticmethod
     def from_csv(text: str) -> "BatchLog":
         """Replay a ``to_csv`` log's ring times and bits as a batch of one.  Raises
-        SimulationError on empty text, a manifest key missing, a wrong column
-        header, a row without exactly its five columns, a site outside the
-        window, ring times of a site not strictly increasing within
+        SimulationError on empty text, a first line that is not a JSON object, a
+        manifest key missing, a wrong column header, a row without exactly its
+        five columns, a site coordinate that is not an integer, a site outside
+        the window, ring times of a site not strictly increasing within
         (0, horizon], a bit not 0/1, initial spins not one 0/1 per window site,
         or ``legal``/``spin_after`` columns unlike the replay."""
         lines = text.splitlines()
         if not lines:
             raise SimulationError("empty event log")
-        manifest = json.loads(lines[0].lstrip("# "))
+        try:
+            manifest = json.loads(lines[0].lstrip("# "))
+        except json.JSONDecodeError:
+            manifest = None
+        if not isinstance(manifest, dict):
+            raise SimulationError(f"event manifest {lines[0]!r} is not a JSON object")
         missing = [k for k in ("d", "p", "seed", "horizon", "window_lower", "window_upper",
                                "exterior", "exterior_overrides", "initial_spins")
                    if k not in manifest]
@@ -501,7 +471,10 @@ class BatchLog:
         for r in rows:
             if len(r) != 5:
                 raise SimulationError(f"event row {','.join(r)!r} does not have 5 columns")
-        sites = [tuple(int(c) for c in r[0].split(";")) for r in rows]
+        try:
+            sites = [tuple(int(c) for c in r[0].split(";")) for r in rows]
+        except ValueError:
+            raise SimulationError("site coordinates must be integers") from None
         for x in sites:
             if x not in window:
                 raise SimulationError(f"ring at site {x} outside window")

@@ -51,8 +51,7 @@ def _lemma_box(batch: BatchLog, t: float, alpha: float, x: Site):
     if (-radius,) * d not in w or (0,) * d not in w:
         raise TheoryCheckError("D does not fit inside the log's window")
     corner = np.indices((radius + 1,) * d)  # offsets from D's lower corner
-    extent = [hi - lo + 1 for lo, hi in zip(w.lower, w.upper)]
-    index = np.ravel_multi_index([c - radius - lo for c, lo in zip(corner, w.lower)], extent)
+    index = sum(s * (c - radius - lo) for s, c, lo in zip(w.strides, corner, w.lower))
     rows = np.arange(len(batch)).reshape((-1,) + (1,) * d) * batch.n_sites + index
     xc = [c + radius for c in x]
     dist = np.abs(corner - np.reshape(xc, (-1,) + (1,) * d)).sum(axis=0)

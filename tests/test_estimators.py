@@ -290,7 +290,7 @@ class TestBoxPersistence:
         for query in (lambda: boxed.first_change, lambda: boxed.final_spins(),
                       lambda: boxed.spin_at_time((2,), 1.5),
                       lambda: boxed.occupation_time((2,), 1.5),
-                      lambda: boxed.updated_set([(2,)], 1.5), lambda: boxed.to_csv(0)):
+                      lambda: boxed.to_csv(0)):
             with pytest.raises(SimulationError, match="undefined on a box batch"):
                 query()
 

@@ -436,6 +436,20 @@ class TestHalfSpaceGap:
         with pytest.raises(ExactEngineError, match=r"p=0\.9, N=12.*MAX_LANCZOS_STEPS = 100"):
             east1d_gap(0.9, 12)
 
+    def test_unsettled_run_reads_spaced_out(self, monkeypatch):
+        # with a negative tolerance neither stop rule fires, so the run goes
+        # to the step cap; past step 2000 the reads of lambda_min(T_k) are
+        # 5% apart, not 10 steps
+        reads = []
+        lowest = eastlab.exact._lowest_tridiagonal
+        monkeypatch.setattr(eastlab.exact, "LANCZOS_RTOL", -1.0)
+        monkeypatch.setattr(eastlab.exact, "_lowest_tridiagonal",
+                            lambda alpha, beta: reads.append(len(alpha)) or lowest(alpha, beta))
+        with pytest.raises(ExactEngineError, match=r"N=12.*MAX_LANCZOS_STEPS = 20000"):
+            east1d_gap(0.5, 12)
+        assert reads[:200] == list(range(10, 2001, 10))
+        assert len(reads) < 300
+
 
 class TestKilledOperator:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])

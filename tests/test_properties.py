@@ -132,7 +132,8 @@ def test_frozen_zero_matches_per_site_rule(window, spin, data):
             for y in (site_sub_e(x, i) for i in range(window.d)))
         for x in window.sites
     ]
-    assert sim._frozen_zero(rule, sim._geometry(window).boundary).tolist() == want
+    frozen, unsure = sim._faces(rule)
+    assert frozen.tolist() == want and unsure is None
 
 
 @PROPERTY

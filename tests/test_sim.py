@@ -59,6 +59,18 @@ class TestSimulate:
         assert log.legal.sum() == 0
         assert np.array_equal(log.final_spins(), [init.spins])
 
+    @pytest.mark.parametrize("sites", [254, 255, 256])
+    def test_plane_dtype_edge_matches_event_loop(self, sites):
+        # the sweep keeps hyperplane indices in the smallest uint; on these
+        # 1-d windows the bounds of the last plane reach 255, 256 and 257
+        init = Configuration.with_zeros(Window((1,), (sites,)), [(1,)], exterior=0)
+        batch = simulate_batch(ModelParams(1, 0.5), init.rule, init.spins, 3.0, [1, 2])
+        for r in range(len(batch)):
+            legal, after = event_loop(batch, r)
+            for i, x in enumerate(batch.window.sites):
+                _, _, got_legal, got_after = batch.rings(r, x)
+                assert np.array_equal(got_legal, legal[i]) and np.array_equal(got_after, after[i])
+
     def test_unconstrained_site_occupancy(self):
         # frozen zero neighbor: two-state chain with stationary P(spin 0) = 1-p
         log = single_site_log(p=0.3, horizon=10_000.0, seed=5)
@@ -262,22 +274,17 @@ class TestQueries:
                     assert tau >= rings[0] - 1e-15
 
     def test_updated_set(self):
+        # the sites updated by a deadline: first_update_time <= deadline
         blocked = simulate(
             ModelParams(1, 0.5), Configuration.all_ones(Window((1,), (2,))), 10.0, 2
         )
-        assert not blocked.updated_set([(1,), (2,)], 10.0).any()
+        assert not (blocked.first_update_time((1,)) <= 10.0).any()
+        assert not (blocked.first_update_time((2,)) <= 10.0).any()
         log = single_site_log(horizon=10.0, seed=17)
-        assert log.updated_set([(1,)], 0.0).tolist() == [[False]]
-        assert log.updated_set([(1,)], 10.0).tolist() == [[True]]
+        assert (log.first_update_time((1,)) <= 0.0).tolist() == [False]
+        assert (log.first_update_time((1,)) <= 10.0).tolist() == [True]
         with pytest.raises(SimulationError, match=r"site \(2,\) outside window"):
-            log.updated_set([(1,), (2,)], 10.0)
-
-    @pytest.mark.parametrize("deadline", [10.5, math.nan, math.inf])
-    def test_deadline_beyond_horizon_rejected(self, deadline):
-        # NaN would otherwise compare false and read as "no site updated"
-        log = single_site_log(horizon=10.0, seed=17)
-        with pytest.raises(SimulationError, match=f"deadline {deadline} beyond horizon"):
-            log.updated_set([(1,)], deadline)
+            log.first_update_time((2,))
 
     def test_updated_set_hit_probability(self):
         # single unconstrained site: P(some ring by deadline) = 1 - e^{-deadline}
@@ -287,7 +294,7 @@ class TestQueries:
         init = Configuration(Window((1,), (1,)), (1,), exterior=0)
         seeds = [derive_seed(99, r) for r in range(n)]
         batch = simulate_batch(params, init.rule, init.spins, deadline, seeds)
-        hits = int(batch.updated_set([(1,)], deadline).sum())
+        hits = int((batch.first_update_time((1,)) <= deadline).sum())
         target = 1 - math.exp(-deadline)
         sigma = math.sqrt(target * (1 - target) / n)
         assert abs(hits / n - target) < 3 * sigma
@@ -488,7 +495,9 @@ class TestCsv:
         # "1" once broadcast to every site, which on an all-ones start even
         # replayed to the same columns
         ("one-initial-spin", "one row of 2 window spins"),
-    ], ids=["empty", "missing-key", "short-row", "one-initial-spin"])
+        ("not-json", "is not a JSON object"),
+        ("coordinate", "site coordinates must be integers"),
+    ], ids=["empty", "missing-key", "short-row", "one-initial-spin", "not-json", "coordinate"])
     def test_malformed_log_rejected(self, case, match):
         init = Configuration.all_ones(Window((0,), (1,)), exterior=0)
         lines = simulate(ModelParams(1, 0.5), init, 5.0, 9).to_csv(0).splitlines()
@@ -500,9 +509,13 @@ class TestCsv:
             del manifest["horizon"]
         elif case == "short-row":
             lines[2] = lines[2].rsplit(",", 1)[0]
-        else:
+        elif case == "one-initial-spin":
             manifest["initial_spins"] = "1"
         if lines:
             lines[0] = "# " + json.dumps(manifest)
+        if case == "not-json":
+            lines[0] = "# not json"
+        elif case == "coordinate":
+            lines[2] = "x" + lines[2]
         with pytest.raises(SimulationError, match=match):
             BatchLog.from_csv("\n".join(lines))

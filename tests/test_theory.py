@@ -187,7 +187,7 @@ class TestOrientedPathLemma:
         batch, geom = active_batch([derive_seed(900, seed) for seed in range(40)], alpha=0.08)
         found = oriented_path_check(batch, geom.t, geom.alpha, (0, 0)).found
         sites = geom.sites
-        E = batch.updated_set(sites, geom.t / 2)[found]
+        E = np.stack([batch.first_update_time(x) for x in sites], axis=1)[found] <= geom.t / 2
         plane = -np.sum(sites, axis=1)
         lo = geom.d * math.floor(geom.alpha * geom.t)
         hi = geom.radius
@@ -222,7 +222,8 @@ class TestOrientedPathLemma:
         assert (short.length[found] > 0).all()
         assert not certify_paths(batch, t, alpha, x, short).any()
         # one reached site outside E
-        outside = ~batch.updated_set(geom.sites, t / 2).reshape(check.reach.shape)
+        first = np.stack([batch.first_update_time(y) for y in geom.sites], axis=1)
+        outside = ~(first <= t / 2).reshape(check.reach.shape)
         bad = found & outside.reshape(len(batch), -1).any(axis=1)
         reach = check.reach.copy()
         for r in np.flatnonzero(bad):
