@@ -96,10 +96,7 @@ def _parse_measure(value: str, config: ExperimentConfig) -> MeasureSpec:
     if name == "bernoulli":
         if len(args) != 1:
             raise ValueError("expected 'bernoulli <q>'")
-        q = float(args[0])
-        if not (0.0 <= q < 1.0):
-            raise ValueError(f"bernoulli parameter must lie in [0,1), got {q}")
-        return ProductBernoulli(q, config.exterior)
+        return ProductBernoulli(float(args[0]), config.exterior)
     if name == "delta-zeros":
         if config.window is None:
             raise ValueError("delta-zeros requires window_lower/window_upper")

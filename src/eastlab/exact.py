@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import daxpy, ddot, dscal
 from scipy.linalg.lapack import dstebz
 
-from .lattice import Region, Site, bernoulli_weights, site_sub_e
+from .lattice import Region, Site, site_sub_e
 
 MAX_REGION_SITES = 20
 MAX_SPECTRAL_SITES = 12  # spectral_gap: largest region, a 4096x4096 dense solve
@@ -130,10 +130,6 @@ class Generator:
         self.dim = 1 << self.n
         up, down, exit_rate = _legal_flips(self.sites, self.boundary, p)
         self.rates = _flip_csr(up, down, 0.0 - exit_rate, p, 1.0 - p)  # 0 - 0.0 is +0.0, not -0.0
-
-    def mu(self) -> np.ndarray:
-        """Product Bernoulli(p) weights indexed by bitmask state."""
-        return bernoulli_weights(self.n, self.p)
 
 
 def build_generator(region: Region, boundary: Mapping[Site, int], p: float) -> Generator:

@@ -134,6 +134,8 @@ class Exterior:
         if self.spin not in (0, 1):
             raise LatticeError("exterior spin must be 0 or 1")
         for x, s in self.overrides.items():
+            if len(x) != self.window.d:
+                raise LatticeError(f"override site {x} is not {self.window.d}-dimensional")
             if x in self.window:
                 raise LatticeError(f"override site {x} lies inside the window")
             if s not in (0, 1):

@@ -279,6 +279,8 @@ class BatchLog:
         self.params, self.rule, self.window = params, rule, rule.window
         self.horizon, self.seeds, self.within = float(horizon), seeds, within
         self.offsets, self.times, self.bits = offsets, times, bits
+        if self.window.d != params.d:
+            raise SimulationError("window dimension does not match params.d")
         if within is not None and not (within.d == self.window.d
                                        and within.contains_window(self.window)):
             raise SimulationError(f"window {within} does not hold the batch's window")
@@ -445,7 +447,12 @@ class BatchLog:
         five columns, a site coordinate that is not an integer, a site outside
         the window, ring times of a site not strictly increasing within
         (0, horizon], a bit not 0/1, initial spins not one 0/1 per window site,
-        or ``legal``/``spin_after`` columns unlike the replay."""
+        ``legal``/``spin_after`` columns unlike the replay, or a ``d`` other
+        than the window's dimension.  A field of the wrong type or outside its
+        type's range (a time, a bit, the seed, a manifest value), and a model
+        or exterior the lattice refuses (p outside (0, 1), an exterior spin not
+        0/1, an override inside the window or of another dimension), raise it
+        as "malformed event log: " and the refusal."""
         lines = text.splitlines()
         if not lines:
             raise SimulationError("empty event log")
@@ -462,37 +469,41 @@ class BatchLog:
             raise SimulationError(f"event manifest lacks {', '.join(missing)}")
         if lines[1:2] != ["site_coords,time,bit,legal,spin_after"]:
             raise SimulationError(f"unexpected event header {lines[1:2]}")
-        params, horizon = ModelParams(manifest["d"], manifest["p"]), manifest["horizon"]
-        window = Window(tuple(manifest["window_lower"]), tuple(manifest["window_upper"]))
-        rule = Exterior(
-            window, manifest["exterior"], {tuple(x): s for x, s in manifest["exterior_overrides"]}
-        )
-        rows = [ln.split(",") for ln in lines[2:] if ln.strip()]
-        for r in rows:
-            if len(r) != 5:
-                raise SimulationError(f"event row {','.join(r)!r} does not have 5 columns")
         try:
-            sites = [tuple(int(c) for c in r[0].split(";")) for r in rows]
-        except ValueError:
-            raise SimulationError("site coordinates must be integers") from None
-        for x in sites:
-            if x not in window:
-                raise SimulationError(f"ring at site {x} outside window")
-        site_idx = np.asarray([window.index(x) for x in sites], dtype=np.int64)
-        cols = [np.asarray([r[k] for r in rows]) for k in range(1, 5)]
-        order = np.argsort(site_idx, kind="stable")  # per site, in file order
-        times = cols[0].astype(np.float64)[order]
-        rising = (times[1:] > times[:-1]) | (site_idx[order][1:] != site_idx[order][:-1])
-        if not (rising.all() and ((times > 0) & (times <= horizon)).all()):
-            raise SimulationError("a site's ring times must strictly increase within (0, horizon]")
-        bits, legal, spin_after = (c.astype(np.int8)[order] for c in cols[1:])
-        if not np.isin(bits, (0, 1)).all():
-            raise SimulationError("ring bits must be 0 or 1")
-        offsets = np.zeros(window.site_count() + 1, dtype=np.int64)
-        np.cumsum(np.bincount(site_idx, minlength=window.site_count()), out=offsets[1:])
-        spins = [int(c) for c in manifest["initial_spins"]]
-        seeds = np.array([manifest["seed"]], dtype=np.uint64)
-        batch = BatchLog(params, rule, spins, horizon, seeds, offsets, times, bits)
+            params, horizon = ModelParams(manifest["d"], manifest["p"]), manifest["horizon"]
+            window = Window(tuple(manifest["window_lower"]), tuple(manifest["window_upper"]))
+            overrides = {tuple(x): s for x, s in manifest["exterior_overrides"]}
+            rule = Exterior(window, manifest["exterior"], overrides)
+            rows = [ln.split(",") for ln in lines[2:] if ln.strip()]
+            for r in rows:
+                if len(r) != 5:
+                    raise SimulationError(f"event row {','.join(r)!r} does not have 5 columns")
+            try:
+                sites = [tuple(int(c) for c in r[0].split(";")) for r in rows]
+            except ValueError:
+                raise SimulationError("site coordinates must be integers") from None
+            for x in sites:
+                if x not in window:
+                    raise SimulationError(f"ring at site {x} outside window")
+            site_idx = np.asarray([window.index(x) for x in sites], dtype=np.int64)
+            cols = [np.asarray([r[k] for r in rows]) for k in range(1, 5)]
+            order = np.argsort(site_idx, kind="stable")  # per site, in file order
+            times = cols[0].astype(np.float64)[order]
+            rising = (times[1:] > times[:-1]) | (site_idx[order][1:] != site_idx[order][:-1])
+            if not (rising.all() and ((times > 0) & (times <= horizon)).all()):
+                raise SimulationError("a site's ring times must strictly increase within (0, horizon]")
+            bits, legal, spin_after = (c.astype(np.int8)[order] for c in cols[1:])
+            if not np.isin(bits, (0, 1)).all():
+                raise SimulationError("ring bits must be 0 or 1")
+            offsets = np.zeros(window.site_count() + 1, dtype=np.int64)
+            np.cumsum(np.bincount(site_idx, minlength=window.site_count()), out=offsets[1:])
+            spins = [int(c) for c in manifest["initial_spins"]]
+            seeds = np.array([manifest["seed"]], dtype=np.uint64)
+            batch = BatchLog(params, rule, spins, horizon, seeds, offsets, times, bits)
+        except SimulationError:
+            raise
+        except (TypeError, ValueError, OverflowError) as e:  # LatticeError included
+            raise SimulationError(f"malformed event log: {e}") from None
         if (legal != batch.legal).any() or (spin_after != batch.spin_after).any():
             raise SimulationError("legal or spin_after column differs from the replayed rings")
         return batch
@@ -513,8 +524,6 @@ def simulate_batch(
     see ``BatchLog``.
     """
     window = rule.window
-    if window.d != params.d:
-        raise SimulationError("window dimension does not match params.d")
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     if seeds.size == 0:
         raise SimulationError("need at least one seed")

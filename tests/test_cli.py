@@ -166,6 +166,9 @@ class TestParse:
         [
             ("measure =", "measure"),
             ("measure = bernoulli x", "measure"),
+            ("measure = bernoulli 1", "measure"),
+            ("measure = bernoulli -0.1", "measure"),
+            ("measure = bernoulli nan", "measure"),
             ("measure = delta-zeros 0 x", "measure"),
             ("measure = delta-zeros 5 5", "measure"),  # outside the 0..1 window
             ("site = 1 x", "site"),

@@ -1,16 +1,17 @@
 """Start-up cost, checked in fresh processes, and a reader for every public name.
 
 - The Monte Carlo kinds load no scipy and no numpy.ma, at parse time or in a run.
-- The exact engine (kinds gap and constants, and the exact names of the
-  package) loads scipy.sparse and scipy.linalg, never scipy.stats or
-  scipy.sparse.linalg, and nothing that scipy.sparse and
-  scipy.linalg.lapack do not load themselves.
+- The exact engine (kinds gap and constants) loads scipy.sparse and
+  scipy.linalg, never scipy.stats or scipy.sparse.linalg, and nothing that
+  scipy.sparse and scipy.linalg.lapack do not load themselves.
+- Each public name is imported from its own module: the package loads none
+  of its modules, and the exact engine only the lattice and the streams.
 - scipy.special loads only with uniformization (`evolve_expectation`),
   which no kind runs.
 - Every module-level public function, class and UPPER_CASE constant of the
   package, and every public method and property of its classes, has a reader
   outside its own definition: code in the package, the benchmark, or the test
-  oracles.
+  oracles.  A method or property is read only as an attribute (``.name``).
 """
 
 import ast
@@ -147,16 +148,20 @@ def test_uniformization_alone_loads_scipy_special():
     assert "scipy.special" in after
 
 
-def test_exact_names_resolve_from_the_package():
-    from eastlab import (
-        Generator, build_generator, east1d_gap, evolve_expectation, killed_operator, spectral_gap,
-    )
-    from eastlab import exact
+# the eastlab modules loaded after the import in argv[1], in a fresh process
+OWN_MODULES_PROBE = """
+import sys
+exec(sys.argv[1])
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "eastlab")))
+"""
 
-    assert (Generator, build_generator, east1d_gap, evolve_expectation, killed_operator, spectral_gap) == (
-        exact.Generator, exact.build_generator, exact.east1d_gap, exact.evolve_expectation,
-        exact.killed_operator, exact.spectral_gap,
-    )
+
+@pytest.mark.parametrize("statement, modules", [
+    ("import eastlab", ["eastlab"]),
+    ("import eastlab.exact", ["eastlab", "eastlab.exact", "eastlab.lattice", "eastlab.streams"]),
+])
+def test_import_loads_only_the_modules_it_needs(statement, modules):
+    assert probe_output(OWN_MODULES_PROBE, statement) == [modules]
 
 
 def test_unknown_package_name_raises_attribute_error():
@@ -216,10 +221,11 @@ TEST_ONLY_READERS = {
 }
 
 
-def _names_read(node: ast.AST) -> Counter:
-    """How often each name is read in ``node`` as a Name or an attribute."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+def _names_read(node: ast.AST, members: bool = False) -> Counter:
+    """How often each name is read in ``node``: as a Name or an attribute, or,
+    for ``members`` (methods and properties), as an attribute (``.name``) only."""
+    return Counter(n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) or (not members and isinstance(n, ast.Name)))
 
 
 def _public_definitions(tree: ast.Module):
@@ -248,16 +254,23 @@ def _names_imported(node: ast.AST) -> set:
 def test_every_public_name_has_a_reader():
     # a reader is a use outside the name's own definition, anywhere in the
     # package, or a name that the code of the benchmark's scripts or of the
-    # test oracles reads or imports; words in their strings do not count
+    # test oracles reads or imports; words in their strings do not count, and
+    # a method or property is read only as an attribute, never as a bare name
     root = Path(SRC).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in Path(SRC, "eastlab").glob("*.py")}
-    read = sum(map(_names_read, trees.values()), Counter())
-    outside = set()
-    for path in [*root.glob("perfbench/*.py"), root / "tests" / "oracle.py"]:
-        tree = ast.parse(path.read_text())
-        outside |= set(_names_read(tree)) | _names_imported(tree)
+    others = [ast.parse(path.read_text())
+              for path in [*root.glob("perfbench/*.py"), root / "tests" / "oracle.py"]]
+    read, outside = {}, {}
+    for members in (False, True):
+        read[members] = sum((_names_read(tree, members) for tree in trees.values()), Counter())
+        outside[members] = set().union(*(_names_read(tree, members) for tree in others))
+    outside[False] |= set().union(*map(_names_imported, others))
+
+    def is_unread(qualified: str, name: str, node: ast.AST) -> bool:
+        members = "." in qualified
+        return read[members][name] == _names_read(node, members)[name] and name not in outside[members]
+
     unread = sorted((qualified, module) for module, tree in trees.items()
-                    for qualified, name, node in _public_definitions(tree)
-                    if read[name] == _names_read(node)[name] and name not in outside)
+                    for qualified, name, node in _public_definitions(tree) if is_unread(qualified, name, node))
     # the allowlist holds exactly the names that need it
     assert [name for name, _ in unread] == sorted(TEST_ONLY_READERS), unread

@@ -6,6 +6,7 @@ import pytest
 from eastlab.lattice import (
     Configuration,
     Delta,
+    Exterior,
     LatticeError,
     ModelParams,
     ProductBernoulli,
@@ -48,6 +49,13 @@ class TestConfiguration:
         w = Window((0,), (3,))
         with pytest.raises(LatticeError):
             Configuration.all_ones(w, overrides={(1,): 0})
+
+    @pytest.mark.parametrize("site", [(5,), (-1, 0, 0)])
+    def test_override_of_another_dimension_rejected(self, site):
+        # a site of another dimension is never in the window, so the inside
+        # check alone would keep it as an override that no constraint reads
+        with pytest.raises(LatticeError, match="is not 2-dimensional"):
+            Exterior(Window((0, 0), (1, 1)), 1, {site: 0})
 
 
 class TestEastConstraint:

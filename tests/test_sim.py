@@ -488,21 +488,41 @@ class TestCsv:
         with pytest.raises(SimulationError):
             BatchLog.from_csv("\n".join(lines))
 
-    @pytest.mark.parametrize("case, match", [
-        ("empty", "empty event log"),
-        ("missing-key", "manifest lacks horizon"),
-        ("short-row", "does not have 5 columns"),
+    # a field of the wrong type or range, or a d unlike the window's: manifest
+    # values to set, or a column of the first ring's row and its text
+    BAD_FIELDS = {
+        "time": (1, "x"), "bit": (2, "x"), "legal": (3, "x"), "spin_after": (4, "x"),
+        "bit-300": (2, "300"), "legal-300": (3, "300"),
+        "d-str": {"d": "x"}, "p-str": {"p": "x"}, "p-2": {"p": 2}, "horizon-str": {"horizon": "x"},
+        "seed-negative": {"seed": -1}, "lower-int": {"window_lower": 5}, "exterior-7": {"exterior": 7},
+        "overrides-int": {"exterior_overrides": 5}, "spins-int": {"initial_spins": 1011},
+        "spins-letter": {"initial_spins": "01x1"},
+        "override-of-2d": {"exterior_overrides": [[[5, 5], 0]]},
+        # a replay would carry d = 3 into batch.params.d, which theory reads
+        "d-3": {"d": 3},
+    }
+
+    # what each malformed log's error says
+    MALFORMED = {
+        "empty": "empty event log",
+        "missing-key": "manifest lacks horizon",
+        "short-row": "does not have 5 columns",
         # "1" once broadcast to every site, which on an all-ones start even
         # replayed to the same columns
-        ("one-initial-spin", "one row of 2 window spins"),
-        ("not-json", "is not a JSON object"),
-        ("coordinate", "site coordinates must be integers"),
-    ], ids=["empty", "missing-key", "short-row", "one-initial-spin", "not-json", "coordinate"])
-    def test_malformed_log_rejected(self, case, match):
+        "one-initial-spin": "one row of 2 window spins",
+        "not-json": "is not a JSON object",
+        "coordinate": "site coordinates must be integers",
+        **dict.fromkeys(BAD_FIELDS, "malformed event log"),
+        "d-3": "window dimension does not match params.d",
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_log_rejected(self, case):
         init = Configuration.all_ones(Window((0,), (1,)), exterior=0)
         lines = simulate(ModelParams(1, 0.5), init, 5.0, 9).to_csv(0).splitlines()
         assert len(lines) > 2
         manifest = json.loads(lines[0][2:])
+        edit = self.BAD_FIELDS.get(case)
         if case == "empty":
             lines = []
         elif case == "missing-key":
@@ -511,11 +531,17 @@ class TestCsv:
             lines[2] = lines[2].rsplit(",", 1)[0]
         elif case == "one-initial-spin":
             manifest["initial_spins"] = "1"
+        elif isinstance(edit, dict):
+            manifest.update(edit)
+        elif edit:
+            fields = lines[2].split(",")
+            fields[edit[0]] = edit[1]
+            lines[2] = ",".join(fields)
         if lines:
             lines[0] = "# " + json.dumps(manifest)
         if case == "not-json":
             lines[0] = "# not json"
         elif case == "coordinate":
             lines[2] = "x" + lines[2]
-        with pytest.raises(SimulationError, match=match):
+        with pytest.raises(SimulationError, match=self.MALFORMED[case]):
             BatchLog.from_csv("\n".join(lines))
