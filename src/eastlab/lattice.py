@@ -26,6 +26,11 @@ class LatticeError(ValueError):
     pass
 
 
+def _integer(v) -> bool:
+    """Whether v is an integer: a numpy integer is, a bool or a float is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Dimension and update probability of the dynamics."""
@@ -34,8 +39,8 @@ class ModelParams:
     p: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise LatticeError(f"d must be >= 1, got {self.d}")
+        if not _integer(self.d) or self.d < 1:
+            raise LatticeError(f"d must be an integer >= 1, got {self.d!r}")
         if not (0.0 < self.p < 1.0):
             raise LatticeError(f"p must lie in (0,1), got {self.p}")
 
@@ -131,15 +136,15 @@ class Exterior:
     overrides: Mapping[Site, int]
 
     def __post_init__(self):
-        if self.spin not in (0, 1):
-            raise LatticeError("exterior spin must be 0 or 1")
+        if not _integer(self.spin) or self.spin not in (0, 1):
+            raise LatticeError(f"exterior spin must be 0 or 1, got {self.spin!r}")
         for x, s in self.overrides.items():
             if len(x) != self.window.d:
                 raise LatticeError(f"override site {x} is not {self.window.d}-dimensional")
             if x in self.window:
                 raise LatticeError(f"override site {x} lies inside the window")
-            if s not in (0, 1):
-                raise LatticeError("override spins must be 0 or 1")
+            if not _integer(s) or s not in (0, 1):
+                raise LatticeError(f"override spins must be 0 or 1, got {s!r}")
 
     def configuration(self, spins) -> "Configuration":
         """The configuration with these window spins (window site order)."""

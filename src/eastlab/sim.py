@@ -9,9 +9,9 @@ hyperplane just before x's.  The trajectories on hyperplane H_k are therefore
 a function of those on H_{k-1} and of H_k's own rings, and the simulation runs
 as one vectorized pass per hyperplane over every replica and every site of
 H_k at once.  The full ring history (legal and illegal) is kept per site in
-CSR form, indexed once per batch by exact time-rank keys that answer the
-sweep's neighbor lookups, every log query and the CSV.  ``BatchLog``
-is the one trajectory type; ``simulate`` returns a batch of one replica.
+CSR form beside one spin table, indexed once per batch by exact time-rank keys
+that answer the sweep's neighbor lookups, every log query and the CSV.
+``BatchLog`` is the one trajectory type; ``simulate`` returns a batch of one.
 """
 
 from __future__ import annotations
@@ -108,24 +108,21 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
-def _faces(rule: Exterior, within: Optional[Window] = None):
-    """Per window site: whether some neighbor x - e_i outside the window is
-    frozen at 0, and, given ``within``, whether one lies in ``within`` so
-    that its spin is unknown (else None).  Beyond ``within`` the rule holds."""
+def _outside(rule: Exterior, within: Optional[Window] = None) -> np.ndarray:
+    """(d, sites) int8: per axis i and window site x, the spin of x - e_i if
+    it lies outside the window (the rule's, or UNKNOWN on a face that lies in
+    ``within``); entries of an x - e_i in the window are not read."""
     window = rule.window
-    frozen = np.zeros(window.site_count(), dtype=bool)
-    unsure = None if within is None else np.zeros_like(frozen)
-    for i, face in enumerate(window.grid == 0):
+    out = np.full((window.d, window.site_count()), rule.spin, dtype=np.int8)
+    for i in range(window.d):
         if within is not None and within.lower[i] < window.lower[i]:
-            unsure |= face
+            out[i] = UNKNOWN
             continue
-        zero = face & (rule.spin == 0)
         for y, s in rule.overrides.items():
             x = tuple(c + (k == i) for k, c in enumerate(y))  # y = x - e_i, so x lies on the face
             if x in window:
-                zero[window.index(x)] = s == 0
-        frozen |= zero
-    return frozen, unsure
+                out[i, window.index(x)] = s
+    return out
 
 
 def _rank_keys(offsets: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,47 +139,41 @@ def _rank_keys(offsets: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.n
     return np.repeat(np.arange(offsets.size - 1) * m, np.diff(offsets)) + rank, ordered
 
 
-def _last_ring(key: np.ndarray, offsets: np.ndarray, rows: np.ndarray, rank) -> tuple:
-    """Index of each row's last ring ranked below ``rank``, and whether one
-    exists; rings at or before t rank below searchsorted(ordered, t, "right")."""
-    pos = key.searchsorted(rows * key.size + rank)
-    return pos - 1, pos > offsets[rows]
+def _sweep(window: Window, init, outside, offsets, bits, key):
+    """Legality of each ring and the spin table, one hyperplane at a time.  A
+    ring's neighbor spin is the spin after the neighbor's last ring ranked below it.
 
+    The table ``buf`` holds, per row, the initial spin and then the spin after
+    each ring, and at its end one entry per spin 0, 1 and UNKNOWN.  The
+    neighbor row's rings ranked below a ring end just before the searchsorted
+    position of key - stride * m, so that position plus the neighbor row is
+    its entry in ``buf``: the initial spin if there is none.  These slots
+    depend on the keys alone, so before the sweep each axis finds them for the
+    whole batch, in one searchsorted over the rings whose neighbor lies in the
+    window (the queries come sorted).  A neighbor outside the window points at
+    the end entry of its spin in ``outside`` (see ``_outside``).
 
-def _sweep(window: Window, init, free, offsets, bits, key, unsure=None):
-    """Legality and spin after each ring, one hyperplane at a time.  A ring's
-    neighbor spin is the spin after the neighbor's last ring ranked below it.
-
-    ``buf`` holds, per row, the initial spin and then the spin after each
-    ring, and last a sentinel spin 1.  The neighbor row's rings ranked below a
-    ring end just before the searchsorted position of key - stride * m, so
-    that position plus the neighbor row is its entry in ``buf``: the initial
-    spin if there is none.  These slots depend on the keys alone, so before
-    the sweep each axis finds them for the whole batch, in one searchsorted
-    over the rings whose neighbor lies in the window (the queries come
-    sorted).  The other rings point at the sentinel; ``free`` already holds
-    the frozen zeros there.
-
-    With ``unsure`` (per site: a neighbor outside the window has an unknown
-    spin), spins take a third value UNKNOWN.  A ring is legal if some
-    neighbor is certainly 0, illegal if all are certainly 1, and of unknown
-    legality otherwise; after such a ring the spin stays certain only if the
-    bit equals it.  So every certain spin and legality is the one a run on a
-    larger window with the same rings has.  Returns (legal, spin after,
-    unknown legality), the last None without ``unsure``."""
+    Where ``outside`` holds UNKNOWN, spins take that third value.  A ring is
+    legal if some neighbor is certainly 0, illegal if all are certainly 1, and
+    of unknown legality otherwise; after such a ring the spin stays certain
+    only if the bit equals it.  So every certain spin and legality is the one
+    a run on a larger window with the same rings has.  Returns (legal, the
+    table, unknown legality), the last None when no neighbor is unknown."""
     m, n_rows = key.size, init.size
-    sentinel = m + n_rows
+    sentinel = m + n_rows  # the table entry of spin 0
     row = key // m
     replicas = n_rows // window.site_count()
 
     def per_ring(per_site):
         return np.tile(per_site, replicas)[row]
 
-    buf = np.empty(sentinel + 1, dtype=np.int8)
+    buf = np.empty(sentinel + 3, dtype=np.int8)
     buf[offsets[:-1] + np.arange(n_rows)] = init
-    buf[sentinel] = 1
-    legal = per_ring(free)
-    unknown = None if unsure is None else per_ring(unsure)
+    buf[sentinel:] = 0, 1, UNKNOWN
+    legal = np.zeros(m, dtype=bool)
+    unknown = np.zeros(m, dtype=bool) if (outside == UNKNOWN).any() else None
+    # int32 slots while they fit: they set a small batch's peak memory
+    entry = outside.astype(np.int32 if sentinel + UNKNOWN < 2**31 else np.int64) + sentinel
     slots = []
     for i, stride in enumerate(window.strides):
         inner = per_ring(window.grid[i] > 0)
@@ -191,8 +182,7 @@ def _sweep(window: Window, init, free, offsets, bits, key, unsure=None):
         pos = key.searchsorted(pos)
         pos += row[inner]
         pos -= stride
-        # int32 slots while they fit: they set a small batch's peak memory
-        nb = np.full(m, sentinel, dtype=np.int32 if sentinel < 2**31 else np.int64)
+        nb = per_ring(entry[i])
         nb[inner] = pos
         slots.append(nb)
     del inner, pos
@@ -233,8 +223,7 @@ def _sweep(window: Window, init, free, offsets, bits, key, unsure=None):
                              _last_index(maybe & (b == 0), idx))
             spin[other > since] = UNKNOWN
         buf[sel + rs + 1] = spin
-    row += np.arange(1, m + 1)  # each ring's own entry in buf
-    return legal, buf[row], unknown
+    return legal, buf, unknown
 
 
 def _last_index(mask: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -250,13 +239,15 @@ class BatchLog:
     Row r*n + i holds site i of replica r, which starts at spin ``init[row]``;
     every replica shares the exterior ``rule``.  A row's rings are
     ``times[offsets[row]:offsets[row + 1]]`` in increasing order, with the drawn
-    bit, the legality and the spin after each ring.  Built on first use, per
-    row: ``first_legal``, the first legal ring time (inf if none), and
-    ``first_change``, the first time the spin leaves its initial value.
-    ``key`` and the sorted ``ordered`` times (see ``_rank_keys``) are the one
-    ring index: a query costs O(log M) per row.  The queries answer for every
-    replica at once; ``initial``, ``rings`` and ``to_csv`` take a replica
-    index r.
+    bit and the legality of each ring.  The sweep's ``table`` (see ``_sweep``)
+    is the one spin store, and ``key`` and the sorted ``ordered`` times (see
+    ``_rank_keys``) the one ring index: as in the sweep, a row's spin at time
+    t is entry key.searchsorted(row * M + rank) + row, rank the number of
+    rings at or before t, so a query costs O(log M) per row.  Built on first
+    use: ``spin_after`` per ring, and per row ``first_legal`` and
+    ``first_change``, the first legal ring and spin change times (inf if none).
+    The queries answer for every replica at once; ``initial``, ``rings`` and
+    ``to_csv`` take a replica index r.
 
     The constructor sweeps the given rings (``offsets``, ``times``, ``bits``),
     which fall on (0, horizon], for legality and spins, from 0/1 ``spins`` at
@@ -266,11 +257,12 @@ class BatchLog:
     spins of the larger window's other sites are unknown, and the exterior
     rule holds beyond the larger window only.  Its spins after a ring may
     then read UNKNOWN, ``legal`` marks the certainly legal rings and
-    ``unknown`` those of unknown legality (None without ``within``); see
-    ``_sweep``.  Each certain value is the one the larger window's run with
-    the same rings has.  Of the per-site queries, only ``first_update_time``
-    and ``rings`` answer on such a batch; the others and ``to_csv`` raise
-    SimulationError, as an UNKNOWN spin has no value to report.
+    ``unknown`` those of unknown legality (None if no neighbor is unknown, as
+    without ``within``); see ``_sweep``.  Each certain value is the one the
+    larger window's run with the same rings has.  Of the per-site queries,
+    only ``first_update_time`` and ``rings`` answer on such a batch; the
+    others and ``to_csv`` raise SimulationError, as an UNKNOWN spin has no
+    value to report.
     """
 
     def __init__(self, params: ModelParams, rule: Exterior, spins, horizon: float,
@@ -297,9 +289,8 @@ class BatchLog:
         if ((self.init < 0) | (self.init > 1)).any():
             raise SimulationError("spins must be 0 or 1")
         self.key, self.ordered = _rank_keys(offsets, times)
-        free, unsure = _faces(rule, within)
-        self.legal, self.spin_after, self.unknown = _sweep(
-            self.window, self.init, free, offsets, bits, self.key, unsure)
+        self.legal, self.table, self.unknown = _sweep(
+            self.window, self.init, _outside(rule, within), offsets, bits, self.key)
 
     def __len__(self) -> int:
         return self.seeds.size
@@ -310,6 +301,12 @@ class BatchLog:
         if self.unknown is not None:  # NaN: a ring of unknown legality comes first
             first[self._first_time(self.unknown) < first] = np.nan
         return first
+
+    @cached_property
+    def spin_after(self) -> np.ndarray:
+        """Spin after each ring: entry j + row + 1 of ``table`` for ring j."""
+        m = self.key.size
+        return self.table[self.key // m + np.arange(1, m + 1)]
 
     @cached_property
     def first_change(self) -> np.ndarray:
@@ -354,10 +351,8 @@ class BatchLog:
             raise SimulationError(f"time {s[outside][0]} outside [0, horizon]")
         if s.ndim:
             rows = rows[:, None]
-        last, hit = _last_ring(self.key, self.offsets, rows, self.ordered.searchsorted(s, "right"))
-        spins = np.broadcast_to(self.init[rows], hit.shape).copy()
-        spins[hit] = self.spin_after[last[hit]]
-        return spins
+        rank = self.ordered.searchsorted(s, "right")
+        return self.table[self.key.searchsorted(rows * self.key.size + rank) + rows]
 
     def occupation_time(self, x: Site, t: float) -> np.ndarray:
         """Lebesgue time in [0, t] during which x has spin 0, per replica:
@@ -367,17 +362,16 @@ class BatchLog:
         rows = self._rows(x)
         if not (0 <= t <= self.horizon):
             raise SimulationError(f"time {t} outside [0, horizon]")
-        last, hit = _last_ring(self.key, self.offsets, rows, self.ordered.searchsorted(t, "right"))
-        lo = self.offsets[rows]
-        count = last + 1 - lo  # 0 where no ring: last is lo - 1 there
+        lo, m = self.offsets[rows], self.key.size
+        end = self.key.searchsorted(rows * m + self.ordered.searchsorted(t, "right"))
+        count = end - lo  # x's rings up to t
         j, replica = _ranges(lo, count), np.repeat(np.arange(len(self)), count)
-        head = j == lo[replica]
-        prev_t = np.where(head, 0.0, self.times[j - 1])
-        prev_s = np.where(head, self.init[rows][replica], self.spin_after[j - 1])
+        prev_t = np.where(j == lo[replica], 0.0, self.times[j - 1])
+        prev_s = self.table[j + rows[replica]]  # the spin just before ring j
         occ = np.bincount(replica, np.where(prev_s == 0, self.times[j] - prev_t, 0.0), len(self))
-        end_t, end_s = np.zeros(len(self)), self.init[rows]
-        end_t[hit], end_s[hit] = self.times[last[hit]], self.spin_after[last[hit]]
-        return occ + (t - end_t) * (end_s == 0)
+        end_t = np.zeros(len(self))
+        end_t[count > 0] = self.times[end[count > 0] - 1]
+        return occ + (t - end_t) * (self.table[end + rows] == 0)
 
     def first_update_time(self, x: Site) -> np.ndarray:
         """Time of the first legal ring at x per replica, inf if none; NaN
@@ -388,11 +382,8 @@ class BatchLog:
         """(replicas, sites) spins at the horizon: after each row's last ring,
         or its initial spin."""
         self._certain("final_spins")
-        spins = self.init.copy()
-        end = self.offsets[1:]
-        rung = end > self.offsets[:-1]
-        spins[rung] = self.spin_after[end[rung] - 1]
-        return spins.reshape(len(self), self.n_sites)
+        last = self.offsets[1:] + np.arange(self.init.size)  # each row's last entry
+        return self.table[last].reshape(len(self), self.n_sites)
 
     def initial(self, r: int) -> Configuration:
         """Replica r's initial configuration: the exterior rule and its row."""
@@ -403,7 +394,7 @@ class BatchLog:
         """Replica r's ring times, bits, legality and spins after at x, in time order."""
         row = self._base(r) + self._site(x)
         s = slice(self.offsets[row], self.offsets[row + 1])
-        return self.times[s], self.bits[s], self.legal[s], self.spin_after[s]
+        return self.times[s], self.bits[s], self.legal[s], self.table[row + 1:][s]
 
     def to_csv(self, r: int) -> str:
         """Replica r's event CSV: a JSON manifest line, then its rings in time order."""
@@ -425,13 +416,11 @@ class BatchLog:
         }
         lines = ["# " + json.dumps(manifest, sort_keys=True)]
         lines.append("site_coords,time,bit,legal,spin_after")
-        # the replica's rings in time order, read off the batch's time ranks in O(M)
+        # the replica's rings in time order: by their ranks in the batch
         base = self._base(r)
         lo, hi = self.offsets[base], self.offsets[base + self.n_sites]
         m = self.times.size
-        slot = np.full(m, -1)
-        slot[self.key[lo:hi] % m] = np.arange(lo, hi)
-        order = slot[slot >= 0]
+        order = lo + np.argsort(self.key[lo:hi] % m)
         sites = self.window.sites
         for s, t, b, l, a in zip(self.key[order] // m - base, self.times[order], self.bits[order],
                                  self.legal[order], self.spin_after[order]):
@@ -449,10 +438,11 @@ class BatchLog:
         (0, horizon], a bit not 0/1, initial spins not one 0/1 per window site,
         ``legal``/``spin_after`` columns unlike the replay, or a ``d`` other
         than the window's dimension.  A field of the wrong type or outside its
-        type's range (a time, a bit, the seed, a manifest value), and a model
-        or exterior the lattice refuses (p outside (0, 1), an exterior spin not
-        0/1, an override inside the window or of another dimension), raise it
-        as "malformed event log: " and the refusal."""
+        type's range (a time, a bit, the seed, a manifest value; a bool or a
+        float for the seed, ``d`` or a spin), and a model or exterior the
+        lattice refuses (p outside (0, 1), an exterior spin not 0/1, an
+        override inside the window or of another dimension), raise it as
+        "malformed event log: " and the refusal."""
         lines = text.splitlines()
         if not lines:
             raise SimulationError("empty event log")
@@ -498,6 +488,8 @@ class BatchLog:
             offsets = np.zeros(window.site_count() + 1, dtype=np.int64)
             np.cumsum(np.bincount(site_idx, minlength=window.site_count()), out=offsets[1:])
             spins = [int(c) for c in manifest["initial_spins"]]
+            if type(manifest["seed"]) is not int:  # a bool or a float would replay truncated
+                raise TypeError(f"seed must be an integer, got {manifest['seed']!r}")
             seeds = np.array([manifest["seed"]], dtype=np.uint64)
             batch = BatchLog(params, rule, spins, horizon, seeds, offsets, times, bits)
         except SimulationError:

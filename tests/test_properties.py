@@ -1,17 +1,18 @@
 """Property tests of the graphical construction on random windows (d = 1..3).
 
 Coupling properties: the sweep equals the time-ordered event loop given
-identical rings, also on a box whose neighbors in the window are unknown,
+identical rings, also on a box whose neighbors in the window are unknown, and
+a box at the window's lower corner runs as it does without the window;
 histories are consistent under horizon extension, a site's rings ignore the
-enclosing window, a site's trajectory is measurable with
-respect to its backward cone, estimator outputs ignore the replica chunking,
-relaxation equals its per-run reference, a spin read at a ring's own time
-is that ring's outcome, and the oriented-path lemma answers the same on a
-batch simulated to t/2 as on one simulated to t.  A window's array site keys
-and frozen-exterior rows match their per-site definitions.  Philox4x32-10 is
-checked against the Random123 known answers, the packed-lane kernel against
-the 32-bit-word oracle, and the integer bit threshold against the float rule
-u < p.
+enclosing window, a site's trajectory is measurable with respect to its
+backward cone, estimator outputs ignore the replica chunking, relaxation
+equals its per-run reference, a spin read at a ring's own time is that
+ring's outcome, and the oriented-path lemma answers the same on a batch
+simulated to t/2 as on one simulated to t.  A window's array site keys and
+the spins of its outside neighbors match their per-site definitions.
+Philox4x32-10 is checked against the Random123 known answers, the
+packed-lane kernel against the 32-bit-word oracle, and the integer bit
+threshold against the float rule u < p.
 """
 
 import itertools
@@ -101,16 +102,37 @@ def test_box_sweep_matches_event_loop(scenario, data):
     spins = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
                                min_size=2, max_size=2))
     rule = Exterior(box, initial.exterior, initial.exterior_overrides)
-    batch = simulate_batch(params, rule, spins, horizon, [seed, seed + 1], window)
+    batch = simulate_batch(params, rule, spins, horizon, [seed, (seed + 1) % 2**64], window)
     for r in range(len(batch)):
         legal, after = event_loop(batch, r)
         for i, x in enumerate(box.sites):
             _, _, got_legal, got_after = batch.rings(r, x)
             row = r * n + i
-            unknown = batch.unknown[batch.offsets[row]:batch.offsets[row + 1]]
+            ring_slice = slice(batch.offsets[row], batch.offsets[row + 1])
+            # None when every lower face of the box lies on the window's
+            unknown = np.zeros_like(got_legal) if batch.unknown is None else batch.unknown[ring_slice]
             assert np.array_equal(np.where(unknown, sim.UNKNOWN, got_legal), legal[i])
             assert not (unknown & got_legal).any()
             assert np.array_equal(got_after, after[i])
+
+
+@PROPERTY
+@given(scenarios(), st.data())
+def test_box_at_the_window_corner_has_no_unknown_neighbor(scenario, data):
+    # every lower face of a box at the window's lower corner lies on the
+    # window's, so the run within the window is the run without it
+    params, initial, horizon, seed = scenario
+    window = initial.window
+    upper = tuple(data.draw(st.integers(lo, hi)) for lo, hi in zip(window.lower, window.upper))
+    rule = Exterior(Window(window.lower, upper), initial.exterior, initial.exterior_overrides)
+    spins = [initial.spin_at(x) for x in rule.window.sites]
+    boxed = simulate_batch(params, rule, spins, horizon, [seed], window)
+    plain = simulate_batch(params, rule, spins, horizon, [seed])
+    assert boxed.unknown is None and np.array_equal(boxed.legal, plain.legal)
+    for x in rule.window.sites:
+        for got, want in zip(boxed.rings(0, x), plain.rings(0, x)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(boxed.first_update_time(x), plain.first_update_time(x))
 
 
 @PROPERTY
@@ -127,13 +149,19 @@ def test_frozen_zero_matches_per_site_rule(window, spin, data):
     outside = [y for y in itertools.product(*margin) if y not in window]
     overrides = data.draw(st.dictionaries(st.sampled_from(outside), st.integers(0, 1), max_size=6))
     rule = Exterior(window, spin, overrides)
-    want = [
-        any(y not in window and overrides.get(y, spin) == 0
-            for y in (site_sub_e(x, i) for i in range(window.d)))
-        for x in window.sites
-    ]
-    frozen, unsure = sim._faces(rule)
-    assert frozen.tolist() == want and unsure is None
+    # a larger window below some lower faces, whose neighbors are then unknown
+    grow = data.draw(st.lists(st.integers(0, 1), min_size=window.d, max_size=window.d))
+    larger = Window(tuple(lo - g for lo, g in zip(window.lower, grow)), window.upper)
+    for within in (None, larger):
+        got = sim._outside(rule, within)
+        assert got.dtype == np.int8 and got.shape == (window.d, window.site_count())
+        for j, x in enumerate(window.sites):
+            for i in range(window.d):
+                y = site_sub_e(x, i)
+                if y in window:
+                    continue
+                unknown = within is not None and y in within
+                assert got[i, j] == (sim.UNKNOWN if unknown else overrides.get(y, spin))
 
 
 @PROPERTY

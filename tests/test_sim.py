@@ -498,6 +498,10 @@ class TestCsv:
         "overrides-int": {"exterior_overrides": 5}, "spins-int": {"initial_spins": 1011},
         "spins-letter": {"initial_spins": "01x1"},
         "override-of-2d": {"exterior_overrides": [[[5, 5], 0]]},
+        # a bool or a float where an integer belongs, which replayed truncated or as 0/1
+        "seed-float": {"seed": 9.7}, "seed-bool": {"seed": True}, "d-bool": {"d": True},
+        "exterior-bool": {"exterior": True}, "exterior-float": {"exterior": 1.0},
+        "override-bool": {"exterior_overrides": [[[-1], True]]},
         # a replay would carry d = 3 into batch.params.d, which theory reads
         "d-3": {"d": 3},
     }
