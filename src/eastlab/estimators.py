@@ -29,7 +29,7 @@ from .streams import derived_generator, derive_seed
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 RING_SLOT_BUDGET = 1 << 16  # ring slots simulated, or bootstrap indices drawn, at once
 N_BOOT = 1000  # bootstrap resamples of the relaxation draws
-BOX_SIDE = 4  # side of persistence's first box (see estimate_persistence)
+BOX_SIDE = 3  # persistence's first box side; each later box doubles it (see estimate_persistence)
 
 
 class EstimatorError(ValueError):
@@ -189,37 +189,42 @@ def estimate_persistence(
     """Fraction of runs with no legal ring at x by each time, Wilson intervals.
 
     A run's answer is its first update time tau_x, which reads only sites
-    y <= x.  So every run is simulated once, from time 0 to the last requested
-    time, on the box W ∩ [x - s + 1, x] with s = BOX_SIDE, the window's other
-    sites unknown (``sim._sweep``).  A run is certified when x's first ring
-    that is not certainly illegal is certainly legal, or when every ring of x
-    to the horizon is certainly illegal; its tau_x is then the window's.  The
-    others rerun once, with the same draws and seeds, on W ∩ {y <= x}, which
+    y <= x.  So every run is simulated first, from time 0 to the last
+    requested time, on the box W ∩ [x - s + 1, x] with s = BOX_SIDE, the
+    window's other sites unknown (``sim._sweep``).  A run is certified when
+    x's first ring that is not certainly illegal is certainly legal, or when
+    every ring of x to the horizon is certainly illegal; its tau_x is then the
+    window's.  The runs a box leaves uncertain rerun once, with the same draws
+    and seeds, on the box of twice its side, or on W ∩ {y <= x} when more
+    than half of the runs that entered the box are uncertain.  W ∩ {y <= x}
     has no unknown neighbor and so decides every run.  Every tau_x, and with
     it every output, is the run's on the window.  A window x horizon over the
     replica cap fails before any box runs.  ``notes``, if given, receives
-    ``persistence.box_side`` and ``persistence.reruns`` (runs rerun on the
-    last box / n).
+    ``persistence.box_sides`` (the side of each box run; W ∩ {y <= x} counts
+    as the side that reaches it) and ``persistence.reruns`` (the runs that
+    entered each box after the first, k/n each; 0/n if none ran).
     """
     if x not in window:
         raise EstimatorError(f"site {x} outside window")
     ts = _time_grid(times, n=n)
     horizon = ts[-1]
     replica_ring_slots(window, horizon)
-    lower = tuple(max(lo, c - BOX_SIDE + 1) for lo, c in zip(window.lower, x))
+    last = max(c - lo + 1 for lo, c in zip(window.lower, x))  # the side of W ∩ {y <= x}
     tau = np.full(n, np.nan)  # NaN until certified
-    runs = None  # every run
-    if lower != window.lower:  # the first box, the window's other sites unknown
-        for draws, batch in replica_batches(params, spec, Window(lower, x), horizon, seed,
-                                            "persist", n, within=window):
+    runs, sides, entered = np.arange(n), [], []
+    side = min(BOX_SIDE, last)
+    while runs.size:
+        sides.append(side)
+        entered.append(runs.size)
+        box = Window(tuple(max(lo, c - side + 1) for lo, c in zip(window.lower, x)), x)
+        for draws, batch in replica_batches(params, spec, box, horizon, seed, "persist", n,
+                                            runs=runs, within=window if side < last else None):
             tau[draws] = batch.first_update_time(x)
         runs = np.flatnonzero(np.isnan(tau))
-    for draws, batch in replica_batches(params, spec, Window(window.lower, x), horizon, seed,
-                                        "persist", n, runs=runs):
-        tau[draws] = batch.first_update_time(x)
+        side = last if 2 * runs.size > entered[-1] else min(2 * side, last)
     if notes is not None:
-        reruns = 0 if runs is None else runs.size
-        notes.update({"persistence.box_side": str(BOX_SIDE), "persistence.reruns": f"{reruns}/{n}"})
+        notes.update({"persistence.box_sides": " ".join(map(str, sides)),
+                      "persistence.reruns": " ".join(f"{k}/{n}" for k in entered[1:]) or f"0/{n}"})
     counts = n - np.sort(tau).searchsorted(ts, "right")
     values = tuple(float(k) / n for k in counts)
     halfwidths = tuple(wilson_halfwidth(int(k), n) for k in counts)

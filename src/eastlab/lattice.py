@@ -73,6 +73,8 @@ class Window:
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
             raise LatticeError("lower/upper dimension mismatch")
+        if not all(map(_integer, (*self.lower, *self.upper))):
+            raise LatticeError(f"window bounds must be integers, got {self.lower} and {self.upper}")
         if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
             raise LatticeError(f"window lower {self.lower} exceeds upper {self.upper}")
         if self.site_count() > MAX_WINDOW_SITES:

@@ -439,10 +439,10 @@ class BatchLog:
         ``legal``/``spin_after`` columns unlike the replay, or a ``d`` other
         than the window's dimension.  A field of the wrong type or outside its
         type's range (a time, a bit, the seed, a manifest value; a bool or a
-        float for the seed, ``d`` or a spin), and a model or exterior the
-        lattice refuses (p outside (0, 1), an exterior spin not 0/1, an
-        override inside the window or of another dimension), raise it as
-        "malformed event log: " and the refusal."""
+        float for the seed, ``d``, a window bound or a spin; a bool horizon),
+        and a model, window or exterior the lattice refuses (p outside (0, 1),
+        an exterior spin not 0/1, an override inside the window or of another
+        dimension), raise it as "malformed event log: " and the refusal."""
         lines = text.splitlines()
         if not lines:
             raise SimulationError("empty event log")
@@ -461,6 +461,8 @@ class BatchLog:
             raise SimulationError(f"unexpected event header {lines[1:2]}")
         try:
             params, horizon = ModelParams(manifest["d"], manifest["p"]), manifest["horizon"]
+            if isinstance(horizon, bool):  # true would replay as 1.0
+                raise TypeError(f"horizon must be a number, got {horizon!r}")
             window = Window(tuple(manifest["window_lower"]), tuple(manifest["window_upper"]))
             overrides = {tuple(x): s for x, s in manifest["exterior_overrides"]}
             rule = Exterior(window, manifest["exterior"], overrides)

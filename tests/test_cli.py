@@ -313,16 +313,18 @@ class TestRuns:
         text = (tmp_path / "out" / "manifest.txt").read_text()
         assert "config.seed = 7" in text
         assert "status = ok" in text
+        # W ∩ {y <= 2} = {1, 2} is narrower than the first box: one box, no rerun
+        assert "persistence.box_sides = 2\n" in text and "persistence.reruns = 0/200\n" in text
 
     def test_persistence_manifest_records_boxes(self, tmp_path):
-        # a 9 x 9 window, wider than the first box: 11 of the 80 runs rerun
-        # on the whole window, and persistence.csv keeps the digest it had
-        # when every run simulated the whole window
+        # a 9 x 9 window, wider than the first box: 29 of the 80 runs rerun on
+        # the 6 x 6 box and 1 on the whole window, and persistence.csv keeps
+        # the digest it had when every run simulated the whole window
         text = ("kind = persistence\nd = 2\np = 0.6\nwindow_lower = -7 -7\nwindow_upper = 1 1\n"
                 "measure = bernoulli 0.7\nsite = 1 1\ntimes = 1 2 4 8\nn = 80\n")
         assert main([write_config(tmp_path, text), "--seed", "7", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "manifest.txt").read_text().splitlines()
-        assert "persistence.box_side = 4" in lines and "persistence.reruns = 11/80" in lines
+        assert "persistence.box_sides = 3 6 9" in lines and "persistence.reruns = 29/80 1/80" in lines
         digest = hashlib.sha256((tmp_path / "persistence.csv").read_bytes()).hexdigest()
         assert digest == "301ed87420a30cd805ef8aa016e264e5bf5a2e91267ec113c206ad3f5d3fe54d"
 

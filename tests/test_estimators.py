@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eastlab import estimators, lattice, sim
@@ -232,7 +232,7 @@ def box_setups(draw):
     overrides, and a first box side and slot budget for it to run with."""
     d = draw(st.integers(1, 3))
     lower = tuple(draw(st.integers(-3, 3)) for _ in range(d))
-    extent = tuple(draw(st.integers(1, {1: 9, 2: 5, 3: 3}[d])) for _ in range(d))
+    extent = tuple(draw(st.integers(1, {1: 16, 2: 8, 3: 4}[d])) for _ in range(d))
     window = Window(lower, tuple(lo + e - 1 for lo, e in zip(lower, extent)))
     x = draw(st.sampled_from(window.sites))
     exterior = draw(st.integers(0, 1))
@@ -251,22 +251,41 @@ def box_setups(draw):
     times = draw(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=4))
     args = (ModelParams(d, draw(st.floats(0.05, 0.95))), spec, x, times,
             draw(st.integers(1, 30)), window, draw(st.integers(0, 2**32)))
-    return args, draw(st.sampled_from([1, 2])), draw(st.sampled_from([None, 40, 400]))
+    return args, draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([None, 40, 400]))
+
+
+# 2 x 2, 4 x 4, then the 8 x 8 window
+THREE_BOXES = ((ModelParams(2, 0.5), ProductBernoulli(0.5), (7, 7), [1.5, 3.0], 30,
+                Window((0, 0), (7, 7)), 2), 2, 400)
+# every run that rings in the box {15} is uncertain, so the next box is the window
+BAIL = ((ModelParams(1, 0.5), Delta(Configuration.all_ones(Window((0,), (15,)))), (15,), [1, 4],
+         10, Window((0,), (15,)), 0), 1, None)
 
 
 class TestBoxPersistence:
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(box_setups())
-    def test_equals_one_shot_on_the_window(self, setup):
-        # a first box of side 1 or 2, then W ∩ {y <= x}, with the reruns'
-        # sparse draws split over chunks by the smaller budgets
-        args, side, budget = setup
-        want = one_shot_persistence(*args)
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(estimators, "BOX_SIDE", side)
-            if budget is not None:
-                m.setattr(estimators, "RING_SLOT_BUDGET", budget)
-            assert estimate_persistence(*args) == want
+    def test_equals_one_shot_on_the_window(self):
+        # first boxes of side 1 to 3, doubling towards W ∩ {y <= x} or jumping
+        # to it, with the reruns' sparse draws split over chunks by the
+        # smaller budgets
+        sides = []
+
+        @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+        @given(box_setups())
+        @example(THREE_BOXES)
+        @example(BAIL)
+        def check(setup):
+            args, side, budget = setup
+            want = one_shot_persistence(*args)
+            notes = {}
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(estimators, "BOX_SIDE", side)
+                if budget is not None:
+                    m.setattr(estimators, "RING_SLOT_BUDGET", budget)
+                assert estimate_persistence(*args, notes=notes) == want
+            sides.append([int(s) for s in notes["persistence.box_sides"].split()])
+
+        check()
+        assert [2, 4, 8] in sides and [1, 16] in sides
 
     def test_open_face_ring_is_uncertain(self):
         # x = 2's one ring at t = 1 reads site 1, at spin 0 in the window:
@@ -306,11 +325,13 @@ class TestBoxPersistence:
         assert estimate_persistence(*args, notes=notes) == one_shot_persistence(*args)
         never = sum((np.diff(batch.offsets) == 0).sum() for _, batch in replica_batches(
             args[0], args[1], Window((2,), (2,)), 4.0, 3, "persist", 50))
-        assert notes == {"persistence.box_side": "1", "persistence.reruns": f"{50 - never}/50"}
+        # more than half of them rerun, so the second box is the window, of side 3
+        assert notes == {"persistence.box_sides": "1 3", "persistence.reruns": f"{50 - never}/50"}
 
     def test_sweeps_fewer_rings_than_the_window(self, monkeypatch):
         # persist-2d-wide's config at seed 7: the staged run on the whole
-        # window swept 41 598 rings and drew 151 912 Philox blocks
+        # window swept 41 598 rings and drew 151 912 Philox blocks; a 4 x 4
+        # box and then the window swept 21 878 rings and drew 37 456 blocks
         seen = {"rings": 0, "blocks": 0}
         run, draws = estimators.simulate_batch, sim.ring_draws
 
@@ -329,32 +350,53 @@ class TestBoxPersistence:
         estimate_persistence(ModelParams(2, 0.5), ProductBernoulli(0.5), (1, 1), range(1, 11), 100,
                              A4_WINDOW, 7)
         assert seen["rings"] < 41_598 and seen["blocks"] < 151_912
+        assert seen["rings"] < 21_878 and seen["blocks"] < 37_456
 
     def test_each_run_simulated_once_per_box(self, monkeypatch):
-        # persist-2d-wide's config at seed 7: one simulate_batch call per
-        # driver chunk of the first box, then one per chunk of the reruns on
-        # W ∩ {y <= x}, every call to the last requested time
+        # persist-2d-wide's config at seed 7: the 3 x 3 box for all 100 runs,
+        # then the 6 x 6 box for the runs it leaves uncertain, then the window
+        # for any runs left, every call to the last requested time
         calls = []
         run = estimators.simulate_batch
 
         def spy(params, rule, spins, horizon, seeds, within=None):
-            calls.append((rule.window, horizon, seeds.tolist()))
-            return run(params, rule, spins, horizon, seeds, within)
+            batch = run(params, rule, spins, horizon, seeds, within)
+            calls.append((rule.window, horizon, seeds.tolist(), batch.first_update_time((1, 1))))
+            return batch
 
         monkeypatch.setattr(estimators, "simulate_batch", spy)
         notes = {}
         estimate_persistence(ModelParams(2, 0.5), ProductBernoulli(0.5), (1, 1), range(1, 11), 100,
                              A4_WINDOW, 7, notes=notes)
-        box = Window((2 - estimators.BOX_SIDE,) * 2, (1, 1))
-        reruns = int(notes["persistence.reruns"].split("/")[0])
-        assert reruns > 0
-        chunks = [-(-k // (estimators.RING_SLOT_BUDGET // replica_ring_slots(w, 10.0)))
-                  for w, k in ((box, 100), (A4_WINDOW, reruns))]
-        assert [w for w, _, _ in calls] == [box] * chunks[0] + [A4_WINDOW] * chunks[1]
-        assert {h for _, h, _ in calls} == {10.0}
-        first, again = ([s for w, _, seeds in calls if w == v for s in seeds] for v in (box, A4_WINDOW))
-        assert len(first) == len(set(first)) == 100
-        assert len(again) == len(set(again)) == reruns and set(again) <= set(first)
+        assert {h for _, h, _, _ in calls} == {10.0}
+        boxes = list(dict.fromkeys(w for w, _, _, _ in calls))  # in call order
+        assert len(boxes) >= 2
+        assert boxes == [Window((-1, -1), (1, 1)), Window((-4, -4), (1, 1)), A4_WINDOW][:len(boxes)]
+        assert notes["persistence.box_sides"] == " ".join(["3", "6", "12"][:len(boxes)])
+        # each box's calls come together, hold each run once, and hold just
+        # the runs the box before left uncertain
+        assert [w for w, _, _, _ in calls] == sorted((w for w, _, _, _ in calls), key=boxes.index)
+        entered, uncertain = [], None
+        for box in boxes:
+            seeds = [s for w, _, chunk, _ in calls if w == box for s in chunk]
+            assert len(seeds) == len(set(seeds))
+            if uncertain is None:
+                assert len(seeds) == 100
+            else:
+                assert set(seeds) == uncertain
+            entered.append(len(seeds))
+            uncertain = {s for w, _, chunk, tau in calls if w == box
+                         for s, t in zip(chunk, tau.tolist()) if math.isnan(t)}
+        assert not uncertain
+        assert notes["persistence.reruns"] == " ".join(f"{k}/100" for k in entered[1:])
+
+    def test_blocked_setup_goes_to_the_window_second(self):
+        # all ones: every run on which x rings is uncertain in the 3 x 3 box,
+        # so the second box is the window, not the 6 x 6 one
+        notes = {}
+        args = (*STAGED_SETUPS["blocked"], 11)
+        assert estimate_persistence(*args, notes=notes) == one_shot_persistence(*args)
+        assert notes["persistence.box_sides"] == "3 12"
 
 
 class TestRelaxation:

@@ -26,6 +26,13 @@ def test_model_params_validation():
         ModelParams(2, 0.0)
 
 
+@pytest.mark.parametrize("lower, upper", [((False,), (True,)), ((0.0,), (1,)), ((0,), (1.5,))])
+def test_window_bounds_must_be_integers(lower, upper):
+    Window((np.int64(0),), (1,))
+    with pytest.raises(LatticeError, match="window bounds must be integers"):
+        Window(lower, upper)
+
+
 class TestConfiguration:
     def test_spin_lookup(self):
         w = Window((0, 0), (1, 1))

@@ -502,6 +502,9 @@ class TestCsv:
         "seed-float": {"seed": 9.7}, "seed-bool": {"seed": True}, "d-bool": {"d": True},
         "exterior-bool": {"exterior": True}, "exterior-float": {"exterior": 1.0},
         "override-bool": {"exterior_overrides": [[[-1], True]]},
+        # the window {0..1} again, which replayed and was written back as bools
+        "lower-bool": {"window_lower": [False], "window_upper": [True]},
+        "lower-float": {"window_lower": [0.0]}, "horizon-bool": {"horizon": True},
         # a replay would carry d = 3 into batch.params.d, which theory reads
         "d-3": {"d": 3},
     }
