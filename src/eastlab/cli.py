@@ -324,7 +324,7 @@ def _run_verify_lemma(config: ExperimentConfig, manifest: RunManifest) -> None:
     applicable.  The check reads [0, t/2] only, so runs stop at t/2."""
     rows = ["seed,t,alpha,hypothesis_held,found,path_length,applicable"]
     counterexample = False
-    not_applicable = rings = legal_rings = 0
+    not_applicable = rings = legal_rings = n_batches = 0
     t, alpha, x = config.t, config.alpha, config.site
     constants = f"{t:.17g},{alpha:.17g}"
     batches = replica_batches(
@@ -338,10 +338,12 @@ def _run_verify_lemma(config: ExperimentConfig, manifest: RunManifest) -> None:
         not_applicable += int((~check.applicable).sum())
         rings += batch.times.size
         legal_rings += int(batch.legal.sum())
+        n_batches += 1
         columns = (batch.seeds, held, found, check.length, check.applicable)
         rows += [f"{s},{constants},{h:d},{f:d},{n},{a:d}"
                  for s, h, f, n, a in zip(*(c.tolist() for c in columns))]
     manifest.notes.update({
+        "lemma.batches": str(n_batches),
         "lemma.horizon": f"{t / 2:.17g}",
         "lemma.not_applicable": str(not_applicable),
         "lemma.rings": str(rings),

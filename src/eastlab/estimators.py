@@ -27,7 +27,9 @@ from .sim import BatchLog, replica_ring_slots, simulate_batch
 from .streams import derived_generator, derive_seed
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-RING_SLOT_BUDGET = 1 << 16  # ring slots simulated, or bootstrap indices drawn, at once
+# The ring slots a simulated chunk aims at (it may hold up to about 1.5x, see
+# replica_batches), or the bootstrap indices drawn at once.
+RING_SLOT_BUDGET = 1 << 16
 N_BOOT = 1000  # bootstrap resamples of the relaxation draws
 BOX_SIDE = 3  # persistence's first box side; each later box doubles it (see estimate_persistence)
 
@@ -127,28 +129,35 @@ def replica_batches(
     runs: Optional[np.ndarray] = None,
     within: Optional[Window] = None,
 ) -> Iterator[tuple[np.ndarray, BatchLog]]:
-    """The replica driver: simulate runs in chunks of at most RING_SLOT_BUDGET
+    """The replica driver: simulate runs in chunks of about RING_SLOT_BUDGET
     ring slots, yielding (draw index of each replica, batch) per chunk.
 
     Draw o is draw o of ``initial_rows`` under ``derive_seed(seed, f"{tag}-init")``.
     With ``n_inner`` None, each of the n draws is run once, seeded
     ``derive_seed(seed, f"{tag}-sim", o)``; otherwise each is run ``n_inner``
-    times, seeded ``derive_seed(seed, f"{tag}-sim", o, i)``.  A chunk is a
-    range of runs in (o, i) order: it hashes its seeds and draws its spin rows
-    in one array call each.  Nothing carries from one chunk to the next, and
-    replica randomness is counter-based, so no output depends on the chunking.
+    times, seeded ``derive_seed(seed, f"{tag}-sim", o, i)``.  The runs split
+    into round(runs x slots / RING_SLOT_BUDGET) chunks, at least one and at
+    most one per run, whose sizes differ by at most one: a chunk holds at most
+    1.5 budgets of ring slots and one run more, or a single run, and no small
+    remainder chunk pays a batch's fixed cost.  A chunk is a range of runs in
+    (o, i) order: it hashes its seeds and draws its spin rows in one array
+    call each.  Nothing carries from one chunk to the next, and replica
+    randomness is counter-based, so no output depends on the chunking.
     ``runs``, increasing indices into that order, runs those alone, each with
-    the draw and seed it has among all; every batch is simulated ``within``
-    (see ``BatchLog``).
+    the draw and seed it has among all (none: no chunk); every batch is
+    simulated ``within`` (see ``BatchLog``).
     Raises EstimatorError on an ``n`` or ``n_inner`` below 1.
     """
     _positive(n=n, n_inner=n_inner)
-    per_chunk = max(1, RING_SLOT_BUDGET // replica_ring_slots(window, horizon))
+    slots = replica_ring_slots(window, horizon)
     if runs is None:
         runs = np.arange(n * (n_inner or 1))
+    if runs.size == 0:
+        return
+    chunks = min(runs.size, max(1, round(runs.size * slots / RING_SLOT_BUDGET)))
     init_key = derive_seed(seed, f"{tag}-init")
-    for start in range(0, runs.size, per_chunk):
-        draws, inner = np.divmod(runs[start:start + per_chunk], n_inner or 1)
+    for chunk in np.array_split(runs, chunks):
+        draws, inner = np.divmod(chunk, n_inner or 1)
         first = np.diff(draws, prepend=-1) != 0  # a draw's first run: its spins are drawn once
         rule, rows = initial_rows(spec, window, init_key, draws[first])
         seeds = derive_seed(seed, f"{tag}-sim", *((draws,) if n_inner is None else (draws, inner)))

@@ -308,7 +308,8 @@ def east1d_gap(p: float, N: int) -> float:
     Every 10 steps lambda_min(T_k) is read by LAPACK's bisection ``dstebz``
     (`_lowest_tridiagonal`), and the recurrence stops when it fell by at
     most `LANCZOS_RTOL` relative since the last read, or at breakdown
-    (beta_k <= `LANCZOS_RTOL` |B q_k|), where T_k's spectrum is exact.  A
+    (beta_k <= `LANCZOS_RTOL` |B q_k|, or k = 2^(N-1), where the Krylov
+    space is the whole state space), where T_k's spectrum is exact.  A
     residual bound is not used as the stop rule: once ghosts appear it stalls
     at the precision floor (beta_k |y_k| <= 1e-12 theta_k took 12 220 steps,
     10.9 s, at p = 0.98, N = 12; this rule 0.05 s).  A read costs O(k), so
@@ -365,7 +366,7 @@ def east1d_gap(p: float, N: int) -> float:
         w = daxpy(q, w, a=-a)
         scale = math.hypot(a, b)  # |B q_k| up to the new beta
         b = math.sqrt(ddot(w, w))
-        breakdown = b <= LANCZOS_RTOL * scale
+        breakdown = b <= LANCZOS_RTOL * scale or k == B.shape[0]  # or the Krylov space is full
         alpha.append(a)
         if breakdown or k == read:
             theta = _lowest_tridiagonal(alpha, beta)

@@ -151,7 +151,10 @@ def _sweep(window: Window, init, outside, offsets, bits, key):
     depend on the keys alone, so before the sweep each axis finds them for the
     whole batch, in one searchsorted over the rings whose neighbor lies in the
     window (the queries come sorted).  A neighbor outside the window points at
-    the end entry of its spin in ``outside`` (see ``_outside``).
+    the end entry of its spin in ``outside`` (see ``_outside``).  A site with
+    some neighbor outside the window at spin 0 rings legally whatever its
+    other neighbors read, so its rings search no axis: every neighbor of
+    theirs points at the spin-0 entry.
 
     Where ``outside`` holds UNKNOWN, spins take that third value.  A ring is
     legal if some neighbor is certainly 0, illegal if all are certainly 1, and
@@ -174,9 +177,11 @@ def _sweep(window: Window, init, outside, offsets, bits, key):
     unknown = np.zeros(m, dtype=bool) if (outside == UNKNOWN).any() else None
     # int32 slots while they fit: they set a small batch's peak memory
     entry = outside.astype(np.int32 if sentinel + UNKNOWN < 2**31 else np.int64) + sentinel
+    free = ((window.grid == 0) & (outside == 0)).any(axis=0)  # an outside neighbor at spin 0
+    entry[:, free] = sentinel
     slots = []
     for i, stride in enumerate(window.strides):
-        inner = per_ring(window.grid[i] > 0)
+        inner = per_ring((window.grid[i] > 0) & ~free)
         pos = key[inner]
         pos -= stride * m
         pos = key.searchsorted(pos)

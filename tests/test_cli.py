@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from eastlab import lattice
+from eastlab import estimators, lattice
 from eastlab.cli import (
     KINDS,
     ConfigError,
@@ -388,6 +388,19 @@ class TestRuns:
         rings, legal = int(entries["lemma.rings"]), int(entries["lemma.legal_rings"])
         assert rings > 0 and 0 <= legal <= rings
 
+    @pytest.mark.parametrize("budget,batches", [(None, 1), (33, 300), (5000, None)])
+    def test_verify_lemma_ignores_chunking(self, tmp_path, monkeypatch, budget, batches):
+        # lemma-2d's 300 replicas run as one batch, or one batch per replica
+        # when a replica alone exceeds the budget; lemma.csv keeps its digest
+        output, text, digest = GOLDEN["lemma.csv-2d-delta"]
+        if budget is not None:
+            monkeypatch.setattr(estimators, "RING_SLOT_BUDGET", budget)
+        assert main([write_config(tmp_path, text), "--seed", "7", "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == digest
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        if batches is not None:
+            assert f"lemma.batches = {batches}" in lines
+
     def test_verify_lemma_counts_inapplicable_replicas(self, tmp_path):
         # under a product measure the start site is often 1 initially; such
         # replicas do not meet the lemma's premise and are reported, not fatal
@@ -494,8 +507,8 @@ GOLDEN = {
         "window_upper = 0 0 0\nexterior = 0\nmeasure = delta-zeros 0 0 0\nsite = 0 0 0\nn = 40\n",
         "0f69856d1abcab45704f0dd6ff79f407c934decf2aead5a3f34d3173b5883f4b",
     ),
-    # the lemma-2d benchmark config: its 300 replicas come in two chunks of
-    # different sizes at horizon t and at t/2, so this pins the chunking too
+    # the lemma-2d benchmark config: its 300 replicas run as one batch to
+    # t/2 (see TestRuns::test_verify_lemma_ignores_chunking for other splits)
     "lemma.csv-2d-delta": (
         "lemma.csv",
         "kind = verify-lemma\nd = 2\np = 0.5\nalpha = 0.1\nt = 10\nwindow_lower = -4 -4\n"

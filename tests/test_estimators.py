@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eastlab import estimators, lattice, sim
+from eastlab.cli import parse_config
 from eastlab.estimators import (
     DecaySeries,
     EstimatorError,
@@ -43,6 +44,13 @@ from eastlab.sim import (
 )
 from eastlab.streams import derive_seed
 
+# the lemma-2d and relax-2x2-many benchmark configs
+LEMMA_2D = ("kind = verify-lemma\nd = 2\np = 0.5\nalpha = 0.1\nt = 10\nwindow_lower = -4 -4\n"
+            "window_upper = 0 0\nexterior = 0\nmeasure = delta-zeros 0 0\nsite = 0 0\nn = 300\n")
+RELAX_2X2_MANY = ("kind = relaxation\nd = 2\np = 0.5\nwindow_lower = 0 0\nwindow_upper = 1 1\n"
+                  "exterior = 1\nmeasure = delta-zeros 0 0\nsite = 1 1\ntimes = 1 2 3 4 5 6 7 8\n"
+                  "n_outer = 6\nn_inner = 500\n")
+
 
 class TestReplicaBatches:
     def test_negative_horizon_named(self):
@@ -79,6 +87,34 @@ class TestReplicaBatches:
         with pytest.raises(EstimatorError, match=match):
             next(replica_batches(ModelParams(1, 0.5), ProductBernoulli(0.5), Window((0,), (2,)),
                                  1.0, 0, "x", n, n_inner))
+
+    @pytest.mark.parametrize("kind,sizes", [("lemma-2d", [300]), ("relax-2x2-many", [1500, 1500])])
+    def test_benchmark_configs_run_in_equal_batches(self, kind, sizes):
+        # lemma-2d holds 1.03 budgets (once 291 + 9), relax-2x2-many 2.2
+        # (once 1365 + 1365 + 270)
+        if kind == "lemma-2d":
+            cfg = parse_config(LEMMA_2D)
+            batches = replica_batches(cfg.params, cfg.measure, cfg.window, cfg.t / 2, 7, "lemma",
+                                      cfg.n)
+        else:
+            cfg = parse_config(RELAX_2X2_MANY)
+            batches = replica_batches(cfg.params, cfg.measure, cfg.window, cfg.times[-1], 7,
+                                      "relax", cfg.n_outer, cfg.n_inner)
+        assert [len(batch) for _, batch in batches] == sizes
+
+    def test_chunk_sizes_differ_by_at_most_one(self, monkeypatch):
+        # 34 runs of 12 ring slots against a budget of 120: 3.4 budgets
+        w = Window((0,), (2,))
+        assert replica_ring_slots(w, 1.0) == 12
+        monkeypatch.setattr(estimators, "RING_SLOT_BUDGET", 120)
+        parts = [draws for draws, _ in replica_batches(ModelParams(1, 0.5), ProductBernoulli(0.5),
+                                                       w, 1.0, 0, "x", 34)]
+        assert [part.size for part in parts] == [12, 11, 11]
+        assert np.concatenate(parts).tolist() == list(range(34))
+
+    def test_no_runs_no_batch(self):
+        assert list(replica_batches(ModelParams(1, 0.5), ProductBernoulli(0.5), Window((0,), (2,)),
+                                    1.0, 0, "x", 3, runs=np.array([], int))) == []
 
     def test_none_is_one_run_per_draw(self):
         (draws, batch), = replica_batches(ModelParams(1, 0.5), ProductBernoulli(0.5),
@@ -234,7 +270,8 @@ def box_setups(draw):
     lower = tuple(draw(st.integers(-3, 3)) for _ in range(d))
     extent = tuple(draw(st.integers(1, {1: 16, 2: 8, 3: 4}[d])) for _ in range(d))
     window = Window(lower, tuple(lo + e - 1 for lo, e in zip(lower, extent)))
-    x = draw(st.sampled_from(window.sites))
+    # near the upper corner, so W ∩ {y <= x} is mostly wider than a first box
+    x = tuple(draw(st.integers(max(lo, hi - 2), hi)) for lo, hi in zip(window.lower, window.upper))
     exterior = draw(st.integers(0, 1))
     if draw(st.booleans()):
         spec = ProductBernoulli(draw(st.floats(0.0, 0.95)), exterior)
@@ -248,7 +285,7 @@ def box_setups(draw):
         overrides = draw(st.dictionaries(st.sampled_from(edge), st.integers(0, 1), max_size=3)
                          if edge else st.just({}))
         spec = Delta(Configuration(stored, tuple(spins), exterior, overrides))
-    times = draw(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=4))
+    times = draw(st.lists(st.floats(1.0, 6.0), min_size=1, max_size=4))
     args = (ModelParams(d, draw(st.floats(0.05, 0.95))), spec, x, times,
             draw(st.integers(1, 30)), window, draw(st.integers(0, 2**32)))
     return args, draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([None, 40, 400]))
@@ -286,6 +323,7 @@ class TestBoxPersistence:
 
         check()
         assert [2, 4, 8] in sides and [1, 16] in sides
+        assert 4 * sum(len(s) > 1 for s in sides) >= len(sides)
 
     def test_open_face_ring_is_uncertain(self):
         # x = 2's one ring at t = 1 reads site 1, at spin 0 in the window:

@@ -409,11 +409,17 @@ class TestHalfSpaceGap:
         assert east1d_gap(p, N) == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
-    @pytest.mark.parametrize("N", [2, 3, 4])
-    def test_breakdown_gives_exact_minimum(self, p, N):
-        # the Krylov space of 2^(N-1) states is exhausted within 2^(N-1) steps
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_breakdown_gives_exact_minimum(self, p, N, monkeypatch):
+        # the Krylov space of 2^(N-1) states is exhausted within 2^(N-1)
+        # steps, and the recurrence stops there at the latest
+        steps = []
+        lowest = eastlab.exact._lowest_tridiagonal
+        monkeypatch.setattr(eastlab.exact, "_lowest_tridiagonal",
+                            lambda alpha, beta: steps.append(len(alpha)) or lowest(alpha, beta))
         want = np.linalg.eigvalsh(chain_reference(p, N - 1).toarray())[0]
         assert east1d_gap(p, N) == pytest.approx(want, abs=1e-12)
+        assert max(steps) <= 2 ** (N - 1)
 
     @pytest.mark.parametrize("N", [11, 12])
     def test_slow_chain_within_rounding_of_dense(self, N):
@@ -437,18 +443,18 @@ class TestHalfSpaceGap:
             east1d_gap(0.9, 12)
 
     def test_unsettled_run_reads_spaced_out(self, monkeypatch):
-        # with a negative tolerance neither stop rule fires, so the run goes
-        # to the step cap; past step 2000 the reads of lambda_min(T_k) are
-        # 5% apart, not 10 steps
+        # with a negative tolerance neither the stagnation rule nor a small
+        # beta fires, so the run goes on until its Krylov space of
+        # 2^12 = 4096 states is full; past step 2000 the reads of
+        # lambda_min(T_k) are 5% apart, not 10 steps
         reads = []
         lowest = eastlab.exact._lowest_tridiagonal
         monkeypatch.setattr(eastlab.exact, "LANCZOS_RTOL", -1.0)
         monkeypatch.setattr(eastlab.exact, "_lowest_tridiagonal",
                             lambda alpha, beta: reads.append(len(alpha)) or lowest(alpha, beta))
-        with pytest.raises(ExactEngineError, match=r"N=12.*MAX_LANCZOS_STEPS = 20000"):
-            east1d_gap(0.5, 12)
+        east1d_gap(0.5, 13)
         assert reads[:200] == list(range(10, 2001, 10))
-        assert len(reads) < 300
+        assert reads[-1] == 4096 and len(reads) < 300
 
 
 class TestKilledOperator:
