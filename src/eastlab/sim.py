@@ -8,10 +8,18 @@ The constraint at x reads only the sites x - e_i, which lie on the diagonal
 hyperplane just before x's.  The trajectories on hyperplane H_k are therefore
 a function of those on H_{k-1} and of H_k's own rings, and the simulation runs
 as one vectorized pass per hyperplane over every replica and every site of
-H_k at once.  The full ring history (legal and illegal) is kept per site in
-CSR form beside one spin table, indexed once per batch by exact time-rank keys
-that answer the sweep's neighbor lookups, every log query and the CSV.
-``BatchLog`` is the one trajectory type; ``simulate`` returns a batch of one.
+H_k at once.  The swept rings (legal and illegal) are kept per site in CSR
+form beside one spin table, indexed once per batch by exact time-rank keys
+that answer the sweep's neighbor lookups and every spin query.
+
+A site whose every x - e_i stays 1 for all time can never ring legally
+(``_blocked``); under a frozen exterior of 1s that is known from the initial
+spins alone.  Such rows draw no rings before the sweep: thinning in the sense
+of Lewis and Shedler (Naval Res. Logist. Q. 26, 1979), where a ring that can
+never be legal is not drawn.  Their rings stay fixed by their counters, and
+``rings``, ``to_csv`` and ``occupation_time`` draw them on first read, so the
+full ring history is what every output reports.  ``BatchLog`` is the one
+trajectory type; ``simulate`` returns a batch of one.
 """
 
 from __future__ import annotations
@@ -71,9 +79,11 @@ def _ring_times(seeds: np.ndarray, keys: np.ndarray, p: float, horizon: float):
     is ring-major, (width, rows): its cumulative sum runs down axis 0, one add
     per ring for all rows at once, which are the same sequential sums as row
     by row.  The first pass fills every slot that no later pass fills, so it
-    needs no index array.
+    needs no index array.  No stream: an empty CSR.
     """
     n = seeds.size
+    if n == 0:
+        return np.zeros(1, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int8)
     width = ring_block(horizon)
     rows, last = np.arange(n), 0.0
     counts = np.zeros(n, dtype=np.int64)
@@ -87,8 +97,7 @@ def _ring_times(seeds: np.ndarray, keys: np.ndarray, p: float, horizon: float):
         counts[rows] += per_row
         passes.append((rows, times, bits, inside, per_row))
         rows, last = rows[inside[-1]], times[-1, inside[-1]]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    offsets = _csr_offsets(counts)
     out_t = np.empty(offsets[-1])
     out_b = np.empty(offsets[-1], dtype=np.int8)
     first = np.ones(offsets[-1], dtype=bool)  # the slots no later pass fills
@@ -101,6 +110,22 @@ def _ring_times(seeds: np.ndarray, keys: np.ndarray, p: float, horizon: float):
     out_t[first] = times.T[inside.T]
     out_b[first] = bits.T[inside.T]
     return offsets, out_t, out_b
+
+
+def _csr_offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets of rows holding these counts."""
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _merge(mask: np.ndarray, where_true: np.ndarray, where_false: np.ndarray) -> np.ndarray:
+    """The array that holds ``where_true`` where ``mask`` holds, in order, and
+    ``where_false`` elsewhere."""
+    out = np.empty(mask.size, dtype=where_false.dtype)
+    out[mask] = where_true
+    out[~mask] = where_false
+    return out
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -123,6 +148,62 @@ def _outside(rule: Exterior, within: Optional[Window] = None) -> np.ndarray:
             if x in window:
                 out[i, window.index(x)] = s
     return out
+
+
+def _initial_spins(params: ModelParams, rule: Exterior, within: Optional[Window], spins,
+                   replicas: int) -> np.ndarray:
+    """A batch's initial spins, flat: entry r * n + i holds site i of replica r.
+    Raises SimulationError on a window whose dimension is not params.d, a
+    ``within`` that does not hold the window, or spins that are not one row
+    of 0/1 window spins per replica or one row for all (ragged rows
+    included); a spin is checked before any cast could truncate or wrap it."""
+    window = rule.window
+    if window.d != params.d:
+        raise SimulationError("window dimension does not match params.d")
+    if within is not None and not (within.d == window.d and within.contains_window(window)):
+        raise SimulationError(f"window {within} does not hold the batch's window")
+    shape = (replicas, window.site_count())
+    try:
+        spins = np.asarray(spins)
+    except ValueError:  # ragged rows
+        spins = None
+    if spins is None or spins.shape not in (shape, shape[1:], (1, shape[1])):
+        raise SimulationError(f"need one row of {shape[1]} window spins per seed, "
+                              "or one row for all")
+    if not ((spins == 0) | (spins == 1)).all():
+        raise SimulationError("spins must be 0 or 1")
+    return np.broadcast_to(spins.astype(np.int8), shape).reshape(-1)
+
+
+def _blocked(window: Window, init: np.ndarray, outside: np.ndarray) -> Optional[np.ndarray]:
+    """Per row, whether the site can never ring legally; None if no row is.
+
+    x rings legally only while some x - e_i is 0, so x is blocked iff every
+    x - e_i stays 1 for all time: it lies outside the window at spin 1, or it
+    is blocked and starts at 1.  Unrolled: every window site y <= x, y != x,
+    starts at 1, and every outside neighbor of those sites and of x is at 1
+    (UNKNOWN is not).  So the replica's initial spins, padded on each lower
+    face with the outside spins there (``outside``, see ``_outside``), take
+    one prefix AND per axis, after which a cell holds whether every cell at
+    or below it is 1; x is blocked iff that holds at every x - e_i.  No site
+    is blocked unless every outside neighbor of the lower corner is at 1,
+    which is tested first."""
+    if not (outside[:, 0] == 1).all():
+        return None
+    d, extent = window.d, tuple(hi - lo + 1 for lo, hi in zip(window.lower, window.upper))
+    cells = np.ones((init.size // window.site_count(),) + tuple(e + 1 for e in extent), dtype=bool)
+    cells[(slice(None),) + (slice(1, None),) * d] = (init == 1).reshape(cells.shape[:1] + extent)
+    for i in range(d):
+        face = tuple(0 if k == i else slice(1, None) for k in range(d))
+        cells[(slice(None),) + face] = np.take(outside[i].reshape(extent) == 1, 0, axis=i)
+    for i in range(d):
+        np.logical_and.accumulate(cells, axis=i + 1, out=cells)
+    blocked = np.ones(cells.shape[:1] + extent, dtype=bool)
+    for i in range(d):  # the cells of x - e_i
+        blocked &= cells[(slice(None),) + tuple(slice(None, -1) if k == i else slice(1, None)
+                                                for k in range(d))]
+    blocked = blocked.reshape(-1)
+    return blocked if blocked.any() else None
 
 
 def _rank_keys(offsets: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +323,7 @@ class BatchLog:
     """Ring histories of R replicas on one window, stored per (replica, site) row.
 
     Row r*n + i holds site i of replica r, which starts at spin ``init[row]``;
-    every replica shares the exterior ``rule``.  A row's rings are
+    every replica shares the exterior ``rule``.  A row's swept rings are
     ``times[offsets[row]:offsets[row + 1]]`` in increasing order, with the drawn
     bit and the legality of each ring.  The sweep's ``table`` (see ``_sweep``)
     is the one spin store, and ``key`` and the sorted ``ordered`` times (see
@@ -256,7 +337,15 @@ class BatchLog:
 
     The constructor sweeps the given rings (``offsets``, ``times``, ``bits``),
     which fall on (0, horizon], for legality and spins, from 0/1 ``spins`` at
-    time 0: one row of window spins per seed, or one for all.
+    time 0: one row of window spins per seed, or one for all.  ``undrawn``
+    marks the rows whose rings the CSR leaves out (``simulate_batch`` leaves
+    out the rows that can never ring legally, see ``_blocked``), or is None.
+    Those rows hold no ring in ``offsets``, ``times``, ``bits``, ``legal``,
+    ``key`` and ``table``, which keep only the rings the sweep ranks, and
+    point at their initial spin, which is their spin at every time.
+    ``rings``, ``to_csv`` and ``occupation_time`` report every ring: they
+    draw the undrawn rows' rings from the seeds' counters on first read, once
+    per batch, each one illegal and leaving the initial spin.
 
     A batch ``within`` a larger window simulates only its own window: the
     spins of the larger window's other sites are unknown, and the exterior
@@ -272,27 +361,12 @@ class BatchLog:
 
     def __init__(self, params: ModelParams, rule: Exterior, spins, horizon: float,
                  seeds: np.ndarray, offsets: np.ndarray, times: np.ndarray, bits: np.ndarray,
-                 within: Optional[Window] = None):
+                 within: Optional[Window] = None, undrawn: Optional[np.ndarray] = None):
         self.params, self.rule, self.window = params, rule, rule.window
         self.horizon, self.seeds, self.within = float(horizon), seeds, within
-        self.offsets, self.times, self.bits = offsets, times, bits
-        if self.window.d != params.d:
-            raise SimulationError("window dimension does not match params.d")
-        if within is not None and not (within.d == self.window.d
-                                       and within.contains_window(self.window)):
-            raise SimulationError(f"window {within} does not hold the batch's window")
+        self.offsets, self.times, self.bits, self.undrawn = offsets, times, bits, undrawn
+        self.init = _initial_spins(params, rule, within, spins, seeds.size)
         self.n_sites = self.window.site_count()
-        shape = (seeds.size, self.n_sites)
-        try:
-            spins = np.asarray(spins, dtype=np.int8)
-        except ValueError:  # ragged rows
-            spins = None
-        if spins is None or spins.shape not in (shape, shape[1:], (1, self.n_sites)):
-            raise SimulationError(f"need one row of {self.n_sites} window spins per seed, "
-                                  "or one row for all")
-        self.init = np.broadcast_to(spins, shape).flatten()
-        if ((self.init < 0) | (self.init > 1)).any():
-            raise SimulationError("spins must be 0 or 1")
         self.key, self.ordered = _rank_keys(offsets, times)
         self.legal, self.table, self.unknown = _sweep(
             self.window, self.init, _outside(rule, within), offsets, bits, self.key)
@@ -317,6 +391,27 @@ class BatchLog:
     def first_change(self) -> np.ndarray:
         self._certain("first_change")
         return self._first_time(self.spin_after != self.init[self.key // self.key.size])
+
+    @cached_property
+    def _all_rings(self) -> tuple[np.ndarray, ...]:
+        """(offsets, times, bits, legal, table) as the batch holds them, with
+        the undrawn rows' rings drawn from their counters and put in place:
+        each is illegal, and every table entry of its row is the initial spin."""
+        if self.undrawn is None:
+            return self.offsets, self.times, self.bits, self.legal, self.table
+        rows = np.flatnonzero(self.undrawn)
+        u_offsets, u_times, u_bits = _ring_times(
+            self.seeds[rows // self.n_sites], self.window.site_keys[rows % self.n_sites],
+            self.params.p, self.horizon)
+        counts = np.diff(self.offsets)
+        counts[rows] = np.diff(u_offsets)
+        offsets = _csr_offsets(counts)
+        ring = np.repeat(self.undrawn, counts)  # the undrawn rows' rings
+        entries = np.ones(self.offsets[-1] + self.init.size, dtype=np.int64)
+        entries[self.offsets[rows] + rows] += np.diff(u_offsets)  # an initial entry per ring
+        return (offsets, _merge(ring, u_times, self.times), _merge(ring, u_bits, self.bits),
+                _merge(ring, np.zeros(u_times.size, dtype=bool), self.legal),
+                np.repeat(self.table[:entries.size], entries))
 
     def _first_time(self, mask: np.ndarray) -> np.ndarray:
         out = np.full(self.init.size, np.inf)
@@ -367,16 +462,24 @@ class BatchLog:
         rows = self._rows(x)
         if not (0 <= t <= self.horizon):
             raise SimulationError(f"time {t} outside [0, horizon]")
-        lo, m = self.offsets[rows], self.key.size
-        end = self.key.searchsorted(rows * m + self.ordered.searchsorted(t, "right"))
-        count = end - lo  # x's rings up to t
+        offsets, times, _, _, table = self._all_rings
+        m = self.key.size
+        count = self.key.searchsorted(rows * m + self.ordered.searchsorted(t, "right"))
+        count -= self.offsets[rows]  # x's swept rings up to t
+        if self.undrawn is not None:  # undrawn rows' rings have no rank: count them
+            u = np.flatnonzero(self.undrawn[rows])
+            n_u = offsets[rows[u] + 1] - offsets[rows[u]]
+            up_to = times[_ranges(offsets[rows[u]], n_u)] <= t
+            count[u] = np.bincount(np.repeat(u, n_u)[up_to], minlength=len(self))[u]
+        lo = offsets[rows]
+        end = lo + count
         j, replica = _ranges(lo, count), np.repeat(np.arange(len(self)), count)
-        prev_t = np.where(j == lo[replica], 0.0, self.times[j - 1])
-        prev_s = self.table[j + rows[replica]]  # the spin just before ring j
-        occ = np.bincount(replica, np.where(prev_s == 0, self.times[j] - prev_t, 0.0), len(self))
+        prev_t = np.where(j == lo[replica], 0.0, times[j - 1])
+        prev_s = table[j + rows[replica]]  # the spin just before ring j
+        occ = np.bincount(replica, np.where(prev_s == 0, times[j] - prev_t, 0.0), len(self))
         end_t = np.zeros(len(self))
-        end_t[count > 0] = self.times[end[count > 0] - 1]
-        return occ + (t - end_t) * (self.table[end + rows] == 0)
+        end_t[count > 0] = times[end[count > 0] - 1]
+        return occ + (t - end_t) * (table[end + rows] == 0)
 
     def first_update_time(self, x: Site) -> np.ndarray:
         """Time of the first legal ring at x per replica, inf if none; NaN
@@ -396,10 +499,12 @@ class BatchLog:
         return self.rule.configuration(self.init[base:base + self.n_sites])
 
     def rings(self, r: int, x: Site) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Replica r's ring times, bits, legality and spins after at x, in time order."""
+        """Replica r's ring times, bits, legality and spins after at x, in time
+        order; an undrawn row's rings too (see ``_all_rings``)."""
         row = self._base(r) + self._site(x)
-        s = slice(self.offsets[row], self.offsets[row + 1])
-        return self.times[s], self.bits[s], self.legal[s], self.table[row + 1:][s]
+        offsets, times, bits, legal, table = self._all_rings
+        s = slice(offsets[row], offsets[row + 1])
+        return times[s], bits[s], legal[s], table[row + 1:][s]
 
     def to_csv(self, r: int) -> str:
         """Replica r's event CSV: a JSON manifest line, then its rings in time order."""
@@ -421,14 +526,17 @@ class BatchLog:
         }
         lines = ["# " + json.dumps(manifest, sort_keys=True)]
         lines.append("site_coords,time,bit,legal,spin_after")
-        # the replica's rings in time order: by their ranks in the batch
+        # the replica's rings, undrawn rows' included, in time order; ties
+        # by lower row, as the sweep ranks them
         base = self._base(r)
-        lo, hi = self.offsets[base], self.offsets[base + self.n_sites]
-        m = self.times.size
-        order = lo + np.argsort(self.key[lo:hi] % m)
+        offsets, times, bits, legal, table = self._all_rings
+        lo, hi = offsets[base], offsets[base + self.n_sites]
+        site = np.repeat(np.arange(self.n_sites), np.diff(offsets[base:base + self.n_sites + 1]))
+        order = np.argsort(times[lo:hi], kind="stable")
+        site, order = site[order], order + lo
+        after = table[order + base + site + 1]
         sites = self.window.sites
-        for s, t, b, l, a in zip(self.key[order] // m - base, self.times[order], self.bits[order],
-                                 self.legal[order], self.spin_after[order]):
+        for s, t, b, l, a in zip(site, times[order], bits[order], legal[order], after):
             coords = ";".join(str(c) for c in sites[s])
             lines.append(f"{coords},{t:.17g},{int(b)},{int(l)},{int(a)}")
         return "\n".join(lines) + "\n"
@@ -492,8 +600,7 @@ class BatchLog:
             bits, legal, spin_after = (c.astype(np.int8)[order] for c in cols[1:])
             if not np.isin(bits, (0, 1)).all():
                 raise SimulationError("ring bits must be 0 or 1")
-            offsets = np.zeros(window.site_count() + 1, dtype=np.int64)
-            np.cumsum(np.bincount(site_idx, minlength=window.site_count()), out=offsets[1:])
+            offsets = _csr_offsets(np.bincount(site_idx, minlength=window.site_count()))
             spins = [int(c) for c in manifest["initial_spins"]]
             if type(manifest["seed"]) is not int:  # a bool or a float would replay truncated
                 raise TypeError(f"seed must be an integer, got {manifest['seed']!r}")
@@ -519,18 +626,29 @@ def simulate_batch(
     per seed, or a single row that every replica starts from.  Deterministic
     per replica: replica r's history depends on its own (params, rule, spins,
     horizon, seed) only, never on the rest of the batch.  A replica over
-    MAX_REPLICA_RING_SLOTS raises before any per-site array.  ``within``:
-    see ``BatchLog``.
+    MAX_REPLICA_RING_SLOTS, and spins of the wrong shape or not 0/1, raise
+    before any draw.  ``within``: see ``BatchLog``.
+
+    Rows that can never ring legally (``_blocked``) draw no rings: they are
+    found only when every outside neighbor of the window's lower corner is at
+    1, so never when that corner borders a box's unknown face, and the batch
+    marks them ``undrawn`` (see ``BatchLog``).
     """
     window = rule.window
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     if seeds.size == 0:
         raise SimulationError("need at least one seed")
     replica_ring_slots(window, horizon)
+    init = _initial_spins(params, rule, within, spins, seeds.size)
+    blocked = _blocked(window, init, _outside(rule, within))
+    drawn = np.ones(init.size, dtype=bool) if blocked is None else ~blocked
     keys = window.site_keys
-    offsets, times, bits = _ring_times(np.repeat(seeds, keys.size), np.tile(keys, seeds.size),
-                                       params.p, horizon)
-    return BatchLog(params, rule, spins, horizon, seeds, offsets, times, bits, within)
+    drawn_offsets, times, bits = _ring_times(np.repeat(seeds, keys.size)[drawn],
+                                             np.tile(keys, seeds.size)[drawn], params.p, horizon)
+    counts = np.zeros(init.size, dtype=np.int64)
+    counts[drawn] = np.diff(drawn_offsets)
+    return BatchLog(params, rule, init.reshape(seeds.size, -1), horizon, seeds,
+                    _csr_offsets(counts), times, bits, within, undrawn=blocked)
 
 
 def simulate(params: ModelParams, initial: Configuration, horizon: float, seed: int) -> BatchLog:

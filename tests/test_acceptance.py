@@ -32,7 +32,7 @@ from eastlab.lattice import (
 from eastlab.sim import simulate, simulate_batch
 from eastlab.streams import derive_seed, derived_generator
 from eastlab.theory import certify_paths, compute_constants, oriented_path_check
-from oracle import off_cone_history
+from oracle import event_loop, off_cone_history
 
 
 def verdict(tag: str, label: str, ok: bool) -> bool:
@@ -47,6 +47,10 @@ def test_a1_blocked_invariance():
         init = Configuration.all_ones(w, exterior=1)
         log = simulate(ModelParams(d, 0.5), init, 100.0, 10 + d)
         ok &= log.legal.sum() == 0 and np.array_equal(log.final_spins(), [init.spins])
+        # every site's rings, drawn on read, are there and illegal, also to the event loop
+        rings = [log.rings(0, x) for x in w.sites]
+        ok &= all(t.size > 0 and not legal.any() for t, _, legal, _ in rings)
+        ok &= not any(legal.any() for legal in event_loop(log, 0)[0])
     assert verdict("A1", "blocked all-ones has zero legal updates (d=1,2,3)", ok)
 
 

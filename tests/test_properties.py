@@ -8,8 +8,11 @@ enclosing window, a site's trajectory is measurable with respect to its
 backward cone, estimator outputs ignore the replica chunking, relaxation
 equals its per-run reference, a spin read at a ring's own time is that
 ring's outcome, and the oriented-path lemma answers the same on a batch
-simulated to t/2 as on one simulated to t.  A window's array site keys and
-the spins of its outside neighbors match their per-site definitions.
+simulated to t/2 as on one simulated to t.  The blocked-row finder equals
+the hyperplane recursion, and a batch whose blocked rows draw no rings
+answers every query as the same batch with every row drawn.  A window's
+array site keys and the spins of its outside neighbors match their per-site
+definitions.
 Philox4x32-10 is checked against the Random123 known answers, the
 packed-lane kernel against the 32-bit-word oracle, and the integer bit
 threshold against the float rule u < p.
@@ -499,3 +502,143 @@ def test_ring_draws_ignore_philox_chunk(monkeypatch):
     # a later block of the same stream equals the tail of a longer draw
     tail = streams.ring_draws(seeds, keys, 12, 10, 0.3)
     assert np.array_equal(tail[0], reference[0][7:])
+
+
+@st.composite
+def blocking_setups(draw):
+    """(rule, within, spin rows): spins mostly 1, an exterior of either spin
+    with overrides of either spin on the lower faces, and, half the time, a
+    larger window ``within`` that reaches below the window on some axes."""
+    window = draw(windows())
+    d, n = window.d, window.site_count()
+    edge = sorted(
+        {site_sub_e(x, i) for x in window.sites for i in range(d)} - set(window.sites)
+    )
+    overrides = draw(st.dictionaries(st.sampled_from(edge), st.integers(0, 1), max_size=3))
+    rule = Exterior(window, draw(st.integers(0, 1)), overrides)
+    within = None
+    if draw(st.booleans()):
+        below = [draw(st.integers(0, 1)) for _ in range(d)]
+        within = Window(tuple(lo - b for lo, b in zip(window.lower, below)), window.upper)
+    spins = draw(st.lists(st.lists(st.sampled_from([0, 1, 1, 1]), min_size=n, max_size=n),
+                          min_size=2, max_size=2))
+    return rule, within, spins
+
+
+def blocked_by_recursion(rule, within, spins):
+    """Per site in window order: x - e_i stays 1 for all time iff it lies
+    outside at 1 (an UNKNOWN site of ``within`` does not), or it is blocked
+    and starts at 1; x is blocked iff every x - e_i stays 1."""
+    window, stays_one, blocked = rule.window, {}, []
+    for x, s in zip(window.sites, spins):  # each x - e_i comes before x
+        def one(y):
+            if y in window:
+                return stays_one[y]
+            if within is not None and y in within:
+                return False
+            return rule.overrides.get(y, rule.spin) == 1
+        blocked.append(all(one(site_sub_e(x, i)) for i in range(window.d)))
+        stays_one[x] = blocked[-1] and s == 1
+    return blocked
+
+
+RELAX_2X2 = Exterior(Window((0, 0), (1, 1)), 1, {})
+
+
+@PROPERTY
+@given(blocking_setups())
+# relax-2x2-many's start: only the corner, at 0, is blocked
+@example((RELAX_2X2, None, [[0, 1, 1, 1]] * 2))
+# all ones under exterior 1: every row is blocked; under exterior 0, none
+@example((RELAX_2X2, None, [[1, 1, 1, 1]] * 2))
+@example((Exterior(RELAX_2X2.window, 0, {}), None, [[1, 1, 1, 1]] * 2))
+def test_blocked_rows_match_recursion(setup):
+    rule, within, spins = setup
+    init = np.array(spins, dtype=np.int8).reshape(-1)
+    got = sim._blocked(rule.window, init, sim._outside(rule, within))
+    want = [b for row in spins for b in blocked_by_recursion(rule, within, row)]
+    assert (got is None and not any(want)) or got.tolist() == want
+
+
+def drawn_everywhere(batch):
+    """The batch swept afresh with every row's rings drawn."""
+    n = batch.n_sites
+    rings = sim._ring_times(np.repeat(batch.seeds, n), np.tile(batch.window.site_keys, len(batch)),
+                            batch.params.p, batch.horizon)
+    return sim.BatchLog(batch.params, batch.rule, batch.init.reshape(len(batch), n),
+                        batch.horizon, batch.seeds, *rings)
+
+
+def assert_answers_alike(batch, ref):
+    """Every query of a batch with undrawn rows answers as on ``ref``, bit for bit."""
+    times = np.linspace(0.0, batch.horizon, 7)
+    for x in batch.window.sites:
+        for r in range(len(batch)):
+            for got, want in zip(batch.rings(r, x), ref.rings(r, x)):
+                assert np.array_equal(got, want)
+        for t in times:
+            assert np.array_equal(batch.occupation_time(x, t), ref.occupation_time(x, t))
+        assert np.array_equal(batch.spin_at_time(x, times), ref.spin_at_time(x, times))
+        assert np.array_equal(batch.first_update_time(x), ref.first_update_time(x))
+    assert np.array_equal(batch.final_spins(), ref.final_spins())
+    for r in range(len(batch)):
+        text = batch.to_csv(r)
+        assert text == ref.to_csv(r)
+        replay = sim.BatchLog.from_csv(text)
+        for x in batch.window.sites:
+            for got, want in zip(replay.rings(0, x), batch.rings(r, x)):
+                assert np.array_equal(got, want)
+
+
+@PROPERTY
+@given(blocking_setups(), st.floats(0.05, 0.95), st.floats(0.5, 6.0),
+       st.integers(0, 2**64 - 1))
+@example((RELAX_2X2, None, [[0, 1, 1, 1]] * 2), 0.5, 8.0, 7)
+@example((RELAX_2X2, None, [[1, 1, 1, 1]] * 2), 0.5, 3.0, 7)
+def test_undrawn_rows_answer_as_drawn(setup, p, horizon, seed):
+    rule, _, spins = setup
+    batch = simulate_batch(ModelParams(rule.window.d, p), rule, spins, horizon,
+                           [seed, (seed + 1) % 2**64])
+    assert_answers_alike(batch, drawn_everywhere(batch))
+
+
+def test_undrawn_rows_keep_csv_tie_order(monkeypatch):
+    # gaps rounded up to quarters: rings of different rows tie in time often,
+    # undrawn rows' included, and to_csv lists ties by lower row
+    draws = streams.ring_draws
+
+    def quarters(*args):
+        gaps, bits = draws(*args)
+        return np.ceil(gaps * 4 + 1e-9) / 4, bits
+
+    monkeypatch.setattr(sim, "ring_draws", quarters)
+    window = Window((0, 0), (2, 2))
+    spins = [[1] * 9, [1, 1, 1, 1, 0, 1, 1, 1, 1], [0] + [1] * 8]
+    batch = simulate_batch(ModelParams(2, 0.7), Exterior(window, 1, {}), spins, 4.0, [3, 4, 5])
+    # blocked: every site; the six not above the centre's zero; the corner
+    assert batch.undrawn is not None and batch.undrawn.sum() == 9 + 6 + 1
+    ref = drawn_everywhere(batch)
+    assert (np.diff(np.sort(ref.times)) == 0).any()
+    assert_answers_alike(batch, ref)
+    for r in range(len(batch)):
+        rows = [ln.split(",") for ln in batch.to_csv(r).splitlines()[2:]]
+        order = [(float(t), window.index(tuple(map(int, x.split(";"))))) for x, t, *_ in rows]
+        assert order == sorted(order)
+
+
+def test_relaxation_config_draws_three_rows_per_run(monkeypatch):
+    # relax-2x2-many's start: the corner (0, 0) at 0 under exterior 1 is
+    # blocked, so each run passes only its other three rows to ring_draws
+    calls, draws = [], streams.ring_draws
+
+    def counted(seeds, keys, *args):
+        calls.append(keys.copy())
+        return draws(seeds, keys, *args)
+
+    monkeypatch.setattr(sim, "ring_draws", counted)
+    window = RELAX_2X2.window
+    spins = Configuration.with_zeros(window, [(0, 0)]).spins
+    batch = simulate_batch(ModelParams(2, 0.5), RELAX_2X2, spins, 8.0, range(1, 301))
+    assert calls[0].size == 3 * 300
+    assert not any((keys == window.site_keys[0]).any() for keys in calls)
+    assert batch.undrawn.tolist() == [True, False, False, False] * 300

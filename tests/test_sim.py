@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, poisson
 
+from eastlab import sim
 from eastlab.lattice import (
     Configuration, Delta, Exterior, ModelParams, Window, east_constraint, initial_rows,
 )
@@ -58,6 +59,11 @@ class TestSimulate:
         log = simulate(params, init, 50.0, 7)
         assert log.legal.sum() == 0
         assert np.array_equal(log.final_spins(), [init.spins])
+        # no row was drawn for the sweep; its rings, read, are all illegal
+        for x in init.window.sites:
+            times, _, legal, _ = log.rings(0, x)
+            assert times.size and not legal.any()
+        assert not any(legal.any() for legal in event_loop(log, 0)[0])
 
     @pytest.mark.parametrize("sites", [254, 255, 256])
     def test_plane_dtype_edge_matches_event_loop(self, sites):
@@ -311,12 +317,20 @@ class TestBatchInput:
             assert one.to_csv(r) == every.to_csv(r)
             assert one.initial(r) == init
 
-    @pytest.mark.parametrize("spins", [[(1, 0)] * 2, [(1, 0, 1)], [(1, 2)], [(1,)], [[1], [0, 1]]],
-                             ids=["rows", "sites", "value", "one-site-row", "ragged"])
+    @pytest.mark.parametrize("spins", [[(1, 0)] * 2, [(1, 0, 1)], [(1, 2)], [(1,)], [[1], [0, 1]],
+                                       [0.5, 1], [1.7, 0], [256, 1]],
+                             ids=["rows", "sites", "value", "one-site-row", "ragged",
+                                  "fraction", "above-one", "int8-overflow"])
     def test_bad_spins_rejected(self, spins):
+        # a fraction would truncate to 0 or 1 and 256 wrap in an int8 cast
         init = Configuration.all_ones(Window((0,), (1,)))
         with pytest.raises(SimulationError):
             simulate_batch(ModelParams(1, 0.5), init.rule, spins, 1.0, [1, 2, 3])
+
+    def test_no_stream_gives_empty_csr(self):
+        offsets, times, bits = sim._ring_times(np.empty(0, dtype=np.uint64),
+                                               np.empty(0, dtype=np.uint64), 0.5, 3.0)
+        assert offsets.tolist() == [0] and times.size == bits.size == 0
 
     def test_summaries_built_on_first_use(self):
         init = Configuration.with_zeros(Window((0, 0), (2, 2)), [(0, 0)], exterior=0)
@@ -339,7 +353,8 @@ class TestStatisticalContracts:
         init = Configuration(Window((0,), (0,)), (1,), exterior=1)
         seeds = [derive_seed(5, r) for r in range(n)]
         batch = simulate_batch(params, init.rule, init.spins, T, seeds)
-        counts = np.diff(batch.offsets)
+        # the site is blocked, so its rings are drawn when read, not swept
+        counts = np.array([batch.rings(r, (0,))[0].size for r in range(n)])
         kmax = 9
         observed = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)
         probs = poisson.pmf(np.arange(kmax), T)
