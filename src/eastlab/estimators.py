@@ -42,6 +42,8 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """Wilson score 95% interval for a binomial proportion."""
     if n <= 0:
         raise EstimatorError("n must be positive")
+    if not 0 <= k <= n:
+        raise EstimatorError(f"k must lie in 0..n = 0..{n}, got {k}")
     z = Z95
     phat = k / n
     denom = 1.0 + z * z / n
@@ -146,12 +148,16 @@ def replica_batches(
     ``runs``, increasing indices into that order, runs those alone, each with
     the draw and seed it has among all (none: no chunk); every batch is
     simulated ``within`` (see ``BatchLog``).
-    Raises EstimatorError on an ``n`` or ``n_inner`` below 1.
+    Raises EstimatorError on an ``n`` or ``n_inner`` below 1, or on a run
+    index outside 0..n (n_inner or 1) - 1.
     """
     _positive(n=n, n_inner=n_inner)
     slots = replica_ring_slots(window, horizon)
+    total = n * (n_inner or 1)
     if runs is None:
-        runs = np.arange(n * (n_inner or 1))
+        runs = np.arange(total)
+    elif runs.size and not (0 <= runs.min() and runs.max() < total):
+        raise EstimatorError(f"run indices must lie in 0..{total - 1}, got {runs.min()}..{runs.max()}")
     if runs.size == 0:
         return
     chunks = min(runs.size, max(1, round(runs.size * slots / RING_SLOT_BUDGET)))
@@ -252,8 +258,8 @@ def estimate_relaxation(
     gamma: float = 1.0,
 ) -> DecaySeries:
     """Average of (|inner estimate of E_eta[f] - mu(f)| / ||f - mu(f)||_inf)^gamma."""
-    if not gamma > 0:
-        raise EstimatorError(f"gamma must be > 0, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise EstimatorError(f"gamma must be finite and > 0, got {gamma}")
     if any(x not in window for x in f.sites):
         raise EstimatorError("observable support must lie inside the window")
     ts = _time_grid(times, n_outer=n_outer, n_inner=n_inner)

@@ -11,11 +11,9 @@ only in the values it writes.  ``tests/oracle.py`` builds Q site by site.
 
 Importing this module loads ``scipy.sparse`` (the operators) and
 ``scipy.linalg`` (``dstebz``, which `east1d_gap` reads as its Lanczos
-recurrence runs), never ``scipy.special``, ``scipy.stats`` or
-``scipy.sparse.linalg``: the kinds gap and constants load nothing more.  Uniformization takes its
-Poisson weights and truncation from ``scipy.special`` (``xlogy``,
-``gammaln``, ``pdtrc``), the formulas ``scipy.stats.poisson`` evaluates for
-``pmf`` and ``isf``, and imports it on its first call (`poisson_truncation`).
+recurrence runs, and ``expm`` for `evolve_expectation`), never
+``scipy.special``, ``scipy.stats`` or ``scipy.sparse.linalg``, and no call
+loads more.
 """
 
 from __future__ import annotations
@@ -26,13 +24,14 @@ from typing import Mapping, Union
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import expm
 from scipy.linalg.blas import daxpy, ddot, dscal
 from scipy.linalg.lapack import dstebz
 
 from .lattice import Region, Site, site_sub_e
 
 MAX_REGION_SITES = 20
-MAX_SPECTRAL_SITES = 12  # spectral_gap: largest region, a 4096x4096 dense solve
+MAX_SPECTRAL_SITES = 12  # spectral_gap and evolve_expectation: largest region, a 4096x4096 dense solve
 MAX_GAP_SITES = 17  # east1d_gap: largest chain; set when its former ARPACK solver took 34 s at p = 0.9
 MAX_LANCZOS_STEPS = 20_000  # east1d_gap: 10x the 1930 steps of p = 0.95, N = 17
 # east1d_gap: relative stagnation of lambda_min(T_k), and breakdown.  It does
@@ -160,15 +159,20 @@ def evolve_expectation(
     t: float,
     tol: float = 1e-10,
 ) -> float:
-    """E_initial[f(state at time t)] by uniformization with truncation error < tol,
-    for f given as its values on the states 0..dim-1.
+    """E_initial[f(state at time t)], for f given as its values on the states
+    0..dim-1: dist @ expm(t Q) @ f with a dense ``scipy.linalg.expm``
+    (scaling and squaring), the tests' oracle for the Monte Carlo estimates.
+    ``tol`` must be > 0 and chooses nothing.
 
     ``initial`` is a bitmask state or a distribution vector over states; a
-    state outside 0..dim-1, an f or a vector that is ragged, not numeric, of
-    the wrong length or not finite, a t that is negative or not finite, a tol
-    that is not > 0 (NaN included), or a tol / max|f| that underflows to 0
-    raises `ExactEngineError`.
+    region above `MAX_SPECTRAL_SITES` sites (refused before anything is
+    densified), a state outside 0..dim-1, an f or a vector that is ragged,
+    not numeric, of the wrong length or not finite, a t that is negative or
+    not finite, or a tol that is not > 0 (NaN included) raises
+    `ExactEngineError`.
     """
+    if gen.n > MAX_SPECTRAL_SITES:
+        raise ExactEngineError(f"evolve_expectation is capped at {MAX_SPECTRAL_SITES} sites")
     if not 0 <= t < math.inf:
         raise ExactEngineError(f"t must be finite and >= 0, got {t}")
     if not tol > 0:
@@ -181,42 +185,7 @@ def evolve_expectation(
         dist[initial] = 1.0
     else:
         dist = _state_vector("initial distribution", initial, gen.dim)
-    if t == 0:
-        return float(dist @ fvec)
-    lam = float(gen.n)  # uniformization rate: each of n sites rings at rate 1
-    mu_poiss = lam * t
-    fnorm = float(np.max(np.abs(fvec))) or 1.0
-    if tol / fnorm == 0.0:
-        raise ExactEngineError(f"tol / max|f| = {tol} / {fnorm} underflows to 0")
-    K, weights = poisson_truncation(mu_poiss, min(1.0, tol / fnorm))
-    P = sp.identity(gen.dim, format="csr") + gen.rates / lam
-    acc = 0.0
-    v = dist
-    for k in range(K + 1):
-        acc += weights[k] * float(v @ fvec)
-        if k < K:
-            v = v @ P
-    return acc
-
-
-def poisson_truncation(mu: float, q: float) -> tuple[int, np.ndarray]:
-    """Truncation K and the Poisson(mu) weights of k = 0..K, where K - 1 is
-    the least k with P(X > k) <= q for q < 1 (``scipy.stats.poisson.isf``),
-    and K = 0 at q = 1 (isf gives -1 there).
-
-    The search stops at the Bernstein bound P(X >= mu + x) <= exp(-x^2 / (2
-    (mu + x / 3))), which is q at x = L/3 + sqrt(L^2/9 + 2 mu L), L = -log q,
-    so the least such k lies in the searched range.
-    """
-    from scipy.special import gammaln, pdtrc, xlogy  # uniformization alone reads scipy.special
-
-    K = 0
-    if q < 1.0:
-        L = -math.log(q)
-        top = math.ceil(mu + L / 3 + math.sqrt(L * L / 9 + 2 * mu * L))
-        K = int(np.argmax(pdtrc(np.arange(top + 1), mu) <= q)) + 1
-    k = np.arange(K + 1)
-    return K, np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+    return float(dist @ expm(t * gen.rates.toarray()) @ fvec)
 
 
 def spectral_gap(gen: Generator) -> SpectrumResult:

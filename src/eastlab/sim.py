@@ -460,18 +460,15 @@ class BatchLog:
         0, then the interval from the last of them (or from 0) to t."""
         self._certain("occupation_time")
         rows = self._rows(x)
+        if np.ndim(t) != 0:
+            raise SimulationError(f"t must be one time, got shape {np.shape(t)}")
         if not (0 <= t <= self.horizon):
             raise SimulationError(f"time {t} outside [0, horizon]")
         offsets, times, _, _, table = self._all_rings
-        m = self.key.size
-        count = self.key.searchsorted(rows * m + self.ordered.searchsorted(t, "right"))
-        count -= self.offsets[rows]  # x's swept rings up to t
-        if self.undrawn is not None:  # undrawn rows' rings have no rank: count them
-            u = np.flatnonzero(self.undrawn[rows])
-            n_u = offsets[rows[u] + 1] - offsets[rows[u]]
-            up_to = times[_ranges(offsets[rows[u]], n_u)] <= t
-            count[u] = np.bincount(np.repeat(u, n_u)[up_to], minlength=len(self))[u]
         lo = offsets[rows]
+        n = offsets[rows + 1] - lo
+        up_to = times[_ranges(lo, n)] <= t  # x's rings up to t, counted per replica
+        count = np.bincount(np.repeat(np.arange(len(self)), n)[up_to], minlength=len(self))
         end = lo + count
         j, replica = _ranges(lo, count), np.repeat(np.arange(len(self)), count)
         prev_t = np.where(j == lo[replica], 0.0, times[j - 1])

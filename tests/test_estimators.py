@@ -116,6 +116,17 @@ class TestReplicaBatches:
         assert list(replica_batches(ModelParams(1, 0.5), ProductBernoulli(0.5), Window((0,), (2,)),
                                     1.0, 0, "x", 3, runs=np.array([], int))) == []
 
+    @pytest.mark.parametrize("n_inner,runs,match", [
+        (None, [-1, 0], r"0\.\.2, got -1\.\.0$"),
+        (None, [1, 3], r"0\.\.2, got 1\.\.3$"),
+        (2, [5, 6], r"0\.\.5, got 5\.\.6$"),
+    ], ids=["negative", "past-n", "past-n-inner"])
+    def test_run_indices_outside_range_named(self, n_inner, runs, match):
+        # they once ran draws outside the n, and negative ones wrapped through uint64
+        with pytest.raises(EstimatorError, match="run indices must lie in " + match):
+            next(replica_batches(ModelParams(1, 0.5), ProductBernoulli(0.5), Window((0,), (2,)),
+                                 1.0, 0, "x", 3, n_inner, runs=np.array(runs)))
+
     def test_none_is_one_run_per_draw(self):
         (draws, batch), = replica_batches(ModelParams(1, 0.5), ProductBernoulli(0.5),
                                           Window((0,), (2,)), 1.0, 0, "x", 3)
@@ -132,6 +143,12 @@ class TestWilson:
         assert wilson_interval(0, 50)[0] == 0.0
         assert wilson_interval(50, 50)[1] == 1.0
         assert wilson_halfwidth(0, 50) > 0.0
+
+    @pytest.mark.parametrize("k", [-1, 6])
+    def test_k_outside_range_named(self, k):
+        # math.sqrt of a negative phat (1 - phat) once raised "math domain error"
+        with pytest.raises(EstimatorError, match=rf"^k must lie in 0\.\.n = 0\.\.5, got {k}$"):
+            wilson_interval(k, 5)
 
 
 class TestPersistence:
@@ -492,9 +509,10 @@ class TestRelaxation:
                 ModelParams(1, 0.5), ProductBernoulli(0.5), obs, [1.0], 2, 2, w, 0
             )
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_gamma_rejected(self, gamma):
-        # |deviation|^gamma is 1 at gamma = 0, and inf at a zero deviation for gamma < 0
+        # |deviation|^gamma is 1 at gamma = 0, and inf at a zero deviation for
+        # gamma < 0; at gamma = inf each draw's value once read 0 or 1
         with pytest.raises(EstimatorError, match="gamma"):
             estimate_relaxation(ModelParams(1, 0.5), ProductBernoulli(0.5), Observable.spin((1,)),
                                 [1.0], 2, 2, Window((0,), (2,)), 0, gamma)
@@ -519,7 +537,7 @@ class TestRelaxation:
 
     def test_against_exact_engine(self):
         # 2-site chain with frozen zero boundary: MC inner estimates must
-        # track uniformization started from the same initial states
+        # track the exact engine started from the same initial states
         p = 0.5
         params = ModelParams(1, p)
         w = Window((1,), (2,))

@@ -7,19 +7,18 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigvalsh_tridiagonal, expm
 from scipy.sparse.linalg import eigsh, expm_multiply
-from scipy.stats import poisson
 
 import eastlab.exact
 from eastlab.exact import (
     ExactEngineError,
     MAX_REGION_SITES,
+    MAX_SPECTRAL_SITES,
     _lowest_tridiagonal,
     build_generator,
     east1d_gap,
     evolve_expectation,
     half_space_operator,
     killed_operator,
-    poisson_truncation,
     spectral_gap,
 )
 from eastlab.lattice import Region, bernoulli_weights
@@ -207,8 +206,7 @@ class TestEvolveExpectationInputs:
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_f_not_finite_named(self, value):
-        # an infinite entry would make the truncation take log(0), and NaN
-        # would give q = min(1, nan) = 1 and a nan result with no error
+        # an infinite or NaN entry would give a nan result with no error
         f = np.array([0.0, 1.0, value, 1.0])
         with pytest.raises(ExactEngineError, match=rf"f must be finite, got {value} at state 2$"):
             evolve_expectation(self.two_site, 1, f, 1.0)
@@ -245,41 +243,18 @@ class TestEvolveExpectationInputs:
                            match=rf"initial distribution must be finite, got {value} at state 2$"):
             evolve_expectation(self.two_site, initial, np.ones(4), 1.0)
 
-    def test_tol_underflowing_against_f_named(self):
-        # 1e-320 / 1e10 is 0 in double precision: the truncation's q would be 0
-        f = np.array([0.0, 1e10, 0.0, 1e10])
-        with pytest.raises(ExactEngineError, match=r"tol / max\|f\| = 1e-320 / 10000000000\.0 underflows to 0$"):
-            evolve_expectation(self.two_site, 1, f, 1.0, tol=1e-320)
-
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
     def test_tol_not_positive_named(self, tol):
-        # NaN passes a tol <= 0 test, and q = min(1, nan) = 1 would keep only
-        # the first Poisson term
+        # NaN passes a tol <= 0 test
         with pytest.raises(ExactEngineError, match=rf"tol must be > 0, got {tol}$"):
             evolve_expectation(self.gen, 0, np.ones(8), 1.0, tol=tol)
 
-
-class TestPoissonTruncation:
-    @pytest.mark.parametrize("mu", [0.5, 1.0, 3.7, 8.0, 20.0, 50.5, 200.0])
-    @pytest.mark.parametrize("q", [1.0, 0.5, 1e-3, 1e-8, 1e-12, 1e-14])
-    def test_bit_identical_to_scipy_stats(self, mu, q):
-        K, weights = poisson_truncation(mu, q)
-        assert K == int(poisson.isf(q, mu)) + 1
-        assert np.array_equal(weights, poisson.pmf(np.arange(K + 1), mu))
-
-    def test_q_one_keeps_only_the_first_term(self):
-        assert poisson.isf(1.0, 3.7) == -1
-        assert poisson_truncation(3.7, 1.0)[0] == 0
-
-    @pytest.mark.parametrize("mu", [50.5, 200.0, 5000.0])
-    @pytest.mark.parametrize("q", [0.5, 1e-8, 1e-14])
-    def test_search_range_holds_the_quantile(self, mu, q):
-        # the search stops at the Bernstein bound, where the tail is already <= q
-        L = -math.log(q)
-        top = math.ceil(mu + L / 3 + math.sqrt(L * L / 9 + 2 * mu * L))
-        assert poisson.sf(top, mu) <= q
-        K, _ = poisson_truncation(mu, q)
-        assert poisson.sf(K - 1, mu) <= q < poisson.sf(K - 2, mu)
+    def test_region_above_dense_cap_named(self):
+        # 13 sites: 8192 states, refused before Q is densified
+        gen = build_generator(region_1d(range(1, 14)), {(0,): 0}, 0.4)
+        with pytest.raises(ExactEngineError,
+                           match=f"^evolve_expectation is capped at {MAX_SPECTRAL_SITES} sites$"):
+            evolve_expectation(gen, 0, np.ones(gen.dim), 1.0)
 
 
 class TestUniformizationCrossCheck:

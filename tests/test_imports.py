@@ -6,8 +6,8 @@
   scipy.sparse and scipy.linalg.lapack do not load themselves.
 - Each public name is imported from its own module: the package loads none
   of its modules, and the exact engine only the lattice and the streams.
-- scipy.special loads only with uniformization (`evolve_expectation`),
-  which no kind runs.
+- Evolving an expectation (`evolve_expectation`, a dense expm) loads no
+  module that importing the exact engine did not.
 - Every module-level public function, class and UPPER_CASE constant of the
   package, and every public method and property of its classes, has a reader
   outside its own definition: code in the package, the benchmark, or the test
@@ -123,29 +123,28 @@ def test_monte_carlo_runs_load_no_scipy_or_numpy_ma(tmp_path):
 
 @pytest.mark.parametrize("config", ["kind = gap\np = 0.5\nN = 3 4\n", "kind = constants\nlambda_N = 4\n"])
 def test_exact_kind_runs_load_no_scipy_special(tmp_path, config):
-    # the gap solver needs scipy.sparse for B and scipy.linalg for dstebz;
-    # only uniformization, which no kind runs, reads scipy.special
+    # the gap solver needs scipy.sparse for B and scipy.linalg for dstebz
     loaded = run_main(tmp_path, [config])
     assert {"scipy.sparse", "scipy.linalg"} <= set(loaded)
     for package in ("scipy.special", "scipy.stats", "scipy.sparse.linalg"):
         assert under(loaded, package) == []
 
 
-UNIFORMIZATION_PROBE = PRELUDE + """
+# the modules that a first call of evolve_expectation adds
+EVOLVE_PROBE = """
+import sys
 import numpy as np
 from eastlab.exact import build_generator, evolve_expectation
 from eastlab.lattice import Region
 gen = build_generator(Region(frozenset({(1,)})), {(0,): 0}, 0.5)
-loaded()
+before = set(sys.modules)
 evolve_expectation(gen, 1, np.array([0.0, 1.0]), 1.0)
-loaded()
+print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_uniformization_alone_loads_scipy_special():
-    before, after = probe_output(UNIFORMIZATION_PROBE)
-    assert under(before, "scipy.special") == []
-    assert "scipy.special" in after
+def test_evolve_expectation_loads_no_new_module():
+    assert probe_output(EVOLVE_PROBE) == [[]]
 
 
 # the eastlab modules loaded after the import in argv[1], in a fresh process

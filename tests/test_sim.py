@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,13 @@ class TestQueries:
     def test_spin_at_time_of_2d_times_rejected(self):
         with pytest.raises(SimulationError, match=r"shape \(2, 1\)"):
             single_site_log(horizon=10.0).spin_at_time((1,), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("t", [[1.0], np.ones(2), np.ones((2, 1))], ids=["list", "1d", "2d"])
+    def test_occupation_time_of_many_times_rejected(self, t):
+        # numpy once raised its bare "truth value of an array ... is ambiguous"
+        shape = re.escape(str(np.shape(t)))
+        with pytest.raises(SimulationError, match=rf"^t must be one time, got shape {shape}$"):
+            single_site_log(horizon=10.0).occupation_time((1,), t)
 
     def test_occupation_time_trivial(self):
         params = ModelParams(1, 0.5)
