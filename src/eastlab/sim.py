@@ -16,10 +16,11 @@ A site whose every x - e_i stays 1 for all time can never ring legally
 (``_blocked``); under a frozen exterior of 1s that is known from the initial
 spins alone.  Such rows draw no rings before the sweep: thinning in the sense
 of Lewis and Shedler (Naval Res. Logist. Q. 26, 1979), where a ring that can
-never be legal is not drawn.  Their rings stay fixed by their counters, and
-``rings``, ``to_csv`` and ``occupation_time`` draw them on first read, so the
-full ring history is what every output reports.  ``BatchLog`` is the one
-trajectory type; ``simulate`` returns a batch of one.
+never be legal is not drawn.  Such a row keeps only its initial spin, which is
+its spin at all times, so ``occupation_time`` answers from it; its rings stay
+fixed by their counters, and ``rings`` and ``to_csv`` draw replica r's on each
+read, so the full ring history is what every output reports.  ``BatchLog`` is
+the one trajectory type; ``simulate`` returns a batch of one.
 """
 
 from __future__ import annotations
@@ -117,15 +118,6 @@ def _csr_offsets(counts: np.ndarray) -> np.ndarray:
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets
-
-
-def _merge(mask: np.ndarray, where_true: np.ndarray, where_false: np.ndarray) -> np.ndarray:
-    """The array that holds ``where_true`` where ``mask`` holds, in order, and
-    ``where_false`` elsewhere."""
-    out = np.empty(mask.size, dtype=where_false.dtype)
-    out[mask] = where_true
-    out[~mask] = where_false
-    return out
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -342,10 +334,10 @@ class BatchLog:
     out the rows that can never ring legally, see ``_blocked``), or is None.
     Those rows hold no ring in ``offsets``, ``times``, ``bits``, ``legal``,
     ``key`` and ``table``, which keep only the rings the sweep ranks, and
-    point at their initial spin, which is their spin at every time.
-    ``rings``, ``to_csv`` and ``occupation_time`` report every ring: they
-    draw the undrawn rows' rings from the seeds' counters on first read, once
-    per batch, each one illegal and leaving the initial spin.
+    point at their initial spin, which is their spin at every time, so
+    ``occupation_time`` answers from it.  ``rings`` and ``to_csv`` report
+    every ring: each read draws replica r's undrawn rows' rings from their
+    counters, each one illegal and leaving the initial spin (``_row_rings``).
 
     A batch ``within`` a larger window simulates only its own window: the
     spins of the larger window's other sites are unknown, and the exterior
@@ -392,27 +384,6 @@ class BatchLog:
         self._certain("first_change")
         return self._first_time(self.spin_after != self.init[self.key // self.key.size])
 
-    @cached_property
-    def _all_rings(self) -> tuple[np.ndarray, ...]:
-        """(offsets, times, bits, legal, table) as the batch holds them, with
-        the undrawn rows' rings drawn from their counters and put in place:
-        each is illegal, and every table entry of its row is the initial spin."""
-        if self.undrawn is None:
-            return self.offsets, self.times, self.bits, self.legal, self.table
-        rows = np.flatnonzero(self.undrawn)
-        u_offsets, u_times, u_bits = _ring_times(
-            self.seeds[rows // self.n_sites], self.window.site_keys[rows % self.n_sites],
-            self.params.p, self.horizon)
-        counts = np.diff(self.offsets)
-        counts[rows] = np.diff(u_offsets)
-        offsets = _csr_offsets(counts)
-        ring = np.repeat(self.undrawn, counts)  # the undrawn rows' rings
-        entries = np.ones(self.offsets[-1] + self.init.size, dtype=np.int64)
-        entries[self.offsets[rows] + rows] += np.diff(u_offsets)  # an initial entry per ring
-        return (offsets, _merge(ring, u_times, self.times), _merge(ring, u_bits, self.bits),
-                _merge(ring, np.zeros(u_times.size, dtype=bool), self.legal),
-                np.repeat(self.table[:entries.size], entries))
-
     def _first_time(self, mask: np.ndarray) -> np.ndarray:
         out = np.full(self.init.size, np.inf)
         idx = np.flatnonzero(mask)
@@ -456,15 +427,17 @@ class BatchLog:
 
     def occupation_time(self, x: Site, t: float) -> np.ndarray:
         """Lebesgue time in [0, t] during which x has spin 0, per replica:
-        the zero intervals between x's rings up to t, summed in ring order from
-        0, then the interval from the last of them (or from 0) to t."""
+        the zero intervals between x's swept rings up to t, summed in ring
+        order from 0, then the interval from the last of them (or from 0) to
+        t.  An undrawn row holds no ring and keeps its initial spin, so it
+        answers t if that spin is 0, else 0, with no draw."""
         self._certain("occupation_time")
         rows = self._rows(x)
         if np.ndim(t) != 0:
             raise SimulationError(f"t must be one time, got shape {np.shape(t)}")
         if not (0 <= t <= self.horizon):
             raise SimulationError(f"time {t} outside [0, horizon]")
-        offsets, times, _, _, table = self._all_rings
+        offsets, times, table = self.offsets, self.times, self.table
         lo = offsets[rows]
         n = offsets[rows + 1] - lo
         up_to = times[_ranges(lo, n)] <= t  # x's rings up to t, counted per replica
@@ -495,13 +468,34 @@ class BatchLog:
         base = self._base(r)
         return self.rule.configuration(self.init[base:base + self.n_sites])
 
+    def _row_rings(self, r: int, sites: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Replica r's rings at the given increasing window sites, site by site:
+        (site, times, bits, legal, spin after).  Drawn rows are sliced from the
+        CSR; the undrawn rows among them draw theirs from their counters in one
+        ``_ring_times`` call, each ring illegal and leaving the initial spin."""
+        base = self._base(r)
+        rows = base + sites
+        lo = self.offsets[rows]
+        count = self.offsets[rows + 1] - lo
+        j = _ranges(lo, count)
+        parts = [(np.repeat(sites, count), self.times[j], self.bits[j], self.legal[j],
+                  self.table[j + np.repeat(rows, count) + 1])]
+        undrawn = sites[self.undrawn[rows]] if self.undrawn is not None else sites[:0]
+        if undrawn.size:
+            offsets, times, bits = _ring_times(np.full(undrawn.size, self.seeds[r]),
+                                               self.window.site_keys[undrawn],
+                                               self.params.p, self.horizon)
+            site = np.repeat(undrawn, np.diff(offsets))
+            parts.append((site, times, bits, np.zeros(times.size, dtype=bool),
+                          self.init[base + site]))
+        site, *rest = (np.concatenate(a) for a in zip(*parts))
+        order = np.argsort(site, kind="stable")
+        return (site[order], *(a[order] for a in rest))
+
     def rings(self, r: int, x: Site) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Replica r's ring times, bits, legality and spins after at x, in time
-        order; an undrawn row's rings too (see ``_all_rings``)."""
-        row = self._base(r) + self._site(x)
-        offsets, times, bits, legal, table = self._all_rings
-        s = slice(offsets[row], offsets[row + 1])
-        return times[s], bits[s], legal[s], table[row + 1:][s]
+        order; an undrawn row's rings too, drawn on each read (``_row_rings``)."""
+        return self._row_rings(r, np.array([self._site(x)]))[1:]
 
     def to_csv(self, r: int) -> str:
         """Replica r's event CSV: a JSON manifest line, then its rings in time order."""
@@ -525,15 +519,10 @@ class BatchLog:
         lines.append("site_coords,time,bit,legal,spin_after")
         # the replica's rings, undrawn rows' included, in time order; ties
         # by lower row, as the sweep ranks them
-        base = self._base(r)
-        offsets, times, bits, legal, table = self._all_rings
-        lo, hi = offsets[base], offsets[base + self.n_sites]
-        site = np.repeat(np.arange(self.n_sites), np.diff(offsets[base:base + self.n_sites + 1]))
-        order = np.argsort(times[lo:hi], kind="stable")
-        site, order = site[order], order + lo
-        after = table[order + base + site + 1]
+        rings = self._row_rings(r, np.arange(self.n_sites))
+        order = np.argsort(rings[1], kind="stable")
         sites = self.window.sites
-        for s, t, b, l, a in zip(site, times[order], bits[order], legal[order], after):
+        for s, t, b, l, a in zip(*(a[order] for a in rings)):
             coords = ";".join(str(c) for c in sites[s])
             lines.append(f"{coords},{t:.17g},{int(b)},{int(l)},{int(a)}")
         return "\n".join(lines) + "\n"

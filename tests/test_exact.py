@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import eigvalsh_tridiagonal, expm
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse.linalg import eigsh, expm_multiply
 
 import eastlab.exact
@@ -153,12 +153,15 @@ class TestEvolveExpectation:
         assert got == pytest.approx(p + (eta0 - p) * math.exp(-t), abs=1e-10)
 
     def test_matches_matrix_exponential(self):
-        # independent oracle: dense expm of the same rate matrix
-        gen = build_generator(region_1d([1, 2, 3]), {(0,): 0}, 0.35)
-        Q = gen.rates.toarray()
+        # independent oracle: e^{tQ} = D^-1 e^{tS} D with D = diag(sqrt(mu)),
+        # Q from the oracle's site loop and e^{tS} from S's eigenvectors
+        region, boundary, p = region_1d([1, 2, 3]), {(0,): 0}, 0.35
+        gen = build_generator(region, boundary, p)
+        lam, vecs = np.linalg.eigh(symmetrized(site_loop_rates(region, boundary, p), p).toarray())
+        sq = np.sqrt(bernoulli_weights(3, p))
         f = np.array([float((s >> 2) & 1) for s in range(8)])
         for t in (0.5, 1.0, 2.0):
-            want = float((expm(Q * t) @ f)[0b111])
+            want = float(((vecs * np.exp(t * lam)) @ (vecs.T @ (sq * f)) / sq)[0b111])
             got = evolve_expectation(gen, 0b111, f, t, tol=1e-12)
             assert got == pytest.approx(want, abs=1e-9)
 

@@ -10,7 +10,8 @@ equals its per-run reference, a spin read at a ring's own time is that
 ring's outcome, and the oriented-path lemma answers the same on a batch
 simulated to t/2 as on one simulated to t.  The blocked-row finder equals
 the hyperplane recursion, and a batch whose blocked rows draw no rings
-answers every query as the same batch with every row drawn.  A window's
+answers every query as the same batch with every row drawn, drawing on a
+read only the blocked rows of the replica it reports.  A window's
 array site keys and the spins of its outside neighbors match their per-site
 definitions.
 Philox4x32-10 is checked against the Random123 known answers, the
@@ -570,14 +571,21 @@ def drawn_everywhere(batch):
 
 
 def assert_answers_alike(batch, ref):
-    """Every query of a batch with undrawn rows answers as on ``ref``, bit for bit."""
+    """Every query of a batch with undrawn rows answers as on ``ref``, bit for
+    bit, but occupation on an undrawn row: that is exactly t * (init == 0),
+    where ``ref`` sums its ring intervals and may round otherwise."""
     times = np.linspace(0.0, batch.horizon, 7)
+    undrawn = np.zeros(batch.init.size, dtype=bool) if batch.undrawn is None else batch.undrawn
     for x in batch.window.sites:
         for r in range(len(batch)):
             for got, want in zip(batch.rings(r, x), ref.rings(r, x)):
                 assert np.array_equal(got, want)
+        rows = batch._rows(x)
+        held = undrawn[rows]
         for t in times:
-            assert np.array_equal(batch.occupation_time(x, t), ref.occupation_time(x, t))
+            got = batch.occupation_time(x, t)
+            assert np.array_equal(got[~held], ref.occupation_time(x, t)[~held])
+            assert np.array_equal(got[held], t * (batch.init[rows][held] == 0))
         assert np.array_equal(batch.spin_at_time(x, times), ref.spin_at_time(x, times))
         assert np.array_equal(batch.first_update_time(x), ref.first_update_time(x))
     assert np.array_equal(batch.final_spins(), ref.final_spins())
@@ -642,3 +650,47 @@ def test_relaxation_config_draws_three_rows_per_run(monkeypatch):
     assert calls[0].size == 3 * 300
     assert not any((keys == window.site_keys[0]).any() for keys in calls)
     assert batch.undrawn.tolist() == [True, False, False, False] * 300
+
+
+def test_reads_draw_only_the_undrawn_rows_they_report(monkeypatch):
+    # occupation draws nothing, rings(r, x) draws x's row of replica r, and
+    # to_csv(r) draws replica r's undrawn rows in one _ring_times call; no
+    # read keeps anything on the batch
+    window = Window((0, 0), (2, 2))
+    spins = [[1] * 9, [1, 1, 1, 1, 0, 1, 1, 1, 1], [0] + [1] * 8]
+    batch = simulate_batch(ModelParams(2, 0.7), Exterior(window, 1, {}), spins, 4.0, [3, 4, 5])
+    undrawn, keys = batch.undrawn.reshape(3, 9), window.site_keys.tolist()
+    kept = set(vars(batch))
+    passes, calls = [], []
+    draws, ring_times = streams.ring_draws, sim._ring_times
+
+    def counted(seeds, keys, *args):
+        passes.append(list(zip(seeds.tolist(), keys.tolist())))
+        return draws(seeds, keys, *args)
+
+    def counted_calls(*args):
+        calls.append(args)
+        return ring_times(*args)
+
+    monkeypatch.setattr(sim, "ring_draws", counted)
+    monkeypatch.setattr(sim, "_ring_times", counted_calls)
+    for x in window.sites:
+        batch.occupation_time(x, 4.0)
+    assert passes == [] and calls == []
+
+    def assert_draws(r, sites):
+        want = [(int(batch.seeds[r]), keys[i]) for i in sites]
+        assert len(calls) == (1 if want else 0)
+        assert passes[:1] == ([want] if want else [])
+        # a later pass carries only streams whose rings outran the first
+        assert all(set(later) <= set(want) for later in passes[1:])
+        passes.clear()
+        calls.clear()
+
+    for r in range(len(batch)):
+        for i, x in enumerate(window.sites):
+            batch.rings(r, x)
+            assert_draws(r, [i] if undrawn[r, i] else [])
+        batch.to_csv(r)
+        assert_draws(r, np.flatnonzero(undrawn[r]))
+    assert set(vars(batch)) == kept
