@@ -204,6 +204,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(key, f"must be >= 0, got {raw[key]}")
     if config.gamma <= 0:
         raise ConfigError("gamma", f"must be > 0, got {raw['gamma']}")
+    if not 0 < config.delta_const < 1:
+        raise ConfigError("delta", f"must lie in (0, 1), got {raw['delta']}")
+    if config.c_const <= 0:
+        raise ConfigError("c", f"must be > 0, got {raw['c']}")
 
     if config.site is not None and len(config.site) != config.params.d:
         raise ConfigError("site", f"expected {config.params.d} coordinates")

@@ -6,8 +6,9 @@ the product Bernoulli(p) measure: a constrained site flips to 1 at rate p and
 to 0 at rate 1-p.
 
 Every operator comes from one pass, `_legal_flips`, the only copy of the East
-constraint, and one CSR writer, `_flip_csr`: Q, -S and the killed B_z differ
-only in the values it writes.  ``tests/oracle.py`` builds Q site by site.
+constraint, and one CSR writer, `_flip_csr`: Q and the killed B_z differ only
+in the values it writes.  ``tests/oracle.py`` builds Q site by site, and holds
+the dense gap reference.
 
 Importing this module loads ``scipy.sparse`` (the operators) and
 ``scipy.linalg`` (``dstebz``, which `east1d_gap` reads as its Lanczos
@@ -19,7 +20,6 @@ loads more.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
@@ -31,7 +31,7 @@ from scipy.linalg.lapack import dstebz
 from .lattice import Region, Site, site_sub_e
 
 MAX_REGION_SITES = 20
-MAX_SPECTRAL_SITES = 12  # spectral_gap and evolve_expectation: largest region, a 4096x4096 dense solve
+MAX_SPECTRAL_SITES = 12  # evolve_expectation: largest region, a 4096x4096 dense expm
 MAX_GAP_SITES = 17  # east1d_gap: largest chain; set when its former ARPACK solver took 34 s at p = 0.9
 MAX_LANCZOS_STEPS = 20_000  # east1d_gap: 10x the 1930 steps of p = 0.95, N = 17
 # east1d_gap: relative stagnation of lambda_min(T_k), and breakdown.  It does
@@ -41,12 +41,6 @@ LANCZOS_RTOL = 1e-12
 
 class ExactEngineError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    gap: float
-    eigenvalue_count_at_zero: int
 
 
 def _checked_sites(region: Region, p: float) -> tuple[Site, ...]:
@@ -122,12 +116,11 @@ class Generator:
     """Exact rate matrix of the East dynamics on a region with frozen boundary."""
 
     def __init__(self, region: Region, boundary: Mapping[Site, int], p: float):
-        self.sites = _checked_sites(region, p)
-        self.boundary = dict(boundary)
+        sites = _checked_sites(region, p)
         self.p = p
-        self.n = len(self.sites)
+        self.n = len(sites)
         self.dim = 1 << self.n
-        up, down, exit_rate = _legal_flips(self.sites, self.boundary, p)
+        up, down, exit_rate = _legal_flips(sites, boundary, p)
         self.rates = _flip_csr(up, down, 0.0 - exit_rate, p, 1.0 - p)  # 0 - 0.0 is +0.0, not -0.0
 
 
@@ -186,21 +179,6 @@ def evolve_expectation(
     else:
         dist = _state_vector("initial distribution", initial, gen.dim)
     return float(dist @ expm(t * gen.rates.toarray()) @ fvec)
-
-
-def spectral_gap(gen: Generator) -> SpectrumResult:
-    """Gap and zero-eigenvalue multiplicity of the symmetrized generator, by a
-    dense solve; the test oracle for `east1d_gap`.  Regions above
-    `MAX_SPECTRAL_SITES` sites are refused before anything is densified."""
-    if gen.n > MAX_SPECTRAL_SITES:
-        raise ExactEngineError(f"spectral_gap is capped at {MAX_SPECTRAL_SITES} sites")
-    up, down, exit_rate = _legal_flips(gen.sites, gen.boundary, gen.p)
-    flip = -math.sqrt(gen.p * (1.0 - gen.p))
-    rates = np.linalg.eigvalsh(_flip_csr(up, down, exit_rate, flip, flip).toarray())  # -S: >= 0 up to rounding
-    zero_tol = max(float(exit_rate.max()), 1.0) * 1e-10
-    nonzero = rates[rates > zero_tol]
-    gap = float(nonzero.min()) if nonzero.size else 0.0
-    return SpectrumResult(gap, int((rates <= zero_tol).sum()))
 
 
 def killed_operator(region: Region, boundary: Mapping[Site, int], p: float, z: Site) -> sp.csr_matrix:

@@ -1,4 +1,4 @@
-"""Lattice primitives: sites, regions, windows, configurations, the East constraint.
+"""Lattice primitives: sites, regions, windows, configurations, initial measures.
 
 Sites are plain tuples of ints.  The infinite lattice is truncated to a finite
 Window; spins outside the window are frozen for all time (a constant default
@@ -195,11 +195,6 @@ class Configuration:
         for z in zeros:
             spins[window.index(z)] = 0
         return Configuration(window, tuple(spins), exterior, overrides or {})
-
-
-def east_constraint(config: Configuration, x: Site) -> bool:
-    """True iff some neighbor x - e_i has spin 0."""
-    return any(config.spin_at(site_sub_e(x, i)) == 0 for i in range(len(x)))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ table and returns what legality and spin-after each ring must have.  Ties in
 time break by site order, as in the simulator.  ``oriented_path`` answers the
 oriented-path lemma on one replica, site by site.  ``site_loop_rates`` builds the
 exact rate matrix Q of a region site by site, and ``symmetrized`` conjugates
-it by sqrt(mu) into S; `eastlab.exact` writes Q, -S and the killed operator
-from one legal-flip pass instead.  ``philox4x32`` is Philox4x32-10 on 32-bit
+it by sqrt(mu) into S; `eastlab.exact` writes Q and the killed operator from
+one legal-flip pass instead.  ``dense_gap`` solves -S densely, the reference
+for `eastlab.exact.east1d_gap`.  ``philox4x32`` is Philox4x32-10 on 32-bit
 word arrays, as Salmon et al. state it, and ``ring_blocks`` draws a stream's
 blocks with it; `eastlab.streams` runs the same rounds on two packed 64-bit
 lanes.  ``off_cone_history`` swaps a run's rings off a site's backward cone
@@ -203,3 +204,13 @@ def symmetrized(rates, p):
     sq = np.sqrt(bernoulli_weights(rates.shape[0].bit_length() - 1, p))
     S = sp.diags(sq) @ rates @ sp.diags(1.0 / sq)
     return ((S + S.T) * 0.5).tocsr()
+
+
+def dense_gap(region, boundary, p):
+    """(gap, number of zero eigenvalues) of -S on the region, by a dense
+    ``eigvalsh``; an eigenvalue at most max(|diag Q|, 1) * 1e-10 counts as
+    zero, and a region with no other eigenvalue has gap 0."""
+    rates = site_loop_rates(region, boundary, p)
+    spec = np.linalg.eigvalsh(-symmetrized(rates, p).toarray())
+    zero = spec <= max(np.abs(rates.diagonal()).max(), 1.0) * 1e-10
+    return (float(spec[~zero].min()) if (~zero).any() else 0.0), int(zero.sum())

@@ -293,6 +293,28 @@ class TestParse:
         assert main([write_config(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            (LEMMA_CFG.replace("verify-lemma", "fk-probe") + "delta = 1.5\n", "delta"),
+            (LEMMA_CFG.replace("verify-lemma", "fk-probe") + "delta = 0\n", "delta"),
+            ("kind = constants\ndelta = 0\n", "delta"),
+            ("kind = constants\ndelta = 1\n", "delta"),
+            ("kind = constants\nc = -1\n", "c"),
+            ("kind = constants\nc = 0\n", "c"),
+        ],
+        ids=["fk-probe-delta-1.5", "fk-probe-delta-0", "delta-0", "delta-1", "c-minus-1", "c-0"],
+    )
+    def test_delta_or_c_out_of_range_rejected(self, tmp_path, capsys, text, key):
+        # theory refuses these too, but only once the run has started and made its directory
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.field_name == key
+        out = tmp_path / "o"
+        assert main([write_config(tmp_path, text), "--out", str(out)]) == 1
+        assert f"validation error: config field '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_comments_and_echo(self):
         cfg = parse_config(PERSIST_CFG)
         assert cfg.kind == "persistence"

@@ -212,11 +212,9 @@ def test_benchmark_references_run_against_this_checkout(monkeypatch):
 
 # public names that only tests read, each with the reason it stays in the package
 TEST_ONLY_READERS = {
-    "east_constraint": "the per-site legality oracle that test_sim checks the sweep against",
     "BatchLog.from_csv": "the documented after-the-fact check of an events.csv",
     "BatchLog.final_spins": "the spins at the horizon, which A1 (blocked runs) and A3 (stationarity) read",
     "Configuration.all_ones": "the all-ones start that most simulation and estimator tests build",
-    "spectral_gap": "east1d_gap's dense oracle, on any region of at most 12 sites",
 }
 
 

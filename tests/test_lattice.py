@@ -11,7 +11,6 @@ from eastlab.lattice import (
     ModelParams,
     ProductBernoulli,
     Window,
-    east_constraint,
     initial_rows,
 )
 
@@ -63,40 +62,6 @@ class TestConfiguration:
         # check alone would keep it as an override that no constraint reads
         with pytest.raises(LatticeError, match="is not 2-dimensional"):
             Exterior(Window((0, 0), (1, 1)), 1, {site: 0})
-
-
-class TestEastConstraint:
-    def test_zero_neighbor(self):
-        w = Window((0, 0), (2, 2))
-        cfg = Configuration.with_zeros(w, [(0, 1)])
-        assert east_constraint(cfg, (1, 1))  # x - e_1 = (0,1) is zero
-
-    def test_all_ones_neighbors(self):
-        w = Window((0, 0), (2, 2))
-        cfg = Configuration.all_ones(w, exterior=1)
-        assert not east_constraint(cfg, (1, 1))
-
-    def test_boundary_mix(self):
-        # x on the window edge: x - e_2 frozen exterior 1, x - e_1 interior zero
-        w = Window((0, 0), (2, 2))
-        cfg = Configuration.with_zeros(w, [(0, 0)], exterior=1)
-        assert east_constraint(cfg, (1, 0))
-
-    def test_monotone_in_zeros(self):
-        # adding a zero at a neighbor never turns the constraint off
-        w = Window((0, 0), (2, 2))
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            spins = tuple(int(v) for v in rng.integers(0, 2, w.site_count()))
-            cfg = Configuration(w, spins)
-            for x in w.sites:
-                if east_constraint(cfg, x):
-                    more = list(spins)
-                    nb = (x[0] - 1, x[1])
-                    if nb in w:
-                        more[w.index(nb)] = 0
-                    cfg2 = Configuration(w, tuple(more))
-                    assert east_constraint(cfg2, x)
 
 
 class TestSampleInitial:

@@ -8,7 +8,7 @@ from scipy.stats import chisquare, poisson
 
 from eastlab import sim
 from eastlab.lattice import (
-    Configuration, Delta, Exterior, ModelParams, Window, east_constraint, initial_rows,
+    Configuration, Delta, Exterior, ModelParams, Window, initial_rows, site_sub_e,
 )
 from eastlab.sim import BatchLog, SimulationError, replica_ring_slots, simulate, simulate_batch
 from eastlab.streams import derive_seed, mix64, ring_draws, site_key
@@ -129,7 +129,7 @@ class TestSimulate:
             i = log.window.index(site)
             # legality matches the East constraint at the pre-ring configuration
             cfg = Configuration(log.window, tuple(spins), init.exterior)
-            assert legal == east_constraint(cfg, site)
+            assert legal == any(cfg.spin_at(site_sub_e(site, j)) == 0 for j in range(params.d))
             if legal:
                 spins[i] = bit
             assert spin_after == spins[i]
