@@ -11,7 +11,8 @@ ring's outcome, and the oriented-path lemma answers the same on a batch
 simulated to t/2 as on one simulated to t.  The blocked-row finder equals
 the hyperplane recursion, and a batch whose blocked rows draw no rings
 answers every query as the same batch with every row drawn, drawing on a
-read only the blocked rows of the replica it reports.  A window's
+read only the blocked rows of the replica it reports; the rows next to a
+blocked zero ring legally at every ring.  A window's
 array site keys and the spins of its outside neighbors match their per-site
 definitions.
 Philox4x32-10 is checked against the Random123 known answers, the
@@ -95,6 +96,18 @@ FACE_ZEROS = (ModelParams(2, 0.5), Configuration(Window((0, 0), (3, 3)), (1,) * 
                                                   {(-1, 1): 0, (-1, 2): 0}), 4.0, 11)
 
 
+# relax-2x2-many's start: the corner (0, 0) at 0 under exterior 1 is blocked,
+# and (1, 0) and (0, 1) read its zero, which never moves
+RELAX_START = (ModelParams(2, 0.5), Configuration(Window((0, 0), (1, 1)), (0, 1, 1, 1), 1), 8.0, 7)
+# a neighbor frozen at 1: (0, 0) and (0, 1) are blocked at 1, the override
+# settles (1, 0), and (1, 1) reads (0, 1) without a search
+FROZEN_ONE = (ModelParams(2, 0.5), Configuration(Window((0, 0), (1, 1)), (1,) * 4, 1, {(1, -1): 0}),
+              4.0, 2)
+# a 2 x 2 x 2 window under exterior 1 with its corner at 0
+CORNER_3D = (ModelParams(3, 0.5), Configuration(Window((0, 0, 0), (1, 1, 1)), (0,) + (1,) * 7, 1),
+             4.0, 1)
+
+
 def site_records(log, x, until=np.inf):
     rings = log.rings(0, x)
     return [col[rings[0] <= until].tolist() for col in rings]
@@ -103,6 +116,9 @@ def site_records(log, x, until=np.inf):
 @PROPERTY
 @given(scenarios())
 @example(FACE_ZEROS)
+@example(RELAX_START)
+@example(FROZEN_ONE)
+@example(CORNER_3D)
 def test_sweep_matches_event_loop(scenario):
     log = simulate(*scenario)
     legal, after = event_loop(log, 0)
@@ -603,6 +619,8 @@ def assert_answers_alike(batch, ref):
        st.integers(0, 2**64 - 1))
 @example((RELAX_2X2, None, [[0, 1, 1, 1]] * 2), 0.5, 8.0, 7)
 @example((RELAX_2X2, None, [[1, 1, 1, 1]] * 2), 0.5, 3.0, 7)
+@example((FROZEN_ONE[1].rule, None, [list(FROZEN_ONE[1].spins)] * 2), 0.5, 4.0, 2)
+@example((CORNER_3D[1].rule, None, [list(CORNER_3D[1].spins)] * 2), 0.5, 4.0, 1)
 def test_undrawn_rows_answer_as_drawn(setup, p, horizon, seed):
     rule, _, spins = setup
     batch = simulate_batch(ModelParams(rule.window.d, p), rule, spins, horizon,
@@ -650,6 +668,19 @@ def test_relaxation_config_draws_three_rows_per_run(monkeypatch):
     assert calls[0].size == 3 * 300
     assert not any((keys == window.site_keys[0]).any() for keys in calls)
     assert batch.undrawn.tolist() == [True, False, False, False] * 300
+
+
+def test_relaxation_config_settles_the_corner_neighbors():
+    # relax-2x2-many's start: (1, 0) and (0, 1) read the blocked corner's
+    # zero, which never moves, so each of their rings is legal and leaves its bit
+    window = RELAX_2X2.window
+    spins = Configuration.with_zeros(window, [(0, 0)]).spins
+    batch = simulate_batch(ModelParams(2, 0.5), RELAX_2X2, spins, 8.0, range(1, 301))
+    rows = (np.arange(300)[:, None] * 4 + [window.index((1, 0)), window.index((0, 1))]).ravel()
+    rings = sim._ranges(batch.offsets[rows], batch.offsets[rows + 1] - batch.offsets[rows])
+    assert rings.size > 300
+    assert batch.legal[rings].all()
+    assert np.array_equal(batch.spin_after[rings], batch.bits[rings])
 
 
 def test_reads_draw_only_the_undrawn_rows_they_report(monkeypatch):

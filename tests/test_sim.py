@@ -340,6 +340,34 @@ class TestBatchInput:
                                                np.empty(0, dtype=np.uint64), 0.5, 3.0)
         assert offsets.tolist() == [0] and times.size == bits.size == 0
 
+    def test_ring_times_are_per_row_cumsums(self, monkeypatch):
+        # gaps shrunk 20-fold on stream 0 and 3-fold on streams 1..19, so that
+        # streams stop after one, two, three and more passes; the first pass
+        # holds 300 rows and the last only stream 0
+        def shrunk(seeds, keys, *args):
+            gaps, bits = ring_draws(seeds, keys, *args)
+            return gaps / np.where(keys == 0, 20.0, np.where(keys < 20, 3.0, 1.0)), bits
+
+        pass_rows = []
+
+        def counted(seeds, keys, *args):
+            pass_rows.append(seeds.size)
+            return shrunk(seeds, keys, *args)
+
+        monkeypatch.setattr(sim, "ring_draws", counted)
+        seeds, keys = np.arange(11, 311, dtype=np.uint64), np.arange(300, dtype=np.uint64)
+        horizon, width = 4.0, sim.ring_block(4.0)
+        offsets, times, bits = sim._ring_times(seeds, keys, 0.5, horizon)
+        counts = np.diff(offsets)
+        assert pass_rows[0] == 300 and pass_rows[-1] == 1
+        assert {1, 2, 3} <= set((counts // width + 1).tolist())
+        for r in range(300):
+            gaps, want_bits = shrunk(seeds[r:r + 1], keys[r:r + 1], 0, counts[r] + 1, 0.5)
+            want = np.cumsum(gaps[:, 0])
+            assert want[-1] > horizon
+            assert np.array_equal(times[offsets[r]:offsets[r + 1]], want[:-1])
+            assert np.array_equal(bits[offsets[r]:offsets[r + 1]], want_bits[:-1, 0])
+
     def test_summaries_built_on_first_use(self):
         init = Configuration.with_zeros(Window((0, 0), (2, 2)), [(0, 0)], exterior=0)
         batch = simulate_batch(ModelParams(2, 0.5), init.rule, init.spins, 5.0, [1, 2])
